@@ -26,7 +26,7 @@
 use crate::node::MdstNode;
 use crate::NodeId;
 use ssmdst_exact::{IncrementalSolver, Solver, Stats};
-use ssmdst_graph::{Graph, GraphBuilder, SolveBudget, SpanningTree};
+use ssmdst_graph::{Graph, SolveBudget, SpanningTree};
 use ssmdst_sim::{ChurnEvent, Network};
 
 /// Largest component the judge's solver settles exactly with the
@@ -94,17 +94,19 @@ fn solver_for(budget: SolveBudget) -> Solver {
 }
 
 /// Relabel one component to dense ids and build its induced subgraph.
+/// The network's rows are sorted and the relabelling is monotone on the
+/// ascending component, so the relabelled rows are already a CSR.
 fn induced_subgraph(net: &Network<MdstNode>, comp: &[NodeId]) -> Graph {
-    let mut b = GraphBuilder::new(comp.len());
-    for (i, &v) in comp.iter().enumerate() {
-        for &w in net.neighbors(v) {
-            if w > v {
-                let j = comp.binary_search(&w).expect("neighbor in component"); // lint: allow(no-panic-in-library) — components partition the graph, so every neighbor is listed
-                b.add_edge(i as NodeId, j as NodeId).expect("in range"); // lint: allow(no-panic-in-library) — relabeled ids are dense in 0..comp.len() and w > v dedups
-            }
-        }
-    }
-    b.build()
+    Graph::from_sorted_rows(comp.iter().map(|&v| {
+        net.neighbors(v).iter().map(|w| {
+            comp.binary_search(w).expect("neighbor in component") as NodeId // lint: allow(no-panic-in-library) — components partition the graph, so every neighbor is listed
+        })
+    }))
+}
+
+/// The neighbors of `v` above `v` in a sorted row.
+fn upper_half(row: &[NodeId], v: NodeId) -> &[NodeId] {
+    &row[row.partition_point(|&w| w <= v)..]
 }
 
 /// The stateful component-wise judge: an incremental certified-`Δ*`
@@ -190,12 +192,18 @@ impl DeltaJudge {
             if !live {
                 continue;
             }
-            // Two-pointer diff of the upper-half adjacencies (both sorted
-            // ascending); only genuine differences touch the mirror.
-            let want = net.neighbors(v).iter().copied().filter(|&w| w > v);
-            let have: Vec<NodeId> = self.inc.neighbors(v).filter(|&w| w > v).collect();
+            // Compare the upper-half rows (both sorted ascending) in place;
+            // only a row that differs is diffed with two pointers, and only
+            // genuine differences touch the mirror.
+            let want = upper_half(net.neighbors(v), v);
+            let have = upper_half(self.inc.neighbors(v), v);
+            if want == have {
+                continue;
+            }
+            // Owned: the diff below edits the row it was read from.
+            let have = have.to_vec();
             let mut have = have.into_iter().peekable();
-            for w in want {
+            for &w in want {
                 loop {
                     match have.peek() {
                         Some(&h) if h < w => {

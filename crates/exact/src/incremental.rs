@@ -1,24 +1,60 @@
-//! Incremental re-solve: keep a basis (spanning forest) alive across
-//! churn and warm-start the solver from it instead of solving from
-//! scratch after every event.
+//! Incremental re-solve: keep a basis (spanning forest) and the component
+//! partition alive across churn, and re-judge only what the churn touched.
 //!
-//! The [`IncrementalSolver`] mirrors the live topology as sorted
-//! adjacency sets plus a global parent forest — the last solved basis.
-//! Churn events ([`IncrementalSolver::insert_edge`],
+//! The [`IncrementalSolver`] mirrors the live topology as one strictly
+//! ascending `Vec<NodeId>` row per vertex — the row a CSR [`Graph`] holds —
+//! plus the last solved basis (a global parent forest) and the component of
+//! every live vertex. Churn events ([`IncrementalSolver::insert_edge`],
 //! [`IncrementalSolver::remove_edge`], [`IncrementalSolver::crash`],
-//! [`IncrementalSolver::rejoin`]) update the mirror in `O(deg)`, clear
-//! only the forest links the event invalidated, and mark the touched
-//! vertices dirty. [`IncrementalSolver::solve_all`] then walks the live
-//! components: untouched components are served from the per-component
-//! cache; dirty ones have their forest repaired (re-root + link through
-//! the lexicographically smallest crossing edges) and are re-solved from
-//! that warm basis, falling back to a cold BFS start only when churn
-//! shredded the component's forest entirely. Solved trees are written
-//! back as the next basis, so long churn chains stay incremental
-//! throughout.
+//! [`IncrementalSolver::rejoin`]) update the rows in `O(deg)`, clear only
+//! the forest links the event invalidated, and mark the touched vertices
+//! dirty.
 //!
-//! Everything is keyed and iterated in ascending vertex order
-//! (`BTreeSet`/`BTreeMap`, sorted member lists), so replays are
+//! [`IncrementalSolver::solve_all`] re-solves the components holding a
+//! dirty vertex and serves the rest from the per-component cache.
+//! Membership persists between calls; the union-find regroup over the whole
+//! mirror runs only after an event that can change it:
+//!
+//! * a crash;
+//! * a rejoin;
+//! * an insert joining two components;
+//! * the removal of a basis edge. The basis spans every component, so only
+//!   losing one of its edges can split one.
+//!
+//! Non-basis removals and inserts inside one component keep the partition.
+//!
+//! A dirty component's local graph is built by [`Graph::from_sorted_rows`]
+//! straight from its mirror rows, relabelled through a reusable
+//! global→local table. The table is monotone on the ascending member list,
+//! so relabelled rows stay sorted and the local graph is the one
+//! [`ssmdst_graph::GraphBuilder`] would build. The stored forest is then
+//! repaired (re-root + link through the lexicographically smallest crossing
+//! edges) and the component re-solved from that warm basis, falling back
+//! to a cold BFS start only when churn shredded the forest. Solved trees
+//! are written back as the next basis, so long churn chains stay
+//! incremental throughout.
+//!
+//! One warm re-judge of `G(5000, 8/n)` after a single edge event (seed 1,
+//! instrumented build, mean of 1536 re-judges, 2-vCPU shared host),
+//! against the earlier engine that kept `BTreeSet` rows, regrouped on
+//! every call and rebuilt the local graph through `GraphBuilder`:
+//!
+//! | stage | before | now |
+//! |---|---|---|
+//! | component regroup | 0.50 ms | 0.05 ms (195 of 1536 calls regroup) |
+//! | local graph build | 2.56 ms | 0.33 ms |
+//! | basis repair | 0.60 ms | 0.24 ms |
+//! | solver (`solve_from`) | 0.92 ms | 1.00 ms |
+//! | whole `solve_all` | 4.63 ms | 1.66 ms |
+//!
+//! The solver's share is mostly the articulation-point DFS of the cut
+//! bound, whose result depends on the whole graph. In the benchmark's
+//! traced `exact-churn` pass (seed 1, 513 `solve_all` calls)
+//! `exact.solve_all_ms` fell from 3068 to 1263 ms, about what the
+//! untraced pass saved (3.06 s to 1.33 s).
+//!
+//! Everything is keyed and iterated in ascending vertex order (sorted rows
+//! and member lists, `BTreeSet`/`BTreeMap`), so replays are
 //! bit-deterministic regardless of event history representation.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -26,7 +62,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::solve::{Solution, Solver};
 use crate::structure::NONE;
 use crate::witness::Witness;
-use ssmdst_graph::{GraphBuilder, NodeId, UnionFind};
+use ssmdst_graph::{Graph, NodeId, UnionFind};
 
 /// The certified solve of one live component, in **component-local**
 /// vertex ids (indices into [`CompSolution::members`]).
@@ -67,8 +103,8 @@ impl CompSolution {
     }
 }
 
-/// Work counters — how much of the last [`IncrementalSolver::solve_all`]
-/// run was served incrementally.
+/// Work counters — how much of the [`IncrementalSolver::solve_all`] runs
+/// so far was served incrementally.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Stats {
     /// Components answered straight from the cache.
@@ -79,6 +115,9 @@ pub struct Stats {
     pub cold_starts: u64,
     /// Improvement pivots performed across all solves.
     pub pivots: u64,
+    /// `solve_all` calls that recomputed the component partition because
+    /// an event could have changed it.
+    pub regroups: u64,
 }
 
 /// Incremental certified-`Δ*` engine over a churning topology.
@@ -86,9 +125,20 @@ pub struct Stats {
 pub struct IncrementalSolver {
     solver: Solver,
     alive: Vec<bool>,
-    adj: Vec<BTreeSet<NodeId>>,
-    /// Last solved basis: global parent forest (`NONE` = root or dead).
+    /// Mirror adjacency: one strictly ascending row per vertex.
+    adj: Vec<Vec<NodeId>>,
+    /// Last solved basis: global parent forest (`NONE` = dead or unlinked;
+    /// a root parents itself).
     basis: Vec<NodeId>,
+    /// Component of each live vertex, as its smallest member (the cache
+    /// key). Stale for dead vertices and while `regroup` is set.
+    comp: Vec<NodeId>,
+    /// Whether an event since the last `solve_all` may have changed the
+    /// component partition.
+    regroup: bool,
+    /// Reusable global→local relabelling table; holds the local ids of
+    /// the component being solved, stale entries elsewhere.
+    local: Vec<NodeId>,
     /// Vertices touched by churn since the last `solve_all`.
     dirty: BTreeSet<NodeId>,
     /// Per-component cache, keyed by smallest member id.
@@ -102,8 +152,11 @@ impl IncrementalSolver {
         IncrementalSolver {
             solver,
             alive: vec![true; n],
-            adj: vec![BTreeSet::new(); n],
+            adj: vec![Vec::new(); n],
             basis: vec![NONE; n],
+            comp: vec![NONE; n],
+            regroup: true,
+            local: vec![NONE; n],
             dirty: (0..n as u32).collect(),
             cache: BTreeMap::new(),
             stats: Stats::default(),
@@ -111,7 +164,7 @@ impl IncrementalSolver {
     }
 
     /// An engine seeded from a static graph (all vertices alive).
-    pub fn from_graph(g: &ssmdst_graph::Graph, solver: Solver) -> Self {
+    pub fn from_graph(g: &Graph, solver: Solver) -> Self {
         let mut inc = IncrementalSolver::new(g.n(), solver);
         for &(u, v) in g.edges() {
             inc.insert_edge(u, v);
@@ -129,9 +182,12 @@ impl IncrementalSolver {
         (v as usize) < self.alive.len() && self.alive[v as usize]
     }
 
-    /// Current neighbor set of `v` in the mirror (ascending).
-    pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.adj[v as usize].iter().copied()
+    /// Current neighbors of `v` in the mirror, ascending.
+    ///
+    /// # Panics
+    /// Panics if `v >= n`.
+    pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
+        &self.adj[v as usize]
     }
 
     /// Work counters accumulated since construction.
@@ -150,11 +206,13 @@ impl IncrementalSolver {
         if !self.in_range(u, v) || !self.alive[u as usize] || !self.alive[v as usize] {
             return false;
         }
-        if !self.adj[u as usize].insert(v) {
+        if !insert_sorted(&mut self.adj[u as usize], v) {
             return false;
         }
-        self.adj[v as usize].insert(u);
-        // The forest is linked lazily at solve time; just mark dirty.
+        insert_sorted(&mut self.adj[v as usize], u);
+        // The forest is linked lazily at solve time; an edge between two
+        // components merges them.
+        self.regroup |= self.comp[u as usize] != self.comp[v as usize];
         self.dirty.insert(u);
         self.dirty.insert(v);
         true
@@ -162,15 +220,19 @@ impl IncrementalSolver {
 
     /// Mirror an edge removal. Returns whether the mirror changed.
     pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> bool {
-        if !self.in_range(u, v) || !self.adj[u as usize].remove(&v) {
+        if !self.in_range(u, v) || !remove_sorted(&mut self.adj[u as usize], v) {
             return false;
         }
-        self.adj[v as usize].remove(&u);
+        remove_sorted(&mut self.adj[v as usize], u);
+        // Only a basis edge can be a component's last link between the
+        // two sides.
         if self.basis[u as usize] == v {
             self.basis[u as usize] = NONE;
+            self.regroup = true;
         }
         if self.basis[v as usize] == u {
             self.basis[v as usize] = NONE;
+            self.regroup = true;
         }
         self.dirty.insert(u);
         self.dirty.insert(v);
@@ -193,17 +255,16 @@ impl IncrementalSolver {
         if (v as usize) >= self.alive.len() || !self.alive[v as usize] {
             return false;
         }
-        let nbrs: Vec<NodeId> = self.adj[v as usize].iter().copied().collect();
-        for w in nbrs {
-            self.adj[w as usize].remove(&v);
+        for w in std::mem::take(&mut self.adj[v as usize]) {
+            remove_sorted(&mut self.adj[w as usize], v);
             if self.basis[w as usize] == v {
                 self.basis[w as usize] = NONE;
             }
             self.dirty.insert(w);
         }
-        self.adj[v as usize].clear();
         self.basis[v as usize] = NONE;
         self.alive[v as usize] = false;
+        self.regroup = true;
         self.dirty.insert(v);
         true
     }
@@ -216,6 +277,7 @@ impl IncrementalSolver {
         }
         self.alive[v as usize] = true;
         self.basis[v as usize] = NONE;
+        self.regroup = true;
         self.dirty.insert(v);
         for &w in neighbors {
             self.insert_edge(v, w);
@@ -228,81 +290,116 @@ impl IncrementalSolver {
     /// ascending order of smallest member id; the solved trees become the
     /// next basis.
     pub fn solve_all(&mut self) -> Vec<CompSolution> {
-        let n = self.alive.len();
-        // Live components of the mirror.
-        let mut uf = UnionFind::new(n);
-        for v in 0..n as u32 {
-            for &w in self.adj[v as usize].iter() {
-                if w > v {
-                    uf.union(v, w);
-                }
-            }
-        }
-        let mut by_rep: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
-        for v in 0..n as u32 {
-            if self.alive[v as usize] {
-                let r = uf.find(v);
-                by_rep.entry(r).or_default().push(v);
-            }
-        }
-        // Union-find representatives are rank-chosen, not minimal; re-key
-        // by smallest member so results order matches the simulator's
-        // `live_components` (and the cache key is stable across churn).
-        let groups: BTreeMap<NodeId, Vec<NodeId>> =
-            by_rep.into_values().map(|ms| (ms[0], ms)).collect();
-        let mut out = Vec::with_capacity(groups.len());
-        let mut next_cache = BTreeMap::new();
-        for members in groups.into_values() {
-            let key = members[0]; // ascending by construction
-            let clean = !members.iter().any(|v| self.dirty.contains(v));
-            if clean {
-                if let Some(cached) = self.cache.remove(&key) {
-                    if cached.members == members {
-                        self.stats.cache_hits += 1;
-                        out.push(cached.clone());
-                        next_cache.insert(key, cached);
-                        continue;
-                    }
-                }
-            }
-            let sol = self.solve_component(&members);
-            // Write the solved tree back as the new basis.
-            for (i, &v) in sol.members.iter().enumerate() {
-                let p = sol.tree[i];
-                self.basis[v as usize] = if p == NONE {
-                    NONE
-                } else {
-                    sol.members[p as usize]
-                };
-            }
-            out.push(sol.clone());
-            next_cache.insert(key, sol);
-        }
-        self.cache = next_cache;
+        let groups = self.regroup.then(|| self.regroup());
+        // Keys of the components holding a dirty vertex.
+        let touched: BTreeSet<NodeId> = self
+            .dirty
+            .iter()
+            .filter(|&&v| self.alive[v as usize])
+            .map(|&v| self.comp[v as usize])
+            .collect();
         self.dirty.clear();
+        let mut prev = std::mem::take(&mut self.cache);
+        let mut out = Vec::new();
+        match groups {
+            Some(groups) => {
+                for members in groups {
+                    let key = members[0];
+                    let entry = match prev.remove(&key) {
+                        Some(hit) if !touched.contains(&key) && hit.members == members => Ok(hit),
+                        _ => Err(members),
+                    };
+                    self.serve(entry, &mut out);
+                }
+            }
+            // The partition is unchanged, so the cache holds every live
+            // component; re-solve the touched ones with their members.
+            None => {
+                for (key, hit) in prev {
+                    let entry = if touched.contains(&key) {
+                        Err(hit.members)
+                    } else {
+                        Ok(hit)
+                    };
+                    self.serve(entry, &mut out);
+                }
+            }
+        }
         out
     }
 
-    /// Solve one component: build the induced subgraph, repair the prior
-    /// basis into a spanning tree of it (or fall back to BFS), run the
-    /// solver.
-    fn solve_component(&mut self, members: &[NodeId]) -> CompSolution {
-        let local = |v: NodeId| -> u32 {
-            members
-                .binary_search(&v)
-                .expect("member lookup: component lists are exhaustive") as u32 // lint: allow(no-panic-in-library) — `members` is the union-find component of every vertex it touches
-        };
-        let mut b = GraphBuilder::new(members.len());
-        for (i, &v) in members.iter().enumerate() {
-            for &w in self.adj[v as usize].iter() {
-                if w > v {
-                    b.add_edge(i as u32, local(w))
-                        .expect("mirror adjacency is in-range and loop-free"); // lint: allow(no-panic-in-library) — insert_edge rejects self-loops and out-of-range ids at the mirror boundary
-                }
+    /// Recompute the live components of the mirror and `comp`. Returns the
+    /// member lists, ascending, in ascending order of smallest member —
+    /// the order of the simulator's `live_components`.
+    fn regroup(&mut self) -> Vec<Vec<NodeId>> {
+        self.stats.regroups += 1;
+        self.regroup = false;
+        let n = self.alive.len();
+        let mut uf = UnionFind::new(n);
+        for (v, row) in self.adj.iter().enumerate() {
+            let v = v as NodeId;
+            for &w in &row[row.partition_point(|&w| w < v)..] {
+                uf.union(v, w);
             }
         }
-        let sub = b.build();
-        let solution = match self.repair_basis(members, &local) {
+        // Scanning in ascending order opens each group at its smallest
+        // member, so groups come out sorted by key.
+        let mut group_of = vec![NONE; n];
+        let mut groups: Vec<Vec<NodeId>> = Vec::new();
+        for v in 0..n as NodeId {
+            if !self.alive[v as usize] {
+                continue;
+            }
+            let r = uf.find(v) as usize;
+            if group_of[r] == NONE {
+                group_of[r] = groups.len() as u32;
+                groups.push(Vec::new());
+            }
+            let members = &mut groups[group_of[r] as usize];
+            members.push(v);
+            self.comp[v as usize] = members[0];
+        }
+        groups
+    }
+
+    /// Emit one component: a cache hit as is, or a fresh solve of the
+    /// given members whose tree becomes the component's basis.
+    fn serve(&mut self, entry: Result<CompSolution, Vec<NodeId>>, out: &mut Vec<CompSolution>) {
+        let sol = match entry {
+            Ok(hit) => {
+                self.stats.cache_hits += 1;
+                hit
+            }
+            Err(members) => {
+                let sol = self.solve_component(members);
+                for (&v, &p) in sol.members.iter().zip(&sol.tree) {
+                    self.basis[v as usize] = if p == NONE {
+                        NONE
+                    } else {
+                        sol.members[p as usize]
+                    };
+                }
+                sol
+            }
+        };
+        out.push(sol.clone());
+        self.cache.insert(sol.members[0], sol);
+    }
+
+    /// Solve one component: build its local graph from the mirror rows,
+    /// repair the prior basis into a spanning tree of it (or fall back to
+    /// BFS), run the solver.
+    fn solve_component(&mut self, members: Vec<NodeId>) -> CompSolution {
+        for (i, &v) in members.iter().enumerate() {
+            self.local[v as usize] = i as NodeId;
+        }
+        let (adj, local) = (&self.adj, &self.local);
+        let sub = Graph::from_sorted_rows(
+            members
+                .iter()
+                .map(|&v| adj[v as usize].iter().map(|&w| local[w as usize])),
+        );
+        let solution = match self.repair_basis(&members) {
             Some((root, parents)) => {
                 self.stats.warm_starts += 1;
                 self.solver.solve_from(&sub, root, &parents)
@@ -323,7 +420,7 @@ impl IncrementalSolver {
             ..
         } = solution;
         CompSolution {
-            members: members.to_vec(),
+            members,
             lower,
             upper,
             tree,
@@ -334,27 +431,28 @@ impl IncrementalSolver {
     }
 
     /// Try to repair the stored basis into a spanning tree of the
-    /// component (component-local ids). Valid forest links are kept;
-    /// fragments are re-rooted and linked through the smallest crossing
-    /// mirror edges. Returns `None` when no usable links survive a
-    /// cheaper full rebuild.
-    fn repair_basis(
-        &self,
-        members: &[NodeId],
-        local: &dyn Fn(NodeId) -> u32,
-    ) -> Option<(NodeId, Vec<NodeId>)> {
+    /// component (component-local ids, read from the relabelling table).
+    /// Valid forest links are kept; fragments are re-rooted and linked
+    /// through the smallest crossing mirror edges. Returns `None` when no
+    /// usable links survive a cheaper full rebuild.
+    fn repair_basis(&self, members: &[NodeId]) -> Option<(NodeId, Vec<NodeId>)> {
         let k = members.len();
         if k <= 1 {
             return Some((0, vec![NONE; k]));
         }
+        let local = |v: NodeId| self.local[v as usize];
         // Collect surviving links: parent must be a live member and the
         // edge must still exist in the mirror.
         let mut parents = vec![NONE; k];
         let mut kept = 0usize;
         for (i, &v) in members.iter().enumerate() {
             let p = self.basis[v as usize];
-            if p != NONE && self.adj[v as usize].contains(&p) && members.binary_search(&p).is_ok() {
-                parents[i] = local(p);
+            if p == NONE || self.adj[v as usize].binary_search(&p).is_err() {
+                continue;
+            }
+            let j = local(p);
+            if members.get(j as usize) == Some(&p) {
+                parents[i] = j;
                 kept += 1;
             }
         }
@@ -374,10 +472,8 @@ impl IncrementalSolver {
         // the absorbed fragment onto its crossing endpoint.
         if uf.components() > 1 {
             for (i, &v) in members.iter().enumerate() {
-                for &w in self.adj[v as usize].iter() {
-                    if w < v {
-                        continue;
-                    }
+                let row = &self.adj[v as usize];
+                for &w in &row[row.partition_point(|&w| w < v)..] {
                     let j = local(w);
                     if uf.find(i as u32) != uf.find(j) {
                         reroot(&mut parents, j);
@@ -396,6 +492,28 @@ impl IncrementalSolver {
             .expect("a finite forest has a root") as u32; // lint: allow(no-panic-in-library) — the union above verified acyclicity, so some vertex has no parent
         parents[root as usize] = root; // self-parent, the tree-structure convention
         Some((root, parents))
+    }
+}
+
+/// Insert `w` into the strictly ascending `row`; `false` if present.
+fn insert_sorted(row: &mut Vec<NodeId>, w: NodeId) -> bool {
+    match row.binary_search(&w) {
+        Ok(_) => false,
+        Err(at) => {
+            row.insert(at, w);
+            true
+        }
+    }
+}
+
+/// Remove `w` from the strictly ascending `row`; `false` if absent.
+fn remove_sorted(row: &mut Vec<NodeId>, w: NodeId) -> bool {
+    match row.binary_search(&w) {
+        Ok(at) => {
+            row.remove(at);
+            true
+        }
+        Err(_) => false,
     }
 }
 
@@ -432,6 +550,75 @@ mod tests {
         assert_eq!(sols[0].lower, direct.lower);
         assert_eq!(sols[0].upper, direct.upper);
         assert!(sols[0].witness.verify(&g), "local ids == original here");
+    }
+
+    #[test]
+    fn only_partition_changing_events_regroup() {
+        // A connected 16-vertex graph plus two isolated vertices.
+        let g = random::gnp_connected(16, 0.4, 3);
+        let mut inc = engine(&graph_from_edges(18, g.edges()));
+        let sols = inc.solve_all();
+        assert_eq!((sols.len(), inc.stats().regroups), (3, 1));
+        let basis: Vec<(NodeId, NodeId)> = (0..16u32)
+            .map(|v| (v, sols[0].tree[v as usize]))
+            .filter(|&(v, p)| p != v)
+            .map(|(v, p)| (v.min(p), v.max(p)))
+            .collect();
+        let chord = *g
+            .edges()
+            .iter()
+            .find(|e| !basis.contains(e))
+            .expect("a non-basis edge");
+        let absent = (0..16u32)
+            .flat_map(|u| (u + 1..16).map(move |v| (u, v)))
+            .find(|&(u, v)| !g.has_edge(u, v))
+            .expect("a non-edge");
+        // Run one event, re-judge, and return how many regroups it cost
+        // and whether the re-judge warm-started the big component.
+        let mut judge = |event: &dyn Fn(&mut IncrementalSolver) -> bool| {
+            let before = inc.stats();
+            assert!(event(&mut inc));
+            inc.solve_all();
+            let after = inc.stats();
+            (
+                after.regroups - before.regroups,
+                after.warm_starts > before.warm_starts,
+            )
+        };
+        let (u, v) = chord;
+        assert_eq!(
+            judge(&|e| e.remove_edge(u, v)),
+            (0, true),
+            "non-basis removal"
+        );
+        assert_eq!(judge(&|e| e.insert_edge(u, v)), (0, true), "insert inside");
+        let (u, v) = absent;
+        assert_eq!(
+            judge(&|e| e.insert_edge(u, v)),
+            (0, true),
+            "new edge inside"
+        );
+        let (u, v) = basis[0];
+        assert_eq!(judge(&|e| e.remove_edge(u, v)).0, 1, "basis-edge removal");
+        assert_eq!(judge(&|e| e.insert_edge(0, 16)).0, 1, "insert across");
+        assert_eq!(judge(&|e| e.crash(17)).0, 1, "crash");
+        assert_eq!(judge(&|e| e.rejoin(17, &[3, 5])).0, 1, "rejoin");
+        // Whatever path each re-judge took, the engine agrees with a
+        // fresh one on the final topology.
+        let mut fresh = IncrementalSolver::new(18, Solver::default());
+        for x in 0..18u32 {
+            for &w in inc.neighbors(x) {
+                fresh.insert_edge(x, w);
+            }
+        }
+        let (a, b) = (inc.solve_all(), fresh.solve_all());
+        assert_eq!(a.len(), b.len());
+        for (a, b) in a.iter().zip(&b) {
+            assert_eq!(
+                (&a.members, a.lower, a.upper),
+                (&b.members, b.lower, b.upper)
+            );
+        }
     }
 
     #[test]
@@ -472,7 +659,7 @@ mod tests {
         let mut inc = engine(&g);
         let base = inc.solve_all();
         assert_eq!(base.len(), 1);
-        let nbrs: Vec<NodeId> = inc.neighbors(0).collect();
+        let nbrs = inc.neighbors(0).to_vec();
         assert!(inc.crash(0));
         assert!(!inc.crash(0), "double crash is a no-op");
         let crashed = inc.solve_all();
@@ -502,7 +689,7 @@ mod tests {
             let incs = inc.solve_all();
             let mut scratch = IncrementalSolver::new(inc.n(), Solver::default());
             for x in 0..inc.n() as u32 {
-                for w in inc.neighbors(x) {
+                for &w in inc.neighbors(x) {
                     scratch.insert_edge(x, w);
                 }
             }

@@ -29,7 +29,8 @@ pub type EdgeId = u32;
 
 /// A simple undirected graph.
 ///
-/// Construct through [`GraphBuilder`] or the [`crate::generators`] module.
+/// Construct through [`GraphBuilder`], [`Graph::from_sorted_rows`] or the
+/// [`crate::generators`] module.
 /// Instances are immutable: the protocol treats the topology as static, as
 /// the paper does ("we consider a static topology").
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -165,6 +166,55 @@ impl Graph {
     /// Sum of degrees == 2m; sanity invariant used by property tests.
     pub fn degree_sum(&self) -> usize {
         self.adj.len()
+    }
+
+    /// Assemble a graph straight from its adjacency rows, one per node in
+    /// id order, in O(n + m) with no hashing or sorting.
+    ///
+    /// The rows must already be a simple undirected graph's CSR: each row
+    /// strictly ascending (so deduplicated), loop-free, in range, and
+    /// symmetric (`w` in row `v` iff `v` in row `w`). Under that contract
+    /// the result is `==` to what [`GraphBuilder`] builds from the same
+    /// edges, because the canonical edge list is the upper half of the
+    /// rows read in order. Checked builds verify the contract.
+    pub fn from_sorted_rows<R>(rows: impl IntoIterator<Item = R>) -> Graph
+    where
+        R: IntoIterator<Item = NodeId>,
+    {
+        let mut row_ptr = vec![0u32];
+        let mut adj: Vec<NodeId> = Vec::new();
+        let mut edges = Vec::new();
+        for (v, row) in rows.into_iter().enumerate() {
+            let v = v as NodeId;
+            for w in row {
+                if w > v {
+                    edges.push((v, w));
+                }
+                adj.push(w);
+            }
+            row_ptr.push(adj.len() as u32);
+        }
+        // The offsets above are u32: a wrapped one would corrupt every slot
+        // address, so an oversized graph must fail loudly in every build.
+        assert!(
+            adj.len() <= u32::MAX as usize,
+            "2m overflows the u32 CSR offsets"
+        );
+        let g = Graph {
+            n: (row_ptr.len() - 1) as u32,
+            row_ptr,
+            adj,
+            edges,
+        };
+        debug_assert!(
+            g.nodes().all(|v| {
+                let row = g.neighbors(v);
+                row.windows(2).all(|w| w[0] < w[1])
+                    && row.iter().all(|&w| w != v && g.has_edge(w, v))
+            }),
+            "from_sorted_rows: rows are not a sorted, loop-free, symmetric CSR"
+        );
+        g
     }
 }
 

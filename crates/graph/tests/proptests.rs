@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use ssmdst_graph::generators::random::{gnm_connected, gnp_connected};
 use ssmdst_graph::{
     bfs_distances, biconnectivity, connected_components, degree_lower_bound, exact_mdst,
-    is_connected, Graph, SolveBudget, SpanningTree, UnionFind,
+    is_connected, Graph, NodeId, SolveBudget, SpanningTree, UnionFind,
 };
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -139,6 +139,27 @@ proptest! {
             let is_bridge = bc.bridges.binary_search(&(u, v)).is_ok();
             prop_assert_eq!(disconnects, is_bridge, "edge ({}, {})", u, v);
         }
+    }
+
+    /// `Graph::from_sorted_rows` rebuilds the same graph `GraphBuilder`
+    /// does, both from a graph's own rows and from the rows of an induced
+    /// subgraph relabelled monotonically onto `0..k`.
+    #[test]
+    fn from_sorted_rows_matches_builder(g in arb_graph(), keep in 0u64..u64::MAX) {
+        let same = Graph::from_sorted_rows(g.nodes().map(|v| g.neighbors(v).iter().copied()));
+        prop_assert_eq!(&same, &g);
+        let members: Vec<NodeId> = g.nodes().filter(|&v| (keep >> (v % 64)) & 1 == 1).collect();
+        let local = |w: NodeId| members.binary_search(&w).ok().map(|i| i as NodeId);
+        let mut b = ssmdst_graph::GraphBuilder::new(members.len());
+        for &(u, v) in g.edges() {
+            if let (Some(i), Some(j)) = (local(u), local(v)) {
+                b.add_edge(i, j).unwrap();
+            }
+        }
+        let sub = Graph::from_sorted_rows(
+            members.iter().map(|&v| g.neighbors(v).iter().filter_map(|&w| local(w))),
+        );
+        prop_assert_eq!(sub, b.build());
     }
 
     /// Union-find agrees with BFS connectivity on random edge subsets.

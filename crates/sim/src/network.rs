@@ -44,7 +44,7 @@ use crate::automaton::{Automaton, Message, Outbox};
 use crate::dense::DenseSet;
 use crate::metrics::Metrics;
 use crate::NodeId;
-use ssmdst_graph::{Graph, GraphBuilder};
+use ssmdst_graph::Graph;
 use std::collections::VecDeque;
 
 /// A network of `n` automata connected by reliable FIFO channels, one pair
@@ -731,15 +731,8 @@ impl<A: Automaton> Network<A> {
     /// Snapshot of the current live topology as an immutable [`Graph`].
     /// Crashed nodes appear as isolated vertices (ids are stable).
     pub fn current_graph(&self) -> Graph {
-        let mut b = GraphBuilder::new(self.nodes.len());
-        for (v, nbrs) in self.topo.iter().enumerate() {
-            for &u in nbrs {
-                if (v as NodeId) < u {
-                    b.add_edge(v as NodeId, u).expect("topology ids in range"); // lint: allow(no-panic-in-library) — adjacency rows only hold live node ids < n
-                }
-            }
-        }
-        b.build()
+        // The rows are kept sorted, unique and symmetric, i.e. a CSR.
+        Graph::from_sorted_rows(self.topo.iter().map(|row| row.iter().copied()))
     }
 
     // ------------------------------------------------------------------
