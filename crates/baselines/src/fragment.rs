@@ -8,14 +8,15 @@
 //! instead reduce **all** maximum-degree nodes concurrently in one wave.
 //!
 //! We emulate \[3\] at phase granularity: each *phase* performs exactly one
-//! improvement (one swap) and then pays a full refresh. The concurrent
-//! protocol's phase count is compared against this in experiment F3. This is
-//! a behavioural model, not a message-level port of \[3\] (whose full GHS-style
-//! machinery is out of scope); DESIGN.md records the substitution.
+//! improvement (one swap) and then pays a full refresh. The swaps are the FR
+//! baseline's ([`crate::fr_mdst`]), whose solver applies exactly one swap
+//! per phase. The concurrent protocol's round count is compared against this
+//! in experiment F3. This is a behavioural model, not a message-level port of
+//! \[3\] (whose full GHS-style machinery is out of scope); ARCHITECTURE.md
+//! ("Modelling deviations") records the substitution.
 
-use crate::fuerer_raghavachari::FrStats;
-use ssmdst_graph::{Graph, NodeId, SpanningTree};
-use std::collections::HashSet;
+use crate::fuerer_raghavachari::fr_mdst;
+use ssmdst_graph::{Graph, SpanningTree};
 
 /// Outcome of the serialized run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -27,7 +28,7 @@ pub struct SerializedStats {
     pub charged_rounds: u64,
 }
 
-/// Run one-improvement-per-phase local search to the same fixed point as
+/// Run one-improvement-per-phase local search to the fixed point of
 /// [`crate::fr_mdst`], charging `refresh_cost` rounds per phase (callers
 /// pass the graph diameter or `n`).
 pub fn serialized_mdst(
@@ -35,128 +36,12 @@ pub fn serialized_mdst(
     initial: SpanningTree,
     refresh_cost: u64,
 ) -> (SpanningTree, SerializedStats) {
-    let mut t = initial;
-    let mut stats = SerializedStats::default();
-    loop {
-        if !one_improvement(g, &mut t) {
-            return (t, stats);
-        }
-        stats.phases += 1;
-        stats.charged_rounds += refresh_cost;
-    }
-}
-
-/// Apply a single improvement (direct or one-level cascade) to some
-/// maximum-degree node; `true` if a swap happened.
-fn one_improvement(g: &Graph, t: &mut SpanningTree) -> bool {
-    let k = t.max_degree();
-    if k <= 2 {
-        return false;
-    }
-    for w in t.max_degree_nodes() {
-        let mut visited = HashSet::new();
-        let mut stats = FrStats::default();
-        if reduce_once(g, t, w, 0, &mut visited, &mut stats) {
-            return true;
-        }
-    }
-    false
-}
-
-/// One reduction attempt for `w` — same cascade as the FR baseline but
-/// stopping after the first successful swap chain.
-fn reduce_once(
-    g: &Graph,
-    t: &mut SpanningTree,
-    w: NodeId,
-    depth: u32,
-    visited: &mut HashSet<NodeId>,
-    stats: &mut FrStats,
-) -> bool {
-    // Reuse the FR cascade by delegating to its (private) logic via a local
-    // re-implementation kept intentionally identical in guard structure.
-    if !visited.insert(w) {
-        return false;
-    }
-    let target_deg = t.degree_of(w);
-    if target_deg < 2 {
-        return false;
-    }
-    let mut blocked: Vec<(NodeId, NodeId)> = Vec::new();
-    for &(u, v) in g.edges() {
-        if t.is_tree_edge(u, v) || u == w || v == w {
-            continue;
-        }
-        let path = t.tree_path(u, v);
-        if !path.contains(&w) {
-            continue;
-        }
-        let (du, dv) = (t.degree_of(u), t.degree_of(v));
-        if du.max(dv) + 2 <= target_deg {
-            swap_at(t, (u, v), w, &path);
-            stats.swaps += 1;
-            return true;
-        }
-        if du.max(dv) + 1 == target_deg {
-            blocked.push((u, v));
-        }
-    }
-    if depth as usize >= g.n() {
-        return false;
-    }
-    for (u, v) in blocked {
-        if t.is_tree_edge(u, v) {
-            continue;
-        }
-        let path = t.tree_path(u, v);
-        if !path.contains(&w) {
-            continue;
-        }
-        for b in [u, v] {
-            if t.degree_of(b) + 1 != target_deg {
-                continue;
-            }
-            if !reduce_once(g, t, b, depth + 1, visited, stats) {
-                continue;
-            }
-            if t.is_tree_edge(u, v) {
-                break;
-            }
-            let path = t.tree_path(u, v);
-            if !path.contains(&w) {
-                break;
-            }
-            if t.degree_of(u).max(t.degree_of(v)) + 2 <= t.degree_of(w) {
-                swap_at(t, (u, v), w, &path);
-                stats.swaps += 1;
-                return true;
-            }
-        }
-    }
-    false
-}
-
-fn swap_at(t: &mut SpanningTree, e: (NodeId, NodeId), w: NodeId, path: &[NodeId]) {
-    let i = path.iter().position(|&x| x == w).expect("w on path"); // lint: allow(no-panic-in-library) — caller found w as an interior node of this cycle path
-    let left = if i > 0 { Some(path[i - 1]) } else { None };
-    let right = if i + 1 < path.len() {
-        Some(path[i + 1])
-    } else {
-        None
+    let (t, fr) = fr_mdst(g, initial);
+    let stats = SerializedStats {
+        phases: fr.swaps,
+        charged_rounds: fr.swaps * refresh_cost,
     };
-    let z = match (left, right) {
-        (Some(a), Some(b)) => {
-            if (t.degree_of(a), a) >= (t.degree_of(b), b) {
-                a
-            } else {
-                b
-            }
-        }
-        (Some(a), None) => a,
-        (None, Some(b)) => b,
-        (None, None) => unreachable!(),
-    };
-    t.swap(e, (w, z));
+    (t, stats)
 }
 
 #[cfg(test)]

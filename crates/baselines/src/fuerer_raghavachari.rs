@@ -2,179 +2,38 @@
 //! approximation the paper's distributed algorithm emulates (its references
 //! [8, 9]).
 //!
-//! The implementation follows the improvement/blocking structure rather than
-//! FR's original forest bookkeeping:
-//!
-//! * an **improvement** for a node `w` of tree degree `t` is a non-tree edge
-//!   `e = {u, v}` whose fundamental cycle contains `w` and whose endpoints
-//!   satisfy `max(deg(u), deg(v)) ≤ t − 2` (paper Eq. 1). Swapping `e` with
-//!   a cycle edge incident to `w` lowers `deg(w)` by one without creating a
-//!   new degree-`t` node;
-//! * an endpoint of degree exactly `t − 1` is **blocking**; the algorithm
-//!   recursively tries to lower the blocker first (the paper's `Deblock`),
-//!   exactly mirroring FR's "eventually non-blocking" cascade;
-//! * the outer loop targets maximum-degree nodes until none is reducible.
-//!
-//! Termination: every applied swap moves a unit of degree from a node of
-//! degree `t` to two endpoints of degree `≤ t − 2`, strictly decreasing the
-//! potential `Φ(T) = Σ_v 3^{deg_T(v)}`; recursion only ever applies such
-//! swaps. When the loop stops, no maximum-degree node is eventually
-//! non-blocking, which is FR Theorem 1's hypothesis — hence
-//! `deg(T) ≤ Δ* + 1`. The test suite checks that bound against the exact
-//! solver on every generator family.
+//! An adapter over [`ssmdst_exact::Solver`] with settling off: the solver's
+//! improvement loop is FR local search itself (one improving swap per
+//! phase; blockers of degree `k − 1` are relieved on demand, the paper's
+//! `Deblock`). The proof that its fixpoint has `deg(T) ≤ Δ* + 1` lives once,
+//! in the [`ssmdst_exact::solve`] module doc; the test suite checks the
+//! bound against the exact solver on every generator family.
 
-use ssmdst_graph::{Graph, NodeId, SpanningTree};
-use std::collections::HashSet;
+use ssmdst_exact::Solver;
+use ssmdst_graph::{Graph, SpanningTree};
 
 /// Statistics from an [`fr_mdst`] run, used by the T5/F3 experiments.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrStats {
-    /// Edge swaps applied (direct and cascade).
+    /// Edge swaps applied (the solver's pivots).
     pub swaps: u64,
-    /// Outer phases (each reduces the count of maximum-degree nodes, or is
-    /// the final failed sweep).
+    /// Improvement phases: one per swap, plus the final phase that finds
+    /// no improvement.
     pub phases: u64,
-    /// Deepest `Deblock`-style recursion observed.
-    pub max_cascade_depth: u32,
 }
 
 /// Run FR local improvement from `initial` until no maximum-degree node can
 /// be reduced. Returns the improved tree and run statistics.
 pub fn fr_mdst(g: &Graph, initial: SpanningTree) -> (SpanningTree, FrStats) {
-    let mut t = initial;
-    let mut stats = FrStats::default();
-    loop {
-        stats.phases += 1;
-        let deg = t.degrees();
-        let k = *deg.iter().max().expect("non-empty tree"); // lint: allow(no-panic-in-library) — a SpanningTree has n >= 1 nodes by construction
-        if k <= 2 {
-            // A Hamiltonian path: nothing can be better than 2 (n >= 3).
-            return (t, stats);
-        }
-        let targets: Vec<NodeId> = t.max_degree_nodes();
-        let mut any = false;
-        for w in targets {
-            // The tree changes as we go; re-check `w` is still max degree.
-            if t.degree_of(w) < k {
-                continue;
-            }
-            let mut visited = HashSet::new();
-            if try_reduce(g, &mut t, w, 0, &mut visited, &mut stats) {
-                any = true;
-            }
-        }
-        if !any {
-            return (t, stats);
-        }
-    }
-}
-
-/// Try to reduce `deg(w)` by one via a direct improvement or a blocking
-/// cascade. `visited` prevents re-entering the same blocker within one
-/// top-level attempt.
-fn try_reduce(
-    g: &Graph,
-    t: &mut SpanningTree,
-    w: NodeId,
-    depth: u32,
-    visited: &mut HashSet<NodeId>,
-    stats: &mut FrStats,
-) -> bool {
-    if !visited.insert(w) {
-        return false;
-    }
-    stats.max_cascade_depth = stats.max_cascade_depth.max(depth);
-    let target_deg = t.degree_of(w);
-    if target_deg < 2 {
-        return false; // nothing to gain: leaves cannot be reduced
-    }
-    // Pass 1: direct improvements.
-    let mut blocked_candidates: Vec<(NodeId, NodeId)> = Vec::new();
-    for &(u, v) in g.edges() {
-        if t.is_tree_edge(u, v) || u == w || v == w {
-            continue;
-        }
-        let path = t.tree_path(u, v);
-        if !path.contains(&w) {
-            continue;
-        }
-        let du = t.degree_of(u);
-        let dv = t.degree_of(v);
-        if du.max(dv) + 2 <= target_deg {
-            apply_swap(t, (u, v), w, &path);
-            stats.swaps += 1;
-            return true;
-        }
-        if du.max(dv) + 1 == target_deg {
-            blocked_candidates.push((u, v));
-        }
-    }
-    // Pass 2: cascade through blocking endpoints (FR's eventually
-    // non-blocking chains; the paper's Deblock).
-    if depth as usize >= g.n() {
-        return false;
-    }
-    for (u, v) in blocked_candidates {
-        if t.is_tree_edge(u, v) {
-            continue; // an earlier cascade may have inserted it
-        }
-        // Re-check the cycle still passes through w.
-        let path = t.tree_path(u, v);
-        if !path.contains(&w) {
-            continue;
-        }
-        for b in [u, v] {
-            if t.degree_of(b) + 1 != target_deg {
-                continue;
-            }
-            if !try_reduce(g, t, b, depth + 1, visited, stats) {
-                continue;
-            }
-            // b's degree dropped; the edge may now be improving for w.
-            if t.is_tree_edge(u, v) {
-                break;
-            }
-            let path = t.tree_path(u, v);
-            if !path.contains(&w) {
-                break;
-            }
-            let du = t.degree_of(u);
-            let dv = t.degree_of(v);
-            if du.max(dv) + 2 <= t.degree_of(w) {
-                apply_swap(t, (u, v), w, &path);
-                stats.swaps += 1;
-                return true;
-            }
-        }
-    }
-    false
-}
-
-/// Swap non-tree edge `e` with a cycle edge incident to `w`, choosing the
-/// neighbor on the path (either side works; we take the higher-degree side
-/// to spread load, breaking ties by ID as the paper does).
-fn apply_swap(t: &mut SpanningTree, e: (NodeId, NodeId), w: NodeId, path: &[NodeId]) {
-    let i = path.iter().position(|&x| x == w).expect("w on path"); // lint: allow(no-panic-in-library) — caller found w as an interior node of this cycle path
-    let left = if i > 0 { Some(path[i - 1]) } else { None };
-    let right = if i + 1 < path.len() {
-        Some(path[i + 1])
-    } else {
-        None
+    let solver = Solver::builder().settle_budget(0).build();
+    let sol = solver.solve_from(g, initial.root(), initial.parents());
+    let tree = SpanningTree::from_parents(g, sol.root, sol.tree)
+        .expect("pivots keep a spanning tree of g spanning"); // lint: allow(no-panic-in-library) — solve_from starts from a spanning tree of g and every pivot swaps one tree edge for a non-tree edge on its fundamental cycle
+    let stats = FrStats {
+        swaps: sol.pivots,
+        phases: sol.pivots + 1,
     };
-    let z = match (left, right) {
-        (Some(a), Some(b)) => {
-            let (da, db) = (t.degree_of(a), t.degree_of(b));
-            if (da, a) >= (db, b) {
-                a
-            } else {
-                b
-            }
-        }
-        (Some(a), None) => a,
-        (None, Some(b)) => b,
-        (None, None) => unreachable!("w is interior to a cycle path"),
-    };
-    t.swap(e, (w, z));
+    (tree, stats)
 }
 
 #[cfg(test)]
@@ -209,11 +68,24 @@ mod tests {
 
     #[test]
     fn within_one_on_all_families_small() {
-        for fam in GraphFamily::all() {
-            let g = fam.generate(14, 11);
+        // n ∈ {1, 2, 3} take the solver's trivial and floor exits: the
+        // tree must convert back unchanged, with no swap.
+        let degenerate = [
+            structured::path(1),
+            structured::path(2),
+            structured::complete(3),
+        ];
+        let graphs = GraphFamily::all()
+            .iter()
+            .map(|fam| fam.generate(14, 11))
+            .chain(degenerate.into_iter().map(Result::unwrap));
+        for g in graphs {
             let t0 = bfs_spanning_tree(&g, 0).unwrap();
-            let (t, _) = fr_mdst(&g, t0);
+            let (t, stats) = fr_mdst(&g, t0);
             check_within_one(&g, &t);
+            if g.n() <= 3 {
+                assert_eq!(stats.swaps, 0, "n = {}", g.n());
+            }
         }
     }
 

@@ -5,10 +5,13 @@
 //!
 //! * [`fuerer_raghavachari`] — the sequential `Δ* + 1` local-improvement
 //!   algorithm (FR, SODA'92 / J.Alg.'94) that the paper's distributed
-//!   protocol emulates. Gold standard for final tree quality.
+//!   protocol emulates. Gold standard for final tree quality. It is
+//!   [`ssmdst_exact::Solver`] with settling off, so the workspace has one
+//!   FR local search and one proof of it.
 //! * [`fragment`] — a phase-level emulation of the Blin–Butelle distributed
-//!   MDST (the paper's \[3\]), which serializes improvements; used to
-//!   quantify the concurrency advantage the paper claims (experiment F3).
+//!   MDST (the paper's \[3\]), which serializes improvements: FR's swaps,
+//!   one per phase; used to quantify the concurrency advantage the paper
+//!   claims (experiment F3).
 //! * [`simple_trees`] — BFS / DFS / random / greedy spanning trees: the
 //!   naive baselines and initial trees.
 

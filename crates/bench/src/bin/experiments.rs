@@ -1,4 +1,5 @@
-//! Experiment driver: regenerates every table/figure of DESIGN.md §3.
+//! Experiment driver: regenerates every table/figure of the `ssmdst-bench`
+//! crate doc (ARCHITECTURE.md, "Modelling deviations").
 //!
 //! ```text
 //! cargo run --release -p ssmdst-bench --bin experiments -- all

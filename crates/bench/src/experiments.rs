@@ -1,4 +1,6 @@
-//! The experiment suite — one function per table/figure of DESIGN.md §3.
+//! The experiment suite — one function per table/figure of the crate doc
+//! (the paper's claims as measurements; ARCHITECTURE.md, "Modelling
+//! deviations").
 //!
 //! Each function returns the rendered [`Table`] (tests assert on shapes and
 //! invariants; the `experiments` binary prints them). The paper has no

@@ -2,7 +2,8 @@
 //!
 //! Experiment harness for the IPDPS 2009 self-stabilizing MDST
 //! reproduction. The paper is theory-only, so the "tables and figures" are
-//! its claims turned into measurements (DESIGN.md §3):
+//! its claims turned into measurements (ARCHITECTURE.md, "Modelling
+//! deviations"):
 //!
 //! | id | claim |
 //! |----|-------|

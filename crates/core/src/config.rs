@@ -1,7 +1,8 @@
 //! Protocol configuration and ablation switches.
 
 /// Tunables of the protocol. Every deviation knob corresponds to an ablation
-/// in DESIGN.md (A1, A2) or a throttle with a paper-faithful default.
+/// in ARCHITECTURE.md, "Modelling deviations" (A1–A3), or a throttle with
+/// a paper-faithful default.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Config {
     /// Ticks between successive `Search` launches for the same non-tree

@@ -11,7 +11,7 @@
 //! Staleness discipline: every hop requires the holder to be
 //! `locally_stabilized` with the token's `dmax` snapshot; otherwise the
 //! token is dropped. Nothing is committed by a search, so dropping is safe
-//! (DESIGN.md deviation 4).
+//! (ARCHITECTURE.md, "Modelling deviations", deviation 4).
 
 use crate::messages::{Msg, PathEntry};
 use crate::node::MdstNode;

@@ -16,9 +16,10 @@
 //!   neighborhood's `dmax` has).
 //!
 //! There is no separate message type: the paper piggybacks the propagation
-//! phase on `InfoMsg` and we piggyback the feedback phase too (DESIGN.md,
-//! deviation 2). This file therefore only hosts the end-to-end tests of the
-//! aggregation; the arithmetic lives in `state.rs`.
+//! phase on `InfoMsg` and we piggyback the feedback phase too
+//! (ARCHITECTURE.md, "Modelling deviations", deviation 2). This file
+//! therefore only hosts the end-to-end tests of the aggregation; the
+//! arithmetic lives in `state.rs`.
 
 #[cfg(test)]
 mod tests {

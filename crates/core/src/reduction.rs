@@ -14,11 +14,11 @@
 //!   light endpoints then improve it);
 //! * otherwise the cycle is useless and nothing happens.
 //!
-//! Commit discipline (DESIGN.md deviation 5): everything up to the moment
-//! the `Remove` reaches the target edge is freely droppable (freshness
-//! guards at every hop); from the commit on, the `Flip`/`DistChain` choreo-
-//! graphy runs unguarded to completion, exactly as the paper requires
-//! ("otherwise the tree partitions").
+//! Commit discipline (ARCHITECTURE.md, "Modelling deviations", deviation
+//! 5): everything up to the moment the `Remove` reaches the target edge is
+//! freely droppable (freshness guards at every hop); from the commit on,
+//! the `Flip`/`DistChain` choreography runs unguarded to completion,
+//! exactly as the paper requires ("otherwise the tree partitions").
 
 use crate::messages::{Msg, PathEntry};
 use crate::node::MdstNode;

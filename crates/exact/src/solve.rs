@@ -22,6 +22,26 @@
 //! fixpoint the still-marked set is the blocking witness. Which
 //! improvement is applied per phase is the pluggable [`Pivot`] rule.
 //!
+//! This loop is the workspace's one Fürer–Raghavachari local search; the
+//! sequential baselines (`ssmdst-baselines`) run it with settling off. The
+//! proof, once:
+//!
+//! * **Termination.** An improvement's endpoints are unmarked (degree
+//!   `≤ k − 2`) and the dropped edge touches a degree-`k` vertex, so each
+//!   pivot removes one degree-`k` vertex and creates none. Degree-`k`
+//!   vertices are never unmarked, so at most `n` pivots happen per `k`,
+//!   and `k` only falls.
+//! * **Within one.** Let `W` be the final marked set (every vertex of
+//!   degree `≥ k − 1`). At the fixpoint no non-tree edge joins two
+//!   components of `T − W`, so `c(G − W) = c(T − W) =: c`. Every
+//!   spanning tree needs `c + |W| − 1` edges incident to `W` to connect
+//!   the `c` components and `W`. `T` has exactly that many, and at least
+//!   `|W|(k − 1) − (|W| − 1)` of them (the degree sum over `W` minus the
+//!   at most `|W| − 1` tree edges inside `W`). So every spanning tree has
+//!   a vertex of `W` with degree `≥ ⌈(|W|(k − 2) + 1) / |W|⌉ = k − 1`:
+//!   `Δ* ≥ deg(T) − 1`, which the removal-set [`Witness`] on `W`
+//!   certifies.
+//!
 //! Settling: when the interval is still open (`L < U`) and the instance
 //! is small enough, the branch-and-bound decision oracle
 //! ([`ssmdst_graph::has_spanning_tree_with_max_degree`]) either produces
@@ -81,7 +101,6 @@ pub struct Solver {
     seed: u64,
     settle_budget: u64,
     settle_max_n: usize,
-    improve_cap: u64,
 }
 
 impl Default for Solver {
@@ -97,7 +116,6 @@ pub struct SolverBuilder {
     seed: u64,
     settle_budget: u64,
     settle_max_n: usize,
-    improve_cap: u64,
 }
 
 impl SolverBuilder {
@@ -127,13 +145,6 @@ impl SolverBuilder {
         self
     }
 
-    /// Safety cap on improvement pivots (default effectively unbounded —
-    /// the potential argument terminates the loop on its own).
-    pub fn improve_cap(mut self, cap: u64) -> Self {
-        self.improve_cap = cap;
-        self
-    }
-
     /// Finalize.
     pub fn build(self) -> Solver {
         Solver {
@@ -141,7 +152,6 @@ impl SolverBuilder {
             seed: self.seed,
             settle_budget: self.settle_budget,
             settle_max_n: self.settle_max_n,
-            improve_cap: self.improve_cap,
         }
     }
 }
@@ -162,7 +172,6 @@ impl Solver {
             seed: 0,
             settle_budget: 500_000,
             settle_max_n: 64,
-            improve_cap: u64::MAX,
         }
     }
 
@@ -252,7 +261,7 @@ impl Solver {
         }
     }
 
-    /// Run improvement phases until a fixpoint (or the pivot cap).
+    /// Run improvement phases until a fixpoint.
     /// Returns the blocking set of the final phase, or `None` when the
     /// tree already meets the connectivity floor (nothing to certify
     /// beyond it).
@@ -269,22 +278,12 @@ impl Solver {
             if k <= floor {
                 return None;
             }
-            if *pivots >= self.improve_cap {
-                // Cap hit: certify from the current marked set (sound —
-                // the witness bound is recomputed independently).
-                return Some(marked_set(st, k));
-            }
             match run_phase(g, st, ps, k, pivots) {
                 Phase::Applied => continue,
                 Phase::Blocked(set) => return Some(set),
             }
         }
     }
-}
-
-/// All vertices of tree degree `≥ k − 1` (the phase's initial marking).
-fn marked_set(st: &SpanningTreeStructure, k: u32) -> Vec<NodeId> {
-    (0..st.n() as u32).filter(|&v| st.deg(v) >= k - 1).collect()
 }
 
 /// One Fürer–Raghavachari phase at degree target `k`: either applies one

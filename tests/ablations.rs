@@ -1,6 +1,6 @@
-//! Integration: the ablation configurations of DESIGN.md (A1, A2) remain
-//! correct (self-stabilizing, tree-valid); the experiment harness measures
-//! their performance cost separately.
+//! Integration: the ablation configurations A1 and A2 (ARCHITECTURE.md,
+//! "Modelling deviations") remain correct (self-stabilizing, tree-valid);
+//! the experiment harness measures their performance cost separately.
 
 use ssmdst::core::oracle;
 use ssmdst::graph::generators::GraphFamily;
