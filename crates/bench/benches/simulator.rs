@@ -16,15 +16,9 @@ fn bench_round_throughput(c: &mut Criterion) {
     // no extra information — T2/T3 cover the scaling story).
     for n in [16usize, 32] {
         let graph = GraphFamily::GnpSparse.generate(n, 1);
-        // Pre-converge so we measure steady-state rounds, not churn.
-        let (_, runner) = run_instance(
-            &graph,
-            Config::for_n(graph.n()),
-            Scheduler::Synchronous,
-            400_000,
-        );
         g.bench_with_input(BenchmarkId::new("steady-state", n), &(), |b, _| {
-            let mut r = runner_clone_hack(&graph, &runner);
+            // Pre-converge so we measure steady-state rounds, not churn.
+            let mut r = steady_state_runner(&graph);
             b.iter(|| {
                 r.step_round();
                 black_box(r.round())
@@ -32,16 +26,6 @@ fn bench_round_throughput(c: &mut Criterion) {
         });
     }
     g.finish();
-}
-
-/// Runner holds the network by value and is not `Clone`; rebuild an
-/// equivalent steady-state runner for each measurement by re-running the
-/// convergence (cheap at these sizes, done once per bench input).
-fn runner_clone_hack(
-    graph: &ssmdst_graph::Graph,
-    _template: &Runner<ssmdst_core::MdstNode>,
-) -> Runner<ssmdst_core::MdstNode> {
-    steady_state_runner(graph)
 }
 
 /// Old-vs-new engine: the same steady-state round driven by the indexed
@@ -116,15 +100,17 @@ fn bench_sparse_activity(c: &mut Criterion) {
     g.finish();
 }
 
-/// A converged runner for steady-state round measurements.
+/// A converged runner for steady-state round measurements (re-converged
+/// per bench input, since a runner holds its network by value and is not
+/// `Clone`).
 fn steady_state_runner(graph: &ssmdst_graph::Graph) -> Runner<ssmdst_core::MdstNode> {
-    let (_, r) = run_instance(
+    let (_, session) = run_instance(
         graph,
         Config::for_n(graph.n()),
         Scheduler::Synchronous,
         400_000,
     );
-    r
+    session.into_parts().0
 }
 
 fn bench_network_build(c: &mut Criterion) {

@@ -1,15 +1,13 @@
 //! Single-instance experiment driver: run the protocol on one graph and
 //! collect everything the tables need.
 //!
-//! Since the Session/Observer redesign, [`Instrument`] is an
-//! [`Observer`]: the same bookkeeping value plugs into a
-//! [`ssmdst_sim::Session`] here, into the scenario engine's per-round
-//! hook, or into a bare [`Runner::run_observed`] — no bespoke driver
-//! loop anywhere.
+//! [`Instrument`] is an [`Observer`]: the same bookkeeping value plugs
+//! into a [`ssmdst_sim::Session`] here or into the scenario engine's
+//! per-round hook — no bespoke driver loop anywhere.
 
 use ssmdst_core::{build_network, oracle, Config, MdstNode};
 use ssmdst_graph::Graph;
-use ssmdst_sim::{stop_when, Network, Observer, QuiescenceGate, Runner, Scheduler, Session, Stop};
+use ssmdst_sim::{stop_when, Network, Observer, QuiescenceGate, Scheduler, Session, Stop};
 
 /// Everything measured from one protocol run.
 #[derive(Debug, Clone)]
@@ -50,7 +48,7 @@ pub fn quiet_window(n: usize) -> u64 {
 
 /// Per-round trajectory + concurrency bookkeeping, shared between the
 /// arbitrary-graph driver below and the scenario-driven experiments. Use
-/// it either as an [`Observer`] attached to a session/runner, or through
+/// it either as an [`Observer`] attached to a session, or through
 /// the scenario engine's per-round hook via [`Instrument::observe`].
 #[derive(Debug)]
 pub struct Instrument<'g> {
@@ -126,53 +124,54 @@ impl Observer<MdstNode> for Instrument<'_> {
 /// Run the protocol on `g` until quiescence (or `max_rounds`), recording
 /// trajectory and concurrency statistics through a [`Session`] with the
 /// [`Instrument`] attached as its observer. Returns the result and the
-/// final runner for ad-hoc inspection (e.g. fault-injection follow-ups).
+/// session, with the instrument detached, for ad-hoc follow-ups (e.g.
+/// fault injection and [`run_more`]).
 pub fn run_instance(
     g: &Graph,
     cfg: Config,
     sched: Scheduler,
     max_rounds: u64,
-) -> (InstanceResult, Runner<MdstNode>) {
+) -> (InstanceResult, Session<MdstNode>) {
     let quiet = quiet_window(g.n());
     let mut session = Session::from_network(build_network(g, cfg))
         .scheduler(sched)
         .horizon(max_rounds)
         .observe(Instrument::new(g));
     let out = session.run_to_quiescence(quiet, oracle::projection);
-    let (runner, ins) = session.into_parts();
-    let res = collect(g, &runner, &ins, out.converged(), 0, quiet);
-    (res, runner)
+    let (session, ins) = session.swap_observer(());
+    let res = collect(g, &session, &ins, out.converged(), 0, quiet);
+    (res, session)
 }
 
 /// Continue running an existing network until quiescence — used after
 /// fault injection to measure recovery in isolation. Same observer stack
 /// as [`run_instance`] ([`Instrument`] plus the shared
-/// [`QuiescenceGate`]), borrowed onto the caller's runner.
-pub fn run_more(g: &Graph, runner: &mut Runner<MdstNode>, max_rounds: u64) -> InstanceResult {
+/// [`QuiescenceGate`]), borrowed onto the caller's session for this run.
+pub fn run_more(g: &Graph, session: &mut Session<MdstNode>, max_rounds: u64) -> InstanceResult {
     let quiet = quiet_window(g.n());
-    let start_round = runner.round();
+    let start_round = session.round();
     let mut ins = Instrument::new(g);
-    let mut gate = QuiescenceGate::primed(quiet, oracle::projection(runner.network()));
-    let out = runner.run_observed(
+    let mut gate = QuiescenceGate::primed(quiet, oracle::projection(session.network()));
+    let out = session.run_until(
         max_rounds,
         &mut (
             &mut ins,
             stop_when(move |net: &Network<MdstNode>, _| gate.observe(oracle::projection(net))),
         ),
     );
-    collect(g, runner, &ins, out.converged(), start_round, quiet)
+    collect(g, session, &ins, out.converged(), start_round, quiet)
 }
 
 /// Assemble the table row from a finished run.
 fn collect(
     g: &Graph,
-    runner: &Runner<MdstNode>,
+    session: &Session<MdstNode>,
     ins: &Instrument,
     converged: bool,
     start_round: u64,
     quiet: u64,
 ) -> InstanceResult {
-    let metrics = &runner.network().metrics;
+    let metrics = &session.network().metrics;
     let msgs_by_kind = metrics
         .kinds()
         .map(|(k, s)| (k, s.sent, s.max_size_bits))
@@ -181,12 +180,12 @@ fn collect(
         n: g.n(),
         m: g.m(),
         converged,
-        conv_round: (runner.round() - start_round).saturating_sub(if converged {
+        conv_round: (session.round() - start_round).saturating_sub(if converged {
             quiet
         } else {
             0
         }),
-        final_degree: oracle::current_degree(g, runner.network()),
+        final_degree: oracle::current_degree(g, session.network()),
         total_msgs: metrics.total_sent,
         msgs_by_kind,
         max_msg_bits: metrics.max_message_bits(),
@@ -228,14 +227,14 @@ mod tests {
     #[test]
     fn run_more_measures_recovery_separately() {
         let g = structured::star_with_ring(8).unwrap();
-        let (first, mut runner) =
+        let (first, mut session) =
             run_instance(&g, Config::for_n(8), Scheduler::Synchronous, 20_000);
         assert!(first.converged);
         ssmdst_sim::faults::inject(
-            runner.network_mut(),
+            session.network_mut(),
             ssmdst_sim::faults::FaultPlan::partial(0.4, 3),
         );
-        let second = run_more(&g, &mut runner, 20_000);
+        let second = run_more(&g, &mut session, 20_000);
         assert!(second.converged);
         assert!(second.final_degree.unwrap() <= 3);
     }

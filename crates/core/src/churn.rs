@@ -339,24 +339,37 @@ mod tests {
     use ssmdst_graph::generators::structured;
     use ssmdst_graph::{exact_mdst, ExactMdst};
     use ssmdst_sim::faults::apply_churn;
-    use ssmdst_sim::{Runner, Scheduler};
+    use ssmdst_sim::{Scheduler, Session};
 
     fn budget() -> SolveBudget {
         SolveBudget { max_nodes: 500_000 }
     }
 
-    fn converge(runner: &mut Runner<MdstNode>, max_rounds: u64) {
-        let out = runner.run_to_quiescence(max_rounds, 96, oracle::projection);
-        assert!(out.converged(), "no quiescence within {max_rounds}");
+    /// A synchronous session whose quiescence runs are capped at 20 000
+    /// rounds.
+    fn sync_session(net: Network<MdstNode>) -> Session<MdstNode> {
+        Session::from_network(net)
+            .scheduler(Scheduler::Synchronous)
+            .horizon(20_000)
+            .build()
+    }
+
+    fn converge(session: &mut Session<MdstNode>) {
+        let out = session.run_to_quiescence(96, oracle::projection);
+        assert!(
+            out.converged(),
+            "no quiescence within {}",
+            session.horizon()
+        );
     }
 
     #[test]
     fn static_converged_network_passes() {
         let g = structured::star_with_ring(8).unwrap();
         let net = crate::build_network(&g, Config::for_n(8));
-        let mut runner = Runner::new(net, Scheduler::Synchronous);
-        converge(&mut runner, 20_000);
-        let reports = check_reconvergence(runner.network(), budget()).unwrap();
+        let mut session = sync_session(net);
+        converge(&mut session);
+        let reports = check_reconvergence(session.network(), budget()).unwrap();
         assert_eq!(reports.len(), 1);
         assert!(reports[0].within_one);
         assert_eq!(reports[0].nodes.len(), 8);
@@ -377,15 +390,15 @@ mod tests {
     fn partitioned_network_is_judged_per_component() {
         let g = structured::cycle(8).unwrap();
         let net = crate::build_network(&g, Config::for_n(8));
-        let mut runner = Runner::new(net, Scheduler::Synchronous);
-        converge(&mut runner, 20_000);
+        let mut session = sync_session(net);
+        converge(&mut session);
         // Cut the cycle into two 4-paths.
         apply_churn(
-            runner.network_mut(),
+            session.network_mut(),
             &ChurnEvent::Partition(vec![(0, 7), (3, 4)]),
         );
-        converge(&mut runner, 20_000);
-        let reports = check_reconvergence(runner.network(), budget()).unwrap();
+        converge(&mut session);
+        let reports = check_reconvergence(session.network(), budget()).unwrap();
         assert_eq!(reports.len(), 2, "two components while partitioned");
         for r in &reports {
             assert_eq!(r.nodes.len(), 4);
@@ -397,11 +410,11 @@ mod tests {
     fn crashed_node_is_excluded_from_judgment() {
         let g = structured::cycle(6).unwrap();
         let net = crate::build_network(&g, Config::for_n(6));
-        let mut runner = Runner::new(net, Scheduler::Synchronous);
-        converge(&mut runner, 20_000);
-        apply_churn(runner.network_mut(), &ChurnEvent::CrashNode(3));
-        converge(&mut runner, 20_000);
-        let reports = check_reconvergence(runner.network(), budget()).unwrap();
+        let mut session = sync_session(net);
+        converge(&mut session);
+        apply_churn(session.network_mut(), &ChurnEvent::CrashNode(3));
+        converge(&mut session);
+        let reports = check_reconvergence(session.network(), budget()).unwrap();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].nodes.len(), 5, "crashed node not judged");
         assert!(!reports[0].nodes.contains(&3));
@@ -415,13 +428,13 @@ mod tests {
     fn judge_delta_star_matches_branch_and_bound() {
         let g = structured::star_with_ring(10).unwrap();
         let net = crate::build_network(&g, Config::for_n(10));
-        let mut runner = Runner::new(net, Scheduler::Synchronous);
-        converge(&mut runner, 20_000);
-        apply_churn(runner.network_mut(), &ChurnEvent::RemoveEdge(0, 1));
-        converge(&mut runner, 20_000);
-        let reports = check_reconvergence(runner.network(), budget()).unwrap();
+        let mut session = sync_session(net);
+        converge(&mut session);
+        apply_churn(session.network_mut(), &ChurnEvent::RemoveEdge(0, 1));
+        converge(&mut session);
+        let reports = check_reconvergence(session.network(), budget()).unwrap();
         for r in &reports {
-            let sub = induced_subgraph(runner.network(), &r.nodes);
+            let sub = induced_subgraph(session.network(), &r.nodes);
             match exact_mdst(&sub, budget()) {
                 ExactMdst::Exact { delta_star, .. } => {
                     assert_eq!(r.delta_star, Some(delta_star), "comp {:?}", r.nodes);
@@ -437,9 +450,9 @@ mod tests {
     fn incremental_judge_tracks_one_shot_judge_across_churn() {
         let g = structured::star_with_ring(9).unwrap();
         let net = crate::build_network(&g, Config::for_n(9));
-        let mut runner = Runner::new(net, Scheduler::Synchronous);
-        converge(&mut runner, 20_000);
-        let mut judge = DeltaJudge::new(runner.network(), budget());
+        let mut session = sync_session(net);
+        converge(&mut session);
+        let mut judge = DeltaJudge::new(session.network(), budget());
         let chain = [
             ChurnEvent::RemoveEdge(1, 2),
             ChurnEvent::CrashNode(4),
@@ -447,11 +460,11 @@ mod tests {
             ChurnEvent::RejoinNode(4),
         ];
         for ev in &chain {
-            apply_churn(runner.network_mut(), ev);
-            judge.observe_churn(runner.network(), ev);
-            converge(&mut runner, 20_000);
-            let inc = judge.check(runner.network()).unwrap();
-            let scratch = check_reconvergence(runner.network(), budget()).unwrap();
+            apply_churn(session.network_mut(), ev);
+            judge.observe_churn(session.network(), ev);
+            converge(&mut session);
+            let inc = judge.check(session.network()).unwrap();
+            let scratch = check_reconvergence(session.network(), budget()).unwrap();
             assert_eq!(inc.len(), scratch.len(), "after {ev}");
             for (a, b) in inc.iter().zip(&scratch) {
                 assert_eq!(a.nodes, b.nodes, "after {ev}");
@@ -473,16 +486,16 @@ mod tests {
     fn unobserved_churn_is_resynced_before_judging() {
         let g = structured::cycle(8).unwrap();
         let net = crate::build_network(&g, Config::for_n(8));
-        let mut runner = Runner::new(net, Scheduler::Synchronous);
-        converge(&mut runner, 20_000);
-        let mut judge = DeltaJudge::new(runner.network(), budget());
+        let mut session = sync_session(net);
+        converge(&mut session);
+        let mut judge = DeltaJudge::new(session.network(), budget());
         // Partition without telling the judge.
         apply_churn(
-            runner.network_mut(),
+            session.network_mut(),
             &ChurnEvent::Partition(vec![(0, 7), (3, 4)]),
         );
-        converge(&mut runner, 20_000);
-        let reports = judge.check(runner.network()).unwrap();
+        converge(&mut session);
+        let reports = judge.check(session.network()).unwrap();
         assert_eq!(reports.len(), 2, "sync picked up the partition");
         assert!(reports.iter().all(|r| r.within_one));
     }

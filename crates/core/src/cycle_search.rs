@@ -204,8 +204,9 @@ mod tests {
     use crate::config::Config;
     use crate::messages::Msg;
     use crate::oracle;
+    use crate::MdstNode;
     use ssmdst_graph::generators::structured;
-    use ssmdst_sim::{Message, Runner, Scheduler};
+    use ssmdst_sim::{stop_when, Message, Network, Scheduler, Session};
 
     /// On a square (4-cycle) the protocol forms a tree and the non-tree
     /// edge's search closes its fundamental cycle — observable as Search
@@ -216,14 +217,19 @@ mod tests {
     fn searches_run_and_tree_stays_stable_on_cycle_graph() {
         let g = structured::cycle(6).unwrap();
         let net = crate::build_network(&g, Config::for_n(6));
-        let mut runner = Runner::new(net, Scheduler::Synchronous);
-        let out = runner.run_until(150, |net, _| {
-            oracle::try_extract_tree(&g, net).is_some() && oracle::all_locally_stabilized(net)
-        });
+        let mut session = Session::from_network(net)
+            .scheduler(Scheduler::Synchronous)
+            .build();
+        let out = session.run_until(
+            150,
+            &mut stop_when(|net: &Network<MdstNode>, _| {
+                oracle::try_extract_tree(&g, net).is_some() && oracle::all_locally_stabilized(net)
+            }),
+        );
         assert!(out.converged());
-        let t_before = oracle::try_extract_tree(&g, runner.network()).unwrap();
-        let _ = runner.run_until(100, |_, _| false);
-        let t_after = oracle::try_extract_tree(&g, runner.network()).unwrap();
+        let t_before = oracle::try_extract_tree(&g, session.network()).unwrap();
+        let _ = session.run_until(100, &mut ());
+        let t_after = oracle::try_extract_tree(&g, session.network()).unwrap();
         // A cycle graph's tree is a Hamiltonian path: optimal, never changed.
         assert_eq!(t_before.edge_set(), t_after.edge_set());
     }
@@ -234,9 +240,14 @@ mod tests {
     fn search_tokens_emitted_with_dmax_snapshot() {
         let g = structured::star_with_ring(6).unwrap();
         let net = crate::build_network(&g, Config::for_n(6));
-        let mut runner = Runner::new(net, Scheduler::Synchronous);
+        let mut session = Session::from_network(net)
+            .scheduler(Scheduler::Synchronous)
+            .build();
         // Run until some Search messages have been sent.
-        let out = runner.run_until(400, |net, _| net.metrics.kind("Search").sent > 0);
+        let out = session.run_until(
+            400,
+            &mut stop_when(|net: &Network<MdstNode>, _| net.metrics.kind("Search").sent > 0),
+        );
         assert!(out.converged(), "no searches were ever launched");
     }
 
@@ -245,9 +256,11 @@ mod tests {
     fn no_search_traffic_on_paths() {
         let g = structured::path(8).unwrap();
         let net = crate::build_network(&g, Config::for_n(8));
-        let mut runner = Runner::new(net, Scheduler::Synchronous);
-        let _ = runner.run_until(200, |_, _| false);
-        assert_eq!(runner.network().metrics.kind("Search").sent, 0);
+        let mut session = Session::from_network(net)
+            .scheduler(Scheduler::Synchronous)
+            .build();
+        let _ = session.run_until(200, &mut ());
+        assert_eq!(session.network().metrics.kind("Search").sent, 0);
     }
 
     /// Tokens die on stale dmax (unit-level check).

@@ -25,8 +25,9 @@
 mod tests {
     use crate::config::Config;
     use crate::oracle;
+    use crate::MdstNode;
     use ssmdst_graph::generators::{gadgets, structured};
-    use ssmdst_sim::{Runner, Scheduler};
+    use ssmdst_sim::{stop_when, Network, Scheduler, Session};
 
     /// After the tree stabilizes, every node's `dmax` equals the true tree
     /// degree.
@@ -34,13 +35,18 @@ mod tests {
     fn dmax_converges_to_true_tree_degree() {
         let g = structured::grid(4, 4).unwrap();
         let net = crate::build_network(&g, Config::for_n(16));
-        let mut runner = Runner::new(net, Scheduler::Synchronous);
-        let out = runner.run_until(300, |net, _| {
-            let Some(t) = oracle::try_extract_tree(&g, net) else {
-                return false;
-            };
-            oracle::dmax_agrees(net, t.max_degree())
-        });
+        let mut session = Session::from_network(net)
+            .scheduler(Scheduler::Synchronous)
+            .build();
+        let out = session.run_until(
+            300,
+            &mut stop_when(|net: &Network<MdstNode>, _| {
+                let Some(t) = oracle::try_extract_tree(&g, net) else {
+                    return false;
+                };
+                oracle::dmax_agrees(net, t.max_degree())
+            }),
+        );
         assert!(out.converged(), "dmax never matched the real tree degree");
     }
 
@@ -49,8 +55,13 @@ mod tests {
     fn star_dmax_reaches_hub_degree() {
         let g = ssmdst_graph::graph::graph_from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
         let net = crate::build_network(&g, Config::for_n(5));
-        let mut runner = Runner::new(net, Scheduler::Synchronous);
-        let out = runner.run_until(100, |net, _| oracle::dmax_agrees(net, 4));
+        let mut session = Session::from_network(net)
+            .scheduler(Scheduler::Synchronous)
+            .build();
+        let out = session.run_until(
+            100,
+            &mut stop_when(|net: &Network<MdstNode>, _| oracle::dmax_agrees(net, 4)),
+        );
         assert!(out.converged());
     }
 
@@ -60,15 +71,23 @@ mod tests {
     fn dmax_recovers_from_inflated_values() {
         let g = structured::cycle(8).unwrap();
         let net = crate::build_network(&g, Config::for_n(8));
-        let mut runner = Runner::new(net, Scheduler::Synchronous);
-        let _ = runner.run_until(100, |net, _| oracle::dmax_agrees(net, 2));
+        let mut session = Session::from_network(net)
+            .scheduler(Scheduler::Synchronous)
+            .build();
+        let _ = session.run_until(
+            100,
+            &mut stop_when(|net: &Network<MdstNode>, _| oracle::dmax_agrees(net, 2)),
+        );
         // Inflate.
         for v in 0..8u32 {
-            let node = runner.network_mut().node_mut(v);
+            let node = session.network_mut().node_mut(v);
             node.st.dmax = 9;
             node.st.subtree_max = 9;
         }
-        let out = runner.run_until(200, |net, _| oracle::dmax_agrees(net, 2));
+        let out = session.run_until(
+            200,
+            &mut stop_when(|net: &Network<MdstNode>, _| oracle::dmax_agrees(net, 2)),
+        );
         assert!(out.converged(), "inflated dmax never decayed");
     }
 
@@ -77,13 +96,18 @@ mod tests {
     fn color_witnesses_dmax_agreement() {
         let g = gadgets::spider(3, 2).unwrap();
         let net = crate::build_network(&g, Config::for_n(7));
-        let mut runner = Runner::new(net, Scheduler::RandomAsync { seed: 2 });
-        let out = runner.run_until(400, |net, _| {
-            net.nodes().iter().all(|a| {
-                let s = a.state();
-                s.color && s.degree_stabilized()
-            })
-        });
+        let mut session = Session::from_network(net)
+            .scheduler(Scheduler::RandomAsync { seed: 2 })
+            .build();
+        let out = session.run_until(
+            400,
+            &mut stop_when(|net: &Network<MdstNode>, _| {
+                net.nodes().iter().all(|a| {
+                    let s = a.state();
+                    s.color && s.degree_stabilized()
+                })
+            }),
+        );
         assert!(out.converged());
     }
 
@@ -93,13 +117,18 @@ mod tests {
     fn dmax_converges_under_adversarial_daemon() {
         let g = structured::grid(3, 3).unwrap();
         let net = crate::build_network(&g, Config::for_n(9));
-        let mut runner = Runner::new(net, Scheduler::Adversarial { seed: 13 });
-        let out = runner.run_until(400, |net, _| {
-            let Some(t) = oracle::try_extract_tree(&g, net) else {
-                return false;
-            };
-            oracle::dmax_agrees(net, t.max_degree())
-        });
+        let mut session = Session::from_network(net)
+            .scheduler(Scheduler::Adversarial { seed: 13 })
+            .build();
+        let out = session.run_until(
+            400,
+            &mut stop_when(|net: &Network<MdstNode>, _| {
+                let Some(t) = oracle::try_extract_tree(&g, net) else {
+                    return false;
+                };
+                oracle::dmax_agrees(net, t.max_degree())
+            }),
+        );
         assert!(out.converged());
     }
 }

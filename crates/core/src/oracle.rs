@@ -107,7 +107,7 @@ mod tests {
     use super::*;
     use crate::config::Config;
     use ssmdst_graph::generators::structured;
-    use ssmdst_sim::{Runner, Scheduler};
+    use ssmdst_sim::{stop_when, Network, Scheduler, Session};
 
     #[test]
     fn fresh_network_is_not_a_tree() {
@@ -122,24 +122,34 @@ mod tests {
     fn converged_path_is_legitimate() {
         let g = structured::path(5).unwrap();
         let net = crate::build_network(&g, Config::for_n(5));
-        let mut runner = Runner::new(net, Scheduler::Synchronous);
-        let out = runner.run_until(200, |net, _| is_legitimate(&g, net));
+        let mut session = Session::from_network(net)
+            .scheduler(Scheduler::Synchronous)
+            .build();
+        let out = session.run_until(
+            200,
+            &mut stop_when(|net: &Network<MdstNode>, _| is_legitimate(&g, net)),
+        );
         assert!(out.converged());
-        let t = try_extract_tree(&g, runner.network()).unwrap();
+        let t = try_extract_tree(&g, session.network()).unwrap();
         assert_eq!(t.root(), 0);
         assert_eq!(t.max_degree(), 2);
-        assert_eq!(current_degree(&g, runner.network()), Some(2));
+        assert_eq!(current_degree(&g, session.network()), Some(2));
     }
 
     #[test]
     fn projection_is_stable_after_convergence() {
         let g = structured::cycle(6).unwrap();
         let net = crate::build_network(&g, Config::for_n(6));
-        let mut runner = Runner::new(net, Scheduler::Synchronous);
-        let _ = runner.run_until(200, |net, _| is_legitimate(&g, net));
-        let p1 = projection(runner.network());
-        let _ = runner.run_until(50, |_, _| false);
-        let p2 = projection(runner.network());
+        let mut session = Session::from_network(net)
+            .scheduler(Scheduler::Synchronous)
+            .build();
+        let _ = session.run_until(
+            200,
+            &mut stop_when(|net: &Network<MdstNode>, _| is_legitimate(&g, net)),
+        );
+        let p1 = projection(session.network());
+        let _ = session.run_until(50, &mut ());
+        let p2 = projection(session.network());
         assert_eq!(p1, p2);
     }
 

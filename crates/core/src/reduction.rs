@@ -595,7 +595,7 @@ mod tests {
     use crate::config::Config;
     use crate::oracle;
     use ssmdst_graph::generators::structured;
-    use ssmdst_sim::{Runner, Scheduler};
+    use ssmdst_sim::{stop_when, Network, Scheduler, Session};
 
     #[test]
     fn flip_indices_validation() {
@@ -624,16 +624,21 @@ mod tests {
         let n = 8;
         let g = structured::star_with_ring(n).unwrap();
         let net = crate::build_network(&g, Config::for_n(n));
-        let mut runner = Runner::new(net, Scheduler::Synchronous);
-        let out = runner.run_until(6000, |net, _| {
-            oracle::try_extract_tree(&g, net)
-                .map(|t| t.max_degree() <= 3)
-                .unwrap_or(false)
-        });
+        let mut session = Session::from_network(net)
+            .scheduler(Scheduler::Synchronous)
+            .build();
+        let out = session.run_until(
+            6000,
+            &mut stop_when(|net: &Network<MdstNode>, _| {
+                oracle::try_extract_tree(&g, net)
+                    .map(|t| t.max_degree() <= 3)
+                    .unwrap_or(false)
+            }),
+        );
         assert!(
             out.converged(),
             "hub degree stuck at {:?}",
-            oracle::try_extract_tree(&g, runner.network()).map(|t| t.max_degree())
+            oracle::try_extract_tree(&g, session.network()).map(|t| t.max_degree())
         );
     }
 
@@ -643,18 +648,24 @@ mod tests {
     fn reduction_preserves_tree_invariants() {
         let g = structured::star_with_ring(8).unwrap();
         let net = crate::build_network(&g, Config::for_n(8));
-        let mut runner = Runner::new(net, Scheduler::Synchronous);
-        let _ = runner.run_until(6000, |net, _| {
-            oracle::try_extract_tree(&g, net)
-                .map(|t| t.max_degree() <= 3)
-                .unwrap_or(false)
-        });
+        let mut session = Session::from_network(net)
+            .scheduler(Scheduler::Synchronous)
+            .horizon(4000)
+            .build();
+        let _ = session.run_until(
+            6000,
+            &mut stop_when(|net: &Network<MdstNode>, _| {
+                oracle::try_extract_tree(&g, net)
+                    .map(|t| t.max_degree() <= 3)
+                    .unwrap_or(false)
+            }),
+        );
         // Let it settle, then validate global invariants.
-        let settle = runner.run_to_quiescence(4000, 64, oracle::projection);
+        let settle = session.run_to_quiescence(64, oracle::projection);
         assert!(settle.converged());
-        let t = oracle::try_extract_tree(&g, runner.network()).expect("spanning tree");
+        let t = oracle::try_extract_tree(&g, session.network()).expect("spanning tree");
         t.validate(&g).unwrap();
-        assert!(oracle::dmax_agrees(runner.network(), t.max_degree()));
+        assert!(oracle::dmax_agrees(session.network(), t.max_degree()));
     }
 
     /// With Deblock disabled (ablation A2) the protocol still terminates
@@ -663,10 +674,13 @@ mod tests {
     fn without_deblock_still_stabilizes() {
         let g = structured::star_with_ring(8).unwrap();
         let net = crate::build_network(&g, Config::without_deblock(8));
-        let mut runner = Runner::new(net, Scheduler::Synchronous);
-        let out = runner.run_to_quiescence(8000, 64, oracle::projection);
+        let mut session = Session::from_network(net)
+            .scheduler(Scheduler::Synchronous)
+            .horizon(8000)
+            .build();
+        let out = session.run_to_quiescence(64, oracle::projection);
         assert!(out.converged());
-        let t = oracle::try_extract_tree(&g, runner.network()).expect("tree");
+        let t = oracle::try_extract_tree(&g, session.network()).expect("tree");
         t.validate(&g).unwrap();
     }
 

@@ -126,7 +126,7 @@ mod tests {
     use crate::messages::Msg;
     use crate::oracle;
     use ssmdst_graph::generators::structured;
-    use ssmdst_sim::{Network, Runner, Scheduler};
+    use ssmdst_sim::{stop_when, Network, Scheduler, Session};
 
     fn info(root: NodeId, parent: NodeId, distance: u32) -> InfoPayload {
         InfoPayload {
@@ -230,10 +230,17 @@ mod tests {
     fn ring_forms_min_rooted_spanning_tree() {
         let g = structured::cycle(9).unwrap();
         let net: Network<MdstNode> = crate::build_network(&g, Config::for_n(9));
-        let mut runner = Runner::new(net, Scheduler::Synchronous);
-        let out = runner.run_until(200, |net, _| oracle::try_extract_tree(&g, net).is_some());
+        let mut session = Session::from_network(net)
+            .scheduler(Scheduler::Synchronous)
+            .build();
+        let out = session.run_until(
+            200,
+            &mut stop_when(|net: &Network<MdstNode>, _| {
+                oracle::try_extract_tree(&g, net).is_some()
+            }),
+        );
         assert!(out.converged(), "tree never formed");
-        let t = oracle::try_extract_tree(&g, runner.network()).unwrap();
+        let t = oracle::try_extract_tree(&g, session.network()).unwrap();
         assert_eq!(t.root(), 0);
     }
 
@@ -242,14 +249,19 @@ mod tests {
     fn recovers_from_total_corruption() {
         let g = structured::grid(3, 3).unwrap();
         let net = crate::build_network(&g, Config::for_n(9));
-        let mut runner = Runner::new(net, Scheduler::RandomAsync { seed: 1 });
+        let mut session = Session::from_network(net)
+            .scheduler(Scheduler::RandomAsync { seed: 1 })
+            .build();
         ssmdst_sim::faults::inject(
-            runner.network_mut(),
+            session.network_mut(),
             ssmdst_sim::faults::FaultPlan::total(7),
         );
-        let out = runner.run_until(500, |net, _| {
-            oracle::try_extract_tree(&g, net).is_some() && oracle::all_tree_stabilized(net)
-        });
+        let out = session.run_until(
+            500,
+            &mut stop_when(|net: &Network<MdstNode>, _| {
+                oracle::try_extract_tree(&g, net).is_some() && oracle::all_tree_stabilized(net)
+            }),
+        );
         assert!(out.converged(), "no recovery from corruption");
     }
 

@@ -47,8 +47,9 @@
 //! cross-cutting machinery (digests, traces, metrics probes, stop
 //! conditions) attached as statically-dispatched [`Observer`]s; the unit
 //! observer costs nothing, so the zero-alloc steady state survives a
-//! `Session<A, ()>`. The [`Runner`] remains the low-level round engine
-//! underneath. Convergence detection lives in one named predicate,
+//! `Session<A, ()>`. The [`Runner`] underneath is the round engine and
+//! offers only step primitives; every run loop goes through a
+//! [`Session`]. Convergence detection lives in one named predicate,
 //! [`stop::QuiescenceGate`], shared by every driver.
 
 // Library code must not grow bare `.unwrap()`s: use `.expect` with the
@@ -82,10 +83,10 @@ pub use observer::{
     observe_rounds, stop_when, EveryRound, MetricsTrace, Observer, PhaseLog, RoundTrace,
     ScheduleDigest, Stop, StopWhen,
 };
-pub use runner::{quiet_window, RunOutcome, Runner, StopReason};
+pub use runner::Runner;
 pub use scheduler::{Action, Scheduler};
-pub use session::{Session, SessionBuilder};
-pub use stop::QuiescenceGate;
+pub use session::{RunOutcome, Session, SessionBuilder, StopReason};
+pub use stop::{quiet_window, QuiescenceGate};
 pub use trace::{ChangeSeries, Digest, RunTrace, StabilityWindow, TraceRecord};
 
 /// Node identifier; dense indices `0..n` matching `ssmdst_graph::NodeId`.

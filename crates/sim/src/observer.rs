@@ -205,8 +205,7 @@ impl<A: Automaton> Observer<A> for ScheduleDigest {
     }
 }
 
-/// Closure adapter: run `f` after every round (never stops the run). The
-/// observer form of the old `run_until` side-effecting closures.
+/// Closure adapter: run `f` after every round (never stops the run).
 #[derive(Debug)]
 pub struct EveryRound<F>(F);
 
@@ -222,8 +221,8 @@ impl<A: Automaton, F: FnMut(&Network<A>, u64)> Observer<A> for EveryRound<F> {
     }
 }
 
-/// Closure adapter: stop the run when `f` returns `true` — the observer
-/// form of the old `Runner::run_until` predicate.
+/// Closure adapter: stop the run when `f` returns `true` (checked after
+/// every round).
 #[derive(Debug)]
 pub struct StopWhen<F>(F);
 
@@ -328,6 +327,7 @@ mod tests {
     use crate::automaton::{Message, Outbox};
     use crate::runner::Runner;
     use crate::scheduler::Scheduler;
+    use crate::session::Session;
     use crate::NodeId;
 
     #[derive(Debug, Clone)]
@@ -358,13 +358,20 @@ mod tests {
         }
     }
 
-    fn runner(sched: Scheduler) -> Runner<Chat> {
+    fn net() -> Network<Chat> {
         let g = ssmdst_graph::generators::structured::path(6).unwrap();
-        let net = Network::from_graph(&g, |_, nbrs| Chat {
+        Network::from_graph(&g, |_, nbrs| Chat {
             neighbors: nbrs.to_vec(),
             heard: 0,
-        });
-        Runner::new(net, sched)
+        })
+    }
+
+    fn runner(sched: Scheduler) -> Runner<Chat> {
+        Runner::new(net(), sched)
+    }
+
+    fn session(sched: Scheduler) -> Session<Chat> {
+        Session::from_network(net()).scheduler(sched).build()
     }
 
     #[test]
@@ -404,13 +411,13 @@ mod tests {
     #[test]
     fn pair_combinator_fans_out_and_stops() {
         let mut rounds_seen = 0u64;
-        let mut r = runner(Scheduler::Synchronous);
+        let mut s = session(Scheduler::Synchronous);
         let out = {
             let mut obs = (
                 observe_rounds(|_: &Network<Chat>, _| rounds_seen += 1),
                 stop_when(|_: &Network<Chat>, round| round >= 3),
             );
-            r.run_observed(100, &mut obs)
+            s.run_until(100, &mut obs)
         };
         assert!(out.converged());
         assert_eq!(out.rounds, 3);
@@ -421,9 +428,9 @@ mod tests {
     /// perturb the run.
     #[test]
     fn trace_and_metrics_observers_record_per_round() {
-        let mut r = runner(Scheduler::Synchronous);
+        let mut s = session(Scheduler::Synchronous);
         let mut obs = (RoundTrace::new(), MetricsTrace::new());
-        let _ = r.run_observed(5, &mut obs);
+        let _ = s.run_until(5, &mut obs);
         let (trace, metrics) = obs;
         assert_eq!(trace.samples().len(), 5);
         assert_eq!(metrics.sent().len(), 5);

@@ -1,4 +1,6 @@
-//! The run loop: the event-driven engine, rounds, convergence detection.
+//! The round engine: event-driven obligation derivation and the step
+//! primitives. Run loops (stop conditions, horizons, quiescence) live in
+//! [`crate::Session`].
 
 use crate::automaton::Automaton;
 use crate::backend::Backend;
@@ -6,35 +8,6 @@ use crate::events::{EventQueue, PendingSlot};
 use crate::network::Network;
 use crate::observer::{Observer, Stop};
 use crate::scheduler::{Action, KeySource, Scheduler};
-use crate::stop::QuiescenceGate;
-
-pub use crate::stop::quiet_window;
-
-/// Why a run stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StopReason {
-    /// The observer predicate returned `true`.
-    Converged,
-    /// The round limit was reached first.
-    RoundLimit,
-}
-
-/// Result of a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[must_use = "inspect the outcome: a run that hit its round limit did not converge"]
-pub struct RunOutcome {
-    /// Rounds executed in this call.
-    pub rounds: u64,
-    /// Why the run stopped.
-    pub reason: StopReason,
-}
-
-impl RunOutcome {
-    /// Whether the observer predicate was satisfied.
-    pub fn converged(&self) -> bool {
-        self.reason == StopReason::Converged
-    }
-}
 
 /// Drives a [`Network`] under a [`Scheduler`], counting rounds.
 ///
@@ -91,10 +64,15 @@ impl RunOutcome {
 ///     heard: 0,
 /// });
 /// let mut runner = Runner::new(net, Scheduler::Synchronous);
-/// let out = runner.run_until(10, |net, _| net.node(0).heard >= 3);
-/// assert!(out.converged());
-/// assert_eq!(out.rounds, 4); // messages sent in round r arrive in round r+1
+/// for _ in 0..4 {
+///     runner.step_round();
+/// }
+/// // Messages sent in round r arrive in round r+1.
+/// assert_eq!(runner.network().node(0).heard, 3);
 /// ```
+///
+/// To run until a stop condition or quiescence, drive the network through
+/// a [`crate::Session`] instead.
 pub struct Runner<A: Automaton> {
     net: Network<A>,
     keys: KeySource,
@@ -296,58 +274,15 @@ impl<A: Automaton> Runner<A> {
             }
         }
     }
-
-    /// Run until `observer` returns `true` (checked after every round) or
-    /// `max_rounds` elapse. (Closure form of [`Runner::run_observed`] with
-    /// a [`crate::observer::StopWhen`]; prefer [`crate::Session`] for new
-    /// drivers.)
-    pub fn run_until(
-        &mut self,
-        max_rounds: u64,
-        observer: impl FnMut(&Network<A>, u64) -> bool,
-    ) -> RunOutcome {
-        self.run_observed(max_rounds, &mut crate::observer::stop_when(observer))
-    }
-
-    /// Run until the observer stack answers [`Stop::Done`] (checked after
-    /// every round) or `max_rounds` elapse.
-    pub fn run_observed<O: Observer<A>>(&mut self, max_rounds: u64, obs: &mut O) -> RunOutcome {
-        let start = self.round;
-        while self.round - start < max_rounds {
-            if self.step_round_observed(obs).is_done() {
-                return RunOutcome {
-                    rounds: self.round - start,
-                    reason: StopReason::Converged,
-                };
-            }
-        }
-        RunOutcome {
-            rounds: self.round - start,
-            reason: StopReason::RoundLimit,
-        }
-    }
-
-    /// Run until a *projection* of the global state is unchanged for
-    /// `quiet_rounds` consecutive rounds (or `max_rounds` elapse). This is
-    /// the quiescence detector used to decide that the protocol has
-    /// stabilized: the projection is typically the tree edge set + dmax.
-    /// The predicate is the shared [`QuiescenceGate`], so every driver
-    /// judges stability identically.
-    pub fn run_to_quiescence<P: PartialEq>(
-        &mut self,
-        max_rounds: u64,
-        quiet_rounds: u64,
-        mut project: impl FnMut(&Network<A>) -> P,
-    ) -> RunOutcome {
-        let mut gate = QuiescenceGate::primed(quiet_rounds, project(&self.net));
-        self.run_until(max_rounds, |net, _| gate.observe(project(net)))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::automaton::{Message, Outbox};
+    use crate::observer::stop_when;
+    use crate::session::{Session, SessionBuilder, StopReason};
+    use crate::stop::quiet_window;
     use crate::NodeId;
     use ssmdst_graph::generators::structured::path;
 
@@ -394,6 +329,10 @@ mod tests {
         })
     }
 
+    fn session(n: usize, sched: Scheduler) -> SessionBuilder<MinFlood> {
+        Session::from_network(min_net(n)).scheduler(sched)
+    }
+
     fn all_converged(net: &Network<MinFlood>, expect: u32) -> bool {
         net.nodes().iter().all(|a| a.value == expect)
     }
@@ -401,9 +340,12 @@ mod tests {
     #[test]
     fn sync_converges_in_diameter_rounds() {
         let n = 10;
-        let mut r = Runner::new(min_net(n), Scheduler::Synchronous);
+        let mut s = session(n, Scheduler::Synchronous).build();
         let expect = 100 - (n as u32 - 1);
-        let out = r.run_until(50, |net, _| all_converged(net, expect));
+        let out = s.run_until(
+            50,
+            &mut stop_when(|net: &Network<MinFlood>, _| all_converged(net, expect)),
+        );
         assert!(out.converged());
         // Information travels one hop per round: diameter-ish rounds.
         assert!(out.rounds <= 2 * n as u64, "took {} rounds", out.rounds);
@@ -416,29 +358,32 @@ mod tests {
             Scheduler::RandomAsync { seed: 3 },
             Scheduler::Adversarial { seed: 3 },
         ] {
-            let mut r = Runner::new(min_net(8), sched);
-            let out = r.run_until(200, |net, _| all_converged(net, 93));
+            let mut s = session(8, sched).build();
+            let out = s.run_until(
+                200,
+                &mut stop_when(|net: &Network<MinFlood>, _| all_converged(net, 93)),
+            );
             assert!(out.converged(), "{sched:?} failed to converge");
         }
     }
 
     #[test]
     fn round_limit_is_respected() {
-        let mut r = Runner::new(min_net(8), Scheduler::Synchronous);
-        let out = r.run_until(3, |_, _| false);
+        let mut s = session(8, Scheduler::Synchronous).build();
+        let out = s.run_until(3, &mut ());
         assert_eq!(out.reason, StopReason::RoundLimit);
         assert_eq!(out.rounds, 3);
-        assert_eq!(r.round(), 3);
+        assert_eq!(s.round(), 3);
     }
 
     #[test]
     fn quiescence_detects_stability() {
-        let mut r = Runner::new(min_net(6), Scheduler::Synchronous);
-        let out = r.run_to_quiescence(100, 3, |net| {
+        let mut s = session(6, Scheduler::Synchronous).horizon(100).build();
+        let out = s.run_to_quiescence(3, |net| {
             net.nodes().iter().map(|a| a.value).collect::<Vec<_>>()
         });
         assert!(out.converged());
-        assert!(all_converged(r.network(), 95));
+        assert!(all_converged(s.network(), 95));
     }
 
     #[test]
@@ -452,10 +397,10 @@ mod tests {
     #[test]
     fn identical_seeds_give_identical_executions() {
         let run = |seed| {
-            let mut r = Runner::new(min_net(9), Scheduler::RandomAsync { seed });
-            let _ = r.run_until(30, |_, _| false);
-            let vals: Vec<u32> = r.network().nodes().iter().map(|a| a.value).collect();
-            (vals, r.network().metrics.total_sent)
+            let mut s = session(9, Scheduler::RandomAsync { seed }).build();
+            let _ = s.run_until(30, &mut ());
+            let vals: Vec<u32> = s.network().nodes().iter().map(|a| a.value).collect();
+            (vals, s.network().metrics.total_sent)
         };
         assert_eq!(run(7), run(7));
     }
@@ -764,21 +709,24 @@ mod tests {
     /// drops its in-flight messages, crashing a node removes its tick.
     #[test]
     fn churn_between_rounds_keeps_engine_consistent() {
-        let mut r = Runner::new(min_net(6), Scheduler::Synchronous);
-        r.step_round();
-        r.network_mut().remove_edge(2, 3);
-        r.step_round();
-        r.network_mut().crash_node(5);
+        let mut s = session(6, Scheduler::Synchronous).build();
+        let _ = s.step();
+        s.network_mut().remove_edge(2, 3);
+        let _ = s.step();
+        s.network_mut().crash_node(5);
         for _ in 0..10 {
-            r.step_round();
+            let _ = s.step();
         }
         // Left segment 0..=2 still floods its own minimum (node 2 holds 98).
-        assert_eq!(r.network().node(2).value, 98);
-        r.network_mut().rejoin_node(5);
-        r.network_mut().insert_edge(2, 3);
-        let out = r.run_until(50, |net, _| {
-            net.alive_nodes().all(|v| net.node(v).value == 95)
-        });
+        assert_eq!(s.network().node(2).value, 98);
+        s.network_mut().rejoin_node(5);
+        s.network_mut().insert_edge(2, 3);
+        let out = s.run_until(
+            50,
+            &mut stop_when(|net: &Network<MinFlood>, _| {
+                net.alive_nodes().all(|v| net.node(v).value == 95)
+            }),
+        );
         assert!(out.converged(), "no re-convergence after churn healed");
     }
 }

@@ -48,11 +48,37 @@ use crate::backend::Backend;
 use crate::faults::{apply_churn, inject, ChurnEvent, Corrupt, FaultPlan};
 use crate::network::Network;
 use crate::observer::{Observer, Stop};
-use crate::runner::{RunOutcome, Runner, StopReason};
+use crate::runner::Runner;
 use crate::scheduler::Scheduler;
 use crate::stop::QuiescenceGate;
 use crate::NodeId;
 use ssmdst_graph::Graph;
+
+/// Why a run stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StopReason {
+    /// The observer predicate returned `true`.
+    Converged,
+    /// The round limit was reached first.
+    RoundLimit,
+}
+
+/// Result of a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[must_use = "inspect the outcome: a run that hit its round limit did not converge"]
+pub struct RunOutcome {
+    /// Rounds executed in this call.
+    pub rounds: u64,
+    /// Why the run stopped.
+    pub reason: StopReason,
+}
+
+impl RunOutcome {
+    /// Whether the observer predicate was satisfied.
+    pub fn converged(&self) -> bool {
+        self.reason == StopReason::Converged
+    }
+}
 
 /// Fluent construction state for a [`Session`]. Finish with
 /// [`SessionBuilder::build`] (no observers) or
@@ -140,8 +166,7 @@ impl<A: Automaton> SessionBuilder<A> {
 ///
 /// Construct via [`Session::over`] (graph + node factory) or
 /// [`Session::from_network`] (pre-built network, e.g. a protocol crate's
-/// `build_network`); resume an existing [`Runner`] with
-/// [`Session::resume`].
+/// `build_network`).
 #[must_use = "a session does nothing until run() or step() drives it"]
 pub struct Session<A: Automaton, O: Observer<A> = ()> {
     runner: Runner<A>,
@@ -172,19 +197,6 @@ impl<A: Automaton> Session<A, ()> {
             horizon: Self::DEFAULT_HORIZON,
             plan: Vec::new(),
             backend: Backend::Reference,
-        }
-    }
-
-    /// Wrap an existing runner (mid-run state preserved) as an
-    /// observer-less session — the migration path from hand-driven
-    /// [`Runner`] code.
-    pub fn resume(runner: Runner<A>) -> Session<A, ()> {
-        Session {
-            runner,
-            obs: (),
-            horizon: Self::DEFAULT_HORIZON,
-            plan: Vec::new(),
-            next_planned: 0,
         }
     }
 }
@@ -224,7 +236,7 @@ impl<A: Automaton, O: Observer<A>> Session<A, O> {
         (&mut self.obs, self.runner.network())
     }
 
-    /// Completed rounds since the session (or resumed runner) started.
+    /// Completed rounds since the session started.
     pub fn round(&self) -> u64 {
         self.runner.round()
     }
@@ -251,11 +263,6 @@ impl<A: Automaton, O: Observer<A>> Session<A, O> {
     /// Dismantle into the runner and the observer stack.
     pub fn into_parts(self) -> (Runner<A>, O) {
         (self.runner, self.obs)
-    }
-
-    /// Dismantle into just the runner (observers dropped).
-    pub fn into_runner(self) -> Runner<A> {
-        self.runner
     }
 
     /// Execute one round through the observer stack (planned churn due at
@@ -413,29 +420,70 @@ mod tests {
         })
     }
 
+    /// A session run, with a schedule digest attached and a fault burst
+    /// and a churn event applied mid-run through the session, executes
+    /// exactly the schedule of a bare runner stepped round by round with
+    /// the same interventions, under every daemon.
     #[test]
     fn session_run_matches_bare_runner() {
-        let mut session = builder(9)
-            .scheduler(Scheduler::RandomAsync { seed: 7 })
-            .build();
-        let out = session.run_until(30, &mut ());
-        assert_eq!(out.reason, StopReason::RoundLimit);
-        assert_eq!(out.rounds, 30);
+        let fault = FaultPlan {
+            node_fraction: 0.5,
+            message_drop: 0.5,
+            seed: 3,
+        };
+        let cut = ChurnEvent::RemoveEdge(3, 4);
+        let values =
+            |net: &Network<MinFlood>| net.nodes().iter().map(|n| n.value).collect::<Vec<_>>();
+        for sched in [
+            Scheduler::Synchronous,
+            Scheduler::RandomAsync { seed: 7 },
+            Scheduler::Adversarial { seed: 7 },
+        ] {
+            let mut session = builder(9).scheduler(sched).observe(ScheduleDigest::new());
+            let mut outs = vec![session.run_until(10, &mut ())];
+            let _ = session.inject(fault);
+            outs.push(session.run_until(10, &mut ()));
+            let _ = session.churn(&cut);
+            outs.push(session.run_until(10, &mut ()));
+            for out in outs {
+                assert_eq!(out.reason, StopReason::RoundLimit);
+                assert_eq!(out.rounds, 10);
+            }
 
-        let g = path(9).unwrap();
-        let net = Network::from_graph(&g, |v, nbrs| MinFlood {
-            neighbors: nbrs.to_vec(),
-            value: 100 - v,
-        });
-        let mut runner = Runner::new(net, Scheduler::RandomAsync { seed: 7 });
-        let _ = runner.run_until(30, |_, _| false);
-        let a: Vec<u32> = session.network().nodes().iter().map(|n| n.value).collect();
-        let b: Vec<u32> = runner.network().nodes().iter().map(|n| n.value).collect();
-        assert_eq!(a, b, "session and bare runner diverged");
-        assert_eq!(
-            session.network().metrics.total_sent,
-            runner.network().metrics.total_sent
-        );
+            let g = path(9).unwrap();
+            let net = Network::from_graph(&g, |v, nbrs| MinFlood {
+                neighbors: nbrs.to_vec(),
+                value: 100 - v,
+            });
+            let mut runner = Runner::new(net, sched);
+            let mut digest = crate::trace::Digest::new();
+            for round in 0..30 {
+                if round == 10 {
+                    let _ = inject(runner.network_mut(), fault);
+                }
+                if round == 20 {
+                    let _ = apply_churn(runner.network_mut(), &cut);
+                }
+                runner.step_round_digest(&mut digest);
+            }
+
+            assert_eq!(
+                values(session.network()),
+                values(runner.network()),
+                "session and bare runner diverged under {sched:?}"
+            );
+            assert_eq!(
+                session.network().metrics.total_sent,
+                runner.network().metrics.total_sent,
+                "{sched:?}"
+            );
+            assert_eq!(session.round(), runner.round(), "{sched:?}");
+            assert_eq!(
+                session.observer().value(),
+                digest.value(),
+                "schedules diverged under {sched:?}"
+            );
+        }
     }
 
     #[test]

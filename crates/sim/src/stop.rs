@@ -1,13 +1,12 @@
 //! Named stop predicates — the single source of truth for convergence
 //! detection.
 //!
-//! Before this module, the quiet-window / quiescence logic lived in three
-//! places with three hand-rolled copies: `Runner::run_to_quiescence`, the
-//! scenario engine's phase loop, and the experiment harness's
-//! `run_until` closure. They are now all expressed through one named
-//! predicate, [`QuiescenceGate`], so "the projection has been stable for
-//! W consecutive rounds" means exactly the same thing everywhere — a
-//! boundary test in this module pins the firing round.
+//! Every quiescence check — [`crate::Session::run_to_quiescence`], the
+//! scenario engine's phase loop and the experiment harness's recovery
+//! runs — goes through one named predicate, [`QuiescenceGate`], so "the
+//! projection has been stable for W consecutive rounds" means exactly the
+//! same thing everywhere — a boundary test in this module pins the firing
+//! round.
 
 #![warn(missing_docs)]
 
@@ -117,7 +116,7 @@ mod tests {
     }
 
     /// Window 0 degenerates to "stop after the first observation" — the
-    /// historical `run_to_quiescence(_, 0, _)` behavior.
+    /// behavior of `Session::run_to_quiescence(0, _)`.
     #[test]
     fn zero_window_fires_immediately() {
         let mut gate = QuiescenceGate::primed(0, 1u32);

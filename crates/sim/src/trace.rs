@@ -71,8 +71,8 @@ impl<T: PartialEq + Clone> Default for ChangeSeries<T> {
 }
 
 /// Windowed stability detector: reports how many consecutive observations
-/// have been identical. Complements `Runner::run_to_quiescence` when the
-/// caller wants to combine stability with other stop conditions.
+/// have been identical. Complements [`crate::Session::run_to_quiescence`]
+/// when the caller wants to combine stability with other stop conditions.
 #[derive(Debug, Clone)]
 pub struct StabilityWindow<T> {
     last: Option<T>,

@@ -53,9 +53,9 @@
 //! // optimal spanning tree is a path (Δ* = 2).
 //! let g = ssmdst::graph::generators::structured::star_with_ring(8).unwrap();
 //!
-//! let (out, runner) = ssmdst::run(&g, Config::for_n(g.n()), Scheduler::Synchronous, 10_000);
+//! let (out, session) = ssmdst::run(&g, Config::for_n(g.n()), Scheduler::Synchronous, 10_000);
 //! assert!(out.converged());
-//! let deg = ssmdst::core::oracle::current_degree(&g, runner.network()).unwrap();
+//! let deg = ssmdst::core::oracle::current_degree(&g, session.network()).unwrap();
 //! assert!(deg <= 3); // Δ* + 1 (Theorem 2)
 //! ```
 //!
@@ -171,41 +171,42 @@ pub mod prelude {
 }
 
 /// Build the protocol network over `g` and run it to quiescence (or
-/// `max_rounds`), returning the outcome and the runner for inspection —
+/// `max_rounds`), returning the outcome and the session for inspection —
 /// the shortest path from a graph to a stabilized tree. A thin wrapper
-/// over [`sim::Session`].
+/// over [`sim::Session`]; the returned session keeps `max_rounds` as its
+/// horizon.
 ///
 /// Quiescence is judged on the oracle projection (parents, `dmax`,
 /// distances) held stable for the canonical [`sim::quiet_window`] — the
 /// same [`sim::stop::QuiescenceGate`] predicate every driver uses. For
-/// fault-injection or dynamic-topology follow-ups, keep calling into the
-/// returned runner:
+/// fault-injection or dynamic-topology follow-ups, keep driving the
+/// returned session:
 ///
 /// ```
 /// use ssmdst::prelude::*;
-/// use ssmdst::sim::faults::{apply_churn, ChurnEvent};
+/// use ssmdst::sim::ChurnEvent;
 ///
 /// let g = ssmdst::graph::generators::structured::cycle(8).unwrap();
-/// let (out, mut runner) = ssmdst::run(&g, Config::for_n(g.n()), Scheduler::Synchronous, 20_000);
+/// let (out, mut session) = ssmdst::run(&g, Config::for_n(g.n()), Scheduler::Synchronous, 20_000);
 /// assert!(out.converged());
 ///
 /// // Cut one cycle edge: the tree must re-fit the now-forced path.
-/// apply_churn(runner.network_mut(), &ChurnEvent::RemoveEdge(0, 1));
-/// let out = runner.run_to_quiescence(20_000, 64, ssmdst::core::oracle::projection);
+/// session.churn(&ChurnEvent::RemoveEdge(0, 1));
+/// let out = session.run_to_quiescence(64, ssmdst::core::oracle::projection);
 /// assert!(out.converged());
 /// let budget = ssmdst::graph::SolveBudget { max_nodes: 100_000 };
-/// assert!(ssmdst::core::churn::reconverged_within_one(runner.network(), budget));
+/// assert!(ssmdst::core::churn::reconverged_within_one(session.network(), budget));
 /// ```
 pub fn run(
     g: &graph::Graph,
     cfg: core::Config,
     sched: sim::Scheduler,
     max_rounds: u64,
-) -> (sim::RunOutcome, sim::Runner<core::MdstNode>) {
+) -> (sim::RunOutcome, sim::Session<core::MdstNode>) {
     let mut session = sim::Session::from_network(core::build_network(g, cfg))
         .scheduler(sched)
         .horizon(max_rounds)
         .build();
     let out = session.run_to_quiescence(sim::quiet_window(g.n()), core::oracle::projection);
-    (out, session.into_runner())
+    (out, session)
 }

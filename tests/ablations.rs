@@ -16,10 +16,13 @@ fn quiet(n: usize) -> u64 {
 fn strict_mode_converges() {
     let g = GraphFamily::GnpSparse.generate(12, 1);
     let net = build_network(&g, Config::strict(g.n()));
-    let mut runner = Runner::new(net, Scheduler::Synchronous);
-    let out = runner.run_to_quiescence(300_000, quiet(g.n()), oracle::projection);
+    let mut session = Session::from_network(net)
+        .scheduler(Scheduler::Synchronous)
+        .horizon(300_000)
+        .build();
+    let out = session.run_to_quiescence(quiet(g.n()), oracle::projection);
     assert!(out.converged(), "strict mode stuck");
-    assert!(oracle::is_legitimate(&g, runner.network()));
+    assert!(oracle::is_legitimate(&g, session.network()));
 }
 
 /// A1: strict mode also recovers from corruption.
@@ -27,11 +30,14 @@ fn strict_mode_converges() {
 fn strict_mode_recovers_from_faults() {
     let g = GraphFamily::Grid.generate(9, 1);
     let net = build_network(&g, Config::strict(g.n()));
-    let mut runner = Runner::new(net, Scheduler::RandomAsync { seed: 4 });
-    inject(runner.network_mut(), FaultPlan::total(5));
-    let out = runner.run_to_quiescence(300_000, quiet(g.n()), oracle::projection);
+    let mut session = Session::from_network(net)
+        .scheduler(Scheduler::RandomAsync { seed: 4 })
+        .horizon(300_000)
+        .build();
+    inject(session.network_mut(), FaultPlan::total(5));
+    let out = session.run_to_quiescence(quiet(g.n()), oracle::projection);
     assert!(out.converged());
-    assert!(oracle::try_extract_tree(&g, runner.network()).is_some());
+    assert!(oracle::try_extract_tree(&g, session.network()).is_some());
 }
 
 /// A2: with Deblock disabled the protocol still stabilizes to a valid
@@ -41,10 +47,13 @@ fn no_deblock_still_safe() {
     for fam in [GraphFamily::GnpDense, GraphFamily::ScaleFree] {
         let g = fam.generate(12, 2);
         let net = build_network(&g, Config::without_deblock(g.n()));
-        let mut runner = Runner::new(net, Scheduler::Synchronous);
-        let out = runner.run_to_quiescence(150_000, quiet(g.n()), oracle::projection);
+        let mut session = Session::from_network(net)
+            .scheduler(Scheduler::Synchronous)
+            .horizon(150_000)
+            .build();
+        let out = session.run_to_quiescence(quiet(g.n()), oracle::projection);
         assert!(out.converged(), "{}", fam.label());
-        let t = oracle::try_extract_tree(&g, runner.network()).expect("tree");
+        let t = oracle::try_extract_tree(&g, session.network()).expect("tree");
         t.validate(&g).unwrap();
     }
 }
@@ -57,10 +66,13 @@ fn deblock_never_hurts_quality() {
         let g = GraphFamily::GnpDense.generate(12, seed);
         let run = |cfg: Config| {
             let net = build_network(&g, cfg);
-            let mut runner = Runner::new(net, Scheduler::Synchronous);
-            let out = runner.run_to_quiescence(150_000, quiet(g.n()), oracle::projection);
+            let mut session = Session::from_network(net)
+                .scheduler(Scheduler::Synchronous)
+                .horizon(150_000)
+                .build();
+            let out = session.run_to_quiescence(quiet(g.n()), oracle::projection);
             assert!(out.converged());
-            oracle::try_extract_tree(&g, runner.network())
+            oracle::try_extract_tree(&g, session.network())
                 .expect("tree")
                 .max_degree()
         };
@@ -83,8 +95,11 @@ fn short_search_period_still_converges() {
         ..Config::for_n(g.n())
     };
     let net = build_network(&g, cfg);
-    let mut runner = Runner::new(net, Scheduler::Synchronous);
-    let out = runner.run_to_quiescence(150_000, quiet(g.n()), oracle::projection);
+    let mut session = Session::from_network(net)
+        .scheduler(Scheduler::Synchronous)
+        .horizon(150_000)
+        .build();
+    let out = session.run_to_quiescence(quiet(g.n()), oracle::projection);
     assert!(out.converged());
-    assert!(oracle::is_legitimate(&g, runner.network()));
+    assert!(oracle::is_legitimate(&g, session.network()));
 }

@@ -6,12 +6,15 @@ use ssmdst::core::oracle;
 use ssmdst::graph::generators::GraphFamily;
 use ssmdst::prelude::*;
 
-fn run(g: &ssmdst::graph::Graph) -> Runner<ssmdst::core::MdstNode> {
+fn run(g: &ssmdst::graph::Graph) -> Session<ssmdst::core::MdstNode> {
     let net = build_network(g, Config::for_n(g.n()));
-    let mut runner = Runner::new(net, Scheduler::Synchronous);
-    let out = runner.run_to_quiescence(150_000, (6 * g.n() as u64).max(64), oracle::projection);
+    let mut session = Session::from_network(net)
+        .scheduler(Scheduler::Synchronous)
+        .horizon(150_000)
+        .build();
+    let out = session.run_to_quiescence((6 * g.n() as u64).max(64), oracle::projection);
     assert!(out.converged());
-    runner
+    session
 }
 
 /// `O(δ log n)` memory: measured bits within a fixed constant of δ·lg n.
@@ -19,8 +22,8 @@ fn run(g: &ssmdst::graph::Graph) -> Runner<ssmdst::core::MdstNode> {
 fn memory_within_constant_of_delta_log_n() {
     for n in [12usize, 24] {
         let g = GraphFamily::GnpSparse.generate(n, 3);
-        let runner = run(&g);
-        let bits = oracle::max_state_bits(runner.network());
+        let session = run(&g);
+        let bits = oracle::max_state_bits(session.network());
         let b = (usize::BITS - (g.n() - 1).leading_zeros()) as usize;
         let bound = g.max_degree() * b;
         assert!(
@@ -37,8 +40,8 @@ fn memory_within_constant_of_delta_log_n() {
 fn message_length_within_constant_of_n_log_n() {
     for n in [12usize, 24] {
         let g = GraphFamily::GnpSparse.generate(n, 3);
-        let runner = run(&g);
-        let bits = runner.network().metrics.max_message_bits();
+        let session = run(&g);
+        let bits = session.network().metrics.max_message_bits();
         let bound = (g.n() as f64) * (g.n() as f64).log2();
         assert!(
             (bits as f64) <= 6.0 * bound,
@@ -56,10 +59,12 @@ fn rounds_within_paper_bound() {
     for fam in [GraphFamily::GnpSparse, GraphFamily::ScaleFree] {
         let g = fam.generate(20, 4);
         let net = build_network(&g, Config::for_n(g.n()));
-        let mut runner = Runner::new(net, Scheduler::Synchronous);
         let bound = (g.m() as f64) * (g.n() as f64).powi(2) * (g.n() as f64).log2();
-        let out =
-            runner.run_to_quiescence(bound as u64, (6 * g.n() as u64).max(64), oracle::projection);
+        let mut session = Session::from_network(net)
+            .scheduler(Scheduler::Synchronous)
+            .horizon(bound as u64)
+            .build();
+        let out = session.run_to_quiescence((6 * g.n() as u64).max(64), oracle::projection);
         assert!(out.converged(), "{} exceeded the paper bound", fam.label());
     }
 }
@@ -69,11 +74,11 @@ fn rounds_within_paper_bound() {
 #[test]
 fn steady_state_traffic_is_bounded() {
     let g = GraphFamily::GnpSparse.generate(16, 5);
-    let mut runner = run(&g);
-    let before = runner.network().metrics.total_sent;
+    let mut session = run(&g);
+    let before = session.network().metrics.total_sent;
     let rounds = 100;
-    let _ = runner.run_until(rounds, |_, _| false);
-    let per_round = (runner.network().metrics.total_sent - before) / rounds;
+    let _ = session.run_until(rounds, &mut ());
+    let per_round = (session.network().metrics.total_sent - before) / rounds;
     // 2m InfoMsg per round + searches; the cap below is ~6x observed.
     let cap = (2 * g.m() as u64) * 10;
     assert!(
@@ -89,16 +94,22 @@ fn convergence_rounds_scale_sanely() {
     let small = {
         let g = GraphFamily::Grid.generate(9, 1);
         let net = build_network(&g, Config::for_n(g.n()));
-        let mut r = Runner::new(net, Scheduler::Synchronous);
-        let _ = r.run_to_quiescence(150_000, 64, oracle::projection);
-        r.round()
+        let mut s = Session::from_network(net)
+            .scheduler(Scheduler::Synchronous)
+            .horizon(150_000)
+            .build();
+        let _ = s.run_to_quiescence(64, oracle::projection);
+        s.round()
     };
     let large = {
         let g = GraphFamily::Grid.generate(36, 1);
         let net = build_network(&g, Config::for_n(g.n()));
-        let mut r = Runner::new(net, Scheduler::Synchronous);
-        let _ = r.run_to_quiescence(150_000, 6 * 36, oracle::projection);
-        r.round()
+        let mut s = Session::from_network(net)
+            .scheduler(Scheduler::Synchronous)
+            .horizon(150_000)
+            .build();
+        let _ = s.run_to_quiescence(6 * 36, oracle::projection);
+        s.round()
     };
     assert!(large > small, "{large} vs {small}");
 }

@@ -12,10 +12,13 @@ fn multi_hub_all_hubs_reduced() {
     let hubs = 4;
     let g = multi_hub(hubs, 5).unwrap();
     let net = build_network(&g, Config::for_n(g.n()));
-    let mut runner = Runner::new(net, Scheduler::Synchronous);
-    let out = runner.run_to_quiescence(200_000, 6 * g.n() as u64, oracle::projection);
+    let mut session = Session::from_network(net)
+        .scheduler(Scheduler::Synchronous)
+        .horizon(200_000)
+        .build();
+    let out = session.run_to_quiescence(6 * g.n() as u64, oracle::projection);
     assert!(out.converged());
-    let t = oracle::try_extract_tree(&g, runner.network()).expect("tree");
+    let t = oracle::try_extract_tree(&g, session.network()).expect("tree");
     assert!(
         t.max_degree() <= 4,
         "hubs not reduced: deg {}",
@@ -39,11 +42,14 @@ fn multi_hub_all_hubs_reduced() {
 fn disjoint_improvements_overlap_in_time() {
     let g = multi_hub(6, 5).unwrap();
     let net = build_network(&g, Config::for_n(g.n()));
-    let mut runner = Runner::new(net, Scheduler::Synchronous);
+    let mut session = Session::from_network(net)
+        .scheduler(Scheduler::Synchronous)
+        .horizon(400_000)
+        .build();
     let quiet = 6 * g.n() as u64;
-    let out = runner.run_to_quiescence(400_000, quiet, oracle::projection);
+    let out = session.run_to_quiescence(quiet, oracle::projection);
     assert!(out.converged());
-    let conv = runner.round() - quiet;
+    let conv = session.round() - quiet;
     // Fair comparison: the serialized emulation of [3] pays a refresh
     // (diameter) plus one search period per single-swap phase.
     let t0 = ssmdst::baselines::bfs_spanning_tree(&g, 0).unwrap();
@@ -62,9 +68,12 @@ fn disjoint_improvements_overlap_in_time() {
 fn multi_hub_converges_async() {
     let g = multi_hub(3, 4).unwrap();
     let net = build_network(&g, Config::for_n(g.n()));
-    let mut runner = Runner::new(net, Scheduler::RandomAsync { seed: 7 });
-    let out = runner.run_to_quiescence(200_000, 6 * g.n() as u64, oracle::projection);
+    let mut session = Session::from_network(net)
+        .scheduler(Scheduler::RandomAsync { seed: 7 })
+        .horizon(200_000)
+        .build();
+    let out = session.run_to_quiescence(6 * g.n() as u64, oracle::projection);
     assert!(out.converged());
-    let t = oracle::try_extract_tree(&g, runner.network()).expect("tree");
+    let t = oracle::try_extract_tree(&g, session.network()).expect("tree");
     assert!(t.max_degree() <= 4);
 }

@@ -9,10 +9,13 @@ use ssmdst::prelude::*;
 /// Run to quiescence and return (converged, tree degree).
 fn converge(g: &ssmdst::graph::Graph, sched: Scheduler) -> (bool, Option<u32>) {
     let net = build_network(g, Config::for_n(g.n()));
-    let mut runner = Runner::new(net, sched);
+    let mut session = Session::from_network(net)
+        .scheduler(sched)
+        .horizon(150_000)
+        .build();
     let quiet = (6 * g.n() as u64).max(64);
-    let out = runner.run_to_quiescence(150_000, quiet, oracle::projection);
-    let tree = oracle::try_extract_tree(g, runner.network());
+    let out = session.run_to_quiescence(quiet, oracle::projection);
+    let tree = oracle::try_extract_tree(g, session.network());
     if let Some(t) = &tree {
         t.validate(g).expect("extracted tree must validate");
     }
@@ -84,11 +87,14 @@ fn deterministic_same_seed_same_result() {
     let g = GraphFamily::GnpDense.generate(14, 9);
     let run = || {
         let net = build_network(&g, Config::for_n(g.n()));
-        let mut runner = Runner::new(net, Scheduler::RandomAsync { seed: 42 });
-        let _ = runner.run_to_quiescence(150_000, 96, oracle::projection);
+        let mut session = Session::from_network(net)
+            .scheduler(Scheduler::RandomAsync { seed: 42 })
+            .horizon(150_000)
+            .build();
+        let _ = session.run_to_quiescence(96, oracle::projection);
         (
-            oracle::projection(runner.network()),
-            runner.network().metrics.total_sent,
+            oracle::projection(session.network()),
+            session.network().metrics.total_sent,
         )
     };
     assert_eq!(run(), run());

@@ -13,10 +13,13 @@ use ssmdst::prelude::*;
 
 fn protocol_degree(g: &ssmdst::graph::Graph) -> u32 {
     let net = build_network(g, Config::for_n(g.n()));
-    let mut runner = Runner::new(net, Scheduler::Synchronous);
-    let out = runner.run_to_quiescence(150_000, (6 * g.n() as u64).max(64), oracle::projection);
+    let mut session = Session::from_network(net)
+        .scheduler(Scheduler::Synchronous)
+        .horizon(150_000)
+        .build();
+    let out = session.run_to_quiescence((6 * g.n() as u64).max(64), oracle::projection);
     assert!(out.converged());
-    oracle::try_extract_tree(g, runner.network())
+    oracle::try_extract_tree(g, session.network())
         .expect("terminal tree")
         .max_degree()
 }

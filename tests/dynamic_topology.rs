@@ -19,16 +19,11 @@ fn budget() -> SolveBudget {
 }
 
 /// Run to quiescence and assert the component-wise tree bound.
-fn assert_reconverges(
-    runner: &mut Runner<MdstNode>,
-    max_rounds: u64,
-    context: &dyn std::fmt::Display,
-) {
-    let n = runner.network().n();
-    let out =
-        runner.run_to_quiescence(max_rounds, ssmdst::sim::quiet_window(n), oracle::projection);
+fn assert_reconverges(session: &mut Session<MdstNode>, context: &dyn std::fmt::Display) {
+    let n = session.network().n();
+    let out = session.run_to_quiescence(ssmdst::sim::quiet_window(n), oracle::projection);
     assert!(out.converged(), "no quiescence after {context}");
-    let reports = churn::check_reconvergence(runner.network(), budget())
+    let reports = churn::check_reconvergence(session.network(), budget())
         .unwrap_or_else(|e| panic!("after {context}: {e}"));
     for r in &reports {
         assert!(
@@ -48,15 +43,18 @@ fn gauntlet_under(sched: Scheduler) {
         plan.events
     );
     let net = build_network(&g, Config::for_n(g.n()));
-    let mut runner = Runner::new(net, sched);
-    assert_reconverges(&mut runner, 60_000, &"initial convergence");
+    let mut session = Session::from_network(net)
+        .scheduler(sched)
+        .horizon(60_000)
+        .build();
+    assert_reconverges(&mut session, &"initial convergence");
     for ev in &plan.events {
-        apply_churn(runner.network_mut(), ev);
-        assert_reconverges(&mut runner, 60_000, ev);
+        apply_churn(session.network_mut(), ev);
+        assert_reconverges(&mut session, ev);
     }
     // The plan is symmetric (every removal is healed, every crash rejoined):
     // the final topology is the original graph, spanned by a single tree.
-    let final_reports = churn::check_reconvergence(runner.network(), budget()).unwrap();
+    let final_reports = churn::check_reconvergence(session.network(), budget()).unwrap();
     assert_eq!(final_reports.len(), 1, "final topology reconnected");
     assert_eq!(final_reports[0].nodes.len(), g.n());
 }
@@ -83,15 +81,18 @@ fn gauntlet_reconverges_under_adversarial() {
 fn new_edge_insertion_is_absorbed() {
     let g = ssmdst::graph::generators::structured::star_with_ring(10).unwrap();
     let net = build_network(&g, Config::for_n(g.n()));
-    let mut runner = Runner::new(net, Scheduler::Synchronous);
-    assert_reconverges(&mut runner, 60_000, &"initial convergence");
-    let before = oracle::current_degree(&g, runner.network()).unwrap();
+    let mut session = Session::from_network(net)
+        .scheduler(Scheduler::Synchronous)
+        .horizon(60_000)
+        .build();
+    assert_reconverges(&mut session, &"initial convergence");
+    let before = oracle::current_degree(&g, session.network()).unwrap();
     // Wire two ring nodes that are not adjacent in the host graph.
     let ev = ChurnEvent::InsertEdge(2, 6);
-    let applied = apply_churn(runner.network_mut(), &ev);
+    let applied = apply_churn(session.network_mut(), &ev);
     assert_eq!(applied, 1, "edge {ev} must be new");
-    assert_reconverges(&mut runner, 60_000, &ev);
-    let g_now = runner.network().current_graph();
-    let after = oracle::current_degree(&g_now, runner.network()).unwrap();
+    assert_reconverges(&mut session, &ev);
+    let g_now = session.network().current_graph();
+    let after = oracle::current_degree(&g_now, session.network()).unwrap();
     assert!(after <= before, "degree regressed: {before} -> {after}");
 }

@@ -16,12 +16,15 @@ fn small_graph() -> impl Strategy<Value = Graph> {
 
 fn converge(g: &Graph, sched: Scheduler) -> Option<u32> {
     let net = build_network(g, Config::for_n(g.n()));
-    let mut runner = Runner::new(net, sched);
-    let out = runner.run_to_quiescence(80_000, (6 * g.n() as u64).max(64), oracle::projection);
+    let mut session = Session::from_network(net)
+        .scheduler(sched)
+        .horizon(80_000)
+        .build();
+    let out = session.run_to_quiescence((6 * g.n() as u64).max(64), oracle::projection);
     if !out.converged() {
         return None;
     }
-    oracle::try_extract_tree(g, runner.network()).map(|t| {
+    oracle::try_extract_tree(g, session.network()).map(|t| {
         t.validate(g).expect("tree validates");
         t.max_degree()
     })
@@ -47,15 +50,11 @@ proptest! {
     #[test]
     fn random_corruption_recovers(g in small_graph(), fault_seed in 0u64..1000) {
         let net = build_network(&g, Config::for_n(g.n()));
-        let mut runner = Runner::new(net, Scheduler::RandomAsync { seed: fault_seed });
-        inject(runner.network_mut(), FaultPlan::total(fault_seed));
-        let out = runner.run_to_quiescence(
-            80_000,
-            (6 * g.n() as u64).max(64),
-            oracle::projection,
-        );
+        let mut session = Session::from_network(net).scheduler(Scheduler::RandomAsync { seed: fault_seed }).horizon(80_000).build();
+        inject(session.network_mut(), FaultPlan::total(fault_seed));
+        let out = session.run_to_quiescence((6 * g.n() as u64).max(64), oracle::projection);
         prop_assert!(out.converged());
-        prop_assert!(oracle::is_legitimate(&g, runner.network()));
+        prop_assert!(oracle::is_legitimate(&g, session.network()));
     }
 
     /// The sequential FR baseline satisfies the same bound on random

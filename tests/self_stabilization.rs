@@ -21,12 +21,15 @@ fn converges_from_total_corruption() {
     ] {
         let g = fam.generate(12, 4);
         let net = build_network(&g, Config::for_n(g.n()));
-        let mut runner = Runner::new(net, Scheduler::RandomAsync { seed: 8 });
-        inject(runner.network_mut(), FaultPlan::total(13));
-        let out = runner.run_to_quiescence(150_000, quiet(g.n()), oracle::projection);
+        let mut session = Session::from_network(net)
+            .scheduler(Scheduler::RandomAsync { seed: 8 })
+            .horizon(150_000)
+            .build();
+        inject(session.network_mut(), FaultPlan::total(13));
+        let out = session.run_to_quiescence(quiet(g.n()), oracle::projection);
         assert!(out.converged(), "{}: stuck after corruption", fam.label());
         assert!(
-            oracle::is_legitimate(&g, runner.network()),
+            oracle::is_legitimate(&g, session.network()),
             "{}: terminal state not legitimate",
             fam.label()
         );
@@ -40,11 +43,14 @@ fn converges_from_many_garbage_states() {
     let g = GraphFamily::GnpSparse.generate(10, 2);
     for adversary_seed in 0..8u64 {
         let net = build_network(&g, Config::for_n(g.n()));
-        let mut runner = Runner::new(net, Scheduler::Synchronous);
-        inject(runner.network_mut(), FaultPlan::total(adversary_seed));
-        let out = runner.run_to_quiescence(150_000, quiet(g.n()), oracle::projection);
+        let mut session = Session::from_network(net)
+            .scheduler(Scheduler::Synchronous)
+            .horizon(150_000)
+            .build();
+        inject(session.network_mut(), FaultPlan::total(adversary_seed));
+        let out = session.run_to_quiescence(quiet(g.n()), oracle::projection);
         assert!(out.converged(), "adversary seed {adversary_seed}");
-        assert!(oracle::is_legitimate(&g, runner.network()));
+        assert!(oracle::is_legitimate(&g, session.network()));
     }
 }
 
@@ -54,14 +60,17 @@ fn converges_from_many_garbage_states() {
 fn legitimate_configurations_are_closed() {
     let g = GraphFamily::GnpDense.generate(12, 6);
     let net = build_network(&g, Config::for_n(g.n()));
-    let mut runner = Runner::new(net, Scheduler::Synchronous);
-    let out = runner.run_to_quiescence(150_000, quiet(g.n()), oracle::projection);
+    let mut session = Session::from_network(net)
+        .scheduler(Scheduler::Synchronous)
+        .horizon(150_000)
+        .build();
+    let out = session.run_to_quiescence(quiet(g.n()), oracle::projection);
     assert!(out.converged());
-    let before = oracle::projection(runner.network());
+    let before = oracle::projection(session.network());
     // Run a long time past convergence: nothing may change.
-    let _ = runner.run_until(5_000, |_, _| false);
-    assert_eq!(before, oracle::projection(runner.network()));
-    assert!(oracle::is_legitimate(&g, runner.network()));
+    let _ = session.run_until(5_000, &mut ());
+    assert_eq!(before, oracle::projection(session.network()));
+    assert!(oracle::is_legitimate(&g, session.network()));
 }
 
 /// Partial corruption at every fraction recovers, and the recovered degree
@@ -72,13 +81,16 @@ fn recovers_from_partial_corruption_at_all_fractions() {
     let lb = ssmdst::graph::degree_lower_bound(&g);
     for frac in [0.1f64, 0.3, 0.7] {
         let net = build_network(&g, Config::for_n(g.n()));
-        let mut runner = Runner::new(net, Scheduler::Synchronous);
-        let out = runner.run_to_quiescence(150_000, quiet(g.n()), oracle::projection);
+        let mut session = Session::from_network(net)
+            .scheduler(Scheduler::Synchronous)
+            .horizon(150_000)
+            .build();
+        let out = session.run_to_quiescence(quiet(g.n()), oracle::projection);
         assert!(out.converged());
-        inject(runner.network_mut(), FaultPlan::partial(frac, 21));
-        let out = runner.run_to_quiescence(150_000, quiet(g.n()), oracle::projection);
+        inject(session.network_mut(), FaultPlan::partial(frac, 21));
+        let out = session.run_to_quiescence(quiet(g.n()), oracle::projection);
         assert!(out.converged(), "fraction {frac}");
-        let t = oracle::try_extract_tree(&g, runner.network()).expect("tree");
+        let t = oracle::try_extract_tree(&g, session.network()).expect("tree");
         // deg ≤ Δ*+1 and Δ* is at least the combinatorial lower bound; the
         // exact solver confirms Δ* ≤ lb+1 on these instances, so lb+2 is a
         // safe envelope.
@@ -91,14 +103,17 @@ fn recovers_from_partial_corruption_at_all_fractions() {
 fn survives_message_loss_bursts() {
     let g = GraphFamily::Geometric.generate(12, 7);
     let net = build_network(&g, Config::for_n(g.n()));
-    let mut runner = Runner::new(net, Scheduler::RandomAsync { seed: 2 });
+    let mut session = Session::from_network(net)
+        .scheduler(Scheduler::RandomAsync { seed: 2 })
+        .horizon(150_000)
+        .build();
     for _ in 0..5 {
-        let _ = runner.run_until(50, |_, _| false);
-        runner.network_mut().clear_channels();
+        let _ = session.run_until(50, &mut ());
+        session.network_mut().clear_channels();
     }
-    let out = runner.run_to_quiescence(150_000, quiet(g.n()), oracle::projection);
+    let out = session.run_to_quiescence(quiet(g.n()), oracle::projection);
     assert!(out.converged());
-    assert!(oracle::is_legitimate(&g, runner.network()));
+    assert!(oracle::is_legitimate(&g, session.network()));
 }
 
 /// The fault-recovery path also works under the adversarial daemon.
@@ -106,11 +121,14 @@ fn survives_message_loss_bursts() {
 fn recovery_under_adversarial_daemon() {
     let g = GraphFamily::Hypercube.generate(16, 0);
     let net = build_network(&g, Config::for_n(g.n()));
-    let mut runner = Runner::new(net, Scheduler::Adversarial { seed: 17 });
-    let out = runner.run_to_quiescence(200_000, quiet(g.n()), oracle::projection);
+    let mut session = Session::from_network(net)
+        .scheduler(Scheduler::Adversarial { seed: 17 })
+        .horizon(200_000)
+        .build();
+    let out = session.run_to_quiescence(quiet(g.n()), oracle::projection);
     assert!(out.converged());
-    inject(runner.network_mut(), FaultPlan::total(3));
-    let out = runner.run_to_quiescence(200_000, quiet(g.n()), oracle::projection);
+    inject(session.network_mut(), FaultPlan::total(3));
+    let out = session.run_to_quiescence(quiet(g.n()), oracle::projection);
     assert!(out.converged());
-    assert!(oracle::is_legitimate(&g, runner.network()));
+    assert!(oracle::is_legitimate(&g, session.network()));
 }

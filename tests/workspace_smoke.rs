@@ -28,8 +28,11 @@ fn facade_reexports_are_reachable() {
     assert_eq!(net.n(), g.n());
 
     // ssmdst::sim == ssmdst_sim
-    let mut runner = ssmdst::sim::Runner::new(net, ssmdst::sim::Scheduler::Synchronous);
-    let out = runner.run_to_quiescence(10_000, 64, ssmdst::core::oracle::projection);
+    let mut session = ssmdst::sim::Session::from_network(net)
+        .scheduler(ssmdst::sim::Scheduler::Synchronous)
+        .horizon(10_000)
+        .build();
+    let out = session.run_to_quiescence(64, ssmdst::core::oracle::projection);
     assert!(out.converged());
 }
 
@@ -49,9 +52,15 @@ fn prelude_surface_is_complete() {
     t.validate(&g).unwrap();
 
     let net: Network<MdstNode> = build_network(&g, Config::for_n(g.n()));
-    let mut runner: Runner<MdstNode> = Runner::new(net, Scheduler::Synchronous);
-    let out: RunOutcome = runner.run_until(1_000, |net, _| oracle::all_tree_stabilized(net));
+    let mut session: Session<MdstNode> = Session::from_network(net)
+        .scheduler(Scheduler::Synchronous)
+        .build();
+    let out: RunOutcome = session.run_until(
+        1_000,
+        &mut stop_when(|net: &Network<MdstNode>, _| oracle::all_tree_stabilized(net)),
+    );
     assert!(out.converged());
+    let _: &Runner<MdstNode> = session.runner();
 }
 
 /// The lib.rs quickstart, verbatim as a compiled test (the doctest runs it
@@ -61,11 +70,17 @@ fn prelude_surface_is_complete() {
 fn quickstart_runs_to_low_degree() {
     let g = ssmdst::graph::generators::structured::star_with_ring(8).unwrap();
     let net = ssmdst::core::build_network(&g, Config::for_n(g.n()));
-    let mut runner = Runner::new(net, Scheduler::Synchronous);
-    let out = runner.run_until(10_000, |net, _| {
-        ssmdst::core::oracle::current_degree(&g, net)
-            .map(|d| d <= 3)
-            .unwrap_or(false)
-    });
+    let mut session = Session::from_network(net)
+        .scheduler(Scheduler::Synchronous)
+        .horizon(10_000)
+        .build();
+    let out = session.run_until(
+        10_000,
+        &mut stop_when(|net: &Network<MdstNode>, _| {
+            ssmdst::core::oracle::current_degree(&g, net)
+                .map(|d| d <= 3)
+                .unwrap_or(false)
+        }),
+    );
     assert!(out.converged());
 }
