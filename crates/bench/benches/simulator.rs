@@ -28,49 +28,18 @@ fn bench_round_throughput(c: &mut Criterion) {
     g.finish();
 }
 
-/// Old-vs-new engine: the same steady-state round driven by the indexed
-/// event queue (`step_round`) vs the pre-engine full rescan of every node
-/// and channel (`step_round_rescan`). Both execute the identical schedule
-/// (the equivalence is asserted by `event_engine_matches_rescan_engine` in
-/// ssmdst-sim), so the delta is pure obligation-discovery cost — the
-/// quantity the event-driven engine exists to shrink.
-fn bench_engine_compare(c: &mut Criterion) {
-    let mut g = c.benchmark_group("engine-compare");
-    g.sample_size(20);
-    for n in [16usize, 32] {
-        let graph = GraphFamily::GnpSparse.generate(n, 1);
-        g.bench_with_input(BenchmarkId::new("event-engine", n), &graph, |b, graph| {
-            let mut r = steady_state_runner(graph);
-            b.iter(|| {
-                r.step_round();
-                black_box(r.round())
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("legacy-rescan", n), &graph, |b, graph| {
-            let mut r = steady_state_runner(graph);
-            b.iter(|| {
-                r.step_round_rescan();
-                black_box(r.round())
-            })
-        });
-    }
-    g.finish();
-}
-
 /// Sparse-activity workload: one sentinel node circulates a single token
 /// while everyone else is disabled — the regime where obligation
 /// *discovery* dominates obligation *execution*. A protocol round here has
-/// 2 obligations; the legacy path still rescans all `n` nodes and all
-/// `2m` channels to find them, while the event engine reads its indices.
-/// (The steady-state MDST rounds above are obligation-dominated — every
-/// node gossips every round — so the two engines tie there by design.)
+/// 2 obligations, which the event engine reads off its incremental
+/// indices instead of scanning all `n` nodes and `2m` channels.
 fn bench_sparse_activity(c: &mut Criterion) {
     // The workload definition is shared with the S1–S3 experiments
     // (`experiments::fabric`), so this group and the committed
     // BENCH_flat_fabric.json measure the identical regime.
     use ssmdst_bench::experiments::fabric::sentinel_network;
 
-    let mut g = c.benchmark_group("engine-compare-sparse");
+    let mut g = c.benchmark_group("sparse-activity");
     g.sample_size(20);
     // 4096 uses the skip-sampling generator: the O(n²) coin-flip loop of
     // GnpSparse would dominate setup long before the bench body runs.
@@ -86,13 +55,6 @@ fn bench_sparse_activity(c: &mut Criterion) {
             let mut r = Runner::new(sentinel_network(&graph), Scheduler::Synchronous);
             b.iter(|| {
                 r.step_round();
-                black_box(r.round())
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("legacy-rescan", n), &(), |b, _| {
-            let mut r = Runner::new(sentinel_network(&graph), Scheduler::Synchronous);
-            b.iter(|| {
-                r.step_round_rescan();
                 black_box(r.round())
             })
         });
@@ -130,7 +92,6 @@ fn bench_network_build(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_round_throughput,
-    bench_engine_compare,
     bench_sparse_activity,
     bench_network_build
 );

@@ -869,12 +869,11 @@ pub mod fabric {
         pub slots: usize,
         pub build_us: u128,
         pub event_ns_per_round: f64,
-        pub rescan_ns_per_round: f64,
         pub gossip_ns_per_obligation: f64,
     }
 
     /// Measure one instance: fabric build time, sparse-activity round cost
-    /// on both discovery paths, and dense-gossip per-obligation cost.
+    /// and dense-gossip per-obligation cost.
     pub fn measure(g: &ssmdst_graph::Graph) -> FabricRow {
         let build_start = Instant::now(); // lint: allow(no-ambient-entropy) — wall-clock measurement is the payload of this microbenchmark; never feeds simulation state
         let sentinel_net = sentinel_network(g);
@@ -893,19 +892,6 @@ pub mod fabric {
             r.step_round();
         }
         let event_ns_per_round = t.elapsed().as_nanos() as f64 / rounds as f64;
-
-        // Same workload on the legacy full-rescan path: per-round cost is
-        // O(n + slots), so scale the round count down to keep the sweep
-        // bounded while retaining enough samples.
-        let rescan_rounds = (1u64 << 24)
-            .checked_div((g.n() + slots) as u64)
-            .unwrap_or(1)
-            .clamp(64, 16_384);
-        let t = Instant::now(); // lint: allow(no-ambient-entropy) — wall-clock measurement is the payload of this microbenchmark; never feeds simulation state
-        for _ in 0..rescan_rounds {
-            r.step_round_rescan();
-        }
-        let rescan_ns_per_round = t.elapsed().as_nanos() as f64 / rescan_rounds as f64;
 
         // Dense gossip: a handful of rounds is plenty — each already
         // executes ~n + 2m obligations.
@@ -930,7 +916,6 @@ pub mod fabric {
             slots,
             build_us,
             event_ns_per_round,
-            rescan_ns_per_round,
             gossip_ns_per_obligation,
         }
     }
@@ -939,7 +924,7 @@ pub mod fabric {
 /// Shared body of the S experiments: sweep `p.scale_sizes`, one row per
 /// size. The `disc vs n₀` column is event-engine discovery cost relative
 /// to the sweep's smallest size — the "flat, not log-linear" claim is that
-/// it stays O(1)-ish while `rescan/event` grows linearly with n.
+/// it stays O(1)-ish as n grows.
 fn scale_table(p: &Profile, gen: impl Fn(usize, u64) -> Graph) -> Table {
     let mut t = Table::new(vec![
         "n",
@@ -947,8 +932,6 @@ fn scale_table(p: &Profile, gen: impl Fn(usize, u64) -> Graph) -> Table {
         "slots",
         "build µs",
         "event ns/round",
-        "rescan ns/round",
-        "rescan/event",
         "gossip ns/oblig",
         "disc vs n₀",
     ]);
@@ -963,8 +946,6 @@ fn scale_table(p: &Profile, gen: impl Fn(usize, u64) -> Graph) -> Table {
             row.slots.to_string(),
             row.build_us.to_string(),
             format!("{:.0}", row.event_ns_per_round),
-            format!("{:.0}", row.rescan_ns_per_round),
-            format!("{:.1}x", row.rescan_ns_per_round / row.event_ns_per_round),
             format!("{:.1}", row.gossip_ns_per_obligation),
             format!("{:.2}x", row.event_ns_per_round / base),
         ]);

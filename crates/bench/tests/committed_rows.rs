@@ -6,17 +6,9 @@
 //! gives the committed cells exactly. A baseline or protocol change that
 //! moves a cell fails here until the file is regenerated with
 //! `experiments all --quick --json BENCH_baseline.json`.
-//!
-//! The digests in `BENCH_backends.json` are a function of the three
-//! instances the `backends` bin builds, so those instances are pinned by a
-//! structural fingerprint: a generator change fails here instead of
-//! silently making the committed digests stale.
 
 use ssmdst_bench::experiments::{f3_concurrency, t5_baselines};
 use ssmdst_bench::{Profile, Table};
-use ssmdst_graph::generators::random::{gnp_connected, near_regular};
-use ssmdst_graph::Graph;
-use ssmdst_sim::Digest;
 
 const BASELINE: &str = include_str!("../../../BENCH_baseline.json");
 
@@ -61,39 +53,4 @@ fn committed_t5_and_f3_rows_reproduce_under_quick_profile() {
     let p = Profile::quick();
     assert_reproduces("t5", &t5_baselines(&p));
     assert_reproduces("f3", &f3_concurrency(&p));
-}
-
-/// `(n, m, FNV-1a over n, m and the sorted edge list)`.
-fn fingerprint(g: &Graph) -> (usize, usize, u64) {
-    let mut d = Digest::new();
-    d.write_u64(g.n() as u64);
-    d.write_u64(g.m() as u64);
-    // `edges()` is the canonical list: `u < v`, lexicographically sorted.
-    for &(u, v) in g.edges() {
-        d.write_u32(u);
-        d.write_u32(v);
-    }
-    (g.n(), g.m(), d.value())
-}
-
-/// The `bk1`, `bk2` and `bk3` instances of the `backends` bin. When one of
-/// these moves, re-run `backends --json BENCH_backends.json` and update
-/// the fingerprint here.
-#[test]
-fn backends_bench_instances_are_pinned() {
-    assert_eq!(
-        fingerprint(&gnp_connected(256, 0.06, 11)),
-        (256, 1946, 0xadc759760a257ca3),
-        "bk1: G(256, 0.06) seed 11"
-    );
-    assert_eq!(
-        fingerprint(&near_regular(2048, 8, 7)),
-        (2048, 8191, 0x1723455fa52fc6ab),
-        "bk2: near-regular(2048, 8) seed 7"
-    );
-    assert_eq!(
-        fingerprint(&gnp_connected(96, 0.08, 3)),
-        (96, 375, 0xe2eb5f6970a72e6c),
-        "bk3: G(96, 0.08) seed 3"
-    );
 }

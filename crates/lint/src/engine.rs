@@ -600,7 +600,7 @@ mod tests {
             Some(("sim".into(), TargetKind::Test))
         );
         assert_eq!(
-            k("crates/bench/src/bin/backends.rs"),
+            k("crates/bench/src/bin/experiments.rs"),
             Some(("bench".into(), TargetKind::Bin))
         );
         assert_eq!(

@@ -1,11 +1,11 @@
 //! `ssmdst-lint` — contract-enforcing static analysis for this workspace.
 //!
 //! The repository's load-bearing guarantees are *behavioural*: bit-exact
-//! per-seed replay digests across three backends, a zero-allocation
-//! steady-state round loop, explicit-seed-only randomness, and
-//! listed-options errors instead of panics. Each is enforced dynamically
-//! (conformance ladder, counting allocator, golden traces) — which means
-//! a violation is caught only after it executes. This crate is the static
+//! per-seed replay digests, a zero-allocation steady-state round loop,
+//! explicit-seed-only randomness, and listed-options errors instead of
+//! panics. Each is enforced dynamically (scenario corpus, counting
+//! allocator, golden traces) — which means a violation is caught only
+//! after it executes. This crate is the static
 //! complement: an offline, dependency-free pass with a hand-rolled Rust
 //! lexer ([`lexer`]) and a rule engine ([`engine`]) that walks every
 //! workspace `.rs` file and flags, at its source line, code that *would*
@@ -13,7 +13,7 @@
 //!
 //! | code | rule | contract it guards |
 //! |------|------|--------------------|
-//! | R1 | `no-unordered-collections` | bit-exact replay (PR 4/7 conformance ladder) |
+//! | R1 | `no-unordered-collections` | bit-exact replay (golden traces, scenario corpus) |
 //! | R2 | `no-ambient-entropy` | explicit-seed determinism (PR 1) |
 //! | R3 | `zero-alloc-hot-path` | the alloc meter (`tests/zero_alloc.rs`, PR 3) |
 //! | R4 | `no-panic-in-library` | listed-options errors (PR 7 CLI/scn conventions) |

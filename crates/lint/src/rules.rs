@@ -1,5 +1,5 @@
 //! The rule set: five contracts this repository already enforces
-//! dynamically (conformance ladder, alloc meter, replay goldens), made
+//! dynamically (scenario corpus, alloc meter, replay goldens), made
 //! checkable at the source line that would break them.
 
 /// One of the enforced contracts.

@@ -223,7 +223,6 @@ pub fn run_protocol<P: Protocol>(
     // horizon.
     let mut session = Session::from_network(proto.build(&g, &scn.config))
         .scheduler(scn.scheduler.scheduler())
-        .backend(scn.backend)
         .observe(Recorder::<P>::new());
 
     if let Some(c) = &scn.init_corrupt {

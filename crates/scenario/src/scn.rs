@@ -34,13 +34,6 @@ pub fn render(s: &Scenario) -> String {
     if s.protocol != ProtocolSpec::default() {
         let _ = writeln!(out, "protocol = {}", s.protocol.label());
     }
-    // Same omission contract for the execution backend: the default
-    // (reference) keeps pre-backend scenario texts byte-identical. The
-    // Display form (not the bare family label) round-trips the sharded
-    // backend's shard count (`backend = sharded:4`).
-    if s.backend != Backend::default() {
-        let _ = writeln!(out, "backend = {}", s.backend);
-    }
     let _ = writeln!(out, "topology = {}", render_topology(&s.topology));
     let _ = writeln!(out, "scheduler = {}", render_scheduler(&s.scheduler));
     let _ = writeln!(out, "config = {}", render_config(&s.config));
@@ -199,8 +192,8 @@ pub fn parse(text: &str) -> Result<Scenario, String> {
                 name = Some(value.to_string());
             }
             "protocol" => protocol = ProtocolSpec::parse(value).map_err(ctx)?,
-            // An unknown backend is a listed-options parse error, never a
-            // silent fall-through to the reference loop.
+            // `backend = reference` still parses (the only round loop);
+            // any other name is a listed-options parse error.
             "backend" => backend = Backend::parse(value).map_err(ctx)?,
             "topology" => topology = Some(parse_topology(value).map_err(ctx)?),
             "scheduler" => scheduler = Some(parse_scheduler(value).map_err(ctx)?),
@@ -524,15 +517,17 @@ mod tests {
         .is_err());
         // Unknown backend: a listed-options error, not a silent
         // fall-through to the reference loop.
-        let err = parse(&format!(
-            "{ok_head}backend = warp\nscheduler = sync\nstop = max-rounds=10 quiet=auto"
-        ))
-        .unwrap_err();
-        assert!(err.contains("\"warp\""), "names the bad backend: {err}");
-        assert!(
-            err.contains("reference") && err.contains("batched") && err.contains("soa"),
-            "lists the options: {err}"
-        );
+        for bad in ["warp", "batched", "soa", "sharded", "sharded:3"] {
+            let err = parse(&format!(
+                "{ok_head}backend = {bad}\nscheduler = sync\nstop = max-rounds=10 quiet=auto"
+            ))
+            .unwrap_err();
+            assert!(
+                err.contains(&format!("{bad:?}")),
+                "names the bad backend: {err}"
+            );
+            assert!(err.contains("reference"), "lists the options: {err}");
+        }
     }
 
     /// The protocol line round-trips when non-default and is *absent*
@@ -567,10 +562,9 @@ mod tests {
         assert!(parse("name = x\nprotocol = turbo\ntopology = path n=4\nscheduler = sync\nstop = max-rounds=10 quiet=auto").is_err());
     }
 
-    /// The backend line round-trips when non-default and is absent when
-    /// default — but unlike `protocol`, the backend is *not* part of the
-    /// replay identity: fingerprints ignore it, because every backend
-    /// must reproduce the identical trace.
+    /// The canonical rendering never carries a backend line, and an
+    /// explicit `backend = reference` parses to the same scenario with the
+    /// same fingerprint.
     #[test]
     fn backend_line_round_trips_and_is_fingerprint_neutral() {
         let reference = Scenario::converge(
@@ -583,28 +577,11 @@ mod tests {
         assert!(!text.contains("backend ="), "default must be omitted");
         assert_eq!(parse(&text).unwrap().backend, Backend::Reference);
 
-        for b in [
-            Backend::Batched,
-            Backend::Soa,
-            Backend::Sharded { shards: 4 },
-            Backend::Sharded { shards: 1 },
-        ] {
-            let mut s = reference.clone();
-            s.backend = b;
-            let text = render(&s);
-            // Display form, so `sharded:4` keeps its count in the text.
-            assert!(text.contains(&format!("backend = {b}")), "{text}");
-            let parsed = parse(&text).unwrap();
-            assert_eq!(parsed, s);
-            assert_eq!(
-                s.fingerprint(),
-                reference.fingerprint(),
-                "backend is a mechanism, not replay identity"
-            );
-        }
         // Explicit `backend = reference` parses but is not canonical.
         let explicit = "name = b\nbackend = reference\ntopology = path n=4\nscheduler = sync\nstop = max-rounds=100 quiet=auto\n";
-        assert_eq!(parse(explicit).unwrap(), reference);
+        let parsed = parse(explicit).unwrap();
+        assert_eq!(parsed, reference);
+        assert_eq!(parsed.fingerprint(), reference.fingerprint());
     }
 
     #[test]

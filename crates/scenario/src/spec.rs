@@ -333,12 +333,9 @@ pub struct Scenario {
     pub name: String,
     /// Which registered protocol the scenario drives.
     pub protocol: ProtocolSpec,
-    /// Which round-loop execution backend runs the scenario. Part of the
-    /// scenario *data* (rendered in `.scn`, default omitted) but **not**
-    /// part of the replay identity: every backend is required to produce
-    /// the bit-identical trace, so [`Scenario::fingerprint`] deliberately
-    /// ignores it — a trace recorded on any backend verifies against the
-    /// same scenario run on any other.
+    /// The round-loop backend. There is one round loop, so this is always
+    /// [`Backend::Reference`]; it is never rendered and is not part of the
+    /// fingerprint (see [`Backend`] for why the field remains).
     pub backend: Backend,
     /// Workload topology.
     pub topology: TopologySpec,
@@ -394,20 +391,10 @@ impl Scenario {
 
     /// Digest of the canonical `.scn` text — the identity recorded in
     /// traces so a golden trace can't silently be replayed against an
-    /// edited scenario. The execution backend is digested *out*: it is a
-    /// mechanism choice, not an execution identity (the conformance
-    /// ladder requires every backend to reproduce the reference trace
-    /// bit-for-bit), so cross-backend trace comparison — the strongest
-    /// conformance statement the harness makes — works directly.
+    /// edited scenario.
     pub fn fingerprint(&self) -> u64 {
         let mut d = Digest::new();
-        if self.backend == Backend::default() {
-            d.write_bytes(self.canonical().as_bytes());
-        } else {
-            let mut neutral = self.clone();
-            neutral.backend = Backend::default();
-            d.write_bytes(neutral.canonical().as_bytes());
-        }
+        d.write_bytes(self.canonical().as_bytes());
         d.value()
     }
 

@@ -12,12 +12,7 @@ use crate::NodeId;
 /// A protocol message. `kind`/`size_bits` feed the metrics used by the
 /// message-complexity and buffer-length experiments (paper §5 claims
 /// `O(n log n)` maximal message length).
-///
-/// Messages are `Send`: the sharded backend ships staged channel contents
-/// to worker threads, so a message may be delivered on a different OS
-/// thread than the one that sent it. Protocol messages are plain data
-/// (ids, weights, small vectors), so this costs nothing in practice.
-pub trait Message: Clone + std::fmt::Debug + Send {
+pub trait Message: Clone + std::fmt::Debug {
     /// Stable label for per-kind accounting ("InfoMsg", "Search", ...).
     fn kind(&self) -> &'static str;
 
@@ -31,11 +26,7 @@ pub trait Message: Clone + std::fmt::Debug + Send {
 /// Implementations must be deterministic functions of (state, input): all
 /// nondeterminism lives in the scheduler, which is what makes executions
 /// reproducible and shrinkable in property tests.
-///
-/// Automata are `Send`: the sharded backend executes contiguous node
-/// ranges on worker threads (each node is still only ever touched by one
-/// thread at a time, so `Sync` is not required).
-pub trait Automaton: Send {
+pub trait Automaton {
     /// Message alphabet of the protocol.
     type Msg: Message;
 

@@ -1,138 +1,46 @@
-//! Execution backends: swappable implementations of the round loop's
-//! hot path (obligation derivation + schedule execution).
+//! The round-loop backend selector.
 //!
-//! Every backend must produce the **bit-identical execution** — the same
-//! obligations, keyed by the same scheduler `KeySource` draws in
-//! the same canonical enumeration order (ticks ascending by node id, then
-//! deliveries ascending by slot id), executed in the same ascending
-//! `(key, enumeration index)` order. The scheduler key stream is stateful
-//! (the random daemon draws once per key request), so enumeration order is
-//! not a convention but a correctness contract: request keys in a
-//! different order and every subsequent draw shifts.
-//!
-//! What a backend *may* change is how the obligations are derived and how
-//! the sorted batch is executed:
-//!
-//! * [`Backend::Reference`] — the historical event-driven loop: scratch
-//!   snapshots of the incremental indices, per-delivery `(from, to)` →
-//!   slot binary search at execution time. The oracle all others are
-//!   measured against.
-//! * [`Backend::Batched`] — batched message dispatch: the schedule carries
-//!   each delivery's channel slot, so execution walks runs of
-//!   same-slot deliveries and pops the channel directly — no per-message
-//!   address re-resolution, one occupancy transition per run.
-//! * [`Backend::Soa`] — struct-of-arrays obligation projection: the tick
-//!   and occupancy indices are mirrored into flat `u64` bit-words
-//!   (64 nodes / slots per word), and the sorted enumeration falls out of
-//!   an ascending word scan instead of comparison-sorting scratch
-//!   vectors. Pre-stages the flattened-state layout the sharded loop
-//!   builds on. Executes through the same slot-batched path as
-//!   [`Backend::Batched`].
-//! * [`Backend::Sharded`] — the round body fans out across worker
-//!   threads: nodes are split into contiguous shards, each shard executes
-//!   its own events against pre-staged channel contents, and a
-//!   deterministic round-barrier merge re-applies every send in canonical
-//!   schedule order (see `crate::shard`). Derivation, key draws and the
-//!   merge stay sequential, which is what keeps the digest byte-identical
-//!   for *any* shard count.
-//!
-//! Conformance is enforced by a ladder (unit equivalence tests here,
-//! golden traces, the full `.scn` corpus, and a storm-mutant sweep in
-//! `tests/backend_conformance.rs`), with divergence measured by the
-//! chained [`crate::ScheduleDigest`] — see `BACKEND_EVALUATION.md` at the
-//! workspace root.
+//! There is one round loop (see [`crate::Runner`]), so [`Backend`] has one
+//! variant and selects nothing.
 
 use std::fmt;
 
-/// Which round-loop implementation a [`crate::Runner`] uses. The choice
-/// affects speed only; every backend is required to produce byte-identical
-/// schedules and digests (enforced by the conformance ladder).
+/// Which round loop a [`crate::Session`] runs. `Reference`, the
+/// event-driven loop every golden trace was recorded on, is the only one.
+///
+/// Why a one-variant enum survives: `perfbench/` (a workspace of its own
+/// that builds these crates by path) names `Backend::Reference`,
+/// `Scenario::backend` and [`crate::SessionBuilder::backend`], and that
+/// benchmark changes only together with its committed anchors. `.scn`
+/// files may also still say `backend = reference`. The enum goes with the
+/// next change to the benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
-    /// The historical event-driven loop — the conformance oracle.
+    /// The event-driven round loop.
     #[default]
     Reference,
-    /// Slot-carrying schedule + run-batched channel dispatch.
-    Batched,
-    /// Bit-word (struct-of-arrays) obligation projection.
-    Soa,
-    /// Round body sharded across `shards` worker threads with a
-    /// deterministic round-barrier merge. `shards == 1` runs the same
-    /// stage/execute/merge pipeline inline (no thread spawn).
-    Sharded {
-        /// Number of contiguous node shards (and worker threads). Clamped
-        /// to at least 1 by [`Backend::parse`]; a count above the node
-        /// count simply leaves trailing shards empty.
-        shards: usize,
-    },
 }
 
-/// Shard count used by the bare `sharded` label (no explicit `:K`). A
-/// fixed constant — never derived from the host's core count, which would
-/// leak ambient machine state into `.scn` files and CI matrix legs.
-pub const DEFAULT_SHARDS: usize = 4;
-
 impl Backend {
-    /// Every registered backend family, reference first — the iteration
-    /// order of the conformance ladder. The sharded entry uses a shard
-    /// count that does not divide typical node counts evenly, so the
-    /// ladder always exercises ragged shard boundaries.
-    pub const ALL: [Backend; 4] = [
-        Backend::Reference,
-        Backend::Batched,
-        Backend::Soa,
-        Backend::Sharded { shards: 3 },
-    ];
-
-    /// Stable lowercase family label, used by `.scn` files, `--backend`
-    /// and the CI matrix. The sharded family renders its shard count only
-    /// through [`fmt::Display`] (`sharded:3`); the label is the family
-    /// name alone.
+    /// Stable lowercase label, as written in `.scn` files.
     pub fn label(self) -> &'static str {
         match self {
             Backend::Reference => "reference",
-            Backend::Batched => "batched",
-            Backend::Soa => "soa",
-            Backend::Sharded { .. } => "sharded",
         }
     }
 
-    /// Parse a label; unknown names are an error that lists the options
-    /// (never a silent fall-through to the reference backend). The
-    /// sharded family accepts `sharded` (a fixed default of
-    /// [`DEFAULT_SHARDS`] shards) or `sharded:K` for an explicit count.
+    /// Parse a label; an unknown name is an error that lists the options.
     pub fn parse(s: &str) -> Result<Backend, String> {
         match s {
             "reference" => Ok(Backend::Reference),
-            "batched" => Ok(Backend::Batched),
-            "soa" => Ok(Backend::Soa),
-            "sharded" => Ok(Backend::Sharded {
-                shards: DEFAULT_SHARDS,
-            }),
-            other => {
-                if let Some(count) = other.strip_prefix("sharded:") {
-                    return match count.parse::<usize>() {
-                        Ok(shards) if shards >= 1 => Ok(Backend::Sharded { shards }),
-                        _ => Err(format!(
-                            "bad shard count {count:?} in backend {other:?} \
-                             (sharded:K needs an integer K >= 1)"
-                        )),
-                    };
-                }
-                Err(format!(
-                    "unknown backend {other:?} (reference | batched | soa | sharded[:K])"
-                ))
-            }
+            other => Err(format!("unknown backend {other:?} (reference)")),
         }
     }
 }
 
 impl fmt::Display for Backend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Backend::Sharded { shards } => write!(f, "sharded:{shards}"),
-            other => f.write_str(other.label()),
-        }
+        f.write_str(self.label())
     }
 }
 
@@ -142,17 +50,9 @@ mod tests {
 
     #[test]
     fn labels_round_trip() {
-        for b in Backend::ALL {
-            // The Display form always parses back to the exact variant
-            // (the sharded family carries its count, `sharded:3`)…
-            assert_eq!(Backend::parse(&b.to_string()), Ok(b));
-            // …and every Display form starts with the family label.
-            assert!(b.to_string().starts_with(b.label()), "{b}");
-        }
-        // The three flat backends still print their bare label.
-        for b in [Backend::Reference, Backend::Batched, Backend::Soa] {
-            assert_eq!(b.to_string(), b.label());
-        }
+        let b = Backend::Reference;
+        assert_eq!(Backend::parse(&b.to_string()), Ok(b));
+        assert_eq!(b.to_string(), b.label());
     }
 
     #[test]
@@ -161,31 +61,14 @@ mod tests {
     }
 
     #[test]
-    fn sharded_label_parses_with_and_without_count() {
-        assert_eq!(
-            Backend::parse("sharded"),
-            Ok(Backend::Sharded {
-                shards: DEFAULT_SHARDS
-            })
-        );
-        for shards in [1usize, 2, 7, 64] {
-            assert_eq!(
-                Backend::parse(&format!("sharded:{shards}")),
-                Ok(Backend::Sharded { shards })
-            );
-        }
-        for bad in ["sharded:0", "sharded:", "sharded:-2", "sharded:two"] {
-            let err = Backend::parse(bad).unwrap_err();
-            assert!(err.contains("shard count"), "{bad}: {err}");
-        }
-    }
-
-    #[test]
     fn unknown_label_lists_the_options() {
-        let err = Backend::parse("warp9").unwrap_err();
-        assert!(err.contains("\"warp9\""), "names the bad input: {err}");
-        for b in Backend::ALL {
-            assert!(err.contains(b.label()), "lists {}: {err}", b.label());
+        for bad in ["warp9", "batched", "soa", "sharded", "sharded:3"] {
+            let err = Backend::parse(bad).unwrap_err();
+            assert!(
+                err.contains(&format!("{bad:?}")),
+                "names the bad input: {err}"
+            );
+            assert!(err.contains("reference"), "lists the options: {err}");
         }
     }
 }

@@ -38,59 +38,29 @@ use crate::NodeId;
 /// tie-break), and the action itself.
 type Pending = (u128, u32, Action);
 
-/// A pending event that also carries the channel slot a delivery pops
-/// (`NO_SLOT` for ticks), so the slot-batched executor never re-resolves
-/// `(from, to)` addresses. Key and index semantics are identical to
-/// [`Pending`].
-pub(crate) type PendingSlot = (u128, u32, Action, u32);
-
-/// Slot marker for tick events in a [`PendingSlot`] schedule. Never a
-/// valid channel slot, so a run of equal slot values is always a run of
-/// same-channel deliveries.
-pub(crate) const NO_SLOT: u32 = u32::MAX;
-
 /// Incremental obligation tracker + per-round pending-event buffers (all
 /// reused round to round — the steady-state loop never allocates).
 pub(crate) struct EventQueue {
     /// Alive nodes whose `enabled()` predicate held at last refresh.
     ticks: DenseSet,
-    /// Bit-word mirror of `ticks` (bit `v % 64` of word `v / 64`), kept in
-    /// lockstep by [`EventQueue::refresh`] regardless of the active
-    /// backend, so switching backends mid-run is always safe. The SoA
-    /// backend enumerates ticks by scanning these words ascending instead
-    /// of sorting a scratch snapshot.
-    tick_words: Vec<u64>,
     /// Reusable buffer for the current round's keyed events.
     buf: Vec<Pending>,
-    /// Reusable buffer for slot-carrying schedules (batched/SoA backends).
-    slot_buf: Vec<PendingSlot>,
     /// Scratch: this round's tick set, sorted by node id.
     tick_scratch: Vec<NodeId>,
     /// Scratch: this round's occupied slots, sorted by slot id.
     slot_scratch: Vec<u32>,
     /// Scratch: dirty nodes drained from the network.
     dirty_scratch: Vec<NodeId>,
-    /// Per-round occupancy bit-words for the SoA backend. Scattered from
-    /// the occupancy index each round and cleared word-by-word as the
-    /// scan consumes them — all-zero between rounds.
-    slot_words: Vec<u64>,
-    /// Indices of the `slot_words` entries touched this round (the only
-    /// words the scan needs to visit or sort).
-    touched_words: Vec<u32>,
 }
 
 impl EventQueue {
     pub(crate) fn new() -> Self {
         EventQueue {
             ticks: DenseSet::new(),
-            tick_words: Vec::new(),
             buf: Vec::new(),
-            slot_buf: Vec::new(),
             tick_scratch: Vec::new(),
             slot_scratch: Vec::new(),
             dirty_scratch: Vec::new(),
-            slot_words: Vec::new(),
-            touched_words: Vec::new(),
         }
     }
 
@@ -98,19 +68,12 @@ impl EventQueue {
     /// marked dirty since the last call.
     // lint: hot-path
     pub(crate) fn refresh<A: Automaton>(&mut self, net: &mut Network<A>) {
-        let words = net.n().div_ceil(64);
-        if self.tick_words.len() < words {
-            self.tick_words.resize(words, 0);
-        }
         net.take_dirty_into(&mut self.dirty_scratch);
         for &v in &self.dirty_scratch {
-            let (w, bit) = (v as usize / 64, 1u64 << (v % 64));
             if net.is_alive(v) && net.node(v).enabled() {
                 self.ticks.insert(v);
-                self.tick_words[w] |= bit;
             } else {
                 self.ticks.remove(v);
-                self.tick_words[w] &= !bit;
             }
         }
     }
@@ -149,108 +112,12 @@ impl EventQueue {
         &self.buf
     }
 
-    /// [`EventQueue::schedule`] for the batched backend: the same
-    /// derivation (scratch snapshots of the incremental indices, sorted
-    /// in place), but each delivery carries its channel slot so execution
-    /// can pop channels directly in same-slot runs. Keys are requested in
-    /// the identical canonical enumeration order, so the stateful daemons
-    /// draw the identical streams.
-    // lint: hot-path
-    pub(crate) fn schedule_batched<A: Automaton>(
-        &mut self,
-        round: u64,
-        keys: &mut KeySource,
-        net: &Network<A>,
-    ) -> &[PendingSlot] {
-        self.slot_buf.clear();
-        self.tick_scratch.clear();
-        self.tick_scratch.extend_from_slice(self.ticks.members());
-        self.tick_scratch.sort_unstable();
-        let mut seq = 0u32;
-        for &v in &self.tick_scratch {
-            let a = Action::Tick(v);
-            self.slot_buf.push((keys.key(round, &a), seq, a, NO_SLOT));
-            seq += 1;
-        }
-        net.occupied_slots_into(&mut self.slot_scratch);
-        self.slot_scratch.sort_unstable();
-        for &s in &self.slot_scratch {
-            let (from, to) = net.slot_endpoints(s);
-            let a = Action::Deliver(from, to);
-            for _ in 0..net.slot_len(s) {
-                self.slot_buf.push((keys.key(round, &a), seq, a, s));
-                seq += 1;
-            }
-        }
-        self.slot_buf.sort_unstable_by_key(|e| (e.0, e.1));
-        &self.slot_buf
-    }
-
-    /// [`EventQueue::schedule`] for the SoA backend: obligations are
-    /// enumerated by scanning flat bit-word projections ascending — the
-    /// always-maintained `tick_words` mirror for ticks, and a per-round
-    /// scatter of the occupancy index into `slot_words` for deliveries —
-    /// so the canonical ascending orders fall out of word arithmetic
-    /// instead of comparison sorts over scratch vectors (the only sort is
-    /// over the *touched word indices*, 64× fewer elements). Same
-    /// obligations, same key-request order, same final `(key, seq)` sort.
-    // lint: hot-path
-    pub(crate) fn schedule_soa<A: Automaton>(
-        &mut self,
-        round: u64,
-        keys: &mut KeySource,
-        net: &Network<A>,
-    ) -> &[PendingSlot] {
-        self.slot_buf.clear();
-        let mut seq = 0u32;
-        let words = net.n().div_ceil(64).min(self.tick_words.len());
-        for w in 0..words {
-            let mut bits = self.tick_words[w];
-            while bits != 0 {
-                let v = (w * 64) as NodeId + bits.trailing_zeros();
-                bits &= bits - 1;
-                let a = Action::Tick(v);
-                self.slot_buf.push((keys.key(round, &a), seq, a, NO_SLOT));
-                seq += 1;
-            }
-        }
-        let slot_words = net.slot_count().div_ceil(64);
-        if self.slot_words.len() < slot_words {
-            self.slot_words.resize(slot_words, 0);
-        }
-        self.touched_words.clear();
-        for &s in net.occupied_slot_members() {
-            let w = s / 64;
-            if self.slot_words[w as usize] == 0 {
-                self.touched_words.push(w);
-            }
-            self.slot_words[w as usize] |= 1u64 << (s % 64);
-        }
-        self.touched_words.sort_unstable();
-        for i in 0..self.touched_words.len() {
-            let w = self.touched_words[i];
-            let mut bits = std::mem::take(&mut self.slot_words[w as usize]);
-            while bits != 0 {
-                let s = w * 64 + bits.trailing_zeros();
-                bits &= bits - 1;
-                let (from, to) = net.slot_endpoints(s);
-                let a = Action::Deliver(from, to);
-                for _ in 0..net.slot_len(s) {
-                    self.slot_buf.push((keys.key(round, &a), seq, a, s));
-                    seq += 1;
-                }
-            }
-        }
-        self.slot_buf.sort_unstable_by_key(|e| (e.0, e.1));
-        &self.slot_buf
-    }
-
     /// Like [`EventQueue::schedule`], but enumerating obligations the
     /// pre-engine way — full scans over all nodes and all channel slots.
     /// Same obligations, same keys, same execution order; only the
-    /// discovery cost differs. Kept for the old-vs-new throughput
-    /// benchmarks and as a live cross-check that the incremental indices
-    /// are consistent.
+    /// discovery cost differs. The test oracle for the incremental tick and
+    /// occupancy indices.
+    #[cfg(test)]
     pub(crate) fn schedule_rescan<A: Automaton>(
         &mut self,
         round: u64,
@@ -385,53 +252,6 @@ mod tests {
         }
     }
 
-    /// Every backend derivation must produce the identical `(key, seq,
-    /// action)` stream — and the slot-carrying ones must annotate each
-    /// delivery with the slot that actually backs its channel.
-    #[test]
-    fn batched_and_soa_derivations_match_reference() {
-        let mut n = net(true);
-        let mut q = EventQueue::new();
-        q.refresh(&mut n);
-        n.tick_node(0);
-        n.tick_node(1);
-        n.node_mut(2).open = false; // a hole in the tick bit-words
-        q.refresh(&mut n);
-        for sched in [
-            Scheduler::Synchronous,
-            Scheduler::RandomAsync { seed: 5 },
-            Scheduler::Adversarial { seed: 5 },
-        ] {
-            let mut k1 = KeySource::new(sched);
-            let mut k2 = KeySource::new(sched);
-            let mut k3 = KeySource::new(sched);
-            let reference = q.schedule(4, &mut k1, &n).to_vec();
-            let batched = q.schedule_batched(4, &mut k2, &n).to_vec();
-            check_slotted(&n, &reference, &batched, sched, "batched");
-            let soa = q.schedule_soa(4, &mut k3, &n).to_vec();
-            check_slotted(&n, &reference, &soa, sched, "soa");
-        }
-    }
-
-    fn check_slotted(
-        n: &Network<Gate>,
-        reference: &[Pending],
-        slotted: &[PendingSlot],
-        sched: Scheduler,
-        label: &str,
-    ) {
-        let stripped: Vec<Pending> = slotted.iter().map(|&(k, i, a, _)| (k, i, a)).collect();
-        assert_eq!(reference, &stripped[..], "{label} diverged under {sched:?}");
-        for &(_, _, a, s) in slotted {
-            match a {
-                Action::Tick(_) => assert_eq!(s, NO_SLOT, "tick carries a slot"),
-                Action::Deliver(from, to) => {
-                    assert_eq!(n.slot_endpoints(s), (from, to), "{label}: wrong slot")
-                }
-            }
-        }
-    }
-
     #[test]
     fn schedules_agree_after_churn_recycles_slots() {
         // Slot recycling reorders slot ids relative to (from,to); both
@@ -458,14 +278,6 @@ mod tests {
             let a = q.schedule(2, &mut k1, &n).to_vec();
             let b = q.schedule_rescan(2, &mut k2, &n).to_vec();
             assert_eq!(a, b, "engines disagree under {sched:?} after churn");
-            // Slot recycling breaks the slot-order == (from,to)-order
-            // coincidence; the slot-carrying derivations must still agree.
-            let mut k3 = KeySource::new(sched);
-            let mut k4 = KeySource::new(sched);
-            let batched = q.schedule_batched(2, &mut k3, &n).to_vec();
-            check_slotted(&n, &a, &batched, sched, "batched");
-            let soa = q.schedule_soa(2, &mut k4, &n).to_vec();
-            check_slotted(&n, &a, &soa, sched, "soa");
         }
     }
 

@@ -27,15 +27,16 @@
 //!   partitions form and heal — the churn regime under which
 //!   re-convergence is measured.
 //!
-//! The run loop is an **event-driven engine** over a **flat message
-//! fabric** (see [`runner::Runner`] and [`network`]): every directed edge
-//! owns a dense channel *slot* taken from the graph's CSR view, per-round
-//! obligations are derived from two incremental O(1)-transition indices —
-//! an enabled-tick set maintained via dirty flags on node state, and a
-//! swap-remove channel occupancy list — instead of per-round
-//! `O(n + #channels)` rescans, and the steady-state round loop performs no
-//! ordered-tree operations and no heap allocations. All three daemons stay
-//! bit-for-bit deterministic per seed.
+//! There is one round loop: an **event-driven engine** over a **flat
+//! message fabric** (see [`runner::Runner`] and [`network`]). Every golden
+//! trace and committed digest was recorded on it; [`Backend`] names it and
+//! nothing else. Every directed edge owns a dense channel *slot* taken
+//! from the graph's CSR view, per-round obligations are derived from two
+//! incremental O(1)-transition indices — an enabled-tick set maintained
+//! via dirty flags on node state, and a swap-remove channel occupancy
+//! list — instead of per-round `O(n + #channels)` rescans, and the
+//! steady-state round loop performs no ordered-tree operations and no heap
+//! allocations. All three daemons stay bit-for-bit deterministic per seed.
 //!
 //! The crate is generic over the protocol: the MDST protocol lives in
 //! `ssmdst-core`, and the simulator only sees [`Automaton`] + [`Message`]
@@ -70,7 +71,6 @@ pub mod protocols;
 pub mod runner;
 pub mod scheduler;
 pub mod session;
-pub(crate) mod shard;
 pub mod stop;
 pub mod trace;
 

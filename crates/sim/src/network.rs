@@ -98,20 +98,6 @@ pub struct Network<A: Automaton> {
     pub metrics: Metrics,
 }
 
-/// Disjoint borrows of the fabric state the sharded backend's per-shard
-/// executors need (see [`Network::fabric_parts`]): automata mutably — the
-/// shard engine splits `nodes` into contiguous per-shard ranges with
-/// `chunks_mut` — topology and liveness read-only. Channels, occupancy and
-/// metrics are deliberately absent: shards never touch them; all fabric
-/// mutation funnels through the sequential stage/merge methods.
-pub(crate) struct FabricParts<'a, A: Automaton> {
-    pub nodes: &'a mut [A],
-    pub topo: &'a [Vec<NodeId>],
-    pub out_slot: &'a [Vec<u32>],
-    pub alive: &'a [bool],
-    pub dynamic: bool,
-}
-
 impl<A: Automaton> Network<A> {
     /// Build a network over `g`; `make(v, neighbors)` constructs node `v`'s
     /// automaton (typically capturing the neighbor list and an arbitrary —
@@ -280,14 +266,6 @@ impl<A: Automaton> Network<A> {
         out.extend_from_slice(self.occ.members());
     }
 
-    /// Direct view of the occupancy index's member list (engine-internal,
-    /// unordered, zero-copy) — the SoA backend scatters this into its
-    /// bit-words without a scratch snapshot.
-    #[inline]
-    pub(crate) fn occupied_slot_members(&self) -> &[u32] {
-        self.occ.members()
-    }
-
     /// Endpoints of a live slot (engine-internal, O(1)).
     #[inline]
     pub(crate) fn slot_endpoints(&self, s: u32) -> (NodeId, NodeId) {
@@ -300,10 +278,10 @@ impl<A: Automaton> Network<A> {
         self.channels[s as usize].len()
     }
 
-    /// The same answer as [`Network::nonempty_channels`], computed the
-    /// pre-event-engine way: a full scan over every channel slot. Kept for
-    /// the old-vs-new engine benchmarks and as a cross-check of the
-    /// incremental index (the two must always agree).
+    /// The same answer as [`Network::nonempty_channels`], computed by a
+    /// full scan over every channel slot: the oracle the fabric tests
+    /// check the incremental occupancy index against (the two must always
+    /// agree).
     pub fn scan_nonempty_channels(&self) -> Vec<(NodeId, NodeId)> {
         let mut v: Vec<(NodeId, NodeId)> = (0..self.channels.len())
             .filter(|&s| !self.channels[s].is_empty())
@@ -334,10 +312,7 @@ impl<A: Automaton> Network<A> {
     }
 
     /// Queue `v` for enabled-predicate re-evaluation (idempotent).
-    /// Engine-internal: the sharded merge replays per-shard dirty lists
-    /// through this, so cross-shard duplicates collapse exactly as the
-    /// sequential path's do.
-    pub(crate) fn mark_dirty(&mut self, v: NodeId) {
+    fn mark_dirty(&mut self, v: NodeId) {
         if !self.dirty_flag[v as usize] {
             self.dirty_flag[v as usize] = true;
             self.dirty.push(v);
@@ -379,38 +354,6 @@ impl<A: Automaton> Network<A> {
         true
     }
 
-    /// Deliver `k` consecutive messages from channel `slot` — the batched
-    /// form of [`Network::deliver_one`] used by the slot-carrying
-    /// backends. The address is already resolved (no `(from, to)` binary
-    /// search per message), and the empty-transition check runs once at
-    /// the end of the run instead of after every pop. Everything
-    /// observable is sequenced exactly as `k` `deliver_one` calls:
-    /// per-message `in_flight` decrement before routing (so
-    /// `peak_in_flight` matches), per-message dirty-marking, FIFO order.
-    /// Deferring the occupancy removal is sound because the receiver `to`
-    /// only sends on `to → x` slots, never on `from → to` itself, so this
-    /// slot's queue is only popped during its own run; earlier runs of
-    /// *other* slots may still have pushed into it, hence the emptiness
-    /// check rather than an unconditional removal.
-    pub(crate) fn deliver_run(&mut self, slot: u32, k: usize) {
-        let (from, to) = self.slot_ends[slot as usize];
-        for _ in 0..k {
-            let msg = self.channels[slot as usize]
-                .pop_front()
-                .expect("delivery run over-popped its channel"); // lint: allow(no-panic-in-library) — k is clamped to the channel length at enumeration time
-            self.in_flight -= 1;
-            self.metrics.on_deliver(msg.kind());
-            let mut out = std::mem::take(&mut self.outbox);
-            self.nodes[to as usize].receive(from, msg, &mut out);
-            self.mark_dirty(to);
-            self.route(to, &mut out);
-            self.outbox = out;
-        }
-        if self.channels[slot as usize].is_empty() {
-            self.occ.remove(slot);
-        }
-    }
-
     /// Move an outbox into channels, enforcing locality and recording
     /// metrics. Pure index arithmetic: slot lookup + O(1) occupancy
     /// transition per message, no map, no allocation.
@@ -438,106 +381,6 @@ impl<A: Automaton> Network<A> {
     }
 
     // ------------------------------------------------------------------
-    // Sharded-engine access surface (crate::shard)
-    //
-    // The sharded backend splits one round into three phases — stage
-    // (sequential), execute (parallel over disjoint node ranges), merge
-    // (sequential, canonical schedule order). The network stays the single
-    // owner of every fabric invariant: the shard engine only ever touches
-    // channels, occupancy, in-flight accounting and metrics through the
-    // methods below, each of which mirrors exactly one slice of what
-    // `route`/`deliver_one` do on the sequential path.
-    // ------------------------------------------------------------------
-
-    /// Disjoint borrows of the state the per-shard executors need:
-    /// automata mutably (split into shard ranges by the caller), topology
-    /// and liveness read-only. Topology is frozen for the whole round
-    /// (churn happens between rounds), so sharing it is sound.
-    pub(crate) fn fabric_parts(&mut self) -> FabricParts<'_, A> {
-        FabricParts {
-            nodes: &mut self.nodes,
-            topo: &self.topo,
-            out_slot: &self.out_slot,
-            alive: &self.alive,
-            dynamic: self.dynamic,
-        }
-    }
-
-    /// Stage phase: move every non-empty channel's queue out of the
-    /// fabric, handing `(slot, receiver, queue)` to `f` (the shard engine
-    /// banks it in the receiver's shard inbox). Every message in a staged
-    /// queue is one of this round's delivery obligations — sends during
-    /// the round land in the (emptied) fabric queues at merge time and
-    /// become next round's obligations — so delivery metrics are recorded
-    /// here, where the per-kind sums are order-independent. Slots are
-    /// visited in ascending id order so the metrics kind table fills
-    /// deterministically. `in_flight` is left untouched: the merge replays
-    /// each delivery's decrement at its canonical schedule position.
-    // lint: hot-path
-    pub(crate) fn stage_out_channels(&mut self, mut f: impl FnMut(u32, NodeId, VecDeque<A::Msg>)) {
-        let mut scratch = std::mem::take(&mut self.slot_scratch);
-        self.occupied_slots_into(&mut scratch);
-        scratch.sort_unstable();
-        for &s in &scratch {
-            let q = std::mem::take(&mut self.channels[s as usize]);
-            for m in &q {
-                self.metrics.on_deliver(m.kind());
-            }
-            f(s, self.slot_ends[s as usize].1, q);
-        }
-        self.occ.clear();
-        self.slot_scratch = scratch;
-    }
-
-    /// Return a staged queue (drained by the execute phase) to its slot,
-    /// preserving its capacity for the merge phase's pushes — this is what
-    /// keeps the sharded steady state allocation-free. Must run before the
-    /// merge applies sends to `slot`.
-    // lint: hot-path
-    pub(crate) fn return_channel(&mut self, slot: u32, q: VecDeque<A::Msg>) {
-        debug_assert!(q.is_empty(), "staged channel {slot} not fully delivered");
-        debug_assert!(self.channels[slot as usize].is_empty());
-        self.channels[slot as usize] = q;
-    }
-
-    /// Merge phase: apply one send to `slot` — metrics, occupancy
-    /// transition, FIFO push, in-flight increment — exactly the per-message
-    /// body of `route`.
-    // lint: hot-path
-    pub(crate) fn merge_send(&mut self, slot: u32, msg: A::Msg) {
-        self.metrics
-            .on_send(msg.kind(), msg.size_bits(self.nodes.len()));
-        let q = &mut self.channels[slot as usize];
-        if q.is_empty() {
-            self.occ.insert(slot);
-        }
-        q.push_back(msg);
-        self.in_flight += 1;
-    }
-
-    /// Merge phase: account one send that resolved to no live channel
-    /// (stale neighbor mirror after churn) — the dynamic-topology drop
-    /// branch of `route`.
-    pub(crate) fn merge_dropped_send(&mut self) {
-        self.metrics.dropped_sends += 1;
-    }
-
-    /// Merge phase: account one staged message as delivered (the
-    /// `in_flight -= 1` that `deliver_one` performs before routing).
-    // lint: hot-path
-    pub(crate) fn merge_deliver_accounted(&mut self) {
-        self.in_flight -= 1;
-    }
-
-    /// Merge phase: sample the in-flight high-water mark, mirroring the
-    /// single `on_in_flight` call `route` makes at the end of every
-    /// executed event.
-    // lint: hot-path
-    pub(crate) fn sample_in_flight(&mut self) {
-        self.metrics.on_in_flight(self.in_flight);
-    }
-
-    // ------------------------------------------------------------------
     // Dynamic topology (slot tombstones, no map churn)
     // ------------------------------------------------------------------
 
@@ -557,13 +400,11 @@ impl<A: Automaton> Network<A> {
                 s
             }
             None => {
-                // Index-width contract (checked builds): slot ids are u32
-                // and `u32::MAX` is reserved (the shard engine's DROPPED
-                // sentinel, events.rs NO_SLOT) — growth past it would wrap
-                // every later slot address.
+                // Index-width contract (checked builds): slot ids are u32;
+                // growth past `u32::MAX` would wrap every later slot address.
                 debug_assert!(
                     self.channels.len() < u32::MAX as usize,
-                    "slot id overflows u32 (and would collide with NO_SLOT)"
+                    "slot id overflows u32"
                 );
                 self.channels.push(VecDeque::new());
                 self.slot_ends.push((u, v));

@@ -1,10 +1,10 @@
-//! The round engine: event-driven obligation derivation and the step
+//! The round engine: the simulator's one round loop (event-driven
+//! obligation derivation, daemon keying, execution) and its step
 //! primitives. Run loops (stop conditions, horizons, quiescence) live in
 //! [`crate::Session`].
 
 use crate::automaton::Automaton;
-use crate::backend::Backend;
-use crate::events::{EventQueue, PendingSlot};
+use crate::events::EventQueue;
 use crate::network::Network;
 use crate::observer::{Observer, Stop};
 use crate::scheduler::{Action, KeySource, Scheduler};
@@ -28,8 +28,6 @@ use crate::scheduler::{Action, KeySource, Scheduler};
 /// `O(n + #channels)` rescans. At steady state the whole loop (derive →
 /// key → sort → execute → route) reuses its buffers and touches no ordered
 /// tree: zero heap allocations per round, pinned by `tests/zero_alloc.rs`.
-/// [`Runner::step_round_rescan`] keeps the old full-scan discovery alive
-/// for benchmarks; both paths execute the identical schedule.
 ///
 /// # Example
 ///
@@ -78,37 +76,17 @@ pub struct Runner<A: Automaton> {
     keys: KeySource,
     queue: EventQueue,
     round: u64,
-    backend: Backend,
-    /// Per-shard buffers for [`Backend::Sharded`]; empty (and never
-    /// allocated) unless that backend runs.
-    shard: crate::shard::ShardEngine<A::Msg>,
 }
 
 impl<A: Automaton> Runner<A> {
-    /// Wrap a network with a scheduler (on the [`Backend::Reference`]
-    /// round loop).
+    /// Wrap a network with a scheduler.
     pub fn new(net: Network<A>, sched: Scheduler) -> Self {
         Runner {
             net,
             keys: KeySource::new(sched),
             queue: EventQueue::new(),
             round: 0,
-            backend: Backend::Reference,
-            shard: crate::shard::ShardEngine::new(),
         }
-    }
-
-    /// Switch the round-loop backend. Safe at any round boundary — every
-    /// backend derives the identical schedule from the same incremental
-    /// indices, so execution is bit-for-bit unchanged (the conformance
-    /// ladder enforces it); only the hot-path cost profile differs.
-    pub fn set_backend(&mut self, backend: Backend) {
-        self.backend = backend;
-    }
-
-    /// The active round-loop backend.
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// The wrapped network (for oracles and metrics).
@@ -145,46 +123,11 @@ impl<A: Automaton> Runner<A> {
     pub fn step_round_observed<O: Observer<A>>(&mut self, obs: &mut O) -> Stop {
         obs.on_round_start(&self.net, self.round);
         self.queue.refresh(&mut self.net);
-        match self.backend {
-            Backend::Reference => {
-                let events = self.queue.schedule(self.round, &mut self.keys, &self.net);
-                for &(key, idx, act) in events {
-                    obs.on_event(key, idx, act);
-                }
-                Self::execute(&mut self.net, events);
-            }
-            Backend::Batched => {
-                let events = self
-                    .queue
-                    .schedule_batched(self.round, &mut self.keys, &self.net);
-                for &(key, idx, act, _) in events {
-                    obs.on_event(key, idx, act);
-                }
-                Self::execute_slotted(&mut self.net, events);
-            }
-            Backend::Soa => {
-                let events = self
-                    .queue
-                    .schedule_soa(self.round, &mut self.keys, &self.net);
-                for &(key, idx, act, _) in events {
-                    obs.on_event(key, idx, act);
-                }
-                Self::execute_slotted(&mut self.net, events);
-            }
-            Backend::Sharded { shards } => {
-                // Derivation and key draws stay sequential (the SoA
-                // bit-word projection); only execution fans out. The
-                // shard engine's round-barrier merge re-applies sends in
-                // this exact schedule order — see `crate::shard`.
-                let events = self
-                    .queue
-                    .schedule_soa(self.round, &mut self.keys, &self.net);
-                for &(key, idx, act, _) in events {
-                    obs.on_event(key, idx, act);
-                }
-                self.shard.run_round(&mut self.net, events, shards);
-            }
+        let events = self.queue.schedule(self.round, &mut self.keys, &self.net);
+        for &(key, idx, act) in events {
+            obs.on_event(key, idx, act);
         }
+        Self::execute(&mut self.net, events);
         self.round += 1;
         self.net.metrics.rounds = self.round;
         obs.on_round_end(&self.net, self.round)
@@ -208,21 +151,6 @@ impl<A: Automaton> Runner<A> {
         let _ = self.step_round_observed(&mut FoldInto(digest));
     }
 
-    /// Execute one full round with the pre-engine obligation discovery: a
-    /// full rescan of all nodes and channels. Byte-for-byte the same
-    /// execution as [`Runner::step_round`] (same obligations, same keys,
-    /// same order) — only the discovery cost differs. Kept for the
-    /// old-vs-new engine benchmarks.
-    pub fn step_round_rescan(&mut self) {
-        self.queue.refresh(&mut self.net); // keep the index warm for later steps
-        let events = self
-            .queue
-            .schedule_rescan(self.round, &mut self.keys, &self.net);
-        Self::execute(&mut self.net, events);
-        self.round += 1;
-        self.net.metrics.rounds = self.round;
-    }
-
     // lint: hot-path
     fn execute(net: &mut Network<A>, events: &[(u128, u32, Action)]) {
         for &(_, _, act) in events {
@@ -240,36 +168,6 @@ impl<A: Automaton> Runner<A> {
                     // message: deliveries only pop and FIFO keeps order.
                     let ok = net.deliver_one(from, to);
                     debug_assert!(ok, "obligation for empty channel {from}->{to}");
-                }
-            }
-        }
-    }
-
-    /// Execute a slot-carrying schedule (batched and SoA backends): ticks
-    /// keep the per-event guard re-check; consecutive same-slot deliveries
-    /// collapse into one [`Network::deliver_run`] call, so the channel
-    /// address is resolved zero times (the schedule carries it) instead of
-    /// once per message.
-    // lint: hot-path
-    fn execute_slotted(net: &mut Network<A>, events: &[PendingSlot]) {
-        let mut i = 0;
-        while i < events.len() {
-            let (_, _, act, slot) = events[i];
-            match act {
-                Action::Tick(v) => {
-                    // Same execution-time guard re-check as `execute`.
-                    if net.is_alive(v) && net.node(v).enabled() {
-                        net.tick_node(v);
-                    }
-                    i += 1;
-                }
-                Action::Deliver(..) => {
-                    let mut j = i + 1;
-                    while j < events.len() && events[j].3 == slot {
-                        j += 1;
-                    }
-                    net.deliver_run(slot, j - i);
-                    i = j;
                 }
             }
         }
@@ -405,7 +303,18 @@ mod tests {
         assert_eq!(run(7), run(7));
     }
 
-    /// The indexed engine and the legacy rescan path must produce the exact
+    /// One round with obligations discovered by a full scan of every node
+    /// and channel instead of the incremental indices: the oracle the
+    /// event-driven derivation is checked against.
+    fn step_round_by_full_scan<A: Automaton>(r: &mut Runner<A>) {
+        r.queue.refresh(&mut r.net); // keep the indices warm for later steps
+        let events = r.queue.schedule_rescan(r.round, &mut r.keys, &r.net);
+        Runner::execute(&mut r.net, events);
+        r.round += 1;
+        r.net.metrics.rounds = r.round;
+    }
+
+    /// The indexed engine and the full-scan oracle must produce the exact
     /// same execution for every daemon — same per-round values, same
     /// message counts.
     #[test]
@@ -420,7 +329,7 @@ mod tests {
                 let mut samples = Vec::new();
                 for _ in 0..25 {
                     if rescan {
-                        r.step_round_rescan();
+                        step_round_by_full_scan(&mut r);
                     } else {
                         r.step_round();
                     }
@@ -442,129 +351,6 @@ mod tests {
                 "engines diverged under {sched:?}"
             );
         }
-    }
-
-    /// Every backend must execute the bit-identical run: same per-round
-    /// schedule digest, same node states, same metrics — including across
-    /// mid-run churn (slot recycling) and fault injection, and including
-    /// switching backends at a round boundary mid-run.
-    #[test]
-    fn all_backends_execute_identically() {
-        use crate::backend::Backend;
-        let run = |backend: Backend, sched: Scheduler| {
-            let mut d = crate::trace::Digest::new();
-            let mut r = Runner::new(min_net(9), sched);
-            r.set_backend(backend);
-            for round in 0..40 {
-                if round == 12 {
-                    r.network_mut().remove_edge(3, 4);
-                    r.network_mut().insert_edge(0, 4); // recycles slots
-                }
-                if round == 20 {
-                    r.network_mut().crash_node(7);
-                }
-                if round == 28 {
-                    r.network_mut().rejoin_node(7);
-                }
-                r.step_round_digest(&mut d);
-            }
-            let vals: Vec<u32> = r.network().nodes().iter().map(|a| a.value).collect();
-            (
-                d.value(),
-                vals,
-                r.network().in_flight(),
-                r.network().metrics.total_sent,
-                r.network().metrics.peak_in_flight,
-            )
-        };
-        for sched in [
-            Scheduler::Synchronous,
-            Scheduler::RandomAsync { seed: 21 },
-            Scheduler::Adversarial { seed: 21 },
-        ] {
-            let reference = run(Backend::Reference, sched);
-            for b in [
-                Backend::Batched,
-                Backend::Soa,
-                // 1 = inline pipeline, 3 = ragged split of n = 9,
-                // 8 = near-degenerate (one node per shard, one empty).
-                Backend::Sharded { shards: 1 },
-                Backend::Sharded { shards: 3 },
-                Backend::Sharded { shards: 8 },
-            ] {
-                assert_eq!(reference, run(b, sched), "{b} diverged under {sched:?}");
-            }
-        }
-        // Switching backends between rounds changes nothing either.
-        let mut d = crate::trace::Digest::new();
-        let sched = Scheduler::RandomAsync { seed: 21 };
-        let mut r = Runner::new(min_net(9), sched);
-        for round in 0..40 {
-            r.set_backend(crate::backend::Backend::ALL[round % crate::backend::Backend::ALL.len()]);
-            if round == 12 {
-                r.network_mut().remove_edge(3, 4);
-                r.network_mut().insert_edge(0, 4);
-            }
-            if round == 20 {
-                r.network_mut().crash_node(7);
-            }
-            if round == 28 {
-                r.network_mut().rejoin_node(7);
-            }
-            r.step_round_digest(&mut d);
-        }
-        assert_eq!(d.value(), run(Backend::Reference, sched).0);
-    }
-
-    /// Rotating the *shard count* at every round boundary mid-run changes
-    /// nothing: the schedule is derived and keyed before any shard runs,
-    /// and the round-barrier merge re-applies effects in canonical order,
-    /// so the digest and final state are shard-count-invariant even when
-    /// the count changes between rounds (mirroring the backend-rotation
-    /// probe above).
-    #[test]
-    fn rotating_shard_count_per_round_is_invariant() {
-        use crate::backend::Backend;
-        let sched = Scheduler::RandomAsync { seed: 33 };
-        let run_fixed = |backend: Backend| {
-            let mut d = crate::trace::Digest::new();
-            let mut r = Runner::new(min_net(9), sched);
-            r.set_backend(backend);
-            for round in 0..40 {
-                if round == 12 {
-                    r.network_mut().remove_edge(3, 4);
-                    r.network_mut().insert_edge(0, 4);
-                }
-                if round == 20 {
-                    r.network_mut().crash_node(7);
-                }
-                r.step_round_digest(&mut d);
-            }
-            let vals: Vec<u32> = r.network().nodes().iter().map(|a| a.value).collect();
-            (d.value(), vals, r.network().metrics.total_sent)
-        };
-        let reference = run_fixed(Backend::Reference);
-        let mut d = crate::trace::Digest::new();
-        let mut r = Runner::new(min_net(9), sched);
-        for round in 0..40usize {
-            r.set_backend(Backend::Sharded {
-                shards: [1, 2, 3, 8][round % 4],
-            });
-            if round == 12 {
-                r.network_mut().remove_edge(3, 4);
-                r.network_mut().insert_edge(0, 4);
-            }
-            if round == 20 {
-                r.network_mut().crash_node(7);
-            }
-            r.step_round_digest(&mut d);
-        }
-        let vals: Vec<u32> = r.network().nodes().iter().map(|a| a.value).collect();
-        assert_eq!(
-            reference,
-            (d.value(), vals, r.network().metrics.total_sent),
-            "rotating shard counts diverged from the reference"
-        );
     }
 
     /// A tick whose `enabled()` guard is falsified *mid-round* (by a

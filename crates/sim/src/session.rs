@@ -89,7 +89,6 @@ pub struct SessionBuilder<A: Automaton> {
     sched: Scheduler,
     horizon: u64,
     plan: Vec<(u64, ChurnEvent)>,
-    backend: Backend,
 }
 
 impl<A: Automaton> SessionBuilder<A> {
@@ -99,11 +98,9 @@ impl<A: Automaton> SessionBuilder<A> {
         self
     }
 
-    /// Choose the round-loop execution backend (default:
-    /// [`Backend::Reference`]). Every backend is required to produce the
-    /// bit-identical execution — the choice trades hot-path cost only.
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
+    /// Accepts the round-loop [`Backend`]. There is one round loop, so
+    /// this changes nothing; see [`Backend`] for why it still exists.
+    pub fn backend(self, _backend: Backend) -> Self {
         self
     }
 
@@ -144,10 +141,8 @@ impl<A: Automaton> SessionBuilder<A> {
     /// nested tuple of them).
     pub fn observe<O: Observer<A>>(mut self, obs: O) -> Session<A, O> {
         self.plan.sort_by_key(|&(at, _)| at);
-        let mut runner = Runner::new(self.net, self.sched);
-        runner.set_backend(self.backend);
         Session {
-            runner,
+            runner: Runner::new(self.net, self.sched),
             obs,
             horizon: self.horizon,
             plan: self.plan,
@@ -196,7 +191,6 @@ impl<A: Automaton> Session<A, ()> {
             sched: Scheduler::Synchronous,
             horizon: Self::DEFAULT_HORIZON,
             plan: Vec::new(),
-            backend: Backend::Reference,
         }
     }
 }

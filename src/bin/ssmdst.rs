@@ -41,7 +41,6 @@ struct Args {
     corrupt: f64,
     dot: Option<String>,
     max_rounds: u64,
-    backend: Backend,
 }
 
 impl Default for Args {
@@ -54,7 +53,6 @@ impl Default for Args {
             corrupt: 0.0,
             dot: None,
             max_rounds: 500_000,
-            backend: Backend::Reference,
         }
     }
 }
@@ -74,15 +72,12 @@ fn parse_args() -> Result<Args, String> {
             "--max-rounds" => {
                 args.max_rounds = val()?.parse().map_err(|e| format!("--max-rounds: {e}"))?
             }
-            // Unknown backends are a listed-options parse error, never a
-            // silent fall-through to the reference loop.
-            "--backend" => args.backend = Backend::parse(&val()?)?,
             "--help" | "-h" => {
                 println!(
                     "usage: ssmdst [--family NAME] [--n N] [--seed S] \
                      [--scheduler sync|async|adversarial] [--corrupt FRAC] \
-                     [--dot PATH] [--max-rounds R] [--backend reference|batched|soa|sharded[:K]]\n\
-                     \x20      ssmdst replay SCENARIO.scn|CORPUS-NAME [--trace OUT] [--expect GOLDEN] [--backend B]\n\
+                     [--dot PATH] [--max-rounds R]\n\
+                     \x20      ssmdst replay SCENARIO.scn|CORPUS-NAME [--trace OUT] [--expect GOLDEN]\n\
                      \x20      ssmdst shrink SCENARIO.scn|CORPUS-NAME --pred not-converged|degree-ge:K|quality [-o OUT.scn]\n\
                      \x20      ssmdst storm [SEED.scn|CORPUS-NAME ...] --seed S --execs N [--workers W] [--batch B]\n\
                      \x20                   [--max-corpus M] [--fail PRED] [--out DIR] [--expect-admissions K] [--distill]\n\
@@ -136,27 +131,16 @@ fn flag_value(flag: &str, it: &mut std::slice::Iter<String>) -> String {
     }
 }
 
-/// `ssmdst replay SCENARIO [--trace OUT] [--expect GOLDEN] [--backend B]`
+/// `ssmdst replay SCENARIO [--trace OUT] [--expect GOLDEN]`
 fn cmd_replay(args: &[String]) -> ! {
     let mut handle = None;
     let mut trace_out = None;
     let mut expect = None;
-    let mut backend = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--trace" => trace_out = Some(flag_value("--trace", &mut it)),
             "--expect" => expect = Some(flag_value("--expect", &mut it)),
-            "--backend" => {
-                // Listed-options error; an unknown backend must never
-                // silently fall through to the reference loop.
-                backend = Some(
-                    Backend::parse(&flag_value("--backend", &mut it)).unwrap_or_else(|e| {
-                        eprintln!("error: {e}");
-                        std::process::exit(2);
-                    }),
-                )
-            }
             other if !other.starts_with("--") && handle.is_none() => {
                 handle = Some(other.to_string())
             }
@@ -167,24 +151,15 @@ fn cmd_replay(args: &[String]) -> ! {
         }
     }
     let Some(handle) = handle else {
-        eprintln!(
-            "usage: ssmdst replay SCENARIO.scn|CORPUS-NAME [--trace OUT] [--expect GOLDEN] \
-             [--backend reference|batched|soa|sharded[:K]]"
-        );
+        eprintln!("usage: ssmdst replay SCENARIO.scn|CORPUS-NAME [--trace OUT] [--expect GOLDEN]");
         std::process::exit(2);
     };
-    let mut scenario = load_scenario(&handle);
-    if let Some(b) = backend {
-        // The backend is a mechanism, not replay identity: overriding it
-        // leaves the fingerprint (and thus --expect comparisons) intact.
-        scenario.backend = b;
-    }
+    let scenario = load_scenario(&handle);
     let (out, trace) = engine::run_traced_any(&scenario);
     println!(
-        "scenario: {} (protocol={} backend={} n={} m={} fingerprint={:016x})",
+        "scenario: {} (protocol={} n={} m={} fingerprint={:016x})",
         scenario.name,
         scenario.protocol.label(),
-        scenario.backend,
         out.n,
         out.m,
         scenario.fingerprint()
@@ -533,7 +508,6 @@ fn main() {
     let quiet = ssmdst::sim::quiet_window(g.n());
     let mut session = Session::from_network(build_network(&g, Config::for_n(g.n())))
         .scheduler(sched)
-        .backend(args.backend)
         .horizon(args.max_rounds)
         .build();
     let out = session.run_to_quiescence(quiet, oracle::projection);

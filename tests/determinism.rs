@@ -1,6 +1,6 @@
 //! Determinism guard: with a fixed seed, every scheduler must produce a
-//! byte-identical execution trace across independent runs. Future
-//! parallelism work (sharded simulation, multi-threaded sweeps) must not
+//! byte-identical execution trace across independent runs. Parallelism
+//! work (multi-threaded sweeps) must not
 //! perturb single-run determinism — reproducible experiment tables and
 //! replayable failing executions depend on it.
 

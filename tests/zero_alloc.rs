@@ -20,7 +20,7 @@
 //! thread.
 
 use alloc_counter::{allocations_on_this_thread, CountingAllocator};
-use ssmdst::sim::{Automaton, Backend, Message, Network, Outbox, Runner, Scheduler, Session};
+use ssmdst::sim::{Automaton, Message, Network, Outbox, Runner, Scheduler, Session};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
@@ -61,75 +61,57 @@ impl Automaton for Gossip {
 
 #[test]
 fn steady_state_round_loop_is_allocation_free() {
-    // Every execution backend inherits the fabric's zero-allocation
-    // contract: the batched backend's slot buffer and the SoA backend's
-    // bit-words are steady-state scratch, warmed once and reused forever.
-    // The sharded backend is metered at `shards: 1`, which runs the full
-    // stage/execute/merge pipeline inline: that measures the engine's own
-    // per-round allocations (inboxes, outboxes, skip lists — all reused).
-    // With more shards, `std::thread::scope` itself allocates per spawn
-    // (thread stacks and join handles, on this thread) — a property of
-    // std's threading, not of the per-shard round loop.
-    for backend in Backend::ALL.map(|b| match b {
-        Backend::Sharded { .. } => Backend::Sharded { shards: 1 },
-        other => other,
-    }) {
-        for sched in [
-            Scheduler::Synchronous,
-            Scheduler::RandomAsync { seed: 5 },
-            Scheduler::Adversarial { seed: 5 },
-        ] {
-            let g = ssmdst::graph::generators::random::gnp_connected(64, 0.15, 42);
-            let net = Network::from_graph(&g, |_, nbrs| Gossip {
-                neighbors: nbrs.to_vec(),
-                beat: 0,
-                heard: 0,
-            });
-            let mut runner = Runner::new(net, sched);
-            runner.set_backend(backend);
-            // Warm-up: buffers, channel deques and the metrics kind table
-            // grow to their steady-state capacity during the first rounds.
-            for _ in 0..50 {
-                runner.step_round();
-            }
-            let before = allocations_on_this_thread();
-            for _ in 0..100 {
-                runner.step_round();
-            }
-            let allocs = allocations_on_this_thread() - before;
-            assert_eq!(
-                allocs, 0,
-                "steady-state rounds allocated {allocs} times under {sched:?} on {backend}"
-            );
-            // The loop really ran: traffic flowed every round.
-            assert!(runner.network().metrics.total_delivered > 0);
-
-            // The Session surface with no observers attached is the same
-            // machine code: every `()` observer hook is an empty inlineable
-            // default, so the redesigned driver keeps the guarantee.
-            let g = ssmdst::graph::generators::random::gnp_connected(64, 0.15, 42);
-            let net = Network::from_graph(&g, |_, nbrs| Gossip {
-                neighbors: nbrs.to_vec(),
-                beat: 0,
-                heard: 0,
-            });
-            let mut session = Session::from_network(net)
-                .scheduler(sched)
-                .backend(backend)
-                .build();
-            for _ in 0..50 {
-                let _ = session.step();
-            }
-            let before = allocations_on_this_thread();
-            for _ in 0..100 {
-                let _ = session.step();
-            }
-            let allocs = allocations_on_this_thread() - before;
-            assert_eq!(
-                allocs, 0,
-                "steady-state session rounds allocated {allocs} times under {sched:?} on {backend}"
-            );
-            assert!(session.network().metrics.total_delivered > 0);
+    for sched in [
+        Scheduler::Synchronous,
+        Scheduler::RandomAsync { seed: 5 },
+        Scheduler::Adversarial { seed: 5 },
+    ] {
+        let g = ssmdst::graph::generators::random::gnp_connected(64, 0.15, 42);
+        let net = Network::from_graph(&g, |_, nbrs| Gossip {
+            neighbors: nbrs.to_vec(),
+            beat: 0,
+            heard: 0,
+        });
+        let mut runner = Runner::new(net, sched);
+        // Warm-up: buffers, channel deques and the metrics kind table
+        // grow to their steady-state capacity during the first rounds.
+        for _ in 0..50 {
+            runner.step_round();
         }
+        let before = allocations_on_this_thread();
+        for _ in 0..100 {
+            runner.step_round();
+        }
+        let allocs = allocations_on_this_thread() - before;
+        assert_eq!(
+            allocs, 0,
+            "steady-state rounds allocated {allocs} times under {sched:?}"
+        );
+        // The loop really ran: traffic flowed every round.
+        assert!(runner.network().metrics.total_delivered > 0);
+
+        // The Session surface with no observers attached is the same
+        // machine code: every `()` observer hook is an empty inlineable
+        // default, so the redesigned driver keeps the guarantee.
+        let g = ssmdst::graph::generators::random::gnp_connected(64, 0.15, 42);
+        let net = Network::from_graph(&g, |_, nbrs| Gossip {
+            neighbors: nbrs.to_vec(),
+            beat: 0,
+            heard: 0,
+        });
+        let mut session = Session::from_network(net).scheduler(sched).build();
+        for _ in 0..50 {
+            let _ = session.step();
+        }
+        let before = allocations_on_this_thread();
+        for _ in 0..100 {
+            let _ = session.step();
+        }
+        let allocs = allocations_on_this_thread() - before;
+        assert_eq!(
+            allocs, 0,
+            "steady-state session rounds allocated {allocs} times under {sched:?}"
+        );
+        assert!(session.network().metrics.total_delivered > 0);
     }
 }
