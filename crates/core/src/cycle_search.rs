@@ -37,15 +37,17 @@ impl MdstNode {
         }
         let period = self.cfg.search_period;
         let id = self.st.id;
-        let nbrs = self.st.neighbors.clone();
-        for u in nbrs {
-            if id >= u || self.st.is_tree_edge(u) {
-                continue; // not the initiator, or not a non-tree edge
+        // Only the lower-ID endpoint of an edge initiates.
+        let first = self.st.neighbors.partition_point(|&u| u <= id);
+        for i in first..self.st.neighbors.len() {
+            if self.st.is_tree_edge_at(i) {
+                continue; // not a non-tree edge
             }
+            let u = self.st.neighbors[i];
             // Staggered first launch: spread token storms across the period.
             let stagger = (id.wrapping_mul(31).wrapping_add(u)) % period.max(1);
             let counter = self.st.launch_counter;
-            let cd = self.st.search_cooldown.entry(u).or_insert(stagger);
+            let cd = self.st.search_cooldown.get_or_insert(u, stagger);
             if *cd > 0 {
                 continue;
             }
@@ -68,12 +70,9 @@ impl MdstNode {
     ) {
         let s = &self.st;
         // First hop: the smallest tree neighbor (deterministic DFS order).
-        let Some(first) = s
-            .neighbors
-            .iter()
-            .copied()
-            .filter(|&u| s.is_tree_edge(u))
-            .min()
+        let Some(first) = (0..s.neighbors.len())
+            .find(|&i| s.is_tree_edge_at(i))
+            .map(|i| s.neighbors[i])
         else {
             return; // no tree edges yet
         };
@@ -156,12 +155,9 @@ impl MdstNode {
         out: &mut Outbox<Msg>,
     ) {
         let s = &self.st;
-        let next = s
-            .neighbors
-            .iter()
-            .copied()
-            .filter(|&u| s.is_tree_edge(u) && !visited.contains(&u))
-            .min();
+        let next = (0..s.neighbors.len())
+            .find(|&i| s.is_tree_edge_at(i) && !visited.contains(&s.neighbors[i]))
+            .map(|i| s.neighbors[i]);
         match next {
             Some(u) => out.send(
                 u,
@@ -272,8 +268,7 @@ mod tests {
         n.st.root = 0;
         n.st.parent = 0;
         n.st.distance = 1;
-        for (&u, view) in n.st.nbr.clone().iter() {
-            let mut v = *view;
+        for (&u, v) in n.st.neighbors.iter().zip(&mut n.st.nbr) {
             v.root = 0;
             v.dmax = 3;
             if u == 0 {
@@ -283,7 +278,6 @@ mod tests {
                 v.parent = 1;
                 v.distance = 2;
             }
-            n.st.nbr.insert(u, v);
         }
         n.st.recompute_derived();
         n.st.dmax = 3;

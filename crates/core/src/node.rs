@@ -2,7 +2,8 @@
 
 use crate::config::Config;
 use crate::messages::{InfoPayload, Msg};
-use crate::state::NodeState;
+use crate::spanning_tree::RuleFields;
+use crate::state::{NbrView, NodeState};
 use crate::NodeId;
 use rand::Rng;
 use ssmdst_sim::{Automaton, Corrupt, Outbox};
@@ -19,6 +20,10 @@ use ssmdst_sim::{Automaton, Corrupt, Outbox};
 pub struct MdstNode {
     pub(crate) st: NodeState,
     pub(crate) cfg: Config,
+    /// Rule fields of the last tree-rule evaluation, if it was a fixpoint
+    /// under the current mirrors (lets `handle_info` skip a redundant
+    /// re-evaluation; see [`MdstNode::update_tree`]).
+    pub(crate) fixpoint: Option<RuleFields>,
 }
 
 impl MdstNode {
@@ -26,7 +31,11 @@ impl MdstNode {
     pub fn new(id: NodeId, neighbors: &[NodeId], cfg: Config) -> Self {
         let mut st = NodeState::new(id, neighbors);
         st.dist_ceiling = cfg.max_path_len as u32 + 1;
-        MdstNode { st, cfg }
+        MdstNode {
+            st,
+            cfg,
+            fixpoint: None,
+        }
     }
 
     /// Read-only view of the protocol state (oracles, tests, experiments).
@@ -66,7 +75,7 @@ impl MdstNode {
         for c in self.st.deblock_cooldown.values_mut() {
             *c = c.saturating_sub(1);
         }
-        self.st.deblock_cooldown.retain(|_, c| *c > 0);
+        self.st.deblock_cooldown.retain(|_, c| c > 0);
         self.st.busy = self.st.busy.saturating_sub(1);
     }
 }
@@ -78,8 +87,7 @@ impl Automaton for MdstNode {
         self.decay_cooldowns();
         // Priority order (paper §4): spanning tree first, then degree
         // bookkeeping, then (guarded) cycle searches.
-        self.apply_tree_rules();
-        self.st.recompute_derived();
+        self.update_tree();
         let info = Msg::Info(self.info_payload());
         for i in 0..self.st.neighbors.len() {
             let u = self.st.neighbors[i];
@@ -154,23 +162,11 @@ impl Automaton for MdstNode {
     /// deliberately left stale: to the protocol a topology change is just
     /// one more transient fault, and rules R1/R2 plus the PIF repair it.
     fn on_topology_change(&mut self, neighbors: &[NodeId]) {
-        self.st.neighbors = neighbors.to_vec();
-        self.st
-            .nbr
-            .retain(|u, _| neighbors.binary_search(u).is_ok());
-        for &u in neighbors {
-            self.st
-                .nbr
-                .entry(u)
-                .or_insert_with(|| crate::state::NbrView::unknown(u));
-        }
-        self.st
-            .search_cooldown
-            .retain(|u, _| neighbors.binary_search(u).is_ok());
         // Deblock cooldowns are keyed by blocker id (not necessarily a
-        // neighbor) and age out on their own; leave them.
-        self.apply_tree_rules();
-        self.st.recompute_derived();
+        // neighbor) and age out on their own; `set_neighbors` leaves them.
+        self.st.set_neighbors(neighbors);
+        // Re-evaluating under the new mirrors also replaces the memo.
+        self.update_tree();
     }
 }
 
@@ -204,9 +200,8 @@ impl Corrupt for MdstNode {
         self.st.deg = rng.random_range(0..hi);
         self.st.subtree_max = rng.random_range(0..hi);
         self.st.color = rng.random_bool(0.5);
-        let nbrs = self.st.neighbors.clone();
-        for u in nbrs {
-            let v = crate::state::NbrView {
+        for v in &mut self.st.nbr {
+            *v = NbrView {
                 root: random_node(rng),
                 parent: random_node(rng),
                 distance: rng.random_range(0..2 * hi),
@@ -215,12 +210,13 @@ impl Corrupt for MdstNode {
                 subtree_max: rng.random_range(0..hi),
                 color: rng.random_bool(0.5),
             };
-            self.st.nbr.insert(u, v);
         }
         for c in self.st.search_cooldown.values_mut() {
             *c = rng.random_range(0..self.cfg.search_period.max(1));
         }
         self.st.deblock_cooldown.clear();
+        // The mirrors changed behind the tree rules' back.
+        self.fixpoint = None;
     }
 }
 
@@ -287,9 +283,9 @@ mod tests {
         use ssmdst_sim::Automaton as _;
         n.on_topology_change(&[2]); // neighbor 0 is gone
         assert_eq!(n.state().neighbors, vec![2]);
-        assert!(!n.state().nbr.contains_key(&0));
-        assert!(!n.state().search_cooldown.contains_key(&0));
-        assert!(n.state().search_cooldown.contains_key(&2));
+        assert_eq!(n.state().nbr, vec![n.state().view(2)]);
+        assert_eq!(n.state().search_cooldown.get(0), None);
+        assert_eq!(n.state().search_cooldown.get(2), Some(5));
         // The parent pointed at the departed neighbor: the tree rules must
         // have resolved it (here R2 reset then R1 adopted neighbor 2's
         // blank mirror advertising root 2 > ... or stayed self-rooted).
@@ -302,10 +298,7 @@ mod tests {
         use ssmdst_sim::Automaton as _;
         n.on_topology_change(&[0, 2, 3]);
         assert_eq!(n.state().neighbors, vec![0, 2, 3]);
-        assert_eq!(
-            n.state().nbr.get(&3),
-            Some(&crate::state::NbrView::unknown(3))
-        );
+        assert_eq!(n.state().nbr[2], NbrView::unknown(3));
     }
 
     #[test]
@@ -315,7 +308,7 @@ mod tests {
         n.st.deblock_cooldown.insert(5, 1);
         let mut out = Outbox::new();
         n.tick(&mut out);
-        assert_eq!(n.st.search_cooldown[&2], 1);
+        assert_eq!(n.st.search_cooldown.get(2), Some(1));
         assert!(n.st.deblock_cooldown.is_empty()); // pruned at zero
     }
 }

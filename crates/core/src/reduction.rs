@@ -489,7 +489,7 @@ impl MdstNode {
             // I (b) am blocking: flood my tree neighborhood (throttled so a
             // search storm does not re-flood every period).
             let my_id = self.st.id;
-            if self.st.deblock_cooldown.get(&my_id).copied().unwrap_or(0) == 0 {
+            if self.st.deblock_cooldown.get(my_id).unwrap_or(0) == 0 {
                 self.st
                     .deblock_cooldown
                     .insert(my_id, self.cfg.deblock_cooldown);
@@ -526,7 +526,7 @@ impl MdstNode {
             return;
         }
         // Throttle repeated floods for the same blocker.
-        if self.st.deblock_cooldown.get(&idblock).copied().unwrap_or(0) > 0 {
+        if self.st.deblock_cooldown.get(idblock).unwrap_or(0) > 0 {
             return;
         }
         self.st
@@ -540,10 +540,10 @@ impl MdstNode {
         self.broadcast_deblock(idblock, Some(from), ttl, out);
         // Work on the blocker's behalf: search my non-tree edges with the
         // blocking context attached.
-        let id = self.st.id;
-        let nbrs = self.st.neighbors.clone();
-        for u in nbrs {
-            if id < u && !self.st.is_tree_edge(u) && u != idblock {
+        let first = self.st.neighbors.partition_point(|&u| u <= self.st.id);
+        for i in first..self.st.neighbors.len() {
+            let u = self.st.neighbors[i];
+            if !self.st.is_tree_edge_at(i) && u != idblock {
                 self.start_search(u, Some((idblock, ttl)), out);
             }
         }
@@ -558,9 +558,8 @@ impl MdstNode {
         out: &mut Outbox<Msg>,
     ) {
         let dmax = self.st.dmax;
-        let nbrs = self.st.neighbors.clone();
-        for u in nbrs {
-            if Some(u) == skip || !self.st.is_tree_edge(u) {
+        for (i, &u) in self.st.neighbors.iter().enumerate() {
+            if Some(u) == skip || !self.st.is_tree_edge_at(i) {
                 continue;
             }
             out.send(u, Msg::Deblock { idblock, ttl, dmax });
@@ -731,7 +730,7 @@ mod tests {
         n.st.parent = 0;
         n.st.distance = 1;
         for (u, parent, distance) in [(0u32, 0u32, 0u32), (2, 1, 2)] {
-            n.st.nbr.insert(
+            n.st.set_view(
                 u,
                 crate::state::NbrView {
                     root: 0,

@@ -19,30 +19,101 @@ use crate::node::MdstNode;
 use crate::state::NbrView;
 use crate::NodeId;
 
+/// The fields the tree rules and [`crate::state::NodeState::recompute_derived`]
+/// read or write besides the mirrors and the constants (`id`, `neighbors`,
+/// `dist_ceiling`, `cfg`). The rules are a pure function of these, the
+/// mirrors and the constants, and write nothing else; so a state whose
+/// fields equal those of an evaluation that changed nothing, under the same
+/// mirrors, is again a fixpoint and needs no re-evaluation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RuleFields {
+    root: NodeId,
+    parent: NodeId,
+    distance: u32,
+    busy: u32,
+    deg: u32,
+    subtree_max: u32,
+    dmax: u32,
+    color: bool,
+}
+
 impl MdstNode {
+    fn rule_fields(&self) -> RuleFields {
+        let s = &self.st;
+        RuleFields {
+            root: s.root,
+            parent: s.parent,
+            distance: s.distance,
+            busy: s.busy,
+            deg: s.deg,
+            subtree_max: s.subtree_max,
+            dmax: s.dmax,
+            color: s.color,
+        }
+    }
+
     /// Ingest an `InfoMsg`: refresh the mirror, then re-evaluate the tree
     /// rules and the derived degree variables (paper's `Update_State`).
+    ///
+    /// The re-evaluation is skipped when it cannot change anything: the
+    /// payload equals the stored mirror, so the mirrors are those of the
+    /// last evaluation, and the rule fields equal those of that evaluation,
+    /// which was a fixpoint.
+    // lint: hot-path
     pub(crate) fn handle_info(&mut self, from: NodeId, p: InfoPayload) {
-        if !self.st.is_neighbor(from) {
+        let Some(i) = self.st.mirror_index(from) else {
+            return;
+        };
+        let v = NbrView {
+            root: p.root,
+            parent: p.parent,
+            distance: p.distance,
+            dmax: p.dmax,
+            deg: p.deg,
+            subtree_max: p.subtree_max,
+            color: p.color,
+        };
+        if self.st.nbr[i] == v && self.fixpoint == Some(self.rule_fields()) {
+            #[cfg(debug_assertions)]
+            self.assert_still_fixpoint();
             return;
         }
-        self.st.nbr.insert(
-            from,
-            NbrView {
-                root: p.root,
-                parent: p.parent,
-                distance: p.distance,
-                dmax: p.dmax,
-                deg: p.deg,
-                subtree_max: p.subtree_max,
-                color: p.color,
-            },
-        );
+        self.st.nbr[i] = v;
+        self.update_tree();
+    }
+
+    /// Evaluate the tree rules and the derived variables, and remember the
+    /// rule fields if the evaluation changed none of them. Every mirror
+    /// write is followed by a call to this (or, in `corrupt`, by clearing
+    /// the memo), so a kept memo always belongs to the current mirrors.
+    pub(crate) fn update_tree(&mut self) {
+        let before = self.rule_fields();
         self.apply_tree_rules();
         self.st.recompute_derived();
+        let after = self.rule_fields();
+        self.fixpoint = (before == after).then_some(after);
+    }
+
+    /// Debug cross-check of a skipped evaluation: run the rules anyway and
+    /// assert they change nothing. The rules run in place rather than on a
+    /// clone, since a clone allocates and the allocation guard also meters
+    /// debug builds; they write only the rule fields, so equal rule fields
+    /// mean an unchanged state.
+    #[cfg(debug_assertions)]
+    fn assert_still_fixpoint(&mut self) {
+        let memo = self.rule_fields();
+        self.apply_tree_rules();
+        self.st.recompute_derived();
+        assert_eq!(
+            self.rule_fields(),
+            memo,
+            "skipped InfoMsg re-evaluation of node {} was not a fixpoint",
+            self.st.id
+        );
     }
 
     /// Rules R2 then R1 (R1 is guarded by coherence, as in the paper).
+    // lint: hot-path
     pub(crate) fn apply_tree_rules(&mut self) {
         // Distances are bounded by the network size (config's path cap): a
         // distance beyond it can only come from a parent cycle, whose
@@ -80,10 +151,8 @@ impl MdstNode {
             let p = self.st.parent;
             let reset = if p == self.st.id {
                 self.st.root != self.st.id
-            } else if !self.st.is_neighbor(p) {
-                true
-            } else {
-                let pv = self.st.view(p);
+            } else if let Some(i) = self.st.mirror_index(p) {
+                let pv = self.st.nbr[i];
                 let follow_ok = pv.root <= self.st.id && pv.distance < ceiling;
                 if follow_ok {
                     if self.st.root != pv.root {
@@ -94,6 +163,8 @@ impl MdstNode {
                 } else {
                     true
                 }
+            } else {
+                true
             };
             if reset || self.st.distance > ceiling || self.st.root > self.st.id {
                 self.st.root = self.st.id;
@@ -110,10 +181,10 @@ impl MdstNode {
         }
         // R1: adopt the neighbor advertising the smallest plausible root
         // (ties by ID); candidates with out-of-range distances are fake.
-        if let Some(best) = self.st.adoptable_parent() {
-            let v = self.st.view(best);
+        if let Some(i) = self.st.adoptable_index() {
+            let v = self.st.nbr[i];
             self.st.root = v.root;
-            self.st.parent = best;
+            self.st.parent = self.st.neighbors[i];
             self.st.distance = v.distance.saturating_add(1);
         }
     }
@@ -154,7 +225,7 @@ mod tests {
         let mut n = MdstNode::new(5, &[2, 7], Config::for_n(8));
         // Install both mirrors advertising the same root, then evaluate the
         // rules once: the tie must break toward the smaller neighbor ID.
-        n.st.nbr.insert(
+        n.st.set_view(
             7,
             crate::state::NbrView {
                 root: 1,
@@ -163,7 +234,7 @@ mod tests {
                 ..crate::state::NbrView::unknown(7)
             },
         );
-        n.st.nbr.insert(
+        n.st.set_view(
             2,
             crate::state::NbrView {
                 root: 1,

@@ -12,7 +12,9 @@
 //! Scope: the guarantee is about the *fabric*. The messages themselves are
 //! `Copy` here; a protocol whose messages own heap data (e.g. a path
 //! vector) pays for those clones, which is the protocol's cost, not the
-//! fabric's.
+//! fabric's. The MDST automaton is metered too, at quiescence on a star,
+//! where only its heap-free `InfoMsg` gossip runs: its tick and `InfoMsg`
+//! handlers must not allocate either.
 //!
 //! The counter is per-thread, so the harness's own threads cannot perturb
 //! the measurement; this file still holds a single `#[test]` so the
@@ -20,6 +22,7 @@
 //! thread.
 
 use alloc_counter::{allocations_on_this_thread, CountingAllocator};
+use ssmdst::core::{build_network, oracle, Config, MdstNode};
 use ssmdst::sim::{Automaton, Message, Network, Outbox, Runner, Scheduler, Session};
 
 #[global_allocator]
@@ -59,6 +62,46 @@ impl Automaton for Gossip {
     }
 }
 
+/// Meter 100 steady-state rounds of `step` and require zero allocations.
+fn assert_rounds_allocation_free(what: &str, sched: Scheduler, mut step: impl FnMut()) {
+    let before = allocations_on_this_thread();
+    for _ in 0..100 {
+        step();
+    }
+    let allocs = allocations_on_this_thread() - before;
+    assert_eq!(
+        allocs, 0,
+        "steady-state {what} rounds allocated {allocs} times under {sched:?}"
+    );
+}
+
+fn gossip_network() -> Network<Gossip> {
+    let g = ssmdst::graph::generators::random::gnp_connected(64, 0.15, 42);
+    Network::from_graph(&g, |_, nbrs| Gossip {
+        neighbors: nbrs.to_vec(),
+        beat: 0,
+        heard: 0,
+    })
+}
+
+/// The real automaton at quiescence: a converged MDST on the star
+/// `K_{1,5}`. Its tree degree is 5, so every node passes the `dmax ≥ 3`
+/// search guard each tick, but a tree has no non-tree edge, so no search
+/// ever launches: what remains is pure `InfoMsg` gossip, whose handlers
+/// must not allocate.
+fn converged_star(sched: Scheduler) -> Runner<MdstNode> {
+    let g = ssmdst::graph::generators::structured::complete_bipartite(1, 5).unwrap();
+    let mut runner = Runner::new(build_network(&g, Config::for_n(6)), sched);
+    let mut rounds = 0;
+    while !oracle::is_legitimate(&g, runner.network()) {
+        runner.step_round();
+        rounds += 1;
+        assert!(rounds < 5_000, "star never converged under {sched:?}");
+    }
+    assert_eq!(runner.network().nodes()[0].state().dmax, 5);
+    runner
+}
+
 #[test]
 fn steady_state_round_loop_is_allocation_free() {
     for sched in [
@@ -66,52 +109,37 @@ fn steady_state_round_loop_is_allocation_free() {
         Scheduler::RandomAsync { seed: 5 },
         Scheduler::Adversarial { seed: 5 },
     ] {
-        let g = ssmdst::graph::generators::random::gnp_connected(64, 0.15, 42);
-        let net = Network::from_graph(&g, |_, nbrs| Gossip {
-            neighbors: nbrs.to_vec(),
-            beat: 0,
-            heard: 0,
-        });
-        let mut runner = Runner::new(net, sched);
+        let mut runner = Runner::new(gossip_network(), sched);
         // Warm-up: buffers, channel deques and the metrics kind table
         // grow to their steady-state capacity during the first rounds.
         for _ in 0..50 {
             runner.step_round();
         }
-        let before = allocations_on_this_thread();
-        for _ in 0..100 {
-            runner.step_round();
-        }
-        let allocs = allocations_on_this_thread() - before;
-        assert_eq!(
-            allocs, 0,
-            "steady-state rounds allocated {allocs} times under {sched:?}"
-        );
+        assert_rounds_allocation_free("runner", sched, || runner.step_round());
         // The loop really ran: traffic flowed every round.
         assert!(runner.network().metrics.total_delivered > 0);
 
         // The Session surface with no observers attached is the same
         // machine code: every `()` observer hook is an empty inlineable
         // default, so the redesigned driver keeps the guarantee.
-        let g = ssmdst::graph::generators::random::gnp_connected(64, 0.15, 42);
-        let net = Network::from_graph(&g, |_, nbrs| Gossip {
-            neighbors: nbrs.to_vec(),
-            beat: 0,
-            heard: 0,
-        });
-        let mut session = Session::from_network(net).scheduler(sched).build();
+        let mut session = Session::from_network(gossip_network())
+            .scheduler(sched)
+            .build();
         for _ in 0..50 {
             let _ = session.step();
         }
-        let before = allocations_on_this_thread();
-        for _ in 0..100 {
+        assert_rounds_allocation_free("session", sched, || {
             let _ = session.step();
-        }
-        let allocs = allocations_on_this_thread() - before;
-        assert_eq!(
-            allocs, 0,
-            "steady-state session rounds allocated {allocs} times under {sched:?}"
-        );
+        });
         assert!(session.network().metrics.total_delivered > 0);
+
+        let mut runner = converged_star(sched);
+        for _ in 0..50 {
+            runner.step_round();
+        }
+        let delivered = runner.network().metrics.total_delivered;
+        assert_rounds_allocation_free("MDST star", sched, || runner.step_round());
+        assert!(runner.network().metrics.total_delivered > delivered);
+        assert_eq!(runner.network().metrics.kind("Search").sent, 0);
     }
 }
