@@ -25,9 +25,9 @@ use ssmdst_graph::generators::random::gnp_connected_sparse;
 use ssmdst_graph::{exact_mdst, Graph, SolveBudget};
 use std::time::Instant;
 
-/// The solver configuration under test: generous pivot budget, settling
-/// (branch-and-bound closing of `lower+1` intervals) capped at the same
-/// component size the scenario judge uses.
+/// The solver configuration under test: settling (branch-and-bound
+/// closing of `lower+1` intervals) capped at the same component size the
+/// scenario judge uses.
 fn solver() -> Solver {
     Solver::builder()
         .settle_budget(500_000)

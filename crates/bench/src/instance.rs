@@ -7,7 +7,9 @@
 
 use ssmdst_core::{build_network, oracle, Config, MdstNode};
 use ssmdst_graph::Graph;
-use ssmdst_sim::{stop_when, Network, Observer, QuiescenceGate, Scheduler, Session, Stop};
+use ssmdst_sim::{
+    quiet_window, stop_when, Network, Observer, QuiescenceGate, Scheduler, Session, Stop,
+};
 
 /// Everything measured from one protocol run.
 #[derive(Debug, Clone)]
@@ -37,13 +39,6 @@ pub struct InstanceResult {
     /// Maximum number of distinct maximum-degree nodes whose degree dropped
     /// within a single round (the concurrency measure of experiment F3).
     pub max_simultaneous_drops: usize,
-}
-
-/// Quiescence window used everywhere — the simulator's canonical one, so
-/// the harness, the facade's `ssmdst::run` and the dynamic-topology tests
-/// all judge stability identically.
-pub fn quiet_window(n: usize) -> u64 {
-    ssmdst_sim::quiet_window(n)
 }
 
 /// Per-round trajectory + concurrency bookkeeping, shared between the

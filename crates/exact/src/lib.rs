@@ -1,9 +1,9 @@
 //! # ssmdst-exact
 //!
 //! The fast certified-`Δ*` engine: a network-simplex-style spanning-tree
-//! structure, a Fürer–Raghavachari improvement loop with pluggable pivot
-//! rules, independently checkable lower-bound witnesses, and an
-//! incremental re-solve API that keeps the basis alive across churn.
+//! structure, a Fürer–Raghavachari improvement loop, independently
+//! checkable lower-bound witnesses, and an incremental re-solve API that
+//! keeps the basis alive across churn.
 //!
 //! `Δ*` (the minimum over spanning trees of the maximum degree) is
 //! NP-hard, so the engine's contract is a **certified interval**: every
@@ -21,8 +21,6 @@
 //!   pivots, the mutable tree the improvement loop lives on.
 //! * [`witness`] — [`Witness`]: blocking-set certificates with
 //!   search-independent verification.
-//! * [`strategy`] — [`Pivot`]: first-eligible / best-eligible /
-//!   candidate-list pivot rules, seed-deterministic.
 //! * [`solve`] — [`Solver`] / [`Solution`]: the certified solve, cold
 //!   ([`Solver::solve`]) or warm ([`Solver::solve_from`]).
 //! * [`incremental`] — [`IncrementalSolver`]: mirror churn events,
@@ -30,9 +28,9 @@
 //!   and a per-component cache.
 //!
 //! ```
-//! use ssmdst_exact::{Pivot, Solver};
+//! use ssmdst_exact::Solver;
 //! let g = ssmdst_graph::generators::structured::star_with_ring(8).unwrap();
-//! let sol = Solver::builder().pivot(Pivot::BestEligible).build().solve(&g);
+//! let sol = Solver::default().solve(&g);
 //! assert_eq!(sol.delta_star(), Some(2));
 //! assert!(sol.witness.verify(&g));
 //! ```
@@ -44,12 +42,10 @@
 
 pub mod incremental;
 pub mod solve;
-pub mod strategy;
 pub mod structure;
 pub mod witness;
 
 pub use incremental::{CompSolution, IncrementalSolver, Stats};
 pub use solve::{Solution, Solver, SolverBuilder};
-pub use strategy::{Improvement, Pivot};
 pub use structure::{SpanningTreeStructure, NONE};
 pub use witness::Witness;

@@ -19,8 +19,8 @@
 //! vertex — degree `k` count strictly decreases), otherwise every marked
 //! cycle vertex has degree `k − 1` and is **unmarked** (it could be
 //! relieved on demand), merging the cycle into one component. At the
-//! fixpoint the still-marked set is the blocking witness. Which
-//! improvement is applied per phase is the pluggable [`Pivot`] rule.
+//! fixpoint the still-marked set is the blocking witness. Each phase
+//! pivots on the first improvement in ascending edge order.
 //!
 //! This loop is the workspace's one Fürer–Raghavachari local search; the
 //! sequential baselines (`ssmdst-baselines`) run it with settling off. The
@@ -50,7 +50,6 @@
 //! [`ssmdst_graph::exact_mdst`] on every small instance while staying
 //! witness-only (and fast) at `n = 10k+`.
 
-use crate::strategy::{Improvement, Pivot, PivotState};
 use crate::structure::SpanningTreeStructure;
 use crate::witness::{floor_bound, Witness};
 use ssmdst_graph::{
@@ -93,12 +92,10 @@ impl Solution {
     }
 }
 
-/// Configured solver. Build via [`Solver::builder`]; every knob is
+/// Configured solver. Build via [`Solver::builder`]; every solve is
 /// deterministic, so equal configurations replay equal solves.
 #[derive(Debug, Clone)]
 pub struct Solver {
-    pivot: Pivot,
-    seed: u64,
     settle_budget: u64,
     settle_max_n: usize,
 }
@@ -109,28 +106,14 @@ impl Default for Solver {
     }
 }
 
-/// Builder for [`Solver`] — strategy selection lives here.
+/// Builder for [`Solver`]: the settling knobs.
 #[derive(Debug, Clone)]
 pub struct SolverBuilder {
-    pivot: Pivot,
-    seed: u64,
     settle_budget: u64,
     settle_max_n: usize,
 }
 
 impl SolverBuilder {
-    /// Select the pivot rule (default [`Pivot::FirstEligible`]).
-    pub fn pivot(mut self, pivot: Pivot) -> Self {
-        self.pivot = pivot;
-        self
-    }
-
-    /// Seed for seed-sensitive strategies (the candidate-list cursor).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Branch-and-bound node budget for settling open intervals
     /// (`0` disables settling entirely).
     pub fn settle_budget(mut self, budget: u64) -> Self {
@@ -148,8 +131,6 @@ impl SolverBuilder {
     /// Finalize.
     pub fn build(self) -> Solver {
         Solver {
-            pivot: self.pivot,
-            seed: self.seed,
             settle_budget: self.settle_budget,
             settle_max_n: self.settle_max_n,
         }
@@ -168,8 +149,6 @@ impl Solver {
     /// Start building a solver.
     pub fn builder() -> SolverBuilder {
         SolverBuilder {
-            pivot: Pivot::FirstEligible,
-            seed: 0,
             settle_budget: 500_000,
             settle_max_n: 64,
         }
@@ -201,12 +180,11 @@ impl Solver {
             return trivial_solution(root);
         }
         let mut st = SpanningTreeStructure::from_parents(root, parents);
-        let mut ps = PivotState::new(self.pivot, self.seed, g.m());
         let mut pivots = 0u64;
         let cut = best_cut_bound(g);
         let mut settled = false;
         let (lower, witness) = loop {
-            let blocking = self.improve(g, &mut st, &mut ps, &mut pivots);
+            let blocking = self.improve(g, &mut st, &mut pivots);
             let k = st.max_degree();
             // Best set-certifiable bound: floor < articulation < blocking.
             let mut w = Witness::floor(n);
@@ -269,7 +247,6 @@ impl Solver {
         &self,
         g: &Graph,
         st: &mut SpanningTreeStructure,
-        ps: &mut PivotState,
         pivots: &mut u64,
     ) -> Option<Vec<NodeId>> {
         let floor = floor_bound(st.n());
@@ -278,7 +255,7 @@ impl Solver {
             if k <= floor {
                 return None;
             }
-            match run_phase(g, st, ps, k, pivots) {
+            match run_phase(g, st, k, pivots) {
                 Phase::Applied => continue,
                 Phase::Blocked(set) => return Some(set),
             }
@@ -286,16 +263,14 @@ impl Solver {
     }
 }
 
-/// One Fürer–Raghavachari phase at degree target `k`: either applies one
-/// pivot chosen by the strategy, or reaches the phase fixpoint and
-/// returns the blocking set.
-fn run_phase(
-    g: &Graph,
-    st: &mut SpanningTreeStructure,
-    ps: &mut PivotState,
-    k: u32,
-    pivots: &mut u64,
-) -> Phase {
+/// One Fürer–Raghavachari phase at degree target `k`: either applies the
+/// first improvement in ascending edge order, or reaches the phase
+/// fixpoint and returns the blocking set.
+///
+/// Kept out of line: inlined into `Solver::improve`, the scratch solve of
+/// `G(5000, 8/n)` ran about 15% slower (x86-64, release build).
+#[inline(never)]
+fn run_phase(g: &Graph, st: &mut SpanningTreeStructure, k: u32, pivots: &mut u64) -> Phase {
     let n = st.n();
     let root = st.root();
     let mut marked = vec![false; n];
@@ -313,11 +288,9 @@ fn run_phase(
         }
     }
     let mut path_buf: Vec<u32> = Vec::new();
-    let mut eligible: Vec<Improvement> = Vec::new();
     loop {
         let mut merged = false;
-        eligible.clear();
-        for (e, &(u, v)) in g.edges().iter().enumerate() {
+        for &(u, v) in g.edges() {
             if st.is_tree_edge(u, v)
                 || marked[u as usize]
                 || marked[v as usize]
@@ -337,19 +310,9 @@ fn run_phase(
                 // cycle edge between it and its path predecessor (`i ≥ 1`
                 // because `u` is unmarked).
                 let w = path_buf[i];
-                let imp = Improvement {
-                    edge: e as u32,
-                    insert: (u, v),
-                    target: w,
-                    remove: (w, path_buf[i - 1]),
-                    gain: k - st.deg(u).max(st.deg(v)),
-                };
-                if ps.first_only() {
-                    st.pivot(imp.insert, imp.remove);
-                    *pivots += 1;
-                    return Phase::Applied;
-                }
-                eligible.push(imp);
+                st.pivot((u, v), (w, path_buf[i - 1]));
+                *pivots += 1;
+                return Phase::Applied;
             } else {
                 // Every marked cycle vertex has degree k − 1: each could
                 // be relieved by this very edge if it ever mattered, so
@@ -362,12 +325,6 @@ fn run_phase(
                 }
                 merged = true;
             }
-        }
-        if !eligible.is_empty() {
-            let imp = ps.pick(&eligible);
-            st.pivot(imp.insert, imp.remove);
-            *pivots += 1;
-            return Phase::Applied;
         }
         if !merged {
             break;
@@ -514,34 +471,9 @@ mod tests {
     }
 
     #[test]
-    fn all_pivot_rules_reach_equal_exact_optima() {
-        for seed in 0..10 {
-            let g = random::gnp_connected(14, 0.3, seed);
-            let mut results = Vec::new();
-            for pivot in [
-                Pivot::FirstEligible,
-                Pivot::BestEligible,
-                Pivot::CandidateList { block: 4 },
-            ] {
-                let solver = Solver::builder().pivot(pivot).seed(seed).build();
-                let sol = check(&g, &solver);
-                assert!(sol.exact());
-                results.push(sol.lower);
-            }
-            assert!(
-                results.windows(2).all(|w| w[0] == w[1]),
-                "strategies disagree on Δ*: {results:?}"
-            );
-        }
-    }
-
-    #[test]
     fn solver_runs_are_replayable() {
         let g = random::gnp_connected(18, 0.25, 3);
-        let solver = Solver::builder()
-            .pivot(Pivot::CandidateList { block: 3 })
-            .seed(42)
-            .build();
+        let solver = Solver::default();
         let a = solver.solve(&g);
         let b = solver.solve(&g);
         assert_eq!(a, b, "same configuration must replay identically");

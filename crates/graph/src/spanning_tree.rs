@@ -58,25 +58,28 @@ impl SpanningTree {
                 return Err(GraphError::NotASpanningTree("parent edge not in graph"));
             }
         }
-        // Depth computation doubles as acyclicity/reachability check.
-        let mut depth = vec![u32::MAX; n];
+        // Depth computation doubles as acyclicity/reachability check. The
+        // nodes of the chain being walked hold `ON_CHAIN`, so meeting one
+        // again is a cycle: O(1) per step, O(n) in total.
+        const UNKNOWN: u32 = u32::MAX;
+        const ON_CHAIN: u32 = u32::MAX - 1;
+        let mut depth = vec![UNKNOWN; n];
         depth[root as usize] = 0;
+        let mut chain = Vec::new();
         for v in g.nodes() {
-            if depth[v as usize] != u32::MAX {
+            if depth[v as usize] != UNKNOWN {
                 continue;
             }
             // Walk up until a node of known depth; record the chain.
-            let mut chain = Vec::new();
+            chain.clear();
             let mut x = v;
-            while depth[x as usize] == u32::MAX {
+            while depth[x as usize] == UNKNOWN {
+                depth[x as usize] = ON_CHAIN;
                 chain.push(x);
                 x = parent[x as usize];
-                if chain.len() > n {
-                    return Err(GraphError::NotASpanningTree("parent cycle"));
-                }
-                if chain.contains(&x) {
-                    return Err(GraphError::NotASpanningTree("parent cycle"));
-                }
+            }
+            if depth[x as usize] == ON_CHAIN {
+                return Err(GraphError::NotASpanningTree("parent cycle"));
             }
             let mut d = depth[x as usize];
             for &c in chain.iter().rev() {
@@ -355,6 +358,41 @@ mod tests {
         // Root 0 is fine but 2 and 3 parent each other (both edges exist in
         // the square), forming a 2-cycle unreachable from the root.
         let err = SpanningTree::from_parents(&g, 0, vec![0, 2, 3, 2]).unwrap_err();
+        assert_eq!(err, GraphError::NotASpanningTree("parent cycle"));
+    }
+
+    #[test]
+    fn from_parents_validates_a_deep_path_in_linear_time() {
+        // A 100 000-node path rooted at its far end: one ancestor chain of
+        // depth n − 1, quadratic for a walk that rescans its chain per step.
+        let n = 100_000u32;
+        let edges: Vec<(u32, u32)> = (0..n - 1).map(|v| (v, v + 1)).collect();
+        let g = graph_from_edges(n as usize, &edges);
+        let parent: Vec<u32> = (0..n).map(|v| (v + 1).min(n - 1)).collect();
+        let t = SpanningTree::from_parents(&g, n - 1, parent).unwrap();
+        assert_eq!(t.depth(0), n - 1);
+        assert_eq!(t.depth(n - 1), 0);
+    }
+
+    #[test]
+    fn from_parents_rejects_a_long_unreachable_cycle() {
+        // Ring 0..n with root 0; nodes 1..n parent their successor and
+        // n − 1 wraps to 1, so the cycle 1 → 2 → … → n − 1 → 1 never
+        // reaches the root.
+        let n = 5_000u32;
+        let edges: Vec<(u32, u32)> = (0..n)
+            .map(|v| (v, (v + 1) % n))
+            .chain([(1, n - 1)])
+            .collect();
+        let g = graph_from_edges(n as usize, &edges);
+        let parent: Vec<u32> = (0..n)
+            .map(|v| match v {
+                0 => 0,
+                v if v == n - 1 => 1,
+                v => v + 1,
+            })
+            .collect();
+        let err = SpanningTree::from_parents(&g, 0, parent).unwrap_err();
         assert_eq!(err, GraphError::NotASpanningTree("parent cycle"));
     }
 

@@ -87,7 +87,7 @@ pub use runner::Runner;
 pub use scheduler::{Action, Scheduler};
 pub use session::{RunOutcome, Session, SessionBuilder, StopReason};
 pub use stop::{quiet_window, QuiescenceGate};
-pub use trace::{ChangeSeries, Digest, RunTrace, StabilityWindow, TraceRecord};
+pub use trace::{ChangeSeries, Digest, RunTrace, TraceRecord};
 
 /// Node identifier; dense indices `0..n` matching `ssmdst_graph::NodeId`.
 pub type NodeId = u32;

@@ -192,11 +192,6 @@ impl ScheduleDigest {
     pub fn value(&self) -> u64 {
         self.digest.value()
     }
-
-    /// The underlying digest (e.g. to fold extra caller data).
-    pub fn digest_mut(&mut self) -> &mut Digest {
-        &mut self.digest
-    }
 }
 
 impl<A: Automaton> Observer<A> for ScheduleDigest {

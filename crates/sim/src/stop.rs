@@ -10,8 +10,6 @@
 
 #![warn(missing_docs)]
 
-use crate::trace::StabilityWindow;
-
 /// Canonical quiescence-confirmation window for an `n`-node run, shared by
 /// the facade, the experiment harness and the dynamic-topology tests so
 /// they all judge stability identically: `max(6n, 64)` rounds — long
@@ -33,7 +31,10 @@ pub fn quiet_window(n: usize) -> u64 {
 #[derive(Debug, Clone)]
 pub struct QuiescenceGate<P> {
     window: u64,
-    inner: StabilityWindow<P>,
+    /// The reference projection the streak compares against.
+    last: Option<P>,
+    /// Consecutive observations equal to `last`.
+    stable_for: u64,
 }
 
 impl<P: PartialEq> QuiescenceGate<P> {
@@ -42,22 +43,31 @@ impl<P: PartialEq> QuiescenceGate<P> {
     pub fn new(window: u64) -> Self {
         QuiescenceGate {
             window,
-            inner: StabilityWindow::new(),
+            last: None,
+            stable_for: 0,
         }
     }
 
     /// Gate seeded with the pre-run projection, so a run that never
     /// changes state confirms after exactly `window` rounds.
     pub fn primed(window: u64, initial: P) -> Self {
-        let mut gate = Self::new(window);
-        let _ = gate.inner.observe(initial);
-        gate
+        QuiescenceGate {
+            window,
+            last: Some(initial),
+            stable_for: 0,
+        }
     }
 
     /// Offer the current projection; `true` once it has been stable for
     /// the full window.
     pub fn observe(&mut self, value: P) -> bool {
-        self.inner.observe(value) >= self.window
+        if self.last.as_ref() == Some(&value) {
+            self.stable_for += 1;
+        } else {
+            self.last = Some(value);
+            self.stable_for = 0;
+        }
+        self.stable_for >= self.window
     }
 
     /// The confirmation window this gate enforces.
@@ -67,7 +77,7 @@ impl<P: PartialEq> QuiescenceGate<P> {
 
     /// Current stable streak (0 right after a change).
     pub fn stable_for(&self) -> u64 {
-        self.inner.stable_for()
+        self.stable_for
     }
 }
 
@@ -113,6 +123,34 @@ mod tests {
         assert!(!gate.observe(7));
         assert!(gate.observe(7));
         assert_eq!(gate.window(), 2);
+    }
+
+    /// The streak counts consecutive equal observations from 0 and
+    /// restarts at 0 on a change.
+    #[test]
+    fn streak_counts_consecutive_equal_observations() {
+        let mut gate = QuiescenceGate::new(u64::MAX);
+        assert_eq!(gate.stable_for(), 0, "no observation yet");
+        gate.observe(1u32); // first observation seeds the reference
+        assert_eq!(gate.stable_for(), 0);
+        gate.observe(1);
+        gate.observe(1);
+        assert_eq!(gate.stable_for(), 2);
+        gate.observe(2); // change resets
+        assert_eq!(gate.stable_for(), 0);
+        gate.observe(2);
+        assert_eq!(gate.stable_for(), 1);
+    }
+
+    /// An equal-value run grows the streak without bound.
+    #[test]
+    fn streak_grows_unbounded_on_an_equal_run() {
+        let mut gate = QuiescenceGate::new(u64::MAX);
+        for i in 0..1000u64 {
+            assert!(!gate.observe(42u8));
+            assert_eq!(gate.stable_for(), i);
+        }
+        assert_eq!(gate.stable_for(), 999);
     }
 
     /// Window 0 degenerates to "stop after the first observation" — the

@@ -2,10 +2,9 @@
 //!
 //! Two layers live here:
 //!
-//! * **Probes** ([`ChangeSeries`], [`StabilityWindow`]): record any
-//!   projection of the global state per round. The experiment harness uses
-//!   these to produce trajectory figures (F1) and the examples use them for
-//!   progress narration, without re-implementing change detection each time.
+//! * **Probe** ([`ChangeSeries`]): records a projection of the global
+//!   state whenever it changes. `tests/determinism.rs` uses it to compare
+//!   trajectories; quiescence detection is [`crate::QuiescenceGate`].
 //! * **Record-replay** ([`Digest`], [`TraceRecord`], [`RunTrace`]): a
 //!   compact event-trace recorder. A run's entire execution — every
 //!   scheduler priority key, every executed action, every topology event,
@@ -65,48 +64,6 @@ impl<T: PartialEq + Clone> ChangeSeries<T> {
 }
 
 impl<T: PartialEq + Clone> Default for ChangeSeries<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Windowed stability detector: reports how many consecutive observations
-/// have been identical. Complements [`crate::Session::run_to_quiescence`]
-/// when the caller wants to combine stability with other stop conditions.
-#[derive(Debug, Clone)]
-pub struct StabilityWindow<T> {
-    last: Option<T>,
-    stable_for: u64,
-}
-
-impl<T: PartialEq> StabilityWindow<T> {
-    /// Fresh detector.
-    pub fn new() -> Self {
-        StabilityWindow {
-            last: None,
-            stable_for: 0,
-        }
-    }
-
-    /// Offer an observation; returns the current stable streak length
-    /// (0 right after a change).
-    pub fn observe(&mut self, value: T) -> u64 {
-        if self.last.as_ref() == Some(&value) {
-            self.stable_for += 1;
-        } else {
-            self.last = Some(value);
-            self.stable_for = 0;
-        }
-        self.stable_for
-    }
-
-    /// Current streak without observing.
-    pub fn stable_for(&self) -> u64 {
-        self.stable_for
-    }
-}
-
-impl<T: PartialEq> Default for StabilityWindow<T> {
     fn default() -> Self {
         Self::new()
     }
@@ -367,17 +324,6 @@ mod tests {
         assert_eq!(s.last_change_round(), None);
     }
 
-    #[test]
-    fn stability_window_counts_streaks() {
-        let mut w = StabilityWindow::new();
-        assert_eq!(w.observe(1), 0); // first observation
-        assert_eq!(w.observe(1), 1);
-        assert_eq!(w.observe(1), 2);
-        assert_eq!(w.observe(2), 0); // change resets
-        assert_eq!(w.observe(2), 1);
-        assert_eq!(w.stable_for(), 1);
-    }
-
     /// The very first observation always stores: there is no "previous
     /// value" to equal, even when the value is the type's default.
     #[test]
@@ -386,10 +332,6 @@ mod tests {
         assert!(s.observe(0, 0u32), "first observation must store");
         assert_eq!(s.samples(), &[(0, 0)]);
         assert_eq!(s.changes(), 1);
-        // A fresh window reports streak 0 on its first observation too.
-        let mut w = StabilityWindow::new();
-        assert_eq!(w.stable_for(), 0, "no observation yet");
-        assert_eq!(w.observe(0u32), 0);
     }
 
     /// An equal-value run stores exactly one sample, and
@@ -423,15 +365,6 @@ mod tests {
         assert!(s.observe(5, 'c'));
         assert_eq!(s.samples(), &[(0, 'a'), (5, 'b'), (5, 'c')]);
         assert_eq!(s.last_change_round(), Some(5));
-    }
-
-    #[test]
-    fn stability_window_equal_value_run_grows_unbounded() {
-        let mut w = StabilityWindow::new();
-        for i in 0..1000u64 {
-            assert_eq!(w.observe(42u8), i);
-        }
-        assert_eq!(w.stable_for(), 999);
     }
 
     #[test]
