@@ -18,6 +18,13 @@
 //! regardless of composition order. The observer-composition test fences
 //! this: `(Trace, Digest, Metrics)` in any order yields byte-identical
 //! digests.
+//!
+//! Event timing: [`Observer::on_event`] fires immediately before that
+//! event executes, in execution order, inside the round loop itself.
+//! It receives no network, so an observer cannot tell this from seeing
+//! the whole batch up front, and the stream is the round's full
+//! schedule: every *scheduled* event, including a tick whose guard an
+//! earlier delivery of the round falsified.
 
 #![warn(missing_docs)]
 
@@ -63,8 +70,9 @@ impl Stop {
 /// * [`on_round_start`](Observer::on_round_start) — before a round's
 ///   obligations are derived;
 /// * [`on_event`](Observer::on_event) — once per scheduled event of the
-///   round, in execution order, *before* the batch executes (this is the
-///   record-replay witness stream: key, enumeration index, action);
+///   round, immediately before that event executes, in execution order
+///   (this is the record-replay witness stream: key, enumeration index,
+///   action);
 /// * [`on_round_end`](Observer::on_round_end) — after the round executed,
 ///   with the post-round network and the completed-round count; returns
 ///   the stop decision;
@@ -74,9 +82,12 @@ pub trait Observer<A: Automaton> {
     /// Called before the round's obligations are derived.
     fn on_round_start(&mut self, _net: &Network<A>, _round: u64) {}
 
-    /// Called for every scheduled event of the round, in execution order,
-    /// before the batch executes. `key` is the daemon priority key, `idx`
-    /// the canonical enumeration index (the total-order tie-break).
+    /// Called for every scheduled event of the round, immediately before
+    /// that event executes, in execution order. `key` is the daemon
+    /// priority key, `idx` the canonical enumeration index (the
+    /// total-order tie-break). The stream lists *scheduled* events: a tick
+    /// whose guard an earlier delivery of the same round falsified is
+    /// still reported, although it does not fire.
     fn on_event(&mut self, _key: u128, _idx: u32, _action: Action) {}
 
     /// Called after the round executed; `round` is the number of completed
@@ -155,6 +166,7 @@ impl<A: Automaton, O: Observer<A>> Observer<A> for &mut O {
 /// tag and operands). [`ScheduleDigest`] and
 /// [`crate::Runner::step_round_digest`] share this function, so the two
 /// paths are byte-identical by construction.
+// lint: hot-path
 pub fn fold_event(digest: &mut Digest, key: u128, idx: u32, action: Action) {
     digest.write_u128(key);
     digest.write_u32(idx);

@@ -115,9 +115,11 @@ impl<A: Automaton> Runner<A> {
 
     /// Execute one full round through an [`Observer`] stack:
     /// `on_round_start` before obligations are derived, `on_event` for
-    /// every scheduled event (in execution order, before the batch runs),
-    /// `on_round_end` after — whose verdict is returned. With the unit
-    /// observer `()` every hook is an inlineable no-op, so this *is*
+    /// every scheduled event immediately before that event executes, in
+    /// execution order (a tick whose guard an earlier delivery of the round
+    /// falsified is still reported), `on_round_end` after — whose verdict
+    /// is returned. With the unit observer `()` every hook is an
+    /// inlineable no-op, so this *is*
     /// [`Runner::step_round`]: same execution, same zero-allocation
     /// steady state.
     pub fn step_round_observed<O: Observer<A>>(&mut self, obs: &mut O) -> Stop {
@@ -126,8 +128,8 @@ impl<A: Automaton> Runner<A> {
         let events = self.queue.schedule(self.round, &mut self.keys, &self.net);
         for &(key, idx, act) in events {
             obs.on_event(key, idx, act);
+            Self::execute_one(&mut self.net, act);
         }
-        Self::execute(&mut self.net, events);
         self.round += 1;
         self.net.metrics.rounds = self.round;
         obs.on_round_end(&self.net, self.round)
@@ -152,23 +154,21 @@ impl<A: Automaton> Runner<A> {
     }
 
     // lint: hot-path
-    fn execute(net: &mut Network<A>, events: &[(u128, u32, Action)]) {
-        for &(_, _, act) in events {
-            match act {
-                // Re-check the guard at execution time: an earlier event of
-                // this round (a delivery) may have disabled the node, and a
-                // daemon must never run a step whose guard is false.
-                Action::Tick(v) => {
-                    if net.is_alive(v) && net.node(v).enabled() {
-                        net.tick_node(v);
-                    }
+    fn execute_one(net: &mut Network<A>, act: Action) {
+        match act {
+            // Re-check the guard at execution time: an earlier event of
+            // this round (a delivery) may have disabled the node, and a
+            // daemon must never run a step whose guard is false.
+            Action::Tick(v) => {
+                if net.is_alive(v) && net.node(v).enabled() {
+                    net.tick_node(v);
                 }
-                Action::Deliver(from, to) => {
-                    // The channel is guaranteed to still hold this round's
-                    // message: deliveries only pop and FIFO keeps order.
-                    let ok = net.deliver_one(from, to);
-                    debug_assert!(ok, "obligation for empty channel {from}->{to}");
-                }
+            }
+            Action::Deliver(from, to) => {
+                // The channel is guaranteed to still hold this round's
+                // message: deliveries only pop and FIFO keeps order.
+                let ok = net.deliver_one(from, to);
+                debug_assert!(ok, "obligation for empty channel {from}->{to}");
             }
         }
     }
@@ -309,7 +309,9 @@ mod tests {
     fn step_round_by_full_scan<A: Automaton>(r: &mut Runner<A>) {
         r.queue.refresh(&mut r.net); // keep the indices warm for later steps
         let events = r.queue.schedule_rescan(r.round, &mut r.keys, &r.net);
-        Runner::execute(&mut r.net, events);
+        for &(_, _, act) in events {
+            Runner::execute_one(&mut r.net, act);
+        }
         r.round += 1;
         r.net.metrics.rounds = r.round;
     }
@@ -358,6 +360,10 @@ mod tests {
     /// step with a false guard. The automaton asserts the guard inside
     /// `tick`, so any violation panics; random/adversarial interleavings
     /// across many seeds exercise both deliver-before-tick orders.
+    ///
+    /// The observer contract under that interleaving: `on_event` reports
+    /// *scheduled* events, so node 1's `Tick` is still reported on a round
+    /// where a delivery ordered before it disabled the node.
     #[test]
     fn tick_guard_rechecked_at_execution_time() {
         #[derive(Debug, Clone)]
@@ -400,6 +406,44 @@ mod tests {
                 }
             }
         }
+        /// Per round: how often node 1's `Tick` was reported, and whether
+        /// the delivery into node 1 was reported before it.
+        #[derive(Default)]
+        struct TickWitness {
+            scheduled: bool,
+            ticks_reported: u32,
+            delivered_first: bool,
+            disabled_mid_round: u32,
+        }
+        impl Observer<Either> for TickWitness {
+            fn on_round_start(&mut self, net: &Network<Either>, _round: u64) {
+                self.scheduled = net.node(1).enabled();
+                self.ticks_reported = 0;
+                self.delivered_first = false;
+            }
+            fn on_event(&mut self, _key: u128, _idx: u32, action: Action) {
+                match action {
+                    Action::Tick(1) => self.ticks_reported += 1,
+                    Action::Deliver(0, 1) if self.ticks_reported == 0 => {
+                        self.delivered_first = true;
+                    }
+                    _ => {}
+                }
+            }
+            fn on_round_end(&mut self, net: &Network<Either>, round: u64) -> Stop {
+                assert_eq!(
+                    self.ticks_reported,
+                    u32::from(self.scheduled),
+                    "round {round}: node 1's scheduled tick must be reported once"
+                );
+                if self.scheduled && self.delivered_first {
+                    assert!(!net.node(1).enabled(), "the delivery disabled node 1");
+                    self.disabled_mid_round += 1;
+                }
+                Stop::Continue
+            }
+        }
+        let mut witness = TickWitness::default();
         for seed in 0..25 {
             for sched in [
                 Scheduler::RandomAsync { seed },
@@ -415,10 +459,15 @@ mod tests {
                 });
                 let mut r = Runner::new(net, sched);
                 for _ in 0..5 {
-                    r.step_round(); // panics without the execution-time re-check
+                    // Panics without the execution-time re-check.
+                    let _ = r.step_round_observed(&mut witness);
                 }
             }
         }
+        assert!(
+            witness.disabled_mid_round > 0,
+            "no seed ordered the delivery before node 1's tick"
+        );
     }
 
     /// `quiet_window` boundaries: degenerate sizes sit on the 64-round

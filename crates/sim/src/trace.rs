@@ -77,10 +77,32 @@ impl<T: PartialEq + Clone> Default for ChangeSeries<T> {
 /// stable across releases — unlike `std`'s `DefaultHasher`, whose
 /// algorithm is explicitly unspecified — so digests recorded in golden
 /// trace files stay comparable forever.
+///
+/// Integers fold as their little-endian bytes. The word writers
+/// ([`Digest::write_u32`], [`Digest::write_u64`], [`Digest::write_u128`])
+/// fold bytes only up to the highest non-zero one and then multiply once
+/// by `P^k` for the `k` zero high bytes: FNV-1a folds a zero byte as
+/// `(s ^ 0)·P = s·P`, so the result is bit-identical to the byte-wise
+/// fold with a shorter serial chain for small values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Digest {
     state: u64,
 }
+
+/// The 64-bit FNV prime `P`.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// `P^k` (wrapping) for `k = 0..=8`: folding `k` zero bytes is one
+/// multiplication by `FNV_PRIME_POW[k]`.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < pow.len() {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
 
 impl Digest {
     /// Fresh digest (FNV-1a offset basis).
@@ -94,23 +116,39 @@ impl Digest {
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.state ^= b as u64;
-            self.state = self.state.wrapping_mul(0x0000_0100_0000_01B3);
+            self.state = self.state.wrapping_mul(FNV_PRIME);
         }
+    }
+
+    /// Fold the low `width` bytes of `v` (little-endian; `width ≤ 8` and
+    /// `v < 2^(8·width)`), exactly as [`Digest::write_bytes`] would.
+    // lint: hot-path
+    #[inline]
+    fn write_word(&mut self, mut v: u64, width: u32) {
+        let nonzero = (u64::BITS - v.leading_zeros()).div_ceil(8);
+        let mut state = self.state;
+        for _ in 0..nonzero {
+            state ^= v & 0xff;
+            state = state.wrapping_mul(FNV_PRIME);
+            v >>= 8;
+        }
+        self.state = state.wrapping_mul(FNV_PRIME_POW[(width - nonzero) as usize]);
     }
 
     /// Fold a `u32` (little-endian).
     pub fn write_u32(&mut self, v: u32) {
-        self.write_bytes(&v.to_le_bytes());
+        self.write_word(v as u64, 4);
     }
 
     /// Fold a `u64` (little-endian).
     pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
+        self.write_word(v, 8);
     }
 
     /// Fold a `u128` (little-endian) — scheduler priority keys.
     pub fn write_u128(&mut self, v: u128) {
-        self.write_bytes(&v.to_le_bytes());
+        self.write_word(v as u64, 8);
+        self.write_word((v >> 64) as u64, 8);
     }
 
     /// Fold a string, length-prefixed so `("ab","c")` ≠ `("a","bc")`.
@@ -400,6 +438,105 @@ mod tests {
         );
         // The documented stable algorithm: FNV-1a over the bytes.
         assert_eq!(v(&|_| {}), 0xcbf2_9ce4_8422_2325);
+    }
+
+    fn bytes_digest(bytes: &[u8]) -> u64 {
+        let mut d = Digest::new();
+        d.write_bytes(bytes);
+        d.value()
+    }
+
+    /// `write_bytes` is standard FNV-1a-64: the published test vectors.
+    #[test]
+    fn digest_matches_fnv1a_64_vectors() {
+        assert_eq!(bytes_digest(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(bytes_digest(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(bytes_digest(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    /// The word fold skips the serial chain over zero high bytes; it must
+    /// equal the byte-wise fold of the little-endian bytes exactly.
+    #[test]
+    fn word_fold_equals_byte_fold_on_edge_values() {
+        let word = |f: &dyn Fn(&mut Digest)| {
+            let mut d = Digest::new();
+            f(&mut d);
+            d.value()
+        };
+        for v in [0u32, 1, 0xff, 0x100, 0xff00_ff00, u32::MAX] {
+            assert_eq!(
+                word(&|d| d.write_u32(v)),
+                bytes_digest(&v.to_le_bytes()),
+                "u32 {v:#x}"
+            );
+        }
+        for v in [
+            0u64,
+            1,
+            0xff,
+            0x100,
+            0xff00_ff00,
+            u32::MAX as u64,
+            1 << 63,
+            u64::MAX,
+        ] {
+            assert_eq!(
+                word(&|d| d.write_u64(v)),
+                bytes_digest(&v.to_le_bytes()),
+                "u64 {v:#x}"
+            );
+        }
+        for v in [
+            0u128,
+            1,
+            0xff,
+            0x100,
+            0xff00_ff00,
+            u64::MAX as u128,
+            1 << 63,
+            1 << 64,
+            (1 << 64) | 0xff00,
+            0xff << 120,
+            u128::MAX,
+        ] {
+            assert_eq!(
+                word(&|d| d.write_u128(v)),
+                bytes_digest(&v.to_le_bytes()),
+                "u128 {v:#x}"
+            );
+        }
+    }
+
+    /// Seeded sweep: 100 000 values of mixed width and magnitude (a random
+    /// number of significant bytes, so short and full words both occur),
+    /// folded into one chain word-wise and byte-wise in lockstep.
+    #[test]
+    fn word_fold_equals_byte_fold_on_seeded_sweep() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
+        let mut word = Digest::new();
+        let mut byte = Digest::new();
+        for i in 0..100_000 {
+            let bits = [32u32, 64, 128][rng.random_range(0..3usize)];
+            let full = (rng.random::<u64>() as u128) << 64 | rng.random::<u64>() as u128;
+            // Keep `bits` bits, then drop a random number of high ones.
+            let v = full >> (128 - bits) >> rng.random_range(0..bits);
+            match bits {
+                32 => {
+                    word.write_u32(v as u32);
+                    byte.write_bytes(&(v as u32).to_le_bytes());
+                }
+                64 => {
+                    word.write_u64(v as u64);
+                    byte.write_bytes(&(v as u64).to_le_bytes());
+                }
+                _ => {
+                    word.write_u128(v);
+                    byte.write_bytes(&v.to_le_bytes());
+                }
+            }
+            assert_eq!(word.value(), byte.value(), "diverged at value {i}");
+        }
     }
 
     #[test]

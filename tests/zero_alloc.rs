@@ -14,7 +14,10 @@
 //! vector) pays for those clones, which is the protocol's cost, not the
 //! fabric's. The MDST automaton is metered too, at quiescence on a star,
 //! where only its heap-free `InfoMsg` gossip runs: its tick and `InfoMsg`
-//! handlers must not allocate either.
+//! handlers must not allocate either. The observed path is metered as
+//! well: a round that folds every scheduled event into a schedule digest,
+//! through `Runner::step_round_digest` or through a `ScheduleDigest`
+//! observer attached to a `Session`, must not allocate.
 //!
 //! The counter is per-thread, so the harness's own threads cannot perturb
 //! the measurement; this file still holds a single `#[test]` so the
@@ -23,7 +26,9 @@
 
 use alloc_counter::{allocations_on_this_thread, CountingAllocator};
 use ssmdst::core::{build_network, oracle, Config, MdstNode};
-use ssmdst::sim::{Automaton, Message, Network, Outbox, Runner, Scheduler, Session};
+use ssmdst::sim::{
+    Automaton, Digest, Message, Network, Outbox, Runner, ScheduleDigest, Scheduler, Session,
+};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
@@ -132,6 +137,41 @@ fn steady_state_round_loop_is_allocation_free() {
             let _ = session.step();
         });
         assert!(session.network().metrics.total_delivered > 0);
+
+        // The observed path: every scheduled event is folded into the
+        // schedule digest inside the execution loop, through the runner's
+        // own fold and through an attached `ScheduleDigest` observer.
+        let mut runner = Runner::new(gossip_network(), sched);
+        let mut digest = Digest::new();
+        for _ in 0..50 {
+            runner.step_round_digest(&mut digest);
+        }
+        let before = digest.value();
+        assert_rounds_allocation_free("digest", sched, || {
+            runner.step_round_digest(&mut digest);
+        });
+        assert_ne!(digest.value(), before, "the schedule was folded");
+
+        let mut session = Session::from_network(gossip_network())
+            .scheduler(sched)
+            .observe(ScheduleDigest::new());
+        for _ in 0..50 {
+            let _ = session.step();
+        }
+        let before = session.observer().value();
+        assert_rounds_allocation_free("ScheduleDigest session", sched, || {
+            let _ = session.step();
+        });
+        assert_ne!(
+            session.observer().value(),
+            before,
+            "the schedule was folded"
+        );
+        assert_eq!(
+            session.observer().value(),
+            digest.value(),
+            "observer and runner fold the same chain"
+        );
 
         let mut runner = converged_star(sched);
         for _ in 0..50 {
