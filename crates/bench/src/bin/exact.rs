@@ -9,20 +9,19 @@
 //! a from-scratch certified solve ([`ssmdst_exact::Solver`]) versus the
 //! incremental re-solve ([`ssmdst_exact::IncrementalSolver`]) across an
 //! edge-churn chain, on sparse G(n, 8/n) at n = 10³ … 10⁵. One row pair
-//! per size; the `speedup` column is the judge-throughput ratio the
-//! scenario engine sees when a stable phase re-judges after one churn
-//! event. Each incremental judgment's certified interval is asserted
-//! consistent with the from-scratch interval in-bench (both bracket Δ*),
-//! so a timing for an unsound run is never reported.
+//! per size: the two per-judgment costs are what a stable scenario phase
+//! pays to re-judge after one churn event, without and with the
+//! incremental engine. Each incremental judgment's certified interval is
+//! asserted consistent with the from-scratch interval in-bench (both
+//! bracket Δ*), so a timing for an unsound run is never reported.
 //!
-//! The JSON document is `bench-delta`-compatible (`id` + `wall_ms` per
-//! record), so regressions show up in the same non-blocking CI step as
-//! every other suite.
+//! The JSON document has one record per row (`id`, `wall_ms`,
+//! `ms_per_judgment`, and the certified interval of each `-solve` row).
 
 use ssmdst_bench::{json_string, Table};
 use ssmdst_exact::{IncrementalSolver, Solver};
 use ssmdst_graph::generators::random::gnp_connected_sparse;
-use ssmdst_graph::{exact_mdst, Graph, SolveBudget};
+use ssmdst_graph::Graph;
 use std::time::Instant;
 
 /// The solver configuration under test: settling (branch-and-bound
@@ -40,30 +39,6 @@ struct ScratchRow {
     per_judgment_ms: f64,
     lower: u32,
     upper: u32,
-}
-
-/// Time one judgment on the old exact path — the branch-and-bound
-/// [`exact_mdst`] call the pre-engine judge made per component, with the
-/// scenario engine's default budget. At n ≥ 1k it burns the whole budget
-/// and still answers `None`: the cost *and* the blindness are what the
-/// engine replaced.
-fn measure_old_path(g: &Graph) -> (u128, Option<u32>) {
-    // The branch-and-bound recursion is one stack frame per search node —
-    // up to the 500k budget deep — which overflows a default thread stack
-    // at n = 100k. Give the legacy path a big stack so its time can still
-    // be measured at every size (the engine itself needs no such crutch).
-    std::thread::scope(|s| {
-        std::thread::Builder::new()
-            .stack_size(512 << 20)
-            .spawn_scoped(s, || {
-                let t = Instant::now(); // lint: allow(no-ambient-entropy) — observation-side wall-clock for the timing column; never feeds simulation state
-                let res = exact_mdst(g, SolveBudget { max_nodes: 500_000 });
-                (t.elapsed().as_millis(), res.delta_star())
-            })
-            .expect("spawn bench thread")
-            .join()
-            .expect("old-path measurement thread panicked")
-    })
 }
 
 /// Time `reps` from-scratch solves of `g` — the judge cost without the
@@ -182,10 +157,8 @@ fn main() {
         "n",
         "m",
         "interval",
-        "old-path ms",
         "solve ms/judgment",
         "incremental ms/judgment",
-        "speedup (old/inc)",
         "warm/cached",
     ]);
 
@@ -198,45 +171,25 @@ fn main() {
         // Few from-scratch reps at large n — each one is the expensive
         // path whose cost is exactly the point.
         let reps = if n >= 50_000 { 2 } else { 8 };
-        let (old_ms, old_delta) = measure_old_path(&g);
         let scratch = measure_scratch(&g, reps);
         let inc = measure_incremental(&g, churns, &scratch);
-        let speedup = old_ms as f64 / inc.per_judgment_ms.max(1e-6);
 
-        println!(
-            "  old path     wall={old_ms:>6}ms  Δ*={}",
-            old_delta
-                .map(|d| d.to_string())
-                .unwrap_or("? (budget exhausted)".into())
-        );
         println!(
             "  scratch      wall={:>6}ms  {:>9.3} ms/judgment  interval=[{}, {}]",
             scratch.wall_ms, scratch.per_judgment_ms, scratch.lower, scratch.upper
         );
         println!(
-            "  incremental  wall={:>6}ms  {:>9.3} ms/judgment  {} judgments, {} warm, {} cached, speedup={speedup:.0}x",
+            "  incremental  wall={:>6}ms  {:>9.3} ms/judgment  {} judgments, {} warm, {} cached",
             inc.wall_ms, inc.per_judgment_ms, inc.judgments, inc.warm_starts, inc.cache_hits
         );
         table.row(vec![
             n.to_string(),
             g.m().to_string(),
             format!("[{}, {}]", scratch.lower, scratch.upper),
-            old_ms.to_string(),
             format!("{:.3}", scratch.per_judgment_ms),
             format!("{:.3}", inc.per_judgment_ms),
-            format!("{speedup:.0}x"),
             format!("{}/{}", inc.warm_starts, inc.cache_hits),
         ]);
-        json_entries.push(format!(
-            "{{\"id\":{},\"title\":{},\"n\":{n},\"m\":{},\"wall_ms\":{old_ms},\
-             \"judgments\":1,\"ms_per_judgment\":{old_ms},\"delta_star\":{}}}",
-            json_string(&format!("{id}-old-path")),
-            json_string(&format!(
-                "X — old exact path (branch-and-bound, budget 500k), G({n}, 8/n)"
-            )),
-            g.m(),
-            old_delta.map(|d| d.to_string()).unwrap_or("null".into()),
-        ));
         json_entries.push(format!(
             "{{\"id\":{},\"title\":{},\"n\":{n},\"m\":{},\"wall_ms\":{},\
              \"judgments\":{reps},\"ms_per_judgment\":{:.3},\"lower\":{},\"upper\":{}}}",
@@ -251,7 +204,7 @@ fn main() {
         json_entries.push(format!(
             "{{\"id\":{},\"title\":{},\"n\":{n},\"m\":{},\"wall_ms\":{},\
              \"judgments\":{},\"ms_per_judgment\":{:.3},\"warm_starts\":{},\
-             \"cache_hits\":{},\"speedup\":{speedup:.1}}}",
+             \"cache_hits\":{}}}",
             json_string(&format!("{id}-incremental")),
             json_string(&format!(
                 "X — incremental re-judge across {churns} churn pairs, G({n}, 8/n)"

@@ -789,11 +789,7 @@ pub fn c1_campaign(_p: &Profile) -> Table {
 /// protocol convergence: the quantity under test is what one round costs
 /// at n = 65 536, which is a property of slot addressing and the
 /// occupancy/tick indices, independent of the MDST rules.
-///
-/// Public because `benches/simulator.rs` reuses the same workloads for the
-/// criterion `engine-compare-sparse` group — one definition, so the S
-/// tables and the micro-benchmarks measure the identical regime.
-pub mod fabric {
+mod fabric {
     use ssmdst_sim::{Automaton, Message, Network, Outbox, Runner, Scheduler};
     use std::time::Instant;
 
@@ -1042,6 +1038,21 @@ mod tests {
         for line in s.lines().filter(|l| l.starts_with("latched")) {
             assert!(line.contains("yes"), "latched run failed:\n{s}");
         }
+    }
+
+    #[test]
+    fn f1_trajectory_descends_on_star_ring() {
+        let t = f1_trajectory(&tiny());
+        let s = t.render();
+        // Rows are `star-ring n=16 <round> <deg>`; the hub degree descends.
+        let degs: Vec<u32> = s
+            .lines()
+            .filter(|l| l.starts_with("star-ring"))
+            .map(|l| l.split_whitespace().last().unwrap().parse().unwrap())
+            .collect();
+        assert!(degs.len() >= 3, "trajectory too short:\n{s}");
+        assert!(degs[0] > degs[degs.len() - 1], "no descent:\n{s}");
+        assert!(degs[degs.len() - 1] <= 3, "final degree too high:\n{s}");
     }
 
     #[test]

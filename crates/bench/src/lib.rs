@@ -37,7 +37,8 @@
 //! fabric with purpose-built automata and keeps its own driver.
 //!
 //! Run `cargo run --release -p ssmdst-bench --bin experiments -- all` to
-//! print everything; Criterion micro-benchmarks live in `benches/`.
+//! print everything, and `--bin exact` for the X family (the exact-Δ*
+//! engine at n = 10³ … 10⁵). End-to-end timing lives in `perfbench/`.
 
 // Library code must not grow bare `.unwrap()`s: use `.expect` with the
 // invariant that makes failure unreachable (ssmdst-lint R4 audits the
@@ -49,5 +50,5 @@ pub mod instance;
 pub mod table;
 
 pub use experiments::Profile;
-pub use instance::{run_instance, run_more, InstanceResult, Instrument};
+pub use instance::Instrument;
 pub use table::{json_string, Table};

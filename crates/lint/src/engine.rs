@@ -379,12 +379,37 @@ fn scan_tokens(
             .get(i)
             .is_some_and(|t| t.kind == TokKind::Punct && t.text == c)
     };
-    // `i` names the ident position; the two tokens before must be `::`.
+    // `i` names the ident position; the two tokens before must be `::`,
+    // optionally preceded by a balanced turbofish (`Vec::<u32>::new`).
     let path_prefixed = |i: usize, seg: &str| -> bool {
-        i >= 3
-            && punct_at(i - 1, ":")
-            && punct_at(i - 2, ":")
-            && ident(i - 3).is_some_and(|t| t.text == seg)
+        if i < 3 || !punct_at(i - 1, ":") || !punct_at(i - 2, ":") {
+            return false;
+        }
+        let mut owner = i - 3;
+        if punct_at(owner, ">") {
+            let mut depth = 0usize;
+            loop {
+                if punct_at(owner, ">") {
+                    depth += 1;
+                } else if punct_at(owner, "<") {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                if owner == 0 {
+                    return false;
+                }
+                owner -= 1;
+            }
+            // `owner` is the turbofish's `<`; the `::` before it joins the
+            // generic list to the owner's name.
+            if owner < 3 || !punct_at(owner - 1, ":") || !punct_at(owner - 2, ":") {
+                return false;
+            }
+            owner -= 3;
+        }
+        ident(owner).is_some_and(|t| t.text == seg)
     };
 
     for (i, t) in tokens.iter().enumerate() {

@@ -1,6 +1,6 @@
 //! Rendering: human-readable `file:line` diagnostics and a `--json`
-//! report in the same rows-plus-summary shape as the `bench-delta`
-//! artifacts, so CI can archive and diff lint runs like bench runs.
+//! report (one row per finding plus a summary), so CI can archive and
+//! diff lint runs.
 
 use crate::engine::Report;
 use std::fmt::Write as _;

@@ -13,8 +13,13 @@ pub fn hot(xs: &[u32], out: &mut Vec<u32>) -> u64 {
     let owned = label.to_string(); // expect: R3
     let cloned = copy.clone(); // expect: R3
     let grown = vec![0u32; 4]; // expect: R3
+    let fished = Vec::<u32>::new(); // expect: R3
+    let sized = Vec::<u32>::with_capacity(xs.len()); // expect: R3
+    let fish_box = Box::<usize>::new(xs.len()); // expect: R3
+    let nested = Vec::<Vec<u32>>::new(); // expect: R3
     out.push(scratch.len() as u32);
     (doubled.len() + cloned.len() + grown.len() + owned.len() + *boxed) as u64
+        + (fished.len() + sized.len() + *fish_box + nested.len()) as u64
 }
 
 // Outside the region: the meter is opt-in, so nothing fires.

@@ -694,6 +694,15 @@ mod tests {
         assert_eq!(out.conv_round, 5);
     }
 
+    #[test]
+    fn conv_round_excludes_the_quiet_window() {
+        let scn = quick_converge(TopologySpec::Path { n: 6 }, SchedSpec::Synchronous);
+        let (out, _) = run(&scn);
+        assert!(out.converged);
+        // A path stabilizes in O(n) rounds; the window must not be charged.
+        assert!(out.conv_round < 100, "conv_round = {}", out.conv_round);
+    }
+
     // ------------------------------------------------------------------
     // Protocol-generic engine
     // ------------------------------------------------------------------
