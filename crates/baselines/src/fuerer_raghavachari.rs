@@ -26,14 +26,12 @@ pub struct FrStats {
 /// be reduced. Returns the improved tree and run statistics.
 pub fn fr_mdst(g: &Graph, initial: SpanningTree) -> (SpanningTree, FrStats) {
     let solver = Solver::builder().settle_budget(0).build();
-    let sol = solver.solve_from(g, initial.root(), initial.parents());
-    let tree = SpanningTree::from_parents(g, sol.root, sol.tree)
-        .expect("pivots keep a spanning tree of g spanning"); // lint: allow(no-panic-in-library) — solve_from starts from a spanning tree of g and every pivot swaps one tree edge for a non-tree edge on its fundamental cycle
+    let sol = solver.solve_from(g, initial);
     let stats = FrStats {
         swaps: sol.pivots,
         phases: sol.pivots + 1,
     };
-    (tree, stats)
+    (sol.tree, stats)
 }
 
 #[cfg(test)]

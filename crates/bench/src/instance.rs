@@ -55,7 +55,7 @@ impl<'g> Instrument<'g> {
                     self.max_simdrops = drops;
                 }
             }
-            self.prev_degrees = Some(degs);
+            self.prev_degrees = Some(degs.to_vec());
         } else {
             self.prev_degrees = None;
         }

@@ -77,7 +77,10 @@ pub fn state_bits(node: &MdstNode, n: usize) -> usize {
     let own = 6 * b + 1;
     let mirrors = s.nbr.len() * (6 * b + 1);
     // Throttles: per-edge search cooldowns, per-blocker deblock cooldowns,
-    // busy counter, launch counter (bounded by the period ≈ n, so b bits).
+    // busy counter, launch counter. The launch counter's `b`-bit charge is
+    // idealised: it is never reset, so it grows without bound in
+    // legitimate runs (ROADMAP.md, "A finite, fully accounted MDST node
+    // state").
     let throttles = s.search_cooldown.len() * 2 * b + s.deblock_cooldown.len() * 2 * b + 2 * b;
     own + mirrors + throttles
 }

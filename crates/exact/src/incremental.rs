@@ -60,9 +60,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::solve::{Solution, Solver};
-use crate::structure::NONE;
 use crate::witness::Witness;
-use ssmdst_graph::{Graph, NodeId, UnionFind};
+use ssmdst_graph::{Graph, NodeId, SpanningTree, UnionFind};
+
+/// Sentinel for "no node": a dead or unlinked vertex in the basis forest.
+pub const NONE: NodeId = u32::MAX;
 
 /// The certified solve of one live component, in **component-local**
 /// vertex ids (indices into [`CompSolution::members`]).
@@ -399,10 +401,10 @@ impl IncrementalSolver {
                 .iter()
                 .map(|&v| adj[v as usize].iter().map(|&w| local[w as usize])),
         );
-        let solution = match self.repair_basis(&members) {
-            Some((root, parents)) => {
+        let solution = match self.repair_basis(&members, &sub) {
+            Some(tree) => {
                 self.stats.warm_starts += 1;
-                self.solver.solve_from(&sub, root, &parents)
+                self.solver.solve_from(&sub, tree)
             }
             None => {
                 self.stats.cold_starts += 1;
@@ -413,7 +415,6 @@ impl IncrementalSolver {
         let Solution {
             lower,
             upper,
-            root,
             tree,
             witness,
             settled,
@@ -423,22 +424,23 @@ impl IncrementalSolver {
             members,
             lower,
             upper,
-            tree,
-            root,
+            root: tree.root(),
+            tree: tree.parents().to_vec(),
             witness,
             settled,
         }
     }
 
     /// Try to repair the stored basis into a spanning tree of the
-    /// component (component-local ids, read from the relabelling table).
-    /// Valid forest links are kept; fragments are re-rooted and linked
-    /// through the smallest crossing mirror edges. Returns `None` when no
-    /// usable links survive a cheaper full rebuild.
-    fn repair_basis(&self, members: &[NodeId]) -> Option<(NodeId, Vec<NodeId>)> {
+    /// component's local graph `sub` (component-local ids, read from the
+    /// relabelling table). Valid forest links are kept; fragments are
+    /// re-rooted and linked through the smallest crossing mirror edges.
+    /// Returns `None` when no usable links survive a cheaper full rebuild,
+    /// or when the repaired parent vector is not a spanning tree of `sub`.
+    fn repair_basis(&self, members: &[NodeId], sub: &Graph) -> Option<SpanningTree> {
         let k = members.len();
         if k <= 1 {
-            return Some((0, vec![NONE; k]));
+            return SpanningTree::from_parents(sub, 0, vec![0; k]).ok();
         }
         let local = |v: NodeId| self.local[v as usize];
         // Collect surviving links: parent must be a live member and the
@@ -486,12 +488,10 @@ impl IncrementalSolver {
                 return None; // mirror disagrees with grouping — rebuild
             }
         }
-        let root = parents
-            .iter()
-            .position(|&p| p == NONE)
-            .expect("a finite forest has a root") as u32; // lint: allow(no-panic-in-library) — the union above verified acyclicity, so some vertex has no parent
-        parents[root as usize] = root; // self-parent, the tree-structure convention
-        Some((root, parents))
+        // The union above verified acyclicity, so some vertex has no parent.
+        let root = parents.iter().position(|&p| p == NONE)? as NodeId;
+        parents[root as usize] = root; // self-parent, the tree convention
+        SpanningTree::from_parents(sub, root, parents).ok()
     }
 }
 

@@ -1,9 +1,9 @@
 //! # ssmdst-exact
 //!
-//! The fast certified-`Δ*` engine: a network-simplex-style spanning-tree
-//! structure, a Fürer–Raghavachari improvement loop, independently
-//! checkable lower-bound witnesses, and an incremental re-solve API that
-//! keeps the basis alive across churn.
+//! The fast certified-`Δ*` engine: a Fürer–Raghavachari improvement loop
+//! over [`ssmdst_graph::SpanningTree`], independently checkable
+//! lower-bound witnesses, and an incremental re-solve API that keeps the
+//! basis alive across churn.
 //!
 //! `Δ*` (the minimum over spanning trees of the maximum degree) is
 //! NP-hard, so the engine's contract is a **certified interval**: every
@@ -16,9 +16,10 @@
 //!
 //! Layers:
 //!
-//! * [`structure`] — [`SpanningTreeStructure`]: flat parent/depth/
-//!   child-threading arrays with `O(cycle)` basis walks and `O(subtree)`
-//!   pivots, the mutable tree the improvement loop lives on.
+//! * [`ssmdst_graph::SpanningTree`] (in the graph crate) — the one tree
+//!   type: flat parent/depth/degree/child-threading arrays with `O(cycle)`
+//!   basis walks and `O(path + subtree)` pivots, the mutable tree the
+//!   improvement loop lives on.
 //! * [`witness`] — [`Witness`]: blocking-set certificates with
 //!   search-independent verification.
 //! * [`solve`] — [`Solver`] / [`Solution`]: the certified solve, cold
@@ -42,10 +43,8 @@
 
 pub mod incremental;
 pub mod solve;
-pub mod structure;
 pub mod witness;
 
-pub use incremental::{CompSolution, IncrementalSolver, Stats};
+pub use incremental::{CompSolution, IncrementalSolver, Stats, NONE};
 pub use solve::{Solution, Solver, SolverBuilder};
-pub use structure::{SpanningTreeStructure, NONE};
 pub use witness::Witness;

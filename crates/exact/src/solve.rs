@@ -1,6 +1,6 @@
-//! The certified-interval solver: local improvement over the
-//! [`SpanningTreeStructure`] plus an independently checkable lower-bound
-//! witness, with optional exact settling at small `n`.
+//! The certified-interval solver: local improvement over a
+//! [`SpanningTree`] plus an independently checkable lower-bound witness,
+//! with optional exact settling at small `n`.
 //!
 //! Computing `Δ*` is NP-hard, so "exact at scale" means **certified
 //! interval**: the solver returns a tree of degree `U` and a [`Witness`]
@@ -50,10 +50,10 @@
 //! [`ssmdst_graph::exact_mdst`] on every small instance while staying
 //! witness-only (and fast) at `n = 10k+`.
 
-use crate::structure::SpanningTreeStructure;
 use crate::witness::{floor_bound, Witness};
 use ssmdst_graph::{
-    has_spanning_tree_with_max_degree, lower_bound, Graph, NodeId, SolveBudget, UnionFind,
+    has_spanning_tree_with_max_degree, lower_bound, Graph, NodeId, SolveBudget, SpanningTree,
+    UnionFind,
 };
 
 /// A certified solve result: `lower ≤ Δ* ≤ upper`, with `tree` achieving
@@ -65,10 +65,8 @@ pub struct Solution {
     pub lower: u32,
     /// Achieved upper bound: the max degree of `tree`.
     pub upper: u32,
-    /// Root of the witnessing spanning tree.
-    pub root: NodeId,
-    /// Parent vector of the witnessing spanning tree.
-    pub tree: Vec<NodeId>,
+    /// The witnessing spanning tree.
+    pub tree: SpanningTree,
     /// The checkable lower-bound certificate. `witness.claimed()` equals
     /// `lower` unless the decision oracle settled the last gap, in which
     /// case it certifies `lower − 1` and `settled` is set.
@@ -160,32 +158,21 @@ impl Solver {
     /// Panics if `g` is empty or disconnected (no spanning tree exists).
     pub fn solve(&self, g: &Graph) -> Solution {
         assert!(g.n() >= 1, "exact::solve: empty graph");
-        if g.n() == 1 {
-            return trivial_solution(0);
-        }
-        let parents = ssmdst_graph::traversal::bfs_tree(g, 0);
-        assert!(
-            !parents.contains(&u32::MAX),
-            "exact::solve: disconnected graph"
-        );
-        self.solve_from(g, 0, &parents)
+        // lint: allow(no-panic-in-library) — documented `# Panics`: a disconnected graph has no spanning tree
+        let tree = SpanningTree::from_bfs(g, 0).expect("exact::solve: disconnected graph");
+        self.solve_from(g, tree)
     }
 
     /// Solve starting from an existing spanning tree of `g` — the warm
-    /// start the incremental engine uses after repairing its forest. The
-    /// parent vector must describe a valid spanning tree rooted at `root`.
-    pub fn solve_from(&self, g: &Graph, root: NodeId, parents: &[NodeId]) -> Solution {
+    /// start the incremental engine uses after repairing its forest.
+    pub fn solve_from(&self, g: &Graph, mut tree: SpanningTree) -> Solution {
         let n = g.n();
-        if n <= 1 {
-            return trivial_solution(root);
-        }
-        let mut st = SpanningTreeStructure::from_parents(root, parents);
         let mut pivots = 0u64;
         let cut = best_cut_bound(g);
         let mut settled = false;
         let (lower, witness) = loop {
-            let blocking = self.improve(g, &mut st, &mut pivots);
-            let k = st.max_degree();
+            let blocking = self.improve(g, &mut tree, &mut pivots);
+            let k = tree.max_degree();
             // Best set-certifiable bound: floor < articulation < blocking.
             let mut w = Witness::floor(n);
             if let Some((v, c)) = cut {
@@ -215,7 +202,7 @@ impl Solver {
                         // A strictly better tree exists: adopt and keep
                         // improving (k strictly decreases, so this loop
                         // terminates).
-                        st = SpanningTreeStructure::from_parents(better.root(), better.parents());
+                        tree = better;
                         continue;
                     }
                     Some(None) => {
@@ -230,9 +217,8 @@ impl Solver {
         };
         Solution {
             lower,
-            upper: st.max_degree(),
-            root: st.root(),
-            tree: st.parents().to_vec(),
+            upper: tree.max_degree(),
+            tree,
             witness,
             settled,
             pivots,
@@ -243,19 +229,14 @@ impl Solver {
     /// Returns the blocking set of the final phase, or `None` when the
     /// tree already meets the connectivity floor (nothing to certify
     /// beyond it).
-    fn improve(
-        &self,
-        g: &Graph,
-        st: &mut SpanningTreeStructure,
-        pivots: &mut u64,
-    ) -> Option<Vec<NodeId>> {
-        let floor = floor_bound(st.n());
+    fn improve(&self, g: &Graph, tree: &mut SpanningTree, pivots: &mut u64) -> Option<Vec<NodeId>> {
+        let floor = floor_bound(tree.n());
         loop {
-            let k = st.max_degree();
+            let k = tree.max_degree();
             if k <= floor {
                 return None;
             }
-            match run_phase(g, st, k, pivots) {
+            match run_phase(g, tree, k, pivots) {
                 Phase::Applied => continue,
                 Phase::Blocked(set) => return Some(set),
             }
@@ -270,18 +251,18 @@ impl Solver {
 /// Kept out of line: inlined into `Solver::improve`, the scratch solve of
 /// `G(5000, 8/n)` ran about 15% slower (x86-64, release build).
 #[inline(never)]
-fn run_phase(g: &Graph, st: &mut SpanningTreeStructure, k: u32, pivots: &mut u64) -> Phase {
-    let n = st.n();
-    let root = st.root();
+fn run_phase(g: &Graph, tree: &mut SpanningTree, k: u32, pivots: &mut u64) -> Phase {
+    let n = tree.n();
+    let root = tree.root();
     let mut marked = vec![false; n];
     for v in 0..n as u32 {
-        marked[v as usize] = st.deg(v) >= k - 1;
+        marked[v as usize] = tree.deg(v) >= k - 1;
     }
     // Forest components of T − marked.
     let mut uf = UnionFind::new(n);
     for v in 0..n as u32 {
         if v != root {
-            let p = st.parent(v);
+            let p = tree.parent(v);
             if !marked[v as usize] && !marked[p as usize] {
                 uf.union(v, p);
             }
@@ -291,7 +272,7 @@ fn run_phase(g: &Graph, st: &mut SpanningTreeStructure, k: u32, pivots: &mut u64
     loop {
         let mut merged = false;
         for &(u, v) in g.edges() {
-            if st.is_tree_edge(u, v)
+            if tree.is_tree_edge(u, v)
                 || marked[u as usize]
                 || marked[v as usize]
                 || uf.find(u) == uf.find(v)
@@ -301,16 +282,16 @@ fn run_phase(g: &Graph, st: &mut SpanningTreeStructure, k: u32, pivots: &mut u64
             // The basis cycle crosses two forest components, so it passes
             // through at least one marked vertex.
             path_buf.clear();
-            path_buf.extend_from_slice(st.tree_path(u, v));
+            path_buf.extend_from_slice(tree.tree_path(u, v));
             let hot = path_buf
                 .iter()
-                .position(|&x| marked[x as usize] && st.deg(x) == k);
+                .position(|&x| marked[x as usize] && tree.deg(x) == k);
             if let Some(i) = hot {
                 // Relieve the degree-k vertex: swap `{u,v}` in, drop the
                 // cycle edge between it and its path predecessor (`i ≥ 1`
                 // because `u` is unmarked).
                 let w = path_buf[i];
-                st.pivot((u, v), (w, path_buf[i - 1]));
+                tree.pivot((u, v), (w, path_buf[i - 1]));
                 *pivots += 1;
                 return Phase::Applied;
             } else {
@@ -399,18 +380,6 @@ fn best_cut_bound(g: &Graph) -> Option<(NodeId, u32)> {
     best
 }
 
-fn trivial_solution(root: NodeId) -> Solution {
-    Solution {
-        lower: 0,
-        upper: 0,
-        root,
-        tree: vec![root],
-        witness: Witness::floor(1),
-        settled: false,
-        pivots: 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,7 +391,9 @@ mod tests {
         let sol = solver.solve(g);
         assert!(sol.lower <= sol.upper, "interval inverted");
         assert!(sol.witness.verify(g), "witness must re-verify");
-        let t = SpanningTree::from_parents(g, sol.root, sol.tree.clone()).expect("valid tree");
+        // Recount the degrees on a fresh rebuild, not the pivoted cache.
+        let t = SpanningTree::from_parents(g, sol.tree.root(), sol.tree.parents().to_vec())
+            .expect("valid tree");
         assert_eq!(t.max_degree(), sol.upper, "upper must be achieved");
         sol
     }
@@ -486,7 +457,7 @@ mod tests {
         let cold = solver.solve(&g);
         // Warm-start from a deliberately bad star-ish DFS tree.
         let t = SpanningTree::from_bfs(&g, (g.n() - 1) as u32).unwrap();
-        let warm = solver.solve_from(&g, t.root(), t.parents());
+        let warm = solver.solve_from(&g, t);
         assert_eq!(cold.lower, warm.lower);
         assert_eq!(cold.upper, warm.upper);
         assert!(warm.witness.verify(&g));

@@ -13,8 +13,9 @@
 //! * a family of deterministic, seedable [`generators`] producing the
 //!   workloads used throughout the experiment suite (random, geometric,
 //!   structured and adversarial gadget graphs with known optimal degree),
-//! * rooted [`SpanningTree`]s with validation, degree accounting, tree-path
-//!   and fundamental-cycle queries,
+//! * rooted [`SpanningTree`]s — the workspace's one tree type — with
+//!   validation, incremental degree and depth accounting, tree paths, and
+//!   the `O(path + subtree)` fundamental-cycle pivot the exact engine runs,
 //! * an exact minimum-degree spanning tree solver ([`mdst_exact`]) built on a
 //!   degree-bounded decision procedure, used as ground truth `Δ*` in tests
 //!   and experiments,

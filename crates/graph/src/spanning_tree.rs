@@ -1,31 +1,71 @@
-//! Rooted spanning trees: validation, degrees, tree paths, fundamental
-//! cycles and edge swaps.
+//! Rooted spanning trees: validation, degrees, tree paths and the
+//! fundamental-cycle pivot.
 //!
 //! This is the *centralized* view of the structure the distributed protocol
-//! maintains with per-node `parent` pointers. The oracle extracts the
-//! protocol's global state into a [`SpanningTree`] to check legitimacy, and
-//! the baselines (Fürer–Raghavachari, local search) operate on it directly.
+//! maintains with per-node `parent` pointers, and the workspace's one tree
+//! type. The oracle extracts the protocol's global state into a
+//! [`SpanningTree`] to check legitimacy, and the exact engine
+//! (`ssmdst-exact`) runs its Fürer–Raghavachari improvement loop on it.
+//!
+//! Beside the parent vector the tree keeps flat `depth` and `deg` arrays
+//! and intrusive first-child / next-sibling / prev-sibling threading, in
+//! the network-simplex style. [`SpanningTree::tree_path`] walks the
+//! fundamental cycle of a non-tree edge by depth-matched parent climbs in
+//! `O(cycle)`, and [`SpanningTree::pivot`] (insert a non-tree edge, remove
+//! a tree edge on its cycle) costs `O(path + re-hung subtree)`: the
+//! threading gives each subtree as a pointer walk, so only the re-hung
+//! vertices are relabelled.
 
 use crate::error::GraphError;
 use crate::graph::{Graph, NodeId};
 
+/// Sentinel for "no node" in the child-list threading.
+const NONE: NodeId = u32::MAX;
+
 /// A spanning tree of a host [`Graph`], stored as a rooted parent vector.
 ///
-/// Invariants (enforced by [`SpanningTree::from_parents`]):
+/// Invariants (enforced by [`SpanningTree::from_parents`], kept by
+/// [`SpanningTree::pivot`]):
 /// * `parent[root] == root`, every other node's parent edge exists in the
 ///   host graph,
 /// * following parents from any node reaches `root` (no cycles),
-/// * consequently the tree spans all `n` nodes with `n − 1` edges.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// * consequently the tree spans all `n` nodes with `n − 1` edges,
+/// * `depth`, `deg` and the child threading describe that parent vector.
+///
+/// Equality compares the root and the parent vector only: the sibling
+/// order and the scratch buffers depend on the pivot history, not on the
+/// tree.
+#[derive(Debug, Clone)]
 pub struct SpanningTree {
     root: NodeId,
     parent: Vec<NodeId>,
-    /// Depth of each node (root = 0); kept consistent by all mutators.
+    /// Depth of each node (root = 0).
     depth: Vec<u32>,
+    /// Tree degree of each node.
+    deg: Vec<u32>,
+    /// Head of each node's child list (`NONE` for leaves).
+    first_child: Vec<NodeId>,
+    /// Next sibling in the parent's child list (`NONE` at the tail).
+    next_sib: Vec<NodeId>,
+    /// Previous sibling (`NONE` at the head): O(1) unlink on pivot.
+    prev_sib: Vec<NodeId>,
+    /// Scratch stack for the cycle walk and subtree relabelling.
+    stack: Vec<NodeId>,
+    /// Scratch buffer [`SpanningTree::tree_path`] writes into.
+    path: Vec<NodeId>,
 }
 
+impl PartialEq for SpanningTree {
+    fn eq(&self, other: &Self) -> bool {
+        self.root == other.root && self.parent == other.parent
+    }
+}
+
+impl Eq for SpanningTree {}
+
 impl SpanningTree {
-    /// Validate a parent vector against its host graph.
+    /// Validate a parent vector against its host graph, building the
+    /// depth, degree and child-list arrays on the way. O(n log Δ).
     pub fn from_parents(g: &Graph, root: NodeId, parent: Vec<NodeId>) -> Result<Self, GraphError> {
         let n = g.n();
         if n == 0 {
@@ -43,8 +83,19 @@ impl SpanningTree {
         if parent[root as usize] != root {
             return Err(GraphError::NotASpanningTree("parent[root] != root"));
         }
+        let mut t = SpanningTree {
+            root,
+            parent,
+            depth: vec![0; n],
+            deg: vec![0; n],
+            first_child: vec![NONE; n],
+            next_sib: vec![NONE; n],
+            prev_sib: vec![NONE; n],
+            stack: Vec::new(),
+            path: Vec::new(),
+        };
         for v in g.nodes() {
-            let p = parent[v as usize];
+            let p = t.parent[v as usize];
             if v == root {
                 continue;
             }
@@ -57,41 +108,17 @@ impl SpanningTree {
             if !g.has_edge(v, p) {
                 return Err(GraphError::NotASpanningTree("parent edge not in graph"));
             }
+            t.deg[v as usize] += 1;
+            t.deg[p as usize] += 1;
+            t.link_child(p, v);
         }
-        // Depth computation doubles as acyclicity/reachability check. The
-        // nodes of the chain being walked hold `ON_CHAIN`, so meeting one
-        // again is a cycle: O(1) per step, O(n) in total.
-        const UNKNOWN: u32 = u32::MAX;
-        const ON_CHAIN: u32 = u32::MAX - 1;
-        let mut depth = vec![UNKNOWN; n];
-        depth[root as usize] = 0;
-        let mut chain = Vec::new();
-        for v in g.nodes() {
-            if depth[v as usize] != UNKNOWN {
-                continue;
-            }
-            // Walk up until a node of known depth; record the chain.
-            chain.clear();
-            let mut x = v;
-            while depth[x as usize] == UNKNOWN {
-                depth[x as usize] = ON_CHAIN;
-                chain.push(x);
-                x = parent[x as usize];
-            }
-            if depth[x as usize] == ON_CHAIN {
-                return Err(GraphError::NotASpanningTree("parent cycle"));
-            }
-            let mut d = depth[x as usize];
-            for &c in chain.iter().rev() {
-                d += 1;
-                depth[c as usize] = d;
-            }
+        // Every non-root node has one parent, so the nodes the child lists
+        // reach from the root are those whose parent chain ends there; any
+        // other node sits on or below a parent cycle.
+        if t.relabel_depths(root, 0) != n {
+            return Err(GraphError::NotASpanningTree("parent cycle"));
         }
-        Ok(SpanningTree {
-            root,
-            parent,
-            depth,
-        })
+        Ok(t)
     }
 
     /// Build from a BFS parent vector as returned by
@@ -134,52 +161,34 @@ impl SpanningTree {
         self.parent.len()
     }
 
+    /// Tree degree of `v`, O(1).
+    #[inline]
+    pub fn deg(&self, v: NodeId) -> u32 {
+        self.deg[v as usize]
+    }
+
+    /// Tree degree of each node.
+    #[inline]
+    pub fn degrees(&self) -> &[u32] {
+        &self.deg
+    }
+
     /// Whether `{u, v}` is a tree edge.
+    #[inline]
     pub fn is_tree_edge(&self, u: NodeId, v: NodeId) -> bool {
         u != v && (self.parent[u as usize] == v || self.parent[v as usize] == u)
     }
 
-    /// Tree degree of each node.
-    pub fn degrees(&self) -> Vec<u32> {
-        let mut deg = vec![0u32; self.parent.len()];
-        for v in 0..self.parent.len() as u32 {
-            let p = self.parent[v as usize];
-            if p != v {
-                deg[v as usize] += 1;
-                deg[p as usize] += 1;
-            }
-        }
-        deg
-    }
-
-    /// Tree degree of one node. O(1) amortized callers should prefer
-    /// [`SpanningTree::degrees`].
-    pub fn degree_of(&self, v: NodeId) -> u32 {
-        let mut d = 0;
-        for u in 0..self.parent.len() as u32 {
-            if u != v && self.parent[u as usize] == v {
-                d += 1;
-            }
-        }
-        if self.parent[v as usize] != v {
-            d += 1;
-        }
-        d
-    }
-
     /// `deg(T) = max_v deg_T(v)` — the quantity the paper minimizes.
     pub fn max_degree(&self) -> u32 {
-        self.degrees().into_iter().max().unwrap_or(0)
+        self.deg.iter().copied().max().unwrap_or(0)
     }
 
     /// Nodes of maximum tree degree (the set `S` in FR Theorem 1).
     pub fn max_degree_nodes(&self) -> Vec<NodeId> {
-        let deg = self.degrees();
-        let k = *deg.iter().max().unwrap_or(&0);
-        deg.iter()
-            .enumerate()
-            .filter(|&(_, &d)| d == k)
-            .map(|(i, _)| i as NodeId)
+        let k = self.max_degree();
+        (0..self.n() as NodeId)
+            .filter(|&v| self.deg[v as usize] == k)
             .collect()
     }
 
@@ -200,101 +209,103 @@ impl SpanningTree {
         es
     }
 
-    /// Children of each node (adjacency of the rooted tree, minus parents).
-    pub fn children_lists(&self) -> Vec<Vec<NodeId>> {
-        let mut ch: Vec<Vec<NodeId>> = vec![Vec::new(); self.parent.len()];
-        for v in 0..self.parent.len() as u32 {
-            let p = self.parent[v as usize];
-            if p != v {
-                ch[p as usize].push(v);
-            }
-        }
-        ch
-    }
-
     /// Unique tree path from `u` to `v` inclusive, via the lowest common
-    /// ancestor. O(depth).
-    pub fn tree_path(&self, u: NodeId, v: NodeId) -> Vec<NodeId> {
+    /// ancestor. For a non-tree edge `{u, v}` this is its fundamental
+    /// cycle `C_e` minus the edge itself. Depth-matched parent climbs make
+    /// it O(1) per step, O(path) in total. The slice lives in a scratch
+    /// buffer that the next `tree_path` or [`SpanningTree::pivot`] reuses.
+    pub fn tree_path(&mut self, u: NodeId, v: NodeId) -> &[NodeId] {
+        self.path.clear();
+        self.stack.clear();
         let (mut a, mut b) = (u, v);
-        let mut up_a = vec![a];
-        let mut up_b = vec![b];
+        self.path.push(a);
+        // `stack` collects the b-side, to be appended reversed.
+        self.stack.push(b);
         while self.depth[a as usize] > self.depth[b as usize] {
             a = self.parent[a as usize];
-            up_a.push(a);
+            self.path.push(a);
         }
         while self.depth[b as usize] > self.depth[a as usize] {
             b = self.parent[b as usize];
-            up_b.push(b);
+            self.stack.push(b);
         }
         while a != b {
             a = self.parent[a as usize];
-            up_a.push(a);
+            self.path.push(a);
             b = self.parent[b as usize];
-            up_b.push(b);
+            self.stack.push(b);
         }
-        // up_a ends at the LCA; append up_b reversed, skipping the LCA.
-        up_b.pop();
-        up_a.extend(up_b.into_iter().rev());
-        up_a
+        // `path` ends at the LCA; append the b-side, skipping its LCA copy.
+        self.stack.pop();
+        while let Some(x) = self.stack.pop() {
+            self.path.push(x);
+        }
+        &self.path
     }
 
-    /// The fundamental cycle of non-tree edge `{u, v}`: the tree path
-    /// `u..=v`. Closing it with `{u, v}` yields the cycle `C_e` of the paper.
+    /// Pivot: insert non-tree edge `{u, v}` and remove tree edge `{w, z}`,
+    /// which must lie on the fundamental cycle of `{u, v}`.
+    ///
+    /// The component cut off by removing `{w, z}` (the one *not* containing
+    /// the root) is re-rooted at whichever of `u`/`v` lies inside it and
+    /// re-hung under the other endpoint — the parent re-orientation the
+    /// protocol's `Remove`/`Back`/`Reverse` messages perform, applied
+    /// atomically. Only that component is relabelled.
     ///
     /// # Panics
-    /// Panics (in debug) if `{u, v}` is a tree edge.
-    pub fn fundamental_cycle_path(&self, u: NodeId, v: NodeId) -> Vec<NodeId> {
-        debug_assert!(!self.is_tree_edge(u, v), "{{u,v}} must be a non-tree edge");
-        self.tree_path(u, v)
-    }
-
-    /// Swap non-tree edge `{u, v}` in and tree edge `{w, z}` out.
-    ///
-    /// `{w, z}` must lie on the fundamental cycle of `{u, v}`. The component
-    /// cut off by removing `{w, z}` (the one *not* containing the root) is
-    /// re-rooted at whichever of `u`/`v` lies inside it — exactly the parent
-    /// re-orientation the protocol's `Remove`/`Back`/`Reverse` messages
-    /// perform, applied atomically. Depths are recomputed for the re-hung
-    /// component.
-    pub fn swap(&mut self, (u, v): (NodeId, NodeId), (w, z): (NodeId, NodeId)) {
+    /// Panics if `{w, z}` is not a tree edge or `{u, v}` already is one.
+    pub fn pivot(&mut self, (u, v): (NodeId, NodeId), (w, z): (NodeId, NodeId)) {
         assert!(
             self.is_tree_edge(w, z),
-            "swap: {{{w},{z}}} is not a tree edge"
+            "pivot: {{{w},{z}}} is not a tree edge"
         );
         assert!(
             !self.is_tree_edge(u, v),
-            "swap: {{{u},{v}}} is already a tree edge"
+            "pivot: {{{u},{v}}} is already a tree edge"
         );
-        // Child side of the removed edge = root of the cut component B.
+        // Child side of the removed edge roots the detached component B.
         let b_root = if self.parent[w as usize] == z { w } else { z };
-        debug_assert!(
-            self.parent[b_root as usize] == if b_root == w { z } else { w },
-            "swap: {{{w},{z}}} endpoints are not parent-linked"
-        );
-        // Detach B.
+        self.unlink_child(self.parent[b_root as usize], b_root);
         self.parent[b_root as usize] = b_root;
-        // Which endpoint of the inserted edge is inside B?
+        // The inserted endpoint inside B reaches b_root by parent walks.
         let (inside, outside) = if self.reaches(u, b_root) {
             (u, v)
         } else {
-            debug_assert!(self.reaches(v, b_root), "swap edge not on the cycle");
+            debug_assert!(self.reaches(v, b_root), "pivot: edge not on cycle");
             (v, u)
         };
-        // Re-root B at `inside`: reverse parents along inside -> b_root.
+        // Re-root B at `inside`: reverse the parent chain inside → b_root.
+        // Two passes — unlink every chain link while the sibling pointers
+        // still describe the old child lists, then relink in reverse
+        // (link_child rewrites the sibling data the unlink pass consumes).
+        let mut cur = inside;
+        while cur != b_root {
+            let p = self.parent[cur as usize];
+            self.unlink_child(p, cur);
+            cur = p;
+        }
         let mut prev = inside;
         let mut cur = self.parent[inside as usize];
-        self.parent[inside as usize] = outside;
         while prev != b_root {
             let next = self.parent[cur as usize];
             self.parent[cur as usize] = prev;
+            self.link_child(prev, cur);
             prev = cur;
             cur = next;
         }
-        self.recompute_depths_from(inside);
+        // Hang B under `outside` and fix the bookkeeping.
+        self.parent[inside as usize] = outside;
+        self.link_child(outside, inside);
+        self.deg[w as usize] -= 1;
+        self.deg[z as usize] -= 1;
+        self.deg[u as usize] += 1;
+        self.deg[v as usize] += 1;
+        let base = self.depth[outside as usize] + 1;
+        self.relabel_depths(inside, base);
     }
 
     /// Whether following parents from `x` reaches `stop` before the tree
-    /// root. Helper for [`SpanningTree::swap`].
+    /// root.
     fn reaches(&self, mut x: NodeId, stop: NodeId) -> bool {
         loop {
             if x == stop {
@@ -308,25 +319,57 @@ impl SpanningTree {
         }
     }
 
-    /// Recompute `depth` for the subtree hanging at `top` (after a re-hang).
-    fn recompute_depths_from(&mut self, top: NodeId) {
-        let ch = self.children_lists();
-        let base = if self.parent[top as usize] == top {
-            0
-        } else {
-            self.depth[self.parent[top as usize] as usize] + 1
-        };
-        let mut stack = vec![(top, base)];
-        while let Some((v, d)) = stack.pop() {
-            self.depth[v as usize] = d;
-            for &c in &ch[v as usize] {
-                stack.push((c, d + 1));
-            }
+    /// Push `c` onto `p`'s child list (O(1)).
+    fn link_child(&mut self, p: NodeId, c: NodeId) {
+        let head = self.first_child[p as usize];
+        self.next_sib[c as usize] = head;
+        self.prev_sib[c as usize] = NONE;
+        if head != NONE {
+            self.prev_sib[head as usize] = c;
         }
+        self.first_child[p as usize] = c;
     }
 
-    /// Re-validate the invariants against the host graph (used by tests and
-    /// after swap sequences).
+    /// Remove `c` from `p`'s child list (O(1) via the sibling links).
+    fn unlink_child(&mut self, p: NodeId, c: NodeId) {
+        let prev = self.prev_sib[c as usize];
+        let next = self.next_sib[c as usize];
+        if prev == NONE {
+            self.first_child[p as usize] = next;
+        } else {
+            self.next_sib[prev as usize] = next;
+        }
+        if next != NONE {
+            self.prev_sib[next as usize] = prev;
+        }
+        self.next_sib[c as usize] = NONE;
+        self.prev_sib[c as usize] = NONE;
+    }
+
+    /// Set `depth[top] = base` and relabel its subtree via the threading.
+    /// Returns the subtree's size.
+    fn relabel_depths(&mut self, top: NodeId, base: u32) -> usize {
+        let mut stack = std::mem::take(&mut self.stack);
+        stack.clear();
+        self.depth[top as usize] = base;
+        stack.push(top);
+        let mut size = 0;
+        while let Some(x) = stack.pop() {
+            size += 1;
+            let d = self.depth[x as usize] + 1;
+            let mut c = self.first_child[x as usize];
+            while c != NONE {
+                self.depth[c as usize] = d;
+                stack.push(c);
+                c = self.next_sib[c as usize];
+            }
+        }
+        self.stack = stack;
+        size
+    }
+
+    /// Re-validate the parent vector against the host graph (used by tests
+    /// and after pivot sequences).
     pub fn validate(&self, g: &Graph) -> Result<(), GraphError> {
         SpanningTree::from_parents(g, self.root, self.parent.clone()).map(|_| ())
     }
@@ -335,11 +378,81 @@ impl SpanningTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators::{random, structured};
     use crate::graph::graph_from_edges;
 
     /// 0-1-2-3 path plus chord {0,3}: a 4-cycle.
     fn square() -> Graph {
         graph_from_edges(4, &[(0, 1), (1, 2), (2, 3), (0, 3)])
+    }
+
+    /// Walk the child threading from the root: it must visit every node
+    /// once, thread each child under its parent with consistent sibling
+    /// links, and agree with the cached depths and degrees.
+    fn audit(t: &SpanningTree) {
+        let n = t.n();
+        let mut seen = vec![false; n];
+        let mut deg = vec![0u32; n];
+        let mut stack = vec![t.root()];
+        while let Some(x) = stack.pop() {
+            assert!(!seen[x as usize], "threading revisits {x}");
+            seen[x as usize] = true;
+            let (mut prev, mut c) = (NONE, t.first_child[x as usize]);
+            while c != NONE {
+                assert_eq!(t.parent(c), x, "{c} threaded under {x}");
+                assert_eq!(t.prev_sib[c as usize], prev, "prev link of {c}");
+                assert_eq!(t.depth(c), t.depth(x) + 1, "depth of {c}");
+                deg[x as usize] += 1;
+                deg[c as usize] += 1;
+                stack.push(c);
+                (prev, c) = (c, t.next_sib[c as usize]);
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "threading does not span");
+        assert_eq!(t.degrees(), deg, "degree cache out of sync");
+    }
+
+    /// The tree path by naive ancestor lists: `u` up to the first common
+    /// ancestor, then down to `v`.
+    fn lca_path(t: &SpanningTree, u: NodeId, v: NodeId) -> Vec<NodeId> {
+        let ancestors = |mut x: NodeId| {
+            let mut up = vec![x];
+            while t.parent(x) != x {
+                x = t.parent(x);
+                up.push(x);
+            }
+            up
+        };
+        let (up_u, mut up_v) = (ancestors(u), ancestors(v));
+        let i = up_u.iter().position(|x| up_v.contains(x)).unwrap();
+        let j = up_v.iter().position(|&x| x == up_u[i]).unwrap();
+        up_v.truncate(j);
+        up_u[..=i]
+            .iter()
+            .chain(up_v.iter().rev())
+            .copied()
+            .collect()
+    }
+
+    /// Pivot every non-tree edge of `g` in ascending order (dropping the
+    /// first edge of its cycle) until `max` pivots, auditing after each.
+    fn pivot_chain(g: &Graph, t: &mut SpanningTree, max: usize) -> usize {
+        let mut pivots = 0;
+        for &(u, v) in g.edges() {
+            if pivots == max {
+                break;
+            }
+            if t.is_tree_edge(u, v) {
+                continue;
+            }
+            let path = t.tree_path(u, v);
+            let (w, z) = (path[0], path[1]);
+            t.pivot((u, v), (w, z));
+            audit(t);
+            t.validate(g).unwrap();
+            pivots += 1;
+        }
+        pivots
     }
 
     #[test]
@@ -350,6 +463,21 @@ mod tests {
         t.validate(&g).unwrap();
         assert_eq!(t.edge_set().len(), 3);
         assert_eq!(t.depth(0), 0);
+    }
+
+    #[test]
+    fn grid_bfs_build_matches_reference_tree() {
+        // On a grid the BFS tree's depths are the BFS distances, and the
+        // threading describes the parent vector.
+        let g = structured::grid(4, 4).unwrap();
+        let t = SpanningTree::from_bfs(&g, 0).unwrap();
+        assert_eq!(t.parents(), crate::traversal::bfs_tree(&g, 0));
+        let dist = crate::traversal::bfs_distances(&g, 0);
+        for v in g.nodes() {
+            assert_eq!(t.depth(v), dist[v as usize], "depth of {v}");
+        }
+        audit(&t);
+        t.validate(&g).unwrap();
     }
 
     #[test]
@@ -418,39 +546,67 @@ mod tests {
         // Star with center 0.
         let g = graph_from_edges(4, &[(0, 1), (0, 2), (0, 3)]);
         let t = SpanningTree::from_bfs(&g, 0).unwrap();
-        assert_eq!(t.degrees(), vec![3, 1, 1, 1]);
+        assert_eq!(t.degrees(), [3, 1, 1, 1]);
         assert_eq!(t.max_degree(), 3);
         assert_eq!(t.max_degree_nodes(), vec![0]);
-        assert_eq!(t.degree_of(0), 3);
-        assert_eq!(t.degree_of(2), 1);
+        assert_eq!(t.deg(0), 3);
+        assert_eq!(t.deg(2), 1);
     }
 
     #[test]
     fn tree_path_through_lca() {
         // Path 0-1-2-3 rooted at 0.
         let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let t = SpanningTree::from_bfs(&g, 0).unwrap();
-        assert_eq!(t.tree_path(3, 0), vec![3, 2, 1, 0]);
-        assert_eq!(t.tree_path(0, 3), vec![0, 1, 2, 3]);
-        assert_eq!(t.tree_path(2, 2), vec![2]);
+        let mut t = SpanningTree::from_bfs(&g, 0).unwrap();
+        assert_eq!(t.tree_path(3, 0), [3, 2, 1, 0]);
+        assert_eq!(t.tree_path(0, 3), [0, 1, 2, 3]);
+        assert_eq!(t.tree_path(2, 2), [2]);
     }
 
     #[test]
     fn tree_path_between_siblings() {
         let g = graph_from_edges(5, &[(0, 1), (0, 2), (1, 3), (2, 4)]);
-        let t = SpanningTree::from_bfs(&g, 0).unwrap();
-        assert_eq!(t.tree_path(3, 4), vec![3, 1, 0, 2, 4]);
+        let mut t = SpanningTree::from_bfs(&g, 0).unwrap();
+        assert_eq!(t.tree_path(3, 4), [3, 1, 0, 2, 4]);
+    }
+
+    #[test]
+    fn tree_path_is_the_fundamental_cycle() {
+        // The one non-tree edge of a cycle's BFS tree closes the full ring.
+        let g = structured::cycle(9).unwrap();
+        let mut t = SpanningTree::from_bfs(&g, 0).unwrap();
+        let (u, v) = g
+            .edges()
+            .iter()
+            .copied()
+            .find(|&(u, v)| !t.is_tree_edge(u, v))
+            .unwrap();
+        let ring = t.tree_path(u, v).to_vec();
+        assert_eq!(ring.len(), 9);
+        assert_eq!((ring[0], ring[8]), (u, v));
+        assert!(ring.windows(2).all(|e| t.is_tree_edge(e[0], e[1])));
+        // Every tree path equals the naive LCA path, before and after a
+        // chain of pivots.
+        let g = random::gnp_connected(12, 0.4, 7);
+        let mut t = SpanningTree::from_bfs(&g, 0).unwrap();
+        for round in 0..2 {
+            for u in g.nodes() {
+                for v in g.nodes() {
+                    let want = lca_path(&t, u, v);
+                    assert_eq!(t.tree_path(u, v), want, "round {round}: {u}..{v}");
+                }
+            }
+            pivot_chain(&g, &mut t, 8);
+        }
     }
 
     #[test]
     fn fundamental_cycle_of_chord() {
         let g = square();
-        let t = SpanningTree::from_bfs(&g, 0).unwrap();
+        let mut t = SpanningTree::from_bfs(&g, 0).unwrap();
         // BFS from 0 visits 1 and 3 at depth 1; tree edges {0,1},{0,3},{1,2}.
-        let path = t.fundamental_cycle_path(2, 3);
-        assert_eq!(path.first(), Some(&2));
-        assert_eq!(path.last(), Some(&3));
-        assert!(path.len() >= 3);
+        assert!(!t.is_tree_edge(2, 3));
+        assert_eq!(t.tree_path(2, 3), [2, 1, 0, 3]);
     }
 
     #[test]
@@ -460,8 +616,9 @@ mod tests {
         let before = t.edge_set();
         // Non-tree edge is {2,3}; remove {0,3} from its cycle.
         assert!(!t.is_tree_edge(2, 3));
-        t.swap((2, 3), (0, 3));
+        t.pivot((2, 3), (0, 3));
         t.validate(&g).unwrap();
+        audit(&t);
         let after = t.edge_set();
         assert_ne!(before, after);
         assert!(t.is_tree_edge(2, 3));
@@ -475,11 +632,12 @@ mod tests {
         let mut t = SpanningTree::from_bfs(&g, 0).unwrap();
         // BFS from 0 adopts both 1 and 4 as children; non-tree edge is {2,3}.
         assert!(!t.is_tree_edge(2, 3));
-        t.swap((2, 3), (3, 4));
+        t.pivot((2, 3), (3, 4));
         t.validate(&g).unwrap();
         // 3 now hangs off 2: depth(3) = depth(2) + 1 = 3.
         assert_eq!(t.depth(3), t.depth(2) + 1);
         assert_eq!(t.depth(3), 3);
+        assert_eq!((t.deg(3), t.deg(4), t.deg(2)), (1, 1, 2));
     }
 
     #[test]
@@ -487,7 +645,69 @@ mod tests {
     fn swap_rejects_non_tree_removal() {
         let g = square();
         let mut t = SpanningTree::from_bfs(&g, 0).unwrap();
-        t.swap((2, 3), (2, 3));
+        t.pivot((2, 3), (2, 3));
+    }
+
+    #[test]
+    fn pivot_chain_matches_fresh_rebuild() {
+        // Up to 8 pivots, each dropping the cycle edge entering the path's
+        // second vertex; the incrementally kept depths and degrees must
+        // equal a validated rebuild of the same parent vector.
+        let g = random::gnp_connected(12, 0.4, 7);
+        let mut t = SpanningTree::from_bfs(&g, 0).unwrap();
+        let mut pivots = 0;
+        for &(u, v) in g.edges() {
+            if pivots == 8 {
+                break;
+            }
+            if t.is_tree_edge(u, v) {
+                continue;
+            }
+            let path = t.tree_path(u, v);
+            let (w, z) = (path[0], path[1]);
+            let mut expected = t.edge_set();
+            expected.retain(|&e| e != (w.min(z), w.max(z)));
+            expected.push((u.min(v), u.max(v)));
+            expected.sort_unstable();
+            t.pivot((u, v), (w, z));
+            t.validate(&g).unwrap();
+            assert_eq!(t.edge_set(), expected, "after pivot {u}-{v}");
+            let fresh = SpanningTree::from_parents(&g, t.root(), t.parents().to_vec()).unwrap();
+            for x in g.nodes() {
+                assert_eq!(t.depth(x), fresh.depth(x), "depth of {x}");
+                assert_eq!(t.deg(x), fresh.deg(x), "degree of {x}");
+            }
+            audit(&t);
+            pivots += 1;
+        }
+        assert!(pivots >= 4, "instance too sparse to exercise pivots");
+    }
+
+    #[test]
+    fn child_threading_spans_the_tree() {
+        let g = structured::star_with_ring(8).unwrap();
+        let mut t = SpanningTree::from_bfs(&g, 0).unwrap();
+        audit(&t);
+        assert!(pivot_chain(&g, &mut t, 8) >= 4, "too few pivots exercised");
+    }
+
+    #[test]
+    fn equality_ignores_child_order() {
+        // Triangle, tree 0 ← 1 ← 2. Two pivot sequences reach the star at
+        // 0, linking 0's children in opposite orders.
+        let g = graph_from_edges(3, &[(0, 1), (0, 2), (1, 2)]);
+        let start = SpanningTree::from_parents(&g, 0, vec![0, 0, 1]).unwrap();
+        let mut a = start.clone();
+        a.pivot((0, 2), (1, 2));
+        let mut b = start;
+        b.pivot((0, 2), (0, 1));
+        b.pivot((0, 1), (1, 2));
+        assert_eq!(a.parents(), [0, 0, 0]);
+        assert_eq!(b.parents(), [0, 0, 0]);
+        assert_ne!(a.first_child, b.first_child, "child order must differ");
+        audit(&a);
+        audit(&b);
+        assert_eq!(a, b);
     }
 
     #[test]

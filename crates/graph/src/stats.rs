@@ -50,7 +50,7 @@ pub fn graph_degrees(g: &Graph) -> DegreeStats {
 
 /// Degree statistics of a spanning tree.
 pub fn tree_degrees(t: &SpanningTree) -> DegreeStats {
-    stats_of(t.degrees().into_iter())
+    stats_of(t.degrees().iter().copied())
 }
 
 /// Number of maximum-degree vertices of a tree — the size of FR's set `S`,

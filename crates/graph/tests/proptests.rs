@@ -60,14 +60,14 @@ proptest! {
     /// A BFS tree is valid, spans, and tree paths are consistent with it.
     #[test]
     fn bfs_tree_and_paths(g in arb_graph()) {
-        let t = SpanningTree::from_bfs(&g, 0).unwrap();
+        let mut t = SpanningTree::from_bfs(&g, 0).unwrap();
         t.validate(&g).unwrap();
         prop_assert_eq!(t.edge_set().len(), g.n() - 1);
         // The tree path between any two nodes starts/ends correctly and
         // walks tree edges only.
         let a = 0u32;
         let b = (g.n() - 1) as u32;
-        let path = t.tree_path(a, b);
+        let path = t.tree_path(a, b).to_vec();
         prop_assert_eq!(*path.first().unwrap(), a);
         prop_assert_eq!(*path.last().unwrap(), b);
         for w in path.windows(2) {
@@ -75,25 +75,47 @@ proptest! {
         }
     }
 
-    /// Fundamental-cycle swap: for every non-tree edge and every cycle
-    /// edge, the swap yields a valid spanning tree containing the inserted
-    /// edge and not the removed one.
+    /// Fundamental-cycle pivots, chained: at each of up to 8 steps, take
+    /// a pseudo-random non-tree edge `{u, v}` and try every edge `{w, z}`
+    /// of its cycle. Each pivot must yield a valid spanning tree whose
+    /// edge set is the old one minus `{w, z}` plus `{u, v}`, and whose
+    /// incrementally kept depths and degrees equal a fresh rebuild's. The
+    /// chain then continues from one of those pivots.
     #[test]
-    fn every_swap_is_valid(g in arb_graph(), pick in 0usize..1_000) {
-        let t0 = SpanningTree::from_bfs(&g, 0).unwrap();
-        let non_tree: Vec<_> = g.edges().iter().copied()
-            .filter(|&(u, v)| !t0.is_tree_edge(u, v)).collect();
-        if non_tree.is_empty() {
-            return Ok(()); // the graph is a tree
-        }
-        let (u, v) = non_tree[pick % non_tree.len()];
-        let path = t0.fundamental_cycle_path(u, v);
-        for w in path.windows(2) {
-            let mut t = t0.clone();
-            t.swap((u, v), (w[0], w[1]));
-            t.validate(&g).unwrap();
-            prop_assert!(t.is_tree_edge(u, v));
-            prop_assert!(!t.is_tree_edge(w[0], w[1]));
+    fn every_swap_is_valid(
+        g in arb_graph(),
+        picks in proptest::collection::vec(0usize..1_000, 1..9),
+    ) {
+        let mut t = SpanningTree::from_bfs(&g, 0).unwrap();
+        for pick in picks {
+            let non_tree: Vec<_> = g.edges().iter().copied()
+                .filter(|&(u, v)| !t.is_tree_edge(u, v)).collect();
+            if non_tree.is_empty() {
+                return Ok(()); // the graph is a tree
+            }
+            let (u, v) = non_tree[pick % non_tree.len()];
+            let path = t.tree_path(u, v).to_vec();
+            let mut next = None;
+            for (i, w) in path.windows(2).enumerate() {
+                let (w, z) = (w[0], w[1]);
+                let mut expected = t.edge_set();
+                expected.retain(|&e| e != (w.min(z), w.max(z)));
+                expected.push((u.min(v), u.max(v)));
+                expected.sort_unstable();
+                let mut p = t.clone();
+                p.pivot((u, v), (w, z));
+                prop_assert_eq!(p.edge_set(), expected, "pivot {{{},{}}} for {{{},{}}}", u, v, w, z);
+                let fresh = SpanningTree::from_parents(&g, p.root(), p.parents().to_vec()).unwrap();
+                for x in g.nodes() {
+                    prop_assert_eq!(p.depth(x), fresh.depth(x), "depth of {}", x);
+                    prop_assert_eq!(p.deg(x), fresh.deg(x), "degree of {}", x);
+                }
+                p.validate(&g).unwrap();
+                if i == (pick / 7) % (path.len() - 1) {
+                    next = Some(p);
+                }
+            }
+            t = next.expect("the chosen cycle edge exists");
         }
     }
 

@@ -13,10 +13,9 @@
 //! * [`core`] — the protocol itself ([`ssmdst_core`]);
 //! * [`baselines`] — Fürer–Raghavachari, serialized-improvement and naive
 //!   tree baselines ([`ssmdst_baselines`]);
-//! * [`exact`] — the incremental exact-`Δ*` engine: a network-simplex
-//!   tree structure under a certified-interval solver, with witness
-//!   objects and an incremental re-solver for judging under churn
-//!   ([`ssmdst_exact`]);
+//! * [`exact`] — the incremental exact-`Δ*` engine: a certified-interval
+//!   solver pivoting a [`graph::SpanningTree`], with witness objects and
+//!   an incremental re-solver for judging under churn ([`ssmdst_exact`]);
 //! * [`scenario`] — declarative scenarios, bit-exact record-replay,
 //!   delta-debugging shrinker and campaign sweeps, generic over the
 //!   protocol registry ([`ssmdst_scenario`]; `ssmdst replay` /

@@ -14,8 +14,9 @@
 //! GOLDEN_REGEN=1 cargo test --test golden_traces
 //! ```
 
-use ssmdst::scenario::{corpus, engine, scn};
-use ssmdst::sim::RunTrace;
+use ssmdst::graph::Graph;
+use ssmdst::scenario::{corpus, engine, scn, TopologySpec};
+use ssmdst::sim::{Digest, RunTrace};
 use std::path::PathBuf;
 
 fn golden_dir() -> PathBuf {
@@ -100,4 +101,54 @@ fn replay_is_deterministic_in_process() {
     let (_, b) = engine::run_traced(&scenario);
     assert_eq!(a, b);
     engine::verify_replay(&scenario, &a).expect("replay verifies");
+}
+
+/// `(n, m, FNV-1a over n, m and the sorted edge list)`: the structural
+/// fingerprint `crates/bench/tests/committed_rows.rs` pins the X instances
+/// with.
+fn fingerprint(g: &Graph) -> (usize, usize, u64) {
+    let mut d = Digest::new();
+    d.write_u64(g.n() as u64);
+    d.write_u64(g.m() as u64);
+    // `edges()` is the canonical list: `u < v`, lexicographically sorted.
+    for &(u, v) in g.edges() {
+        d.write_u32(u);
+        d.write_u32(v);
+    }
+    (g.n(), g.m(), d.value())
+}
+
+/// Every golden's topology is pinned by fingerprint, so a generator drift
+/// fails here with the instance named rather than as a trace divergence.
+#[test]
+fn golden_topologies_are_pinned() {
+    let family = |family: &str, seed| TopologySpec::Family {
+        family: family.to_string(),
+        n: 10,
+        seed,
+    };
+    // `family:gnp-sparse n=10 seed=1` is shared by two goldens.
+    let pins = [
+        (family("gnp-sparse", 1), (10, 17, 0x42ff_be1f_b5e6_7a42)),
+        (family("scale-free", 2), (10, 17, 0x540b_43c5_d6a0_2927)),
+        (family("gnp-dense", 2), (10, 13, 0x7353_d710_34d7_e5c4)),
+        (TopologySpec::Cycle { n: 8 }, (8, 8, 0xd338_754d_1721_7915)),
+        (
+            TopologySpec::Cycle { n: 10 },
+            (10, 10, 0x2044_f4a0_e73b_ac05),
+        ),
+    ];
+    for name in golden_names() {
+        let topology = corpus::by_name(name)
+            .expect("golden name in corpus")
+            .topology;
+        assert!(
+            pins.iter().any(|(spec, _)| *spec == topology),
+            "{name}: topology {topology:?} has no fingerprint pin"
+        );
+    }
+    for (spec, pin) in &pins {
+        let got = fingerprint(&spec.build());
+        assert_eq!(got, *pin, "{spec:?}: fingerprint (n, m, {:#018x})", got.2);
+    }
 }

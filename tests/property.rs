@@ -88,13 +88,13 @@ proptest! {
                 break;
             }
             let (u, v) = non_tree[s % non_tree.len()];
-            let path = t.fundamental_cycle_path(u, v);
+            let path = t.tree_path(u, v).to_vec();
             // Remove an edge adjacent to a pseudo-random interior node.
             if path.len() < 3 {
                 continue;
             }
             let i = 1 + (s / 7) % (path.len() - 2);
-            t.swap((u, v), (path[i], path[i + 1]));
+            t.pivot((u, v), (path[i], path[i + 1]));
             t.validate(&g).expect("swap broke the tree");
         }
     }
