@@ -16,7 +16,8 @@
 //! bracket Δ*), so a timing for an unsound run is never reported.
 //!
 //! The JSON document has one record per row (`id`, `wall_ms`,
-//! `ms_per_judgment`, and the certified interval of each `-solve` row).
+//! `ms_per_judgment`, and the certified interval and pivot count of each
+//! `-solve` row).
 
 use ssmdst_bench::{json_string, Table};
 use ssmdst_exact::{IncrementalSolver, Solver};
@@ -39,6 +40,7 @@ struct ScratchRow {
     per_judgment_ms: f64,
     lower: u32,
     upper: u32,
+    pivots: u64,
 }
 
 /// Time `reps` from-scratch solves of `g` — the judge cost without the
@@ -57,6 +59,7 @@ fn measure_scratch(g: &Graph, reps: u64) -> ScratchRow {
         per_judgment_ms: wall_ms as f64 / reps as f64,
         lower: last.lower,
         upper: last.upper,
+        pivots: last.pivots,
     }
 }
 
@@ -175,8 +178,8 @@ fn main() {
         let inc = measure_incremental(&g, churns, &scratch);
 
         println!(
-            "  scratch      wall={:>6}ms  {:>9.3} ms/judgment  interval=[{}, {}]",
-            scratch.wall_ms, scratch.per_judgment_ms, scratch.lower, scratch.upper
+            "  scratch      wall={:>6}ms  {:>9.3} ms/judgment  interval=[{}, {}]  {} pivots",
+            scratch.wall_ms, scratch.per_judgment_ms, scratch.lower, scratch.upper, scratch.pivots
         );
         println!(
             "  incremental  wall={:>6}ms  {:>9.3} ms/judgment  {} judgments, {} warm, {} cached",
@@ -192,7 +195,8 @@ fn main() {
         ]);
         json_entries.push(format!(
             "{{\"id\":{},\"title\":{},\"n\":{n},\"m\":{},\"wall_ms\":{},\
-             \"judgments\":{reps},\"ms_per_judgment\":{:.3},\"lower\":{},\"upper\":{}}}",
+             \"judgments\":{reps},\"ms_per_judgment\":{:.3},\"lower\":{},\"upper\":{},\
+             \"pivots\":{}}}",
             json_string(&format!("{id}-solve")),
             json_string(&format!("X — from-scratch certified solve, G({n}, 8/n)")),
             g.m(),
@@ -200,6 +204,7 @@ fn main() {
             scratch.per_judgment_ms,
             scratch.lower,
             scratch.upper,
+            scratch.pivots,
         ));
         json_entries.push(format!(
             "{{\"id\":{},\"title\":{},\"n\":{n},\"m\":{},\"wall_ms\":{},\

@@ -11,27 +11,73 @@
 //! (`L ≤ Δ*`) and — whenever `L = Δ*` — complete.
 //!
 //! The improvement phase mirrors Fürer–Raghavachari's forest argument
-//! directly: mark every vertex of degree `≥ k − 1`, grow a union-find
-//! forest over the unmarked tree edges, and process non-tree edges whose
-//! endpoints lie in different forest components. The basis cycle of such
-//! an edge must pass through a marked vertex; if one has degree `k` the
-//! edge is an **improvement** (swap it in, drop a cycle edge at the hot
-//! vertex — degree `k` count strictly decreases), otherwise every marked
-//! cycle vertex has degree `k − 1` and is **unmarked** (it could be
-//! relieved on demand), merging the cycle into one component. At the
-//! fixpoint the still-marked set is the blocking witness. Each phase
-//! pivots on the first improvement in ascending edge order.
+//! directly: mark every vertex of degree `≥ k − 1`, grow a forest over
+//! the unmarked tree edges, and process non-tree edges whose endpoints
+//! lie in different forest components. The basis cycle of such an edge
+//! must pass through a marked vertex; if one has degree `k` the edge is an
+//! **improvement** (swap it in, drop a cycle edge at the hot vertex),
+//! otherwise every marked cycle vertex has degree `k − 1` and is
+//! **unmarked** (it could be relieved on demand), merging the cycle into
+//! one component. At the fixpoint the still-marked set is the blocking
+//! witness. Each phase pivots on the first improvement in ascending edge
+//! order.
+//!
+//! A phase costs the work it does, not `O(n + m)`:
+//!
+//! * **Derived marking.** [`Solver`] keeps one phase state per solve; a
+//!   phase starts by bumping a `u32` stamp. `v` is marked iff
+//!   `deg(v) ≥ k − 1` and `v` has no union-find entry written under the
+//!   current stamp. A vertex of degree `≥ k − 1` first gets an entry when
+//!   a merge unmarks it (path compression only writes entries of non-root
+//!   vertices, and a marked vertex is a root), so the stamp doubles as
+//!   "unmarked in this phase".
+//! * **Lazy union-find over `T − marked₀`.** An unstamped entry's parent
+//!   is its tree parent when both have degree `≤ k − 2`, and itself
+//!   otherwise; stamped entries override that, and finds compress paths by
+//!   writing stamped entries. **Invariant: every root is its component's
+//!   top** (its shallowest vertex). The initial components are connected
+//!   subtrees rooted at their tops. A merge adds a tree path, so every
+//!   component stays a connected subtree, and the merge hangs every root
+//!   under the root of the element holding the cycle's LCA, which is the
+//!   merged component's top.
+//! * **Row sweep.** The canonical edge list is the upper half of the CSR
+//!   rows read in order, so walking `u` ascending over
+//!   `neighbors(u)[partition_point(< u)..]` visits exactly `g.edges()` in
+//!   order. A marked `u` skips its row: none of its edges is eligible, so
+//!   nothing in the row can unmark it. Every edge re-reads the live
+//!   marking, so an endpoint a merge unmarked earlier in the sweep is seen
+//!   exactly as a full scan of `g.edges()` sees it.
+//! * **Compressed cycle walk.** By the invariant, the components the basis
+//!   cycle of `{u, v}` crosses form two chains, `find(u)`,
+//!   `find(parent(top))`, … and the same from `v`, which meet at the LCA's
+//!   component `m`. Advancing the side with the deeper top (both on a tie)
+//!   finds `m` without visiting the vertices inside components. Only
+//!   marked singletons can have degree `k`, so scanning the u-side
+//!   elements in climb order, then `m`, then the v-side elements in
+//!   reverse meets the hot vertices in path order. The edge dropped at the
+//!   first one, `w`, is `(w, previous u-side top)` on the u side or at
+//!   `m`, and `(w, parent(w))` on the v side: the edge a walk of the full
+//!   path names.
+//! * **Degree target.** A count of degree-`k` vertices survives across
+//!   pivots; `k` is recomputed only when the count reaches zero.
 //!
 //! This loop is the workspace's one Fürer–Raghavachari local search; the
 //! sequential baselines (`ssmdst-baselines`) run it with settling off. The
 //! proof, once:
 //!
-//! * **Termination.** An improvement's endpoints are unmarked (degree
-//!   `≤ k − 2`) and the dropped edge touches a degree-`k` vertex, so each
-//!   pivot removes one degree-`k` vertex and creates none. Degree-`k`
-//!   vertices are never unmarked, so at most `n` pivots happen per `k`,
-//!   and `k` only falls.
-//! * **Within one.** Let `W` be the final marked set (every vertex of
+//! * **Termination.** Every phase is finite: a sweep that merges nothing
+//!   ends it, and every merge joins at least two components. A pivot
+//!   lowers the hot vertex from `k` to `k − 1` and raises only the new
+//!   edge's endpoints, which are unmarked and so end at degree `≤ k`: `k`
+//!   never rises. A pivot need not lower the count of degree-`k` vertices,
+//!   though. An endpoint unmarked since the phase began has degree
+//!   `≤ k − 2` and stays below `k`, but one unmarked by a merge has degree
+//!   `k − 1` and reaches `k` (`gnp_connected(7, 0.4, 1414)` has such a
+//!   degree-neutral pivot). Fürer–Raghavachari's propagation, which
+//!   relieves that endpoint first, restores the counting argument; this
+//!   loop does not propagate, so its termination is observed on every
+//!   instance the tests and benchmarks run, not proven.
+//! * **Within one.** Let `W` be the final marked set (each vertex of
 //!   degree `≥ k − 1`). At the fixpoint no non-tree edge joins two
 //!   components of `T − W`, so `c(G − W) = c(T − W) =: c`. Every
 //!   spanning tree needs `c + |W| − 1` edges incident to `W` to connect
@@ -53,7 +99,6 @@
 use crate::witness::{floor_bound, Witness};
 use ssmdst_graph::{
     has_spanning_tree_with_max_degree, lower_bound, Graph, NodeId, SolveBudget, SpanningTree,
-    UnionFind,
 };
 
 /// A certified solve result: `lower ≤ Δ* ≤ upper`, with `tree` achieving
@@ -231,12 +276,12 @@ impl Solver {
     /// beyond it).
     fn improve(&self, g: &Graph, tree: &mut SpanningTree, pivots: &mut u64) -> Option<Vec<NodeId>> {
         let floor = floor_bound(tree.n());
+        let mut phase = PhaseState::new(tree);
         loop {
-            let k = tree.max_degree();
-            if k <= floor {
+            if phase.k <= floor {
                 return None;
             }
-            match run_phase(g, tree, k, pivots) {
+            match phase.run(g, tree, pivots) {
                 Phase::Applied => continue,
                 Phase::Blocked(set) => return Some(set),
             }
@@ -244,78 +289,199 @@ impl Solver {
     }
 }
 
-/// One Fürer–Raghavachari phase at degree target `k`: either applies the
-/// first improvement in ascending edge order, or reaches the phase
-/// fixpoint and returns the blocking set.
-///
-/// Kept out of line: inlined into `Solver::improve`, the scratch solve of
-/// `G(5000, 8/n)` ran about 15% slower (x86-64, release build).
-#[inline(never)]
-fn run_phase(g: &Graph, tree: &mut SpanningTree, k: u32, pivots: &mut u64) -> Phase {
-    let n = tree.n();
-    let root = tree.root();
-    let mut marked = vec![false; n];
-    for v in 0..n as u32 {
-        marked[v as usize] = tree.deg(v) >= k - 1;
+/// The Fürer–Raghavachari phase state one solve reuses across all its
+/// phases: the stamped lazy union-find (which also carries the marking),
+/// the climb buffers, and the degree target with its count. See the
+/// module doc for the mechanics and the root-is-top invariant.
+struct PhaseState {
+    /// Degree target: `tree.max_degree()`.
+    k: u32,
+    /// Number of vertices of tree degree `k`.
+    at_k: usize,
+    /// The current phase's stamp; an entry is live iff `seen[v] == stamp`.
+    stamp: u32,
+    /// Stamp under which `up[v]` was last written.
+    seen: Vec<u32>,
+    /// Union-find parent, valid while `seen[v] == stamp`.
+    up: Vec<NodeId>,
+    /// Component roots climbed from the non-tree edge's lower endpoint.
+    u_side: Vec<NodeId>,
+    /// Component roots climbed from its upper endpoint.
+    v_side: Vec<NodeId>,
+}
+
+impl PhaseState {
+    fn new(tree: &SpanningTree) -> Self {
+        let n = tree.n();
+        let mut s = PhaseState {
+            k: 0,
+            at_k: 0,
+            stamp: 0,
+            seen: vec![0; n],
+            up: vec![0; n],
+            u_side: Vec::new(),
+            v_side: Vec::new(),
+        };
+        s.retarget(tree);
+        s
     }
-    // Forest components of T − marked.
-    let mut uf = UnionFind::new(n);
-    for v in 0..n as u32 {
-        if v != root {
-            let p = tree.parent(v);
-            if !marked[v as usize] && !marked[p as usize] {
-                uf.union(v, p);
-            }
+
+    fn retarget(&mut self, tree: &SpanningTree) {
+        self.k = tree.max_degree();
+        self.at_k = tree.degrees().iter().filter(|&&d| d == self.k).count();
+    }
+
+    /// One phase at degree target `k`: either applies the first
+    /// improvement in ascending edge order, or reaches the phase fixpoint
+    /// and returns the blocking set. Same pivots as the full-rebuild
+    /// reference phase in the tests.
+    fn run(&mut self, g: &Graph, tree: &mut SpanningTree, pivots: &mut u64) -> Phase {
+        debug_assert_eq!(self.k, tree.max_degree(), "stale degree target");
+        if self.stamp == u32::MAX {
+            self.seen.fill(0);
+            self.stamp = 0;
         }
+        self.stamp += 1;
+        let Some(((u, v), (w, z))) = self.find_improvement(g, tree) else {
+            let blocking = (0..tree.n() as NodeId)
+                .filter(|&x| self.marked(tree, x))
+                .collect();
+            return Phase::Blocked(blocking);
+        };
+        let k = self.k;
+        let at_k = |t: &SpanningTree| [u, v, w, z].iter().filter(|&&x| t.deg(x) == k).count();
+        // `[u, v, w, z]` may repeat a vertex (`z` can be `u` or `v`), but a
+        // repeated vertex's degree does not change, so it cancels out.
+        let before = at_k(tree);
+        tree.pivot((u, v), (w, z));
+        *pivots += 1;
+        self.at_k = self.at_k + at_k(tree) - before;
+        if self.at_k == 0 {
+            self.retarget(tree);
+        }
+        Phase::Applied
     }
-    let mut path_buf: Vec<u32> = Vec::new();
-    loop {
-        let mut merged = false;
-        for &(u, v) in g.edges() {
-            if tree.is_tree_edge(u, v)
-                || marked[u as usize]
-                || marked[v as usize]
-                || uf.find(u) == uf.find(v)
-            {
-                continue;
-            }
-            // The basis cycle crosses two forest components, so it passes
-            // through at least one marked vertex.
-            path_buf.clear();
-            path_buf.extend_from_slice(tree.tree_path(u, v));
-            let hot = path_buf
-                .iter()
-                .position(|&x| marked[x as usize] && tree.deg(x) == k);
-            if let Some(i) = hot {
-                // Relieve the degree-k vertex: swap `{u,v}` in, drop the
-                // cycle edge between it and its path predecessor (`i ≥ 1`
-                // because `u` is unmarked).
-                let w = path_buf[i];
-                tree.pivot((u, v), (w, path_buf[i - 1]));
-                *pivots += 1;
-                return Phase::Applied;
-            } else {
-                // Every marked cycle vertex has degree k − 1: each could
-                // be relieved by this very edge if it ever mattered, so
-                // unmark them and fuse the cycle into one component.
-                for &x in &path_buf {
-                    marked[x as usize] = false;
+
+    /// Sweep the non-tree edges in `g.edges()` order, merging components
+    /// along blocked cycles, until an improvement `((u, v), (w, z))` turns
+    /// up (insert `{u, v}`, drop `{w, z}`) or a sweep merges nothing.
+    // lint: hot-path
+    fn find_improvement(
+        &mut self,
+        g: &Graph,
+        tree: &SpanningTree,
+    ) -> Option<((NodeId, NodeId), (NodeId, NodeId))> {
+        let n = tree.n() as NodeId;
+        loop {
+            let mut merged = false;
+            for u in 0..n {
+                if self.marked(tree, u) {
+                    continue;
                 }
-                for win in path_buf.windows(2) {
-                    uf.union(win[0], win[1]);
+                let row = g.neighbors(u);
+                for &v in &row[row.partition_point(|&x| x < u)..] {
+                    if self.marked(tree, v) || tree.is_tree_edge(u, v) {
+                        continue;
+                    }
+                    let (mut a, mut b) = (self.find(tree, u), self.find(tree, v));
+                    if a == b {
+                        continue;
+                    }
+                    // Climb both chains of components to the LCA's, `m`.
+                    self.u_side.clear();
+                    self.v_side.clear();
+                    while a != b {
+                        let (da, db) = (tree.depth(a), tree.depth(b));
+                        if da >= db {
+                            self.u_side.push(a);
+                            a = self.find(tree, tree.parent(a));
+                        }
+                        if db >= da {
+                            self.v_side.push(b);
+                            b = self.find(tree, tree.parent(b));
+                        }
+                    }
+                    let m = a;
+                    // The first degree-k vertex in path order. The first
+                    // element is `u`'s component, whose root is unmarked
+                    // and never hot, so `prev` is a real predecessor by
+                    // the time a hot vertex on the u side or at `m` reads it.
+                    let mut prev = u;
+                    for &x in self.u_side.iter().chain(std::iter::once(&m)) {
+                        if tree.deg(x) == self.k {
+                            return Some(((u, v), (x, prev)));
+                        }
+                        prev = x;
+                    }
+                    for &x in self.v_side.iter().rev() {
+                        if tree.deg(x) == self.k {
+                            return Some(((u, v), (x, tree.parent(x))));
+                        }
+                    }
+                    // Every marked cycle vertex has degree k − 1: each
+                    // could be relieved by this very edge if it ever
+                    // mattered, so unmark them and fuse the cycle's
+                    // components under the merged top `m`.
+                    let sides = self.u_side.iter().chain(&self.v_side);
+                    for &x in sides.chain(std::iter::once(&m)) {
+                        self.seen[x as usize] = self.stamp;
+                        self.up[x as usize] = m;
+                    }
+                    merged = true;
                 }
-                merged = true;
+            }
+            if !merged {
+                return None;
             }
         }
-        if !merged {
-            break;
+    }
+
+    /// Whether `v` is still marked in this phase.
+    #[inline]
+    fn marked(&self, tree: &SpanningTree, v: NodeId) -> bool {
+        tree.deg(v) + 1 >= self.k && self.seen[v as usize] != self.stamp
+    }
+
+    /// `v`'s union-find parent: its stamped entry, else the lazy one.
+    #[inline]
+    fn parent(&self, tree: &SpanningTree, v: NodeId) -> NodeId {
+        if self.seen[v as usize] == self.stamp {
+            return self.up[v as usize];
+        }
+        let p = tree.parent(v);
+        if tree.deg(v) + 2 <= self.k && tree.deg(p) + 2 <= self.k {
+            p
+        } else {
+            v
         }
     }
-    Phase::Blocked(
-        (0..n as u32)
-            .filter(|&v| marked[v as usize])
-            .collect::<Vec<_>>(),
-    )
+
+    /// The root (and, by the invariant, the top) of `v`'s component, with
+    /// full path compression.
+    fn find(&mut self, tree: &SpanningTree, v: NodeId) -> NodeId {
+        let mut r = v;
+        loop {
+            let p = self.parent(tree, r);
+            if p == r {
+                break;
+            }
+            r = p;
+        }
+        let mut x = v;
+        while x != r {
+            let next = self.parent(tree, x);
+            self.hang(x, r);
+            x = next;
+        }
+        r
+    }
+
+    /// Write `x`'s union-find entry for this phase.
+    #[inline]
+    fn hang(&mut self, x: NodeId, parent: NodeId) {
+        self.seen[x as usize] = self.stamp;
+        self.up[x as usize] = parent;
+    }
 }
 
 /// Best singleton cut bound via articulation points: one iterative DFS
@@ -383,9 +549,177 @@ fn best_cut_bound(g: &Graph) -> Option<(NodeId, u32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use ssmdst_graph::generators::{gadgets, random, structured};
     use ssmdst_graph::graph::graph_from_edges;
-    use ssmdst_graph::{exact_mdst, SpanningTree};
+    use ssmdst_graph::{exact_mdst, SpanningTree, UnionFind};
+
+    /// The reference phase: one Fürer–Raghavachari phase at degree target
+    /// `k` that rebuilds its marking and union-find and scans every edge.
+    /// `PhaseState::run` must make exactly its pivots.
+    fn run_phase(g: &Graph, tree: &mut SpanningTree, k: u32, pivots: &mut u64) -> Phase {
+        let n = tree.n();
+        let root = tree.root();
+        let mut marked = vec![false; n];
+        for v in 0..n as u32 {
+            marked[v as usize] = tree.deg(v) >= k - 1;
+        }
+        // Forest components of T − marked.
+        let mut uf = UnionFind::new(n);
+        for v in 0..n as u32 {
+            if v != root {
+                let p = tree.parent(v);
+                if !marked[v as usize] && !marked[p as usize] {
+                    uf.union(v, p);
+                }
+            }
+        }
+        let mut path_buf: Vec<u32> = Vec::new();
+        loop {
+            let mut merged = false;
+            for &(u, v) in g.edges() {
+                if tree.is_tree_edge(u, v)
+                    || marked[u as usize]
+                    || marked[v as usize]
+                    || uf.find(u) == uf.find(v)
+                {
+                    continue;
+                }
+                // The basis cycle crosses two forest components, so it passes
+                // through at least one marked vertex.
+                path_buf.clear();
+                path_buf.extend_from_slice(tree.tree_path(u, v));
+                let hot = path_buf
+                    .iter()
+                    .position(|&x| marked[x as usize] && tree.deg(x) == k);
+                if let Some(i) = hot {
+                    // Relieve the degree-k vertex: swap `{u,v}` in, drop the
+                    // cycle edge between it and its path predecessor (`i ≥ 1`
+                    // because `u` is unmarked).
+                    let w = path_buf[i];
+                    tree.pivot((u, v), (w, path_buf[i - 1]));
+                    *pivots += 1;
+                    return Phase::Applied;
+                } else {
+                    // Every marked cycle vertex has degree k − 1: each could
+                    // be relieved by this very edge if it ever mattered, so
+                    // unmark them and fuse the cycle into one component.
+                    for &x in &path_buf {
+                        marked[x as usize] = false;
+                    }
+                    for win in path_buf.windows(2) {
+                        uf.union(win[0], win[1]);
+                    }
+                    merged = true;
+                }
+            }
+            if !merged {
+                break;
+            }
+        }
+        Phase::Blocked(
+            (0..n as u32)
+                .filter(|&v| marked[v as usize])
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    /// Step `PhaseState` and the reference phase side by side from `start`
+    /// until the fixpoint, asserting after every phase that both applied
+    /// the same pivot or blocked on the same set. Returns the pivot count.
+    fn phases_side_by_side(g: &Graph, start: SpanningTree) -> Result<u64, TestCaseError> {
+        let floor = floor_bound(g.n());
+        let (mut fast, mut slow) = (start.clone(), start);
+        let mut phase = PhaseState::new(&fast);
+        let (mut fast_pivots, mut pivots) = (0u64, 0u64);
+        loop {
+            let k = slow.max_degree();
+            let at_k = slow.degrees().iter().filter(|&&d| d == k).count();
+            prop_assert_eq!((phase.k, phase.at_k), (k, at_k), "after {} pivots", pivots);
+            if k <= floor {
+                return Ok(pivots);
+            }
+            match (
+                phase.run(g, &mut fast, &mut fast_pivots),
+                run_phase(g, &mut slow, k, &mut pivots),
+            ) {
+                (Phase::Applied, Phase::Applied) => {
+                    prop_assert_eq!(fast.parents(), slow.parents(), "pivot {}", pivots);
+                }
+                (Phase::Blocked(a), Phase::Blocked(b)) => {
+                    prop_assert_eq!(a, b, "blocking set after {} pivots", pivots);
+                    return Ok(pivots);
+                }
+                _ => prop_assert!(false, "phase outcomes differ after {} pivots", pivots),
+            }
+        }
+    }
+
+    fn phase_graphs() -> impl Strategy<Value = Graph> {
+        prop_oneof![
+            (4usize..=300, 0.02f64..0.2, 0u64..100_000)
+                .prop_map(|(n, p, seed)| random::gnp_connected(n, p, seed)),
+            (4usize..=300, 1.0f64..8.0, 0u64..100_000).prop_map(|(n, c, seed)| {
+                random::gnp_connected_sparse(n, (c / n as f64).min(0.5), seed)
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The stamped phase makes exactly the reference phase's pivots,
+        /// cold from a BFS tree and warm from the BFS tree of another root.
+        #[test]
+        fn phase_matches_the_reference_phase(
+            g in phase_graphs(),
+            roots in (0u32..300, 1u32..300),
+        ) {
+            let n = g.n() as u32;
+            let (cold, warm) = (roots.0 % n, (roots.0 + roots.1) % n);
+            for root in [cold, warm] {
+                phases_side_by_side(&g, SpanningTree::from_bfs(&g, root).unwrap())?;
+            }
+        }
+    }
+
+    #[test]
+    fn a_pivot_onto_a_merged_vertex_is_degree_neutral() {
+        // The smallest instance found whose pivot raises an endpoint that
+        // a merge unmarked (degree k − 1) to k: that phase relieves one
+        // degree-k vertex and creates another.
+        let g = random::gnp_connected(7, 0.4, 1414);
+        assert_eq!((g.n(), g.m()), (7, 8));
+        let at_k = |t: &SpanningTree, k| t.degrees().iter().filter(|&&d| d == k).count();
+        let mut tree = SpanningTree::from_bfs(&g, 0).unwrap();
+        let (mut pivots, mut neutral) = (0u64, 0);
+        loop {
+            let k = tree.max_degree();
+            if k <= floor_bound(g.n()) {
+                break;
+            }
+            let before = at_k(&tree, k);
+            match run_phase(&g, &mut tree, k, &mut pivots) {
+                Phase::Applied => neutral += usize::from(at_k(&tree, k) == before),
+                Phase::Blocked(_) => break,
+            }
+        }
+        assert_eq!((pivots, neutral), (2, 1));
+        let solver = Solver::builder().settle_budget(0).build();
+        assert_eq!(solver.solve(&g).pivots, 2);
+    }
+
+    #[test]
+    fn phase_matches_the_reference_phase_on_pinned_instances() {
+        // (8, 0.3, 183) pivots onto a merge-unmarked endpoint that is also
+        // the dropped edge's end, so its degree does not rise; (7, 0.4,
+        // 1414) has the degree-neutral pivot.
+        for (n, p, seed, pivots) in [(8, 0.3, 183, 2), (7, 0.4, 1414, 2)] {
+            let g = random::gnp_connected(n, p, seed);
+            let start = SpanningTree::from_bfs(&g, 0).unwrap();
+            assert_eq!(phases_side_by_side(&g, start).unwrap(), pivots);
+        }
+    }
 
     fn check(g: &Graph, solver: &Solver) -> Solution {
         let sol = solver.solve(g);
