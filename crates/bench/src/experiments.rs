@@ -22,7 +22,8 @@ use ssmdst_graph::generators::GraphFamily;
 use ssmdst_graph::{Graph, SolveBudget};
 use ssmdst_scenario::engine::{self, EngineOpts};
 use ssmdst_scenario::{
-    ConfigSpec, CorruptSpec, EventAction, Scenario, ScenarioEvent, SchedSpec, TopologySpec,
+    ConfigSpec, CorruptSpec, EventAction, Mdst, Scenario, ScenarioEvent, ScenarioOutcome,
+    SchedSpec, TopologySpec,
 };
 use ssmdst_sim::TopologyPlan;
 
@@ -103,6 +104,12 @@ fn no_exact() -> EngineOpts {
     }
 }
 
+/// Run an MDST scenario on the engine's typed core, keeping only the
+/// outcome.
+fn run_mdst(scn: &Scenario, opts: EngineOpts) -> ScenarioOutcome {
+    engine::run_protocol(&Mdst, scn, opts, |_, _| {}).0
+}
+
 /// Ground truth for Δ*: the exact engine's certified interval — exact when
 /// the interval settles, else the witness-certified floor as `≥ lb`.
 fn delta_star_str(g: &Graph) -> (String, Option<u32>) {
@@ -133,7 +140,7 @@ pub fn t1_degree_quality(p: &Profile) -> Table {
             for &seed in &p.seeds {
                 let scn = row_scenario("t1", fam, n, seed, SchedSpec::Synchronous, p);
                 let g = scn.topology.build();
-                let (res, _) = engine::run_opts(&scn, no_exact());
+                let res = run_mdst(&scn, no_exact());
                 let (ds_str, ds) = match fam.known_delta_star(&g) {
                     Some(d) => (d.to_string(), Some(d)),
                     None => delta_star_str(&g),
@@ -185,7 +192,7 @@ pub fn t2_convergence(p: &Profile) -> Table {
             let mut real_n = 0;
             for &seed in &p.seeds {
                 let scn = row_scenario("t2", fam, n, seed, SchedSpec::Synchronous, p);
-                let (res, _) = engine::run_opts(&scn, no_exact());
+                let res = run_mdst(&scn, no_exact());
                 real_n = res.n;
                 ms.push(res.m as f64);
                 rounds.push(if res.converged {
@@ -219,7 +226,7 @@ pub fn t3_messages(p: &Profile) -> Table {
         for &n in &p.large_sizes {
             let seed = p.seeds[0];
             let scn = row_scenario("t3", fam, n, seed, SchedSpec::Synchronous, p);
-            let (res, _) = engine::run_opts(&scn, no_exact());
+            let res = run_mdst(&scn, no_exact());
             let get = |k: &str| {
                 res.msgs_by_kind
                     .iter()
@@ -262,7 +269,7 @@ pub fn t4_memory(p: &Profile) -> Table {
         for &n in &p.large_sizes {
             let scn = row_scenario("t4", fam, n, p.seeds[0], SchedSpec::Synchronous, p);
             let g = scn.topology.build();
-            let (_, runner) = engine::run_opts(&scn, no_exact());
+            let (_, _, runner) = engine::run_protocol(&Mdst, &scn, no_exact(), |_, _| {});
             let max_bits = ssmdst_core::oracle::max_state_bits(runner.network());
             let delta = g.max_degree();
             let b = (usize::BITS - (g.n().max(2) - 1).leading_zeros()) as usize;
@@ -296,7 +303,7 @@ pub fn t5_baselines(p: &Profile) -> Table {
         let greedy =
             baselines::greedy_min_degree_tree(&g, seed).expect("family graphs are connected"); // lint: allow(no-panic-in-library) — every GraphFamily generates a connected instance
         let (fr, _) = baselines::fr_mdst(&g, bfs.clone());
-        let (res, _) = engine::run_opts(&scn, no_exact());
+        let res = run_mdst(&scn, no_exact());
         let (ds_str, _) = match fam.known_delta_star(&g) {
             Some(d) => (d.to_string(), Some(d)),
             None => delta_star_str(&g),
@@ -336,8 +343,9 @@ pub fn f1_trajectory(p: &Profile) -> Table {
         );
         let g = scn.topology.build();
         let mut ins = Instrument::new(&g);
-        let (_, _) =
-            engine::run_observed_opts(&scn, no_exact(), |net, round| ins.observe(net, round));
+        let _ = engine::run_protocol(&Mdst, &scn, no_exact(), |net, round| {
+            ins.observe(net, round)
+        });
         for (round, deg) in ins.trajectory() {
             t.row(vec![label.to_string(), round.to_string(), deg.to_string()]);
         }
@@ -375,7 +383,7 @@ pub fn f2_fault_recovery(p: &Profile) -> Table {
                 drop: 0.0,
                 seed: seed + 100,
             }))];
-            let (res, _) = engine::run_opts(&scn, no_exact());
+            let res = run_mdst(&scn, no_exact());
             before = before.max(res.phases[0].degree);
             rounds.push(res.phases[1].rounds as f64);
             after = after.max(res.final_degree.unwrap_or(u32::MAX));
@@ -424,8 +432,9 @@ pub fn f3_concurrency(p: &Profile) -> Table {
         );
         let g = scn.topology.build();
         let mut ins = Instrument::new(&g);
-        let (res, _) =
-            engine::run_observed_opts(&scn, no_exact(), |net, round| ins.observe(net, round));
+        let (res, _, _) = engine::run_protocol(&Mdst, &scn, no_exact(), |net, round| {
+            ins.observe(net, round)
+        });
         let t0 = baselines::bfs_spanning_tree(&g, 0).expect("multi-hub graphs are connected"); // lint: allow(no-panic-in-library) — multi_hub builds a connected gadget
         let diam = ssmdst_graph::traversal::diameter(&g).unwrap_or(1) as u64;
         // The serialized emulation pays a full refresh (≥ diameter rounds,
@@ -460,7 +469,7 @@ pub fn f4_schedulers(p: &Profile) -> Table {
     ] {
         for fam in [GraphFamily::GnpSparse, GraphFamily::ScaleFree] {
             let scn = row_scenario(&format!("f4-{label}"), fam, n, p.seeds[0], sched, p);
-            let (res, _) = engine::run_opts(&scn, no_exact());
+            let res = run_mdst(&scn, no_exact());
             t.row(vec![
                 label.to_string(),
                 fam.label().to_string(),
@@ -487,7 +496,7 @@ pub fn f5_message_length(p: &Profile) -> Table {
             SchedSpec::Synchronous,
             p,
         );
-        let (res, _) = engine::run_opts(&scn, no_exact());
+        let res = run_mdst(&scn, no_exact());
         let bound = res.n as f64 * (res.n as f64).log2();
         t.row(vec![
             res.n.to_string(),
@@ -531,7 +540,7 @@ pub fn a1_strict_vs_gentle(p: &Profile) -> Table {
                 drop: 0.0,
                 seed: seed + 7,
             }))];
-            let (res, _) = engine::run_opts(&scn, no_exact());
+            let res = run_mdst(&scn, no_exact());
             conv.push(if res.phases[0].converged {
                 res.phases[0].rounds as f64
             } else {
@@ -592,7 +601,7 @@ pub fn a2_deblock(p: &Profile) -> Table {
                 p.max_rounds,
             );
             scn.config = cfg;
-            engine::run_opts(&scn, no_exact()).0
+            run_mdst(&scn, no_exact())
         };
         let with = run_cfg(ConfigSpec::Default, "deblock");
         let without = run_cfg(ConfigSpec::NoDeblock, "no-deblock");
@@ -639,7 +648,7 @@ pub fn a3_busy_latch(p: &Profile) -> Table {
                 cap,
             );
             scn.config = cfg;
-            let (res, _) = engine::run_opts(&scn, no_exact());
+            let res = run_mdst(&scn, no_exact());
             t.row(vec![
                 label.to_string(),
                 fam.label().to_string(),
@@ -690,7 +699,7 @@ fn churn_table(topo: &TopologySpec, plan: &TopologyPlan, p: &Profile, label: &st
             .cloned()
             .map(|e| ScenarioEvent::stable(EventAction::Churn(e)))
             .collect();
-        let (res, _) = engine::run(&scn);
+        let res = run_mdst(&scn, EngineOpts::default());
         for ph in &res.phases {
             t.row(vec![
                 name.to_string(),
@@ -1116,7 +1125,7 @@ mod tests {
         let name = cells[0];
         let digest = cells.last().unwrap();
         let scn = ssmdst_scenario::corpus::by_name(name).expect("row names a corpus entry");
-        let (out, _) = engine::run(&scn);
+        let out = run_mdst(&scn, EngineOpts::default());
         assert_eq!(
             format!("{:016x}", out.digest),
             *digest,

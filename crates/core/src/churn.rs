@@ -322,15 +322,6 @@ pub fn check_reconvergence(
     DeltaJudge::new(net, budget).check(net)
 }
 
-/// Convenience: `true` iff every component is a tree within one of its
-/// optimum. The detailed [`check_reconvergence`] form is what experiments
-/// report; this is the test predicate.
-pub fn reconverged_within_one(net: &Network<MdstNode>, budget: SolveBudget) -> bool {
-    check_reconvergence(net, budget)
-        .map(|rs| rs.iter().all(|r| r.within_one))
-        .unwrap_or(false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -22,10 +22,15 @@
 //! of the same `(Scenario)` value are bit-identical iff their chains
 //! agree — that is the replay check [`verify_replay`] performs and the
 //! golden-trace CI job enforces.
+//!
+//! Three entry points: [`run_protocol`] is the generic core, typed by a
+//! [`Protocol`] value, with a per-round hook and the final runner handed
+//! back; [`run_any`] and [`run_traced_any`] dispatch on the scenario's
+//! [`ProtocolSpec`] under the default [`EngineOpts`] and return the
+//! outcome, plus the trace for the latter.
 
 use crate::protocol::{Flood, Mdst, PhaseJudgment, Protocol};
 use crate::spec::{EventAction, ProtocolSpec, Scenario, Timing};
-use ssmdst_core::MdstNode;
 use ssmdst_graph::SolveBudget;
 use ssmdst_sim::observer::{fold_event, observe_rounds, Observer, Stop};
 use ssmdst_sim::{
@@ -204,9 +209,15 @@ impl<P: Protocol> Observer<P::Node> for Recorder<P> {
 }
 
 /// Run a scenario on an explicit [`Protocol`] implementation — the
-/// generic core every public entry point goes through. Returns the
-/// outcome, the recorded trace, and the final runner for ad-hoc
-/// inspection (state-size oracles, fault-injection follow-ups).
+/// generic core [`run_any`] and [`run_traced_any`] go through, and the
+/// entry point for typed callers. `obs` is called after every round with
+/// the network and the absolute round number (trajectory and concurrency
+/// bookkeeping). Returns the outcome, the recorded trace, and the final
+/// runner for ad-hoc inspection (state-size oracles, fault-injection
+/// follow-ups).
+///
+/// The protocol is `proto`, whatever `scn.protocol` names; the registry
+/// dispatch on `scn.protocol` is [`run_any`] / [`run_traced_any`].
 pub fn run_protocol<P: Protocol>(
     proto: &P,
     scn: &Scenario,
@@ -381,29 +392,16 @@ fn run_phase<P: Protocol>(
     phase
 }
 
-// ----------------------------------------------------------------------
-// Registry dispatch: protocol-generic entry points
-// ----------------------------------------------------------------------
-
 /// Run a scenario under whatever protocol it names — the entry point for
-/// campaigns, shrinking, the conformance harness and the CLI.
+/// campaigns, shrinking, the conformance harness and storm.
 pub fn run_any(scn: &Scenario) -> ScenarioOutcome {
-    run_any_opts(scn, EngineOpts::default())
-}
-
-/// [`run_any`] with explicit [`EngineOpts`].
-pub fn run_any_opts(scn: &Scenario, opts: EngineOpts) -> ScenarioOutcome {
-    run_traced_any_opts(scn, opts).0
+    run_traced_any(scn).0
 }
 
 /// Run a scenario under whatever protocol it names, keeping the full
-/// [`RunTrace`] for golden-file verification.
+/// [`RunTrace`] for golden-file verification, replay and the CLI.
 pub fn run_traced_any(scn: &Scenario) -> (ScenarioOutcome, RunTrace) {
-    run_traced_any_opts(scn, EngineOpts::default())
-}
-
-/// [`run_traced_any`] with explicit [`EngineOpts`].
-pub fn run_traced_any_opts(scn: &Scenario, opts: EngineOpts) -> (ScenarioOutcome, RunTrace) {
+    let opts = EngineOpts::default();
     match scn.protocol {
         ProtocolSpec::Mdst => {
             let (out, trace, _) = run_protocol(&Mdst, scn, opts, |_, _| {});
@@ -414,84 +412,6 @@ pub fn run_traced_any_opts(scn: &Scenario, opts: EngineOpts) -> (ScenarioOutcome
             (out, trace)
         }
     }
-}
-
-// ----------------------------------------------------------------------
-// MDST-typed entry points (the historical API; final-runner access)
-// ----------------------------------------------------------------------
-
-/// Panic unless the scenario targets the MDST protocol — the MDST-typed
-/// entry points hand back a `Runner<MdstNode>` and cannot dispatch.
-fn expect_mdst(scn: &Scenario) {
-    assert!(
-        scn.protocol == ProtocolSpec::Mdst,
-        "scenario '{}' targets protocol '{}'; use engine::run_any / run_traced_any",
-        scn.name,
-        scn.protocol.label()
-    );
-}
-
-/// Run an MDST scenario. Returns the outcome and the final runner for
-/// ad-hoc inspection (state-size oracles, fault-injection follow-ups).
-///
-/// # Panics
-/// Panics if the scenario names a non-MDST protocol; protocol-generic
-/// callers use [`run_any`].
-pub fn run(scn: &Scenario) -> (ScenarioOutcome, Runner<MdstNode>) {
-    let (out, _, runner) = run_traced_observed(scn, |_, _| {});
-    (out, runner)
-}
-
-/// [`run`] with explicit [`EngineOpts`].
-pub fn run_opts(scn: &Scenario, opts: EngineOpts) -> (ScenarioOutcome, Runner<MdstNode>) {
-    let (out, _, runner) = run_traced_observed_opts(scn, opts, |_, _| {});
-    (out, runner)
-}
-
-/// Run an MDST scenario with a per-round observer hook (called after
-/// every round with the network and the absolute round number) — what the
-/// experiment harness uses for trajectory and concurrency bookkeeping.
-pub fn run_observed(
-    scn: &Scenario,
-    obs: impl FnMut(&Network<MdstNode>, u64),
-) -> (ScenarioOutcome, Runner<MdstNode>) {
-    let (out, _, runner) = run_traced_observed(scn, obs);
-    (out, runner)
-}
-
-/// [`run_observed`] with explicit [`EngineOpts`].
-pub fn run_observed_opts(
-    scn: &Scenario,
-    opts: EngineOpts,
-    obs: impl FnMut(&Network<MdstNode>, u64),
-) -> (ScenarioOutcome, Runner<MdstNode>) {
-    let (out, _, runner) = run_traced_observed_opts(scn, opts, obs);
-    (out, runner)
-}
-
-/// Run an MDST scenario and keep the full [`RunTrace`] for golden-file
-/// verification.
-pub fn run_traced(scn: &Scenario) -> (ScenarioOutcome, RunTrace) {
-    let (out, trace, _) = run_traced_observed(scn, |_, _| {});
-    (out, trace)
-}
-
-/// Trace + observer + final runner, under default options.
-pub fn run_traced_observed(
-    scn: &Scenario,
-    obs: impl FnMut(&Network<MdstNode>, u64),
-) -> (ScenarioOutcome, RunTrace, Runner<MdstNode>) {
-    run_traced_observed_opts(scn, EngineOpts::default(), obs)
-}
-
-/// The general MDST-typed form: trace + observer + final runner + options.
-pub fn run_traced_observed_opts(
-    scn: &Scenario,
-    opts: EngineOpts,
-    obs: impl FnMut(&Network<MdstNode>, u64),
-) -> (ScenarioOutcome, RunTrace, Runner<MdstNode>) {
-    expect_mdst(scn);
-    run_protocol(&Mdst, scn, opts, obs)
 }
 
 /// Replay `scn` (under whatever protocol it names) and compare against a
@@ -519,7 +439,7 @@ mod tests {
     #[test]
     fn plain_convergence_has_one_ok_phase() {
         let scn = quick_converge(TopologySpec::StarRing { n: 8 }, SchedSpec::Synchronous);
-        let (out, _) = run(&scn);
+        let out = run_any(&scn);
         assert_eq!(out.phases.len(), 1);
         assert!(out.converged);
         assert!(out.all_ok());
@@ -540,7 +460,7 @@ mod tests {
             drop: 1.0,
             seed: 5,
         });
-        let (out, trace) = run_traced(&scn);
+        let (out, trace) = run_traced_any(&scn);
         assert!(out.converged, "self-stabilization from garbage");
         assert!(out.all_ok());
         assert!(matches!(
@@ -559,7 +479,7 @@ mod tests {
             ScenarioEvent::stable(EventAction::Churn(ChurnEvent::RemoveEdge(0, 1))),
             ScenarioEvent::stable(EventAction::Churn(ChurnEvent::InsertEdge(0, 1))),
         ];
-        let (out, _) = run(&scn);
+        let out = run_any(&scn);
         assert_eq!(out.phases.len(), 3, "initial + one per event");
         assert!(out.all_ok(), "phases: {:?}", out.phases);
         assert_eq!(out.phases[1].label, "-edge(0,1)");
@@ -579,7 +499,7 @@ mod tests {
                 seed: 2,
             }),
         }];
-        let (out, _) = run(&scn);
+        let out = run_any(&scn);
         assert_eq!(out.phases.len(), 2);
         assert!(!out.phases[0].checked, "mid-flight phase is not judged");
         assert_eq!(out.phases[0].rounds, 3);
@@ -604,7 +524,7 @@ mod tests {
                 }),
             },
         ];
-        let (out, trace) = run_traced(&scn);
+        let (out, trace) = run_traced_any(&scn);
         assert_eq!(out.phases[1].rounds, 0, "target already passed: 0 rounds");
         let fault_round = trace
             .records
@@ -625,7 +545,7 @@ mod tests {
         scn.events = vec![ScenarioEvent::stable(EventAction::Churn(
             ChurnEvent::CrashNode(3),
         ))];
-        let (out, _) = run(&scn);
+        let out = run_any(&scn);
         assert!(out.converged);
         assert!(
             out.final_degree.is_some(),
@@ -636,7 +556,7 @@ mod tests {
         scn.events = vec![ScenarioEvent::stable(EventAction::Churn(
             ChurnEvent::Partition(vec![(0, 1), (5, 6)]),
         ))];
-        let (out, _) = run(&scn);
+        let out = run_any(&scn);
         assert!(out.converged);
         assert_eq!(out.phases.last().unwrap().components, 2);
         assert!(out.final_degree.is_none(), "two components, no single tree");
@@ -653,7 +573,7 @@ mod tests {
             drop: 0.0,
             seed: 4,
         });
-        let (_, recorded) = run_traced(&scn);
+        let (_, recorded) = run_traced_any(&scn);
         verify_replay(&scn, &recorded).expect("same scenario replays bit-for-bit");
         // A different daemon seed is a different execution.
         let mut other = scn.clone();
@@ -675,7 +595,7 @@ mod tests {
         ] {
             let mut scn = quick_converge(TopologySpec::StarRing { n: 8 }, SchedSpec::Synchronous);
             scn.config = cfg;
-            let (out, _) = run(&scn);
+            let out = run_any(&scn);
             assert!(out.converged, "{cfg:?} failed to converge on star-ring");
         }
     }
@@ -689,7 +609,7 @@ mod tests {
             },
             ..quick_converge(TopologySpec::StarRing { n: 8 }, SchedSpec::Synchronous)
         };
-        let (out, _) = run(&scn);
+        let out = run_any(&scn);
         assert!(!out.converged, "cannot confirm quiescence in 5 rounds");
         assert_eq!(out.conv_round, 5);
     }
@@ -697,7 +617,7 @@ mod tests {
     #[test]
     fn conv_round_excludes_the_quiet_window() {
         let scn = quick_converge(TopologySpec::Path { n: 6 }, SchedSpec::Synchronous);
-        let (out, _) = run(&scn);
+        let out = run_any(&scn);
         assert!(out.converged);
         // A path stabilizes in O(n) rounds; the window must not be charged.
         assert!(out.conv_round < 100, "conv_round = {}", out.conv_round);
@@ -749,15 +669,5 @@ mod tests {
         assert_ne!(a.digest, b.digest);
         assert_ne!(ta.fingerprint, tb.fingerprint);
         assert!(a.all_ok() && b.all_ok());
-    }
-
-    /// MDST-typed entry points refuse non-MDST scenarios loudly instead
-    /// of silently running the wrong protocol.
-    #[test]
-    #[should_panic(expected = "use engine::run_any")]
-    fn mdst_typed_entry_rejects_flood_scenarios() {
-        let mut scn = quick_converge(TopologySpec::Path { n: 4 }, SchedSpec::Synchronous);
-        scn.protocol = ProtocolSpec::FloodEcho;
-        let _ = run(&scn);
     }
 }

@@ -331,8 +331,8 @@ mod tests {
         }
     }
 
-    /// Fold an execution order into the replay digest, the way
-    /// `step_round_digest` chains what actually ran.
+    /// Fold an execution order into the replay digest, the way a
+    /// `ScheduleDigest` observer chains what actually ran.
     fn digest_of(events: &[Pending]) -> u64 {
         let mut d = crate::trace::Digest::new();
         for &(_, _, a) in events {

@@ -45,12 +45,14 @@
 //!
 //! **Driving a run**: the composable surface is [`Session`] — a fluent
 //! builder over network + scheduler + horizon + planned churn — with
-//! cross-cutting machinery (digests, traces, metrics probes, stop
-//! conditions) attached as statically-dispatched [`Observer`]s; the unit
-//! observer costs nothing, so the zero-alloc steady state survives a
-//! `Session<A, ()>`. The [`Runner`] underneath is the round engine and
-//! offers only step primitives; every run loop goes through a
-//! [`Session`]. Convergence detection lives in one named predicate,
+//! cross-cutting machinery (the [`ScheduleDigest`] replay witness,
+//! per-round closures, stop conditions) attached as statically-dispatched
+//! [`Observer`]s with three hooks (`on_event`, `on_round_end`,
+//! `on_phase`); the unit observer costs nothing, so the zero-alloc steady
+//! state survives a `Session<A, ()>`. The [`Runner`] underneath is the
+//! round engine and offers two step primitives, `step_round` and
+//! `step_round_observed`; every run loop goes through a [`Session`].
+//! Convergence detection lives in one named predicate,
 //! [`stop::QuiescenceGate`], shared by every driver.
 
 // Library code must not grow bare `.unwrap()`s: use `.expect` with the
@@ -80,14 +82,13 @@ pub use faults::{ChurnEvent, Corrupt, TopologyPlan};
 pub use metrics::{log2_bucket, KindStats, Metrics};
 pub use network::Network;
 pub use observer::{
-    observe_rounds, stop_when, EveryRound, MetricsTrace, Observer, PhaseLog, RoundTrace,
-    ScheduleDigest, Stop, StopWhen,
+    observe_rounds, stop_when, EveryRound, Observer, ScheduleDigest, Stop, StopWhen,
 };
 pub use runner::Runner;
 pub use scheduler::{Action, Scheduler};
 pub use session::{RunOutcome, Session, SessionBuilder, StopReason};
 pub use stop::{quiet_window, QuiescenceGate};
-pub use trace::{ChangeSeries, Digest, RunTrace, TraceRecord};
+pub use trace::{Digest, RunTrace, TraceRecord};
 
 /// Node identifier; dense indices `0..n` matching `ssmdst_graph::NodeId`.
 pub type NodeId = u32;

@@ -2,8 +2,8 @@
 //! plug-in values.
 //!
 //! Everything the drivers used to hand-roll around the round loop —
-//! schedule digests, trace recording, metrics probes, stop conditions —
-//! is expressed as an [`Observer`] hooked into [`crate::Session`] (or
+//! schedule digests, per-round bookkeeping, stop conditions — is
+//! expressed as an [`Observer`] hooked into [`crate::Session`] (or
 //! directly into [`crate::Runner::step_round_observed`]). Observers
 //! compose **statically**: the tuple `(O1, O2)` is itself an observer
 //! that fans every hook out to both members, so any number of concerns
@@ -12,11 +12,16 @@
 //! without costing the zero-allocation steady-state round loop anything
 //! when nothing is attached (`tests/zero_alloc.rs` pins this).
 //!
+//! The crate ships three observers: [`ScheduleDigest`] (the replay
+//! witness) and the closure adapters [`observe_rounds`] and
+//! [`stop_when`]. Anything else — the scenario engine's recorder, an
+//! experiment's instrument — is a caller-side impl of the trait.
+//!
 //! Ordering contract: observers never perturb the execution. All hooks
 //! take the network immutably; two runs of the same seeded network are
 //! bit-identical whether zero, one, or ten observers are attached, and
 //! regardless of composition order. The observer-composition test fences
-//! this: `(Trace, Digest, Metrics)` in any order yields byte-identical
+//! this: three observers stacked in any order yield byte-identical
 //! digests.
 //!
 //! Event timing: [`Observer::on_event`] fires immediately before that
@@ -29,7 +34,6 @@
 #![warn(missing_docs)]
 
 use crate::automaton::Automaton;
-use crate::faults::ChurnEvent;
 use crate::network::Network;
 use crate::scheduler::Action;
 use crate::trace::Digest;
@@ -67,8 +71,6 @@ impl Stop {
 /// Hooks into the simulation loop. All methods default to no-ops (and
 /// [`Stop::Continue`]), so an observer implements only what it needs.
 ///
-/// * [`on_round_start`](Observer::on_round_start) — before a round's
-///   obligations are derived;
 /// * [`on_event`](Observer::on_event) — once per scheduled event of the
 ///   round, immediately before that event executes, in execution order
 ///   (this is the record-replay witness stream: key, enumeration index,
@@ -77,11 +79,9 @@ impl Stop {
 ///   with the post-round network and the completed-round count; returns
 ///   the stop decision;
 /// * [`on_phase`](Observer::on_phase) — at driver-defined phase
-///   boundaries (scenario events, planned churn), with a rendered label.
+///   boundaries (fault bursts, topology churn, scenario phases), with the
+///   post-event network and a rendered label.
 pub trait Observer<A: Automaton> {
-    /// Called before the round's obligations are derived.
-    fn on_round_start(&mut self, _net: &Network<A>, _round: u64) {}
-
     /// Called for every scheduled event of the round, immediately before
     /// that event executes, in execution order. `key` is the daemon
     /// priority key, `idx` the canonical enumeration index (the
@@ -96,16 +96,12 @@ pub trait Observer<A: Automaton> {
         Stop::Continue
     }
 
-    /// Called at driver-defined phase boundaries (e.g. a scenario event or
-    /// a planned churn application) with a rendered label.
+    /// Called at driver-defined phase boundaries — a fault burst, a
+    /// topology-churn event ([`crate::Session::churn`] or a planned
+    /// [`crate::SessionBuilder::churn_at`] firing), or a
+    /// [`crate::Session::phase`] announcement — with the post-event
+    /// network and a rendered label.
     fn on_phase(&mut self, _net: &Network<A>, _label: &str, _round: u64) {}
-
-    /// Called after a topology-churn event was applied ([`crate::Session::churn`]
-    /// or a planned [`crate::SessionBuilder::churn_at`] firing), with the
-    /// post-event network. This is the structured twin of the rendered
-    /// [`on_phase`](Observer::on_phase) label — incremental machinery (e.g.
-    /// a judge mirroring the live topology) keys off the event value.
-    fn on_churn(&mut self, _net: &Network<A>, _ev: &ChurnEvent, _round: u64) {}
 }
 
 /// The unit observer: observes nothing, never stops the run. Attaching it
@@ -118,10 +114,6 @@ impl<A: Automaton> Observer<A> for () {}
 /// decision is not short-circuited, so bookkeeping observers stay
 /// consistent even when a sibling ends the run.
 impl<A: Automaton, O1: Observer<A>, O2: Observer<A>> Observer<A> for (O1, O2) {
-    fn on_round_start(&mut self, net: &Network<A>, round: u64) {
-        self.0.on_round_start(net, round);
-        self.1.on_round_start(net, round);
-    }
     fn on_event(&mut self, key: u128, idx: u32, action: Action) {
         self.0.on_event(key, idx, action);
         self.1.on_event(key, idx, action);
@@ -135,18 +127,11 @@ impl<A: Automaton, O1: Observer<A>, O2: Observer<A>> Observer<A> for (O1, O2) {
         self.0.on_phase(net, label, round);
         self.1.on_phase(net, label, round);
     }
-    fn on_churn(&mut self, net: &Network<A>, ev: &ChurnEvent, round: u64) {
-        self.0.on_churn(net, ev, round);
-        self.1.on_churn(net, ev, round);
-    }
 }
 
 /// Borrowed observers observe too — lets a driver compose a transient
 /// stop condition with a session-owned observer for one call.
 impl<A: Automaton, O: Observer<A>> Observer<A> for &mut O {
-    fn on_round_start(&mut self, net: &Network<A>, round: u64) {
-        (**self).on_round_start(net, round);
-    }
     fn on_event(&mut self, key: u128, idx: u32, action: Action) {
         (**self).on_event(key, idx, action);
     }
@@ -156,16 +141,13 @@ impl<A: Automaton, O: Observer<A>> Observer<A> for &mut O {
     fn on_phase(&mut self, net: &Network<A>, label: &str, round: u64) {
         (**self).on_phase(net, label, round);
     }
-    fn on_churn(&mut self, net: &Network<A>, ev: &ChurnEvent, round: u64) {
-        (**self).on_churn(net, ev, round);
-    }
 }
 
 /// Fold one scheduled event into a digest — the canonical encoding of the
 /// record-replay witness stream (priority key, enumeration index, action
-/// tag and operands). [`ScheduleDigest`] and
-/// [`crate::Runner::step_round_digest`] share this function, so the two
-/// paths are byte-identical by construction.
+/// tag and operands). [`ScheduleDigest`] and the scenario engine's
+/// recorder share this function, so their schedule folds are
+/// byte-identical by construction.
 // lint: hot-path
 pub fn fold_event(digest: &mut Digest, key: u128, idx: u32, action: Action) {
     digest.write_u128(key);
@@ -185,8 +167,8 @@ pub fn fold_event(digest: &mut Digest, key: u128, idx: u32, action: Action) {
 
 /// Observer that folds every scheduled event into a chained [`Digest`] —
 /// the *schedule witness*: two runs whose values agree executed the
-/// identical schedule. This is the observer form of
-/// [`crate::Runner::step_round_digest`].
+/// identical schedule. Attach it to a [`crate::Session`], or pass it to
+/// [`crate::Runner::step_round_observed`] to fold a bare runner's rounds.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleDigest {
     digest: Digest,
@@ -245,86 +227,6 @@ impl<A: Automaton, F: FnMut(&Network<A>, u64) -> bool> Observer<A> for StopWhen<
         } else {
             Stop::Continue
         }
-    }
-}
-
-/// Lightweight execution trace: one `(round, in_flight, delivered)`
-/// sample per round. Cheap enough to attach everywhere; the composition
-/// tests use it as the "trace" leg of `(Trace, Digest, Metrics)`.
-#[derive(Debug, Clone, Default)]
-pub struct RoundTrace {
-    samples: Vec<(u64, usize, u64)>,
-}
-
-impl RoundTrace {
-    /// Empty trace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Recorded `(round, in_flight, total_delivered)` samples.
-    pub fn samples(&self) -> &[(u64, usize, u64)] {
-        &self.samples
-    }
-}
-
-impl<A: Automaton> Observer<A> for RoundTrace {
-    fn on_round_end(&mut self, net: &Network<A>, round: u64) -> Stop {
-        self.samples
-            .push((round, net.in_flight(), net.metrics.total_delivered));
-        Stop::Continue
-    }
-}
-
-/// Records every phase boundary announced by the driver: `(label, round)`
-/// in order. The observer form of the scenario trace's topology/fault
-/// records.
-#[derive(Debug, Clone, Default)]
-pub struct PhaseLog {
-    seen: Vec<(String, u64)>,
-}
-
-impl PhaseLog {
-    /// Empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Recorded `(label, round)` phase boundaries, in order.
-    pub fn seen(&self) -> &[(String, u64)] {
-        &self.seen
-    }
-}
-
-impl<A: Automaton> Observer<A> for PhaseLog {
-    fn on_phase(&mut self, _net: &Network<A>, label: &str, round: u64) {
-        self.seen.push((label.to_string(), round));
-    }
-}
-
-/// Per-round snapshots of the cumulative send counter — the "metrics" leg
-/// of the composition fence, and a building block for throughput plots.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsTrace {
-    sent: Vec<u64>,
-}
-
-impl MetricsTrace {
-    /// Empty series.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// `total_sent` after each observed round, in order.
-    pub fn sent(&self) -> &[u64] {
-        &self.sent
-    }
-}
-
-impl<A: Automaton> Observer<A> for MetricsTrace {
-    fn on_round_end(&mut self, net: &Network<A>, _round: u64) -> Stop {
-        self.sent.push(net.metrics.total_sent);
-        Stop::Continue
     }
 }
 
@@ -390,26 +292,39 @@ mod tests {
         assert!(!Stop::Continue.is_done());
     }
 
-    /// `ScheduleDigest` as an observer reproduces `step_round_digest`
-    /// byte for byte — the two paths share `fold_event`.
+    /// `ScheduleDigest` folds exactly the `on_event` stream through
+    /// `fold_event`, and a session folds the same schedule as a bare
+    /// runner stepped through `step_round_observed`.
     #[test]
-    fn schedule_digest_matches_step_round_digest() {
+    fn schedule_digest_matches_manual_fold_and_session() {
+        #[derive(Default)]
+        struct Events(Vec<(u128, u32, Action)>);
+        impl Observer<Chat> for Events {
+            fn on_event(&mut self, key: u128, idx: u32, action: Action) {
+                self.0.push((key, idx, action));
+            }
+        }
         for sched in [
             Scheduler::Synchronous,
             Scheduler::RandomAsync { seed: 7 },
             Scheduler::Adversarial { seed: 7 },
         ] {
-            let mut legacy = crate::trace::Digest::new();
-            let mut r1 = runner(sched);
+            let mut obs = (ScheduleDigest::new(), Events::default());
+            let mut r = runner(sched);
             for _ in 0..20 {
-                r1.step_round_digest(&mut legacy);
+                let _ = r.step_round_observed(&mut obs);
             }
-            let mut obs = ScheduleDigest::new();
-            let mut r2 = runner(sched);
-            for _ in 0..20 {
-                let _ = r2.step_round_observed(&mut obs);
+            let (digest, events) = obs;
+            let mut manual = Digest::new();
+            for &(key, idx, action) in &events.0 {
+                fold_event(&mut manual, key, idx, action);
             }
-            assert_eq!(legacy.value(), obs.value(), "diverged under {sched:?}");
+            assert_eq!(digest.value(), manual.value(), "fold diverged: {sched:?}");
+            let mut s = Session::from_network(net())
+                .scheduler(sched)
+                .observe(ScheduleDigest::new());
+            let _ = s.run_until(20, &mut ());
+            assert_eq!(s.observer().value(), digest.value(), "{sched:?}");
         }
     }
 
@@ -431,26 +346,31 @@ mod tests {
         assert_eq!(rounds_seen, 3, "left member saw every round");
     }
 
-    /// Trace and metrics observers record once per round and never
-    /// perturb the run.
+    /// Per-round probes (here `observe_rounds` closures sampling the
+    /// network) record once per round and never perturb the run.
     #[test]
     fn trace_and_metrics_observers_record_per_round() {
+        let mut trace = Vec::new();
+        let mut sent = Vec::new();
         let mut s = session(Scheduler::Synchronous);
-        let mut obs = (RoundTrace::new(), MetricsTrace::new());
-        let _ = s.run_until(5, &mut obs);
-        let (trace, metrics) = obs;
-        assert_eq!(trace.samples().len(), 5);
-        assert_eq!(metrics.sent().len(), 5);
-        assert_eq!(trace.samples()[0].0, 1, "rounds are 1-based counts");
-        assert!(metrics.sent().windows(2).all(|w| w[0] <= w[1]));
+        let _ = s.run_until(
+            5,
+            &mut (
+                observe_rounds(|net: &Network<Chat>, round| {
+                    trace.push((round, net.in_flight(), net.metrics.total_delivered));
+                }),
+                observe_rounds(|net: &Network<Chat>, _| sent.push(net.metrics.total_sent)),
+            ),
+        );
+        assert_eq!(trace.len(), 5);
+        assert_eq!(sent.len(), 5);
+        assert_eq!(trace[0].0, 1, "rounds are 1-based counts");
+        assert!(sent.windows(2).all(|w| w[0] <= w[1]));
         // Unobserved twin run is identical.
         let mut bare = runner(Scheduler::Synchronous);
         for _ in 0..5 {
             bare.step_round();
         }
-        assert_eq!(
-            bare.network().metrics.total_sent,
-            *metrics.sent().last().unwrap()
-        );
+        assert_eq!(bare.network().metrics.total_sent, *sent.last().unwrap());
     }
 }

@@ -113,17 +113,16 @@ impl<A: Automaton> Runner<A> {
         let _ = self.step_round_observed(&mut ());
     }
 
-    /// Execute one full round through an [`Observer`] stack:
-    /// `on_round_start` before obligations are derived, `on_event` for
-    /// every scheduled event immediately before that event executes, in
-    /// execution order (a tick whose guard an earlier delivery of the round
-    /// falsified is still reported), `on_round_end` after — whose verdict
-    /// is returned. With the unit observer `()` every hook is an
-    /// inlineable no-op, so this *is*
-    /// [`Runner::step_round`]: same execution, same zero-allocation
-    /// steady state.
+    /// Execute one full round through an [`Observer`] stack: `on_event`
+    /// for every scheduled event immediately before that event executes,
+    /// in execution order (a tick whose guard an earlier delivery of the
+    /// round falsified is still reported), `on_round_end` after — whose
+    /// verdict is returned. With the unit observer `()` every hook is an
+    /// inlineable no-op, so this *is* [`Runner::step_round`]: same
+    /// execution, same zero-allocation steady state. Passing a
+    /// [`crate::ScheduleDigest`] folds the complete schedule — the
+    /// record-replay witness — with no other change to the round.
     pub fn step_round_observed<O: Observer<A>>(&mut self, obs: &mut O) -> Stop {
-        obs.on_round_start(&self.net, self.round);
         self.queue.refresh(&mut self.net);
         let events = self.queue.schedule(self.round, &mut self.keys, &self.net);
         for &(key, idx, act) in events {
@@ -133,24 +132,6 @@ impl<A: Automaton> Runner<A> {
         self.round += 1;
         self.net.metrics.rounds = self.round;
         obs.on_round_end(&self.net, self.round)
-    }
-
-    /// Execute one full round, folding the complete schedule — every
-    /// daemon priority key, enumeration index and action, in execution
-    /// order — into `digest`. Byte-for-byte the same execution as
-    /// [`Runner::step_round`]; the digest chain is the record-replay
-    /// witness: two runs whose chained digests agree every round executed
-    /// the identical schedule. (Equivalent to attaching a
-    /// [`crate::ScheduleDigest`] observer; both fold through
-    /// [`crate::observer::fold_event`].)
-    pub fn step_round_digest(&mut self, digest: &mut crate::trace::Digest) {
-        struct FoldInto<'a>(&'a mut crate::trace::Digest);
-        impl<A: Automaton> Observer<A> for FoldInto<'_> {
-            fn on_event(&mut self, key: u128, idx: u32, action: Action) {
-                crate::observer::fold_event(self.0, key, idx, action);
-            }
-        }
-        let _ = self.step_round_observed(&mut FoldInto(digest));
     }
 
     // lint: hot-path
@@ -178,7 +159,7 @@ impl<A: Automaton> Runner<A> {
 mod tests {
     use super::*;
     use crate::automaton::{Message, Outbox};
-    use crate::observer::stop_when;
+    use crate::observer::{stop_when, ScheduleDigest};
     use crate::session::{Session, SessionBuilder, StopReason};
     use crate::stop::quiet_window;
     use crate::NodeId;
@@ -415,12 +396,16 @@ mod tests {
             delivered_first: bool,
             disabled_mid_round: u32,
         }
-        impl Observer<Either> for TickWitness {
-            fn on_round_start(&mut self, net: &Network<Either>, _round: u64) {
+        impl TickWitness {
+            /// Snapshot node 1's guard before the round's obligations are
+            /// derived.
+            fn begin_round(&mut self, net: &Network<Either>) {
                 self.scheduled = net.node(1).enabled();
                 self.ticks_reported = 0;
                 self.delivered_first = false;
             }
+        }
+        impl Observer<Either> for TickWitness {
             fn on_event(&mut self, _key: u128, _idx: u32, action: Action) {
                 match action {
                     Action::Tick(1) => self.ticks_reported += 1,
@@ -459,6 +444,7 @@ mod tests {
                 });
                 let mut r = Runner::new(net, sched);
                 for _ in 0..5 {
+                    witness.begin_round(r.network());
                     // Panics without the execution-time re-check.
                     let _ = r.step_round_observed(&mut witness);
                 }
@@ -499,22 +485,22 @@ mod tests {
         }
     }
 
-    /// The digest-folding step executes the identical schedule as
-    /// `step_round`, and the chained digest is (a) deterministic per seed
-    /// and (b) sensitive to the seed.
+    /// Stepping through a `ScheduleDigest` executes the identical schedule
+    /// as `step_round`, and the chained digest is (a) deterministic per
+    /// seed and (b) sensitive to the seed.
     #[test]
-    fn step_round_digest_matches_plain_execution() {
+    fn digested_step_matches_plain_execution() {
         for sched in [
             Scheduler::Synchronous,
             Scheduler::RandomAsync { seed: 13 },
             Scheduler::Adversarial { seed: 13 },
         ] {
             let run = |digested: bool| {
-                let mut d = crate::trace::Digest::new();
+                let mut d = ScheduleDigest::new();
                 let mut r = Runner::new(min_net(9), sched);
                 for _ in 0..30 {
                     if digested {
-                        r.step_round_digest(&mut d);
+                        let _ = r.step_round_observed(&mut d);
                     } else {
                         r.step_round();
                     }
@@ -530,10 +516,10 @@ mod tests {
         }
         // Different seeds produce different schedules, hence digests.
         let digest_of = |seed| {
-            let mut d = crate::trace::Digest::new();
+            let mut d = ScheduleDigest::new();
             let mut r = Runner::new(min_net(9), Scheduler::RandomAsync { seed });
             for _ in 0..30 {
-                r.step_round_digest(&mut d);
+                let _ = r.step_round_observed(&mut d);
             }
             d.value()
         };

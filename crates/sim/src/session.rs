@@ -3,13 +3,13 @@
 //! A session bundles everything a run needs — network, scheduler, round
 //! horizon, an optional planned churn timeline, and a stack of
 //! [`Observer`]s — behind one fluent builder and one `run()`/`step()`
-//! surface. Every driver in the workspace (the `ssmdst::run` facade, the
-//! scenario engine, the experiment harness, the CLI) is a thin layer over
-//! a `Session`; protocol-specific machinery plugs in as observers rather
-//! than as bespoke loops.
+//! surface. Every driver in the workspace (the scenario engine, the
+//! experiment harness, the CLI) is a thin layer over a `Session`;
+//! protocol-specific machinery plugs in as observers rather than as
+//! bespoke loops.
 //!
 //! ```
-//! use ssmdst_sim::{Automaton, Message, Outbox, Scheduler, Session};
+//! use ssmdst_sim::{Automaton, Message, Network, Outbox, Scheduler, Session};
 //!
 //! #[derive(Debug, Clone)]
 //! struct Ping;
@@ -27,7 +27,8 @@
 //! }
 //!
 //! let g = ssmdst_graph::graph::graph_from_edges(2, &[(0, 1)]);
-//! let mut session = Session::over(&g, |_, nbrs| Chatter { neighbors: nbrs.to_vec(), heard: 0 })
+//! let net = Network::from_graph(&g, |_, nbrs| Chatter { neighbors: nbrs.to_vec(), heard: 0 });
+//! let mut session = Session::from_network(net)
 //!     .scheduler(Scheduler::Synchronous)
 //!     .horizon(10)
 //!     .build();
@@ -52,7 +53,6 @@ use crate::runner::Runner;
 use crate::scheduler::Scheduler;
 use crate::stop::QuiescenceGate;
 use crate::NodeId;
-use ssmdst_graph::Graph;
 
 /// Why a run stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,9 +159,8 @@ impl<A: Automaton> SessionBuilder<A> {
 /// A configured simulation run: network + scheduler + horizon + planned
 /// churn + observers, with one `run()`/`step()` surface.
 ///
-/// Construct via [`Session::over`] (graph + node factory) or
-/// [`Session::from_network`] (pre-built network, e.g. a protocol crate's
-/// `build_network`).
+/// Construct via [`Session::from_network`] over a pre-built network
+/// ([`Network::from_graph`], or a protocol crate's `build_network`).
 #[must_use = "a session does nothing until run() or step() drives it"]
 pub struct Session<A: Automaton, O: Observer<A> = ()> {
     runner: Runner<A>,
@@ -177,12 +176,6 @@ impl<A: Automaton> Session<A, ()> {
     /// this workspace, finite so a forgotten bound can never hang a
     /// process.
     pub const DEFAULT_HORIZON: u64 = 1_000_000;
-
-    /// Start building a session over `g`, constructing one automaton per
-    /// node from `(id, sorted neighbor list)`.
-    pub fn over(g: &Graph, make: impl FnMut(NodeId, &[NodeId]) -> A) -> SessionBuilder<A> {
-        Self::from_network(Network::from_graph(g, make))
-    }
 
     /// Start building a session over a pre-built network.
     pub fn from_network(net: Network<A>) -> SessionBuilder<A> {
@@ -205,11 +198,6 @@ impl<A: Automaton, O: Observer<A>> Session<A, O> {
     /// rounds).
     pub fn network_mut(&mut self) -> &mut Network<A> {
         self.runner.network_mut()
-    }
-
-    /// The underlying runner.
-    pub fn runner(&self) -> &Runner<A> {
-        &self.runner
     }
 
     /// The attached observer stack.
@@ -238,20 +226,6 @@ impl<A: Automaton, O: Observer<A>> Session<A, O> {
     /// Default round budget for [`Session::run`].
     pub fn horizon(&self) -> u64 {
         self.horizon
-    }
-
-    /// Replace the observer stack, keeping run state.
-    pub fn swap_observer<O2: Observer<A>>(self, obs: O2) -> (Session<A, O2>, O) {
-        (
-            Session {
-                runner: self.runner,
-                obs,
-                horizon: self.horizon,
-                plan: self.plan,
-                next_planned: self.next_planned,
-            },
-            self.obs,
-        )
     }
 
     /// Dismantle into the runner and the observer stack.
@@ -327,15 +301,14 @@ impl<A: Automaton, O: Observer<A>> Session<A, O> {
     }
 
     /// Apply one topology-churn event now (observers are notified via
-    /// [`Observer::on_phase`] with the event's rendered label and via
-    /// [`Observer::on_churn`] with the event itself). Returns the number
-    /// of in-flight messages dropped by the change.
+    /// [`Observer::on_phase`] with the event's rendered label and the
+    /// post-event network). Returns the number of in-flight messages
+    /// dropped by the change.
     pub fn churn(&mut self, ev: &ChurnEvent) -> usize {
         let dropped = apply_churn(self.runner.network_mut(), ev);
         let label = ev.to_string();
         let round = self.runner.round();
         self.obs.on_phase(self.runner.network(), &label, round);
-        self.obs.on_churn(self.runner.network(), ev, round);
         dropped
     }
 
@@ -354,7 +327,6 @@ impl<A: Automaton, O: Observer<A>> Session<A, O> {
             let _ = apply_churn(self.runner.network_mut(), ev);
             let label = ev.to_string();
             self.obs.on_phase(self.runner.network(), &label, *at);
-            self.obs.on_churn(self.runner.network(), ev, *at);
             self.next_planned += 1;
         }
     }
@@ -407,11 +379,26 @@ mod tests {
     }
 
     fn builder(n: usize) -> SessionBuilder<MinFlood> {
+        Session::from_network(min_net(n))
+    }
+
+    fn min_net(n: usize) -> Network<MinFlood> {
         let g = path(n).unwrap();
-        Session::over(&g, |v, nbrs| MinFlood {
+        Network::from_graph(&g, |v, nbrs| MinFlood {
             neighbors: nbrs.to_vec(),
             value: 100 - v,
         })
+    }
+
+    /// Records every phase boundary the session announces: the label, the
+    /// round, and node 2's live degree at notification time.
+    #[derive(Default)]
+    struct PhaseLabels(Vec<(String, u64, usize)>);
+    impl Observer<MinFlood> for PhaseLabels {
+        fn on_phase(&mut self, net: &Network<MinFlood>, label: &str, round: u64) {
+            self.0
+                .push((label.to_string(), round, net.neighbors(2).len()));
+        }
     }
 
     /// A session run, with a schedule digest attached and a fault burst
@@ -444,13 +431,8 @@ mod tests {
                 assert_eq!(out.rounds, 10);
             }
 
-            let g = path(9).unwrap();
-            let net = Network::from_graph(&g, |v, nbrs| MinFlood {
-                neighbors: nbrs.to_vec(),
-                value: 100 - v,
-            });
-            let mut runner = Runner::new(net, sched);
-            let mut digest = crate::trace::Digest::new();
+            let mut runner = Runner::new(min_net(9), sched);
+            let mut digest = ScheduleDigest::new();
             for round in 0..30 {
                 if round == 10 {
                     let _ = inject(runner.network_mut(), fault);
@@ -458,7 +440,7 @@ mod tests {
                 if round == 20 {
                     let _ = apply_churn(runner.network_mut(), &cut);
                 }
-                runner.step_round_digest(&mut digest);
+                let _ = runner.step_round_observed(&mut digest);
             }
 
             assert_eq!(
@@ -505,11 +487,11 @@ mod tests {
     fn planned_churn_applies_at_round_and_notifies() {
         let mut session = builder(6)
             .churn_at(1, ChurnEvent::RemoveEdge(2, 3))
-            .observe(crate::observer::PhaseLog::new());
+            .observe(PhaseLabels::default());
         // Run a few rounds past the event. The cut lands before round 1's
         // deliveries, so value 97 never crosses to the left side.
         let _ = session.run_until(10, &mut ());
-        assert_eq!(session.observer().seen(), &[("-edge(2,3)".to_string(), 1)]);
+        assert_eq!(session.observer().0, [("-edge(2,3)".to_string(), 1, 1)]);
         // The cut partitions the path: the left side keeps its own min.
         let _ = session.run_until(50, &mut ());
         assert_eq!(session.network().node(0).value, 98);
@@ -525,38 +507,31 @@ mod tests {
         assert!(out.converged());
     }
 
-    /// `on_churn` fires with the structured event — post-application —
-    /// for both explicit and planned churn, and `observer_and_network`
-    /// hands the log back alongside the live topology.
+    /// `on_phase` fires post-application for explicit churn, and
+    /// `observer_and_network` hands the log back alongside the live
+    /// topology.
     #[test]
-    fn on_churn_hook_sees_explicit_and_planned_events() {
-        #[derive(Default)]
-        struct ChurnLog(Vec<(String, u64, usize)>);
-        impl Observer<MinFlood> for ChurnLog {
-            fn on_churn(&mut self, net: &Network<MinFlood>, ev: &ChurnEvent, round: u64) {
-                self.0.push((ev.to_string(), round, net.neighbors(2).len()));
-            }
-        }
+    fn on_phase_hook_sees_explicit_churn_topology() {
         let mut session = builder(6)
             .churn_at(2, ChurnEvent::RemoveEdge(2, 3))
-            .observe(ChurnLog::default());
+            .observe(PhaseLabels::default());
         let _ = session.run_until(5, &mut ());
         let _ = session.churn(&ChurnEvent::InsertEdge(2, 3));
         let (obs, net) = session.observer_and_network();
         assert_eq!(obs.0.len(), 2);
-        let planned = &obs.0[0];
-        assert_eq!(planned.0, "-edge(2,3)");
-        assert_eq!(planned.1, 2);
-        assert_eq!(planned.2, 1, "hook sees the post-event topology");
-        assert_eq!(obs.0[1].0, "+edge(2,3)");
+        assert_eq!(obs.0[0], ("-edge(2,3)".to_string(), 2, 1));
+        let explicit = &obs.0[1];
+        assert_eq!(explicit.0, "+edge(2,3)");
+        assert_eq!(explicit.1, 5);
+        assert_eq!(explicit.2, 2, "hook sees the post-event topology");
         assert_eq!(net.neighbors(2).len(), 2);
     }
 
-    /// `swap_observer` keeps run state; `into_parts` returns both halves.
+    /// `observe` attaches the stack at build time; `into_parts` returns
+    /// the runner and the observer with the run state intact.
     #[test]
     fn observer_lifecycle() {
-        let session = builder(5).build();
-        let (mut session, ()) = session.swap_observer(ScheduleDigest::new());
+        let mut session = builder(5).observe(ScheduleDigest::new());
         let _ = session.run_until(5, &mut ());
         let (runner, digest) = session.into_parts();
         assert_eq!(runner.round(), 5);

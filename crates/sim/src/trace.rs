@@ -1,77 +1,17 @@
-//! Time-series probes and the record-replay substrate.
+//! The record-replay substrate: [`Digest`], [`TraceRecord`] and
+//! [`RunTrace`], a compact event-trace recorder.
 //!
-//! Two layers live here:
-//!
-//! * **Probe** ([`ChangeSeries`]): records a projection of the global
-//!   state whenever it changes. `tests/determinism.rs` uses it to compare
-//!   trajectories; quiescence detection is [`crate::QuiescenceGate`].
-//! * **Record-replay** ([`Digest`], [`TraceRecord`], [`RunTrace`]): a
-//!   compact event-trace recorder. A run's entire execution — every
-//!   scheduler priority key, every executed action, every topology event,
-//!   every per-round state projection — is folded into one chained 64-bit
-//!   digest ([`crate::Runner::step_round_digest`] folds the schedule; the
-//!   caller folds its state projection). Because the simulator is
-//!   deterministic per `(scenario, seed)`, re-running and comparing chained
-//!   digests record-by-record *is* a bit-exact replay check: any divergence
-//!   in any round, however small, changes every later digest. Traces render
-//!   to a small line-based text format so failing runs can be committed as
-//!   golden files and re-verified in CI.
-
-/// Records `(round, value)` samples whenever the observed value changes.
-#[derive(Debug, Clone)]
-pub struct ChangeSeries<T> {
-    samples: Vec<(u64, T)>,
-}
-
-impl<T: PartialEq + Clone> ChangeSeries<T> {
-    /// Empty series.
-    pub fn new() -> Self {
-        ChangeSeries {
-            samples: Vec::new(),
-        }
-    }
-
-    /// Offer an observation; it is stored only if it differs from the most
-    /// recent stored value. Returns `true` if stored.
-    pub fn observe(&mut self, round: u64, value: T) -> bool {
-        if self.samples.last().map(|(_, v)| v) == Some(&value) {
-            return false;
-        }
-        self.samples.push((round, value));
-        true
-    }
-
-    /// All stored samples in observation order.
-    pub fn samples(&self) -> &[(u64, T)] {
-        &self.samples
-    }
-
-    /// The most recent value, if any.
-    pub fn last(&self) -> Option<&T> {
-        self.samples.last().map(|(_, v)| v)
-    }
-
-    /// The round of the last *change* — i.e. when the current value was
-    /// first observed. This is the "convergence round" once the run ends.
-    pub fn last_change_round(&self) -> Option<u64> {
-        self.samples.last().map(|&(r, _)| r)
-    }
-
-    /// Number of distinct values observed.
-    pub fn changes(&self) -> usize {
-        self.samples.len()
-    }
-}
-
-impl<T: PartialEq + Clone> Default for ChangeSeries<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-// ----------------------------------------------------------------------
-// Record-replay: chained digests and run traces
-// ----------------------------------------------------------------------
+//! A run's entire execution — every scheduler priority key, every
+//! executed action, every topology event, every per-round state
+//! projection — is folded into one chained 64-bit digest (a
+//! [`crate::ScheduleDigest`] observer, or the scenario engine's recorder,
+//! folds the schedule through [`crate::observer::fold_event`]; the caller
+//! folds its state projection). Because the simulator is deterministic
+//! per `(scenario, seed)`, re-running and comparing chained digests
+//! record-by-record *is* a bit-exact replay check: any divergence in any
+//! round, however small, changes every later digest. Traces render to a
+//! small line-based text format so failing runs can be committed as
+//! golden files and re-verified in CI.
 
 /// Chained 64-bit run digest (FNV-1a core). Platform-independent and
 /// stable across releases — unlike `std`'s `DefaultHasher`, whose
@@ -340,70 +280,6 @@ impl RunTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn change_series_dedups() {
-        let mut s = ChangeSeries::new();
-        assert!(s.observe(1, 5));
-        assert!(!s.observe(2, 5));
-        assert!(s.observe(3, 4));
-        assert!(!s.observe(4, 4));
-        assert_eq!(s.samples(), &[(1, 5), (3, 4)]);
-        assert_eq!(s.last(), Some(&4));
-        assert_eq!(s.last_change_round(), Some(3));
-        assert_eq!(s.changes(), 2);
-    }
-
-    #[test]
-    fn empty_series() {
-        let s: ChangeSeries<u32> = ChangeSeries::new();
-        assert!(s.samples().is_empty());
-        assert_eq!(s.last(), None);
-        assert_eq!(s.last_change_round(), None);
-    }
-
-    /// The very first observation always stores: there is no "previous
-    /// value" to equal, even when the value is the type's default.
-    #[test]
-    fn change_series_first_observation_always_stores() {
-        let mut s = ChangeSeries::new();
-        assert!(s.observe(0, 0u32), "first observation must store");
-        assert_eq!(s.samples(), &[(0, 0)]);
-        assert_eq!(s.changes(), 1);
-    }
-
-    /// An equal-value run stores exactly one sample, and
-    /// `last_change_round` pins the round the value was *first* observed —
-    /// not the most recent offer — which is the convergence-round
-    /// semantics the harness relies on.
-    #[test]
-    fn change_series_equal_value_run_keeps_first_round() {
-        let mut s = ChangeSeries::new();
-        for round in 10..200 {
-            s.observe(round, 7u32);
-        }
-        assert_eq!(s.changes(), 1);
-        assert_eq!(s.last_change_round(), Some(10), "first observation round");
-        // Returning to a previously seen (but not current) value is a
-        // change: only *consecutive* duplicates dedup.
-        assert!(s.observe(200, 8));
-        assert!(s.observe(201, 7), "re-observing an old value is a change");
-        assert_eq!(s.last_change_round(), Some(201));
-    }
-
-    /// `last_change_round` boundary: round numbers are data, not indices —
-    /// round 0 and repeated rounds are stored verbatim.
-    #[test]
-    fn change_series_round_zero_and_repeated_rounds() {
-        let mut s = ChangeSeries::new();
-        assert!(s.observe(0, 'a'));
-        assert_eq!(s.last_change_round(), Some(0));
-        // Two changes offered within the same round keep that round.
-        assert!(s.observe(5, 'b'));
-        assert!(s.observe(5, 'c'));
-        assert_eq!(s.samples(), &[(0, 'a'), (5, 'b'), (5, 'c')]);
-        assert_eq!(s.last_change_round(), Some(5));
-    }
 
     #[test]
     fn digest_is_order_and_length_sensitive() {

@@ -43,7 +43,8 @@
 //!
 //! ## Quickstart
 //!
-//! The one-call entry point is [`run`]:
+//! Every run goes through a [`sim::Session`] — the one composable driver
+//! surface the scenario engine, the experiment harness and the CLI use:
 //!
 //! ```
 //! use ssmdst::prelude::*;
@@ -52,14 +53,19 @@
 //! // optimal spanning tree is a path (Δ* = 2).
 //! let g = ssmdst::graph::generators::structured::star_with_ring(8).unwrap();
 //!
-//! let (out, session) = ssmdst::run(&g, Config::for_n(g.n()), Scheduler::Synchronous, 10_000);
+//! // Run the protocol until its state projection (parents, `dmax`,
+//! // distances) holds still for the canonical quiescence window.
+//! let mut session = Session::from_network(build_network(&g, Config::for_n(g.n())))
+//!     .scheduler(Scheduler::Synchronous)
+//!     .horizon(10_000)
+//!     .build();
+//! let out = session.run_to_quiescence(quiet_window(g.n()), oracle::projection);
 //! assert!(out.converged());
-//! let deg = ssmdst::core::oracle::current_degree(&g, session.network()).unwrap();
+//! let deg = oracle::current_degree(&g, session.network()).unwrap();
 //! assert!(deg <= 3); // Δ* + 1 (Theorem 2)
 //! ```
 //!
-//! For round-level control, drive a [`sim::Session`] yourself — the same
-//! composable surface every driver in the workspace uses:
+//! For round-level control, stop on any predicate of the network:
 //!
 //! ```
 //! use ssmdst::prelude::*;
@@ -103,15 +109,19 @@ pub use ssmdst_sim as sim;
 /// use ssmdst::prelude::*;
 ///
 /// let g = ssmdst::graph::generators::structured::cycle(6).unwrap();
+/// let mut rounds = 0u64;
 /// let mut session = Session::from_network(build_network(&g, Config::for_n(g.n())))
 ///     .scheduler(Scheduler::Synchronous)
 ///     .horizon(50_000)
-///     .observe((ScheduleDigest::new(), RoundTrace::new()));
+///     .observe((
+///         ScheduleDigest::new(),
+///         observe_rounds(|_: &Network<MdstNode>, _| rounds += 1),
+///     ));
 /// let out = session.run_to_quiescence(quiet_window(g.n()), oracle::projection);
 /// assert!(out.converged());
-/// let (digest, trace) = session.observer();
+/// let (_, (digest, _)) = session.into_parts();
 /// assert_ne!(digest.value(), 0);
-/// assert!(!trace.samples().is_empty());
+/// assert_eq!(rounds, out.rounds);
 /// ```
 ///
 /// ## Scenarios and replay
@@ -164,48 +174,7 @@ pub mod prelude {
         TopologySpec,
     };
     pub use ssmdst_sim::{
-        observe_rounds, quiet_window, stop_when, Backend, Network, Observer, QuiescenceGate,
-        RoundTrace, RunOutcome, Runner, ScheduleDigest, Scheduler, Session, SessionBuilder, Stop,
+        observe_rounds, quiet_window, stop_when, Network, Observer, QuiescenceGate, RunOutcome,
+        Runner, ScheduleDigest, Scheduler, Session, SessionBuilder, Stop,
     };
-}
-
-/// Build the protocol network over `g` and run it to quiescence (or
-/// `max_rounds`), returning the outcome and the session for inspection —
-/// the shortest path from a graph to a stabilized tree. A thin wrapper
-/// over [`sim::Session`]; the returned session keeps `max_rounds` as its
-/// horizon.
-///
-/// Quiescence is judged on the oracle projection (parents, `dmax`,
-/// distances) held stable for the canonical [`sim::quiet_window`] — the
-/// same [`sim::stop::QuiescenceGate`] predicate every driver uses. For
-/// fault-injection or dynamic-topology follow-ups, keep driving the
-/// returned session:
-///
-/// ```
-/// use ssmdst::prelude::*;
-/// use ssmdst::sim::ChurnEvent;
-///
-/// let g = ssmdst::graph::generators::structured::cycle(8).unwrap();
-/// let (out, mut session) = ssmdst::run(&g, Config::for_n(g.n()), Scheduler::Synchronous, 20_000);
-/// assert!(out.converged());
-///
-/// // Cut one cycle edge: the tree must re-fit the now-forced path.
-/// session.churn(&ChurnEvent::RemoveEdge(0, 1));
-/// let out = session.run_to_quiescence(64, ssmdst::core::oracle::projection);
-/// assert!(out.converged());
-/// let budget = ssmdst::graph::SolveBudget { max_nodes: 100_000 };
-/// assert!(ssmdst::core::churn::reconverged_within_one(session.network(), budget));
-/// ```
-pub fn run(
-    g: &graph::Graph,
-    cfg: core::Config,
-    sched: sim::Scheduler,
-    max_rounds: u64,
-) -> (sim::RunOutcome, sim::Session<core::MdstNode>) {
-    let mut session = sim::Session::from_network(core::build_network(g, cfg))
-        .scheduler(sched)
-        .horizon(max_rounds)
-        .build();
-    let out = session.run_to_quiescence(sim::quiet_window(g.n()), core::oracle::projection);
-    (out, session)
 }

@@ -50,7 +50,7 @@ fn golden_traces_replay_bit_for_bit() {
         let trace_path = dir.join(format!("{name}.trace"));
 
         if regen {
-            let (_, trace) = engine::run_traced(&scenario);
+            let (_, trace) = engine::run_traced_any(&scenario);
             std::fs::write(&scn_path, scenario.canonical()).expect("write .scn");
             std::fs::write(&trace_path, trace.render()).expect("write .trace");
             eprintln!("regenerated {name}.scn + {name}.trace");
@@ -71,7 +71,7 @@ fn golden_traces_replay_bit_for_bit() {
         // a failure report travels.
         let parsed = scn::parse(&scn_text).expect("committed .scn parses");
         assert_eq!(parsed, scenario, "parse must reconstruct the scenario");
-        let (_, replayed) = engine::run_traced(&parsed);
+        let (_, replayed) = engine::run_traced_any(&parsed);
 
         let golden_text = std::fs::read_to_string(&trace_path)
             .unwrap_or_else(|e| panic!("{}: {e} (run GOLDEN_REGEN=1 once)", trace_path.display()));
@@ -97,8 +97,8 @@ fn golden_traces_replay_bit_for_bit() {
 #[test]
 fn replay_is_deterministic_in_process() {
     let scenario = corpus::by_name("corrupt-start-total").unwrap();
-    let (_, a) = engine::run_traced(&scenario);
-    let (_, b) = engine::run_traced(&scenario);
+    let (_, a) = engine::run_traced_any(&scenario);
+    let (_, b) = engine::run_traced_any(&scenario);
     assert_eq!(a, b);
     engine::verify_replay(&scenario, &a).expect("replay verifies");
 }
@@ -118,33 +118,55 @@ fn fingerprint(g: &Graph) -> (usize, usize, u64) {
     (g.n(), g.m(), d.value())
 }
 
-/// Every golden's topology is pinned by fingerprint, so a generator drift
-/// fails here with the instance named rather than as a trace divergence.
+/// Every corpus topology — the goldens' included — is pinned by
+/// fingerprint, so a generator drift fails here with the instance named
+/// rather than as a trace divergence or a moved corpus outcome.
 #[test]
 fn golden_topologies_are_pinned() {
-    let family = |family: &str, seed| TopologySpec::Family {
+    let family = |family: &str, n, seed| TopologySpec::Family {
         family: family.to_string(),
-        n: 10,
+        n,
         seed,
     };
-    // `family:gnp-sparse n=10 seed=1` is shared by two goldens.
+    // One pin per distinct topology; several corpus entries share one.
+    // `spider n=12` builds an 11-node spider.
     let pins = [
-        (family("gnp-sparse", 1), (10, 17, 0x42ff_be1f_b5e6_7a42)),
-        (family("scale-free", 2), (10, 17, 0x540b_43c5_d6a0_2927)),
-        (family("gnp-dense", 2), (10, 13, 0x7353_d710_34d7_e5c4)),
+        (family("gnp-sparse", 10, 1), (10, 17, 0x42ff_be1f_b5e6_7a42)),
+        (family("gnp-sparse", 10, 4), (10, 16, 0x16b5_2f26_f871_4569)),
+        (family("gnp-sparse", 12, 3), (12, 32, 0x3daa_3a68_92de_574c)),
+        (family("gnp-dense", 10, 2), (10, 13, 0x7353_d710_34d7_e5c4)),
+        (family("scale-free", 10, 2), (10, 17, 0x540b_43c5_d6a0_2927)),
+        (family("ham-chords", 12, 3), (12, 35, 0x012d_cac7_8871_18e0)),
+        (family("spider", 12, 1), (11, 10, 0x6af6_924b_9d5a_30d6)),
+        (family("grid", 9, 1), (9, 12, 0x3211_9971_91f7_12a0)),
+        (
+            TopologySpec::StarRing { n: 8 },
+            (8, 14, 0x66da_0125_805e_4263),
+        ),
         (TopologySpec::Cycle { n: 8 }, (8, 8, 0xd338_754d_1721_7915)),
         (
             TopologySpec::Cycle { n: 10 },
             (10, 10, 0x2044_f4a0_e73b_ac05),
         ),
+        (
+            TopologySpec::Cycle { n: 15 },
+            (15, 15, 0x2555_585b_eaba_add5),
+        ),
+        (
+            TopologySpec::MultiHub { hubs: 3, spokes: 4 },
+            (15, 30, 0x498c_d015_4b66_74cb),
+        ),
+        (
+            TopologySpec::CompleteBipartite { a: 4, b: 2 },
+            (6, 8, 0x24a5_c5ca_1f65_fd2b),
+        ),
     ];
-    for name in golden_names() {
-        let topology = corpus::by_name(name)
-            .expect("golden name in corpus")
-            .topology;
+    for scn in corpus::corpus() {
         assert!(
-            pins.iter().any(|(spec, _)| *spec == topology),
-            "{name}: topology {topology:?} has no fingerprint pin"
+            pins.iter().any(|(spec, _)| *spec == scn.topology),
+            "{}: topology {:?} has no fingerprint pin",
+            scn.name,
+            scn.topology
         );
     }
     for (spec, pin) in &pins {

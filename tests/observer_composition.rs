@@ -2,15 +2,38 @@
 //!
 //! The Session/Observer contract: observers **never perturb the
 //! execution**. Attaching `(Trace, Digest, Metrics)` in any order — or
-//! attaching nothing at all — yields the identical run: byte-identical
+//! attaching nothing at all — yields the identical run (the trace and
+//! metrics legs are the probes below, local to this test): byte-identical
 //! schedule digests, identical node states, identical metrics, and (at
 //! the scenario level) identical golden traces. Any future observer that
 //! mutates state, reorders hooks, or lets composition order leak into
 //! the schedule fails here.
 
 use ssmdst::prelude::*;
-use ssmdst::scenario::{corpus, engine};
-use ssmdst::sim::{Digest, MetricsTrace};
+use ssmdst::scenario::{corpus, engine, EngineOpts, Mdst};
+
+/// Trace leg: one `(round, in_flight, total_delivered)` sample per round.
+#[derive(Default)]
+struct TraceProbe(Vec<(u64, usize, u64)>);
+
+impl Observer<MdstNode> for TraceProbe {
+    fn on_round_end(&mut self, net: &Network<MdstNode>, round: u64) -> Stop {
+        self.0
+            .push((round, net.in_flight(), net.metrics.total_delivered));
+        Stop::Continue
+    }
+}
+
+/// Metrics leg: the cumulative send counter after every round.
+#[derive(Default)]
+struct MetricsProbe(Vec<u64>);
+
+impl Observer<MdstNode> for MetricsProbe {
+    fn on_round_end(&mut self, net: &Network<MdstNode>, _round: u64) -> Stop {
+        self.0.push(net.metrics.total_sent);
+        Stop::Continue
+    }
+}
 
 fn graph() -> Graph {
     ssmdst::graph::generators::structured::star_with_ring(10).unwrap()
@@ -56,8 +79,8 @@ fn observer_order_never_changes_the_run() {
         let mut s1 = session_with(
             sched,
             (
-                (RoundTrace::new(), ScheduleDigest::new()),
-                MetricsTrace::new(),
+                (TraceProbe::default(), ScheduleDigest::new()),
+                MetricsProbe::default(),
             ),
         );
         let _ = s1.run_until(60, &mut ());
@@ -68,8 +91,8 @@ fn observer_order_never_changes_the_run() {
         let mut s2 = session_with(
             sched,
             (
-                MetricsTrace::new(),
-                (ScheduleDigest::new(), RoundTrace::new()),
+                MetricsProbe::default(),
+                (ScheduleDigest::new(), TraceProbe::default()),
             ),
         );
         let _ = s2.run_until(60, &mut ());
@@ -81,7 +104,7 @@ fn observer_order_never_changes_the_run() {
             sched,
             (
                 ScheduleDigest::new(),
-                (MetricsTrace::new(), RoundTrace::new()),
+                (MetricsProbe::default(), TraceProbe::default()),
             ),
         );
         let _ = s3.run_until(60, &mut ());
@@ -90,16 +113,16 @@ fn observer_order_never_changes_the_run() {
 
         assert_eq!(f1, f2, "order 1 vs 2 diverged under {sched:?}");
         assert_eq!(f1, f3, "order 1 vs 3 diverged under {sched:?}");
-        assert_eq!(t1.samples(), t2.samples());
-        assert_eq!(t1.samples(), t3.samples());
-        assert_eq!(m1.sent(), m2.sent());
-        assert_eq!(m1.sent(), m3.sent());
+        assert_eq!(t1.0, t2.0);
+        assert_eq!(t1.0, t3.0);
+        assert_eq!(m1.0, m2.0);
+        assert_eq!(m1.0, m3.0);
     }
 }
 
 /// An attached-observer run matches a bare run event-for-event: the
 /// observer session's schedule digest equals the digest a bare runner
-/// folds itself, and final states agree.
+/// folds through `step_round_observed`, and final states agree.
 #[test]
 fn observed_run_matches_bare_run_event_for_event() {
     for sched in [
@@ -110,8 +133,8 @@ fn observed_run_matches_bare_run_event_for_event() {
         let mut observed = session_with(
             sched,
             (
-                RoundTrace::new(),
-                (ScheduleDigest::new(), MetricsTrace::new()),
+                TraceProbe::default(),
+                (ScheduleDigest::new(), MetricsProbe::default()),
             ),
         );
         for _ in 0..60 {
@@ -119,9 +142,9 @@ fn observed_run_matches_bare_run_event_for_event() {
         }
 
         let mut bare = Runner::new(build_network(&graph(), Config::for_n(10)), sched);
-        let mut bare_digest = Digest::new();
+        let mut bare_digest = ScheduleDigest::new();
         for _ in 0..60 {
-            bare.step_round_digest(&mut bare_digest);
+            let _ = bare.step_round_observed(&mut bare_digest);
         }
 
         let (_, (digest, _)) = observed.observer();
@@ -148,9 +171,12 @@ fn observed_run_matches_bare_run_event_for_event() {
 fn scenario_traces_are_identical_with_and_without_observers() {
     for name in ["corrupt-start-total", "edge-churn-async"] {
         let scenario = corpus::by_name(name).expect("corpus entry");
-        let (_, unobserved) = engine::run_traced(&scenario);
+        let (_, unobserved) = engine::run_traced_any(&scenario);
         let mut rounds_seen = 0u64;
-        let (_, observed, _) = engine::run_traced_observed(&scenario, |_, _| rounds_seen += 1);
+        let (_, observed, _) =
+            engine::run_protocol(&Mdst, &scenario, EngineOpts::default(), |_, _| {
+                rounds_seen += 1
+            });
         assert!(rounds_seen > 0, "{name}: hook never fired");
         assert_eq!(
             unobserved, observed,

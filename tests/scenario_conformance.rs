@@ -153,7 +153,7 @@ fn shrinker_reduces_injected_failure_to_minimal_repro() {
     // The reproducer is a valid, replayable artifact.
     let reparsed = ssmdst::scenario::scn::parse(&minimal.canonical()).expect("repro parses");
     assert_eq!(reparsed, minimal);
-    let (out, trace) = engine::run_traced(&reparsed);
+    let (out, trace) = engine::run_traced_any(&reparsed);
     assert!(out.final_degree.unwrap() >= 3);
     engine::verify_replay(&reparsed, &trace).expect("repro replays bit-for-bit");
 }

@@ -60,7 +60,7 @@ fn prelude_surface_is_complete() {
         &mut stop_when(|net: &Network<MdstNode>, _| oracle::all_tree_stabilized(net)),
     );
     assert!(out.converged());
-    let _: &Runner<MdstNode> = session.runner();
+    let (_, ()): (Runner<MdstNode>, ()) = session.into_parts();
 }
 
 /// The lib.rs quickstart, verbatim as a compiled test (the doctest runs it

@@ -16,8 +16,8 @@
 //! where only its heap-free `InfoMsg` gossip runs: its tick and `InfoMsg`
 //! handlers must not allocate either. The observed path is metered as
 //! well: a round that folds every scheduled event into a schedule digest,
-//! through `Runner::step_round_digest` or through a `ScheduleDigest`
-//! observer attached to a `Session`, must not allocate.
+//! through `Runner::step_round_observed` with a `ScheduleDigest` or
+//! through the same observer attached to a `Session`, must not allocate.
 //!
 //! The counter is per-thread, so the harness's own threads cannot perturb
 //! the measurement; this file still holds a single `#[test]` so the
@@ -27,7 +27,7 @@
 use alloc_counter::{allocations_on_this_thread, CountingAllocator};
 use ssmdst::core::{build_network, oracle, Config, MdstNode};
 use ssmdst::sim::{
-    Automaton, Digest, Message, Network, Outbox, Runner, ScheduleDigest, Scheduler, Session,
+    Automaton, Message, Network, Outbox, Runner, ScheduleDigest, Scheduler, Session,
 };
 
 #[global_allocator]
@@ -139,16 +139,16 @@ fn steady_state_round_loop_is_allocation_free() {
         assert!(session.network().metrics.total_delivered > 0);
 
         // The observed path: every scheduled event is folded into the
-        // schedule digest inside the execution loop, through the runner's
-        // own fold and through an attached `ScheduleDigest` observer.
+        // schedule digest inside the execution loop, by a `ScheduleDigest`
+        // passed to the bare runner and by one attached to a session.
         let mut runner = Runner::new(gossip_network(), sched);
-        let mut digest = Digest::new();
+        let mut digest = ScheduleDigest::new();
         for _ in 0..50 {
-            runner.step_round_digest(&mut digest);
+            let _ = runner.step_round_observed(&mut digest);
         }
         let before = digest.value();
         assert_rounds_allocation_free("digest", sched, || {
-            runner.step_round_digest(&mut digest);
+            let _ = runner.step_round_observed(&mut digest);
         });
         assert_ne!(digest.value(), before, "the schedule was folded");
 
