@@ -17,9 +17,9 @@
 
 use crate::instance::Instrument;
 use crate::table::Table;
-use ssmdst_baselines as baselines;
+use ssmdst_exact::Solver;
 use ssmdst_graph::generators::GraphFamily;
-use ssmdst_graph::{Graph, SolveBudget};
+use ssmdst_graph::{Graph, SolveBudget, SpanningTree};
 use ssmdst_scenario::engine::{self, EngineOpts};
 use ssmdst_scenario::{
     ConfigSpec, CorruptSpec, EventAction, Mdst, Scenario, ScenarioEvent, ScenarioOutcome,
@@ -292,17 +292,19 @@ pub fn t5_baselines(p: &Profile) -> Table {
     let mut t = Table::new(vec![
         "family", "n", "BFS", "DFS", "random", "greedy", "FR", "ssmdst", "Δ*",
     ]);
+    // Sequential Fürer–Raghavachari: the exact engine with settling off.
+    let fr = Solver::builder().settle_budget(0).build();
     for &fam in GraphFamily::all() {
         let n = *p.large_sizes.first().unwrap_or(&16);
         let seed = p.seeds[0];
         let scn = row_scenario("t5", fam, n, seed, SchedSpec::Synchronous, p);
         let g = scn.topology.build();
-        let bfs = baselines::bfs_spanning_tree(&g, 0).expect("family graphs are connected"); // lint: allow(no-panic-in-library) — every GraphFamily generates a connected instance
-        let dfs = baselines::dfs_spanning_tree(&g, 0).expect("family graphs are connected"); // lint: allow(no-panic-in-library) — every GraphFamily generates a connected instance
-        let rnd = baselines::random_spanning_tree(&g, seed).expect("family graphs are connected"); // lint: allow(no-panic-in-library) — every GraphFamily generates a connected instance
+        let bfs = SpanningTree::from_bfs(&g, 0).expect("family graphs are connected"); // lint: allow(no-panic-in-library) — every GraphFamily generates a connected instance
+        let dfs = SpanningTree::from_dfs(&g, 0).expect("family graphs are connected"); // lint: allow(no-panic-in-library) — every GraphFamily generates a connected instance
+        let rnd = SpanningTree::random(&g, seed).expect("family graphs are connected"); // lint: allow(no-panic-in-library) — every GraphFamily generates a connected instance
         let greedy =
-            baselines::greedy_min_degree_tree(&g, seed).expect("family graphs are connected"); // lint: allow(no-panic-in-library) — every GraphFamily generates a connected instance
-        let (fr, _) = baselines::fr_mdst(&g, bfs.clone());
+            SpanningTree::greedy_min_degree(&g, seed).expect("family graphs are connected"); // lint: allow(no-panic-in-library) — every GraphFamily generates a connected instance
+        let fr = fr.solve_from(&g, bfs.clone()).tree;
         let res = run_mdst(&scn, no_exact());
         let (ds_str, _) = match fam.known_delta_star(&g) {
             Some(d) => (d.to_string(), Some(d)),
@@ -423,6 +425,7 @@ pub fn f3_concurrency(p: &Profile) -> Table {
         "speedup",
     ]);
     let spokes = 5usize;
+    let fr = Solver::builder().settle_budget(0).build();
     for hubs in [2usize, 4, 6] {
         let scn = Scenario::converge(
             format!("f3-multi-hub-{hubs}x{spokes}"),
@@ -435,22 +438,23 @@ pub fn f3_concurrency(p: &Profile) -> Table {
         let (res, _, _) = engine::run_protocol(&Mdst, &scn, no_exact(), |net, round| {
             ins.observe(net, round)
         });
-        let t0 = baselines::bfs_spanning_tree(&g, 0).expect("multi-hub graphs are connected"); // lint: allow(no-panic-in-library) — multi_hub builds a connected gadget
+        let t0 = SpanningTree::from_bfs(&g, 0).expect("multi-hub graphs are connected"); // lint: allow(no-panic-in-library) — multi_hub builds a connected gadget
         let diam = ssmdst_graph::traversal::diameter(&g).unwrap_or(1) as u64;
-        // The serialized emulation pays a full refresh (≥ diameter rounds,
-        // as \[3\] re-propagates fragment info) plus one search per phase.
+        // The serialized model of \[3\] makes FR's swaps one per phase and
+        // pays a full refresh per phase (≥ diameter rounds, as \[3\]
+        // re-propagates fragment info) plus one search.
         let per_phase = diam + 2 * g.n() as u64;
-        let (_, ser) = baselines::serialized_mdst(&g, t0, per_phase);
+        let charged_rounds = fr.solve_from(&g, t0).pivots * per_phase;
         t.row(vec![
             format!("multi-hub({hubs}x{spokes})"),
             g.n().to_string(),
             hubs.to_string(),
             ins.max_simultaneous_drops().to_string(),
             res.conv_round.to_string(),
-            ser.charged_rounds.to_string(),
+            charged_rounds.to_string(),
             format!(
                 "{:.2}x",
-                ser.charged_rounds as f64 / res.conv_round.max(1) as f64
+                charged_rounds as f64 / res.conv_round.max(1) as f64
             ),
         ]);
     }

@@ -1,8 +1,8 @@
 //! Protocol configuration and ablation switches.
 
-/// Tunables of the protocol. Every deviation knob corresponds to an ablation
-/// in ARCHITECTURE.md, "Modelling deviations" (A1–A3), or a throttle with
-/// a paper-faithful default.
+/// Tunables of the protocol. Every public knob corresponds to an ablation
+/// in ARCHITECTURE.md, "Modelling deviations" (A1–A3); the throttles and
+/// caps are crate-private and set by [`Config::for_n`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Config {
     /// Ticks between successive `Search` launches for the same non-tree
@@ -10,7 +10,7 @@ pub struct Config {
     /// keeps simulated traffic finite without changing reachable
     /// configurations. Should scale like Θ(n) so a token finishes (a DFS
     /// over the tree takes ≤ 2(n−1) hops) before its successor starts.
-    pub search_period: u32,
+    pub(crate) search_period: u32,
 
     /// Ablation **A1**: `true` replays the paper's strict rule R2 — any
     /// distance incoherence makes the node a new-root candidate and resets
@@ -26,15 +26,15 @@ pub struct Config {
 
     /// Recursion budget carried by `Deblock` chains (the paper's recursive
     /// deblocking; the budget bounds churn from corrupted chains).
-    pub deblock_ttl: u8,
+    pub(crate) deblock_ttl: u8,
 
     /// Ticks a node ignores repeated `Deblock` floods for the same blocking
     /// node (throttle; floods are idempotent).
-    pub deblock_cooldown: u32,
+    pub(crate) deblock_cooldown: u32,
 
     /// Hard cap on path/visited lists carried in messages. Anything longer
     /// is corrupt by definition (a tree path has ≤ n nodes) and is dropped.
-    pub max_path_len: usize,
+    pub(crate) max_path_len: usize,
 
     /// Ablation **A3**: the busy latch serializing overlapping
     /// improvements. Disabling it re-exposes the flip-crossing hazard
@@ -85,6 +85,13 @@ impl Config {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{build_network, oracle};
+    use ssmdst_graph::generators::GraphFamily;
+    use ssmdst_sim::{Scheduler, Session};
+
+    fn quiet(n: usize) -> u64 {
+        (6 * n as u64).max(64)
+    }
 
     #[test]
     fn defaults_scale_with_n() {
@@ -107,5 +114,24 @@ mod tests {
         assert!(Config::strict(10).strict_distance_reset);
         assert!(!Config::without_deblock(10).enable_deblock);
         assert!(!Config::without_deblock(10).strict_distance_reset);
+    }
+
+    /// Config search-period sanity: an aggressive (short) period still
+    /// converges — throttles are performance knobs, not correctness knobs.
+    #[test]
+    fn short_search_period_still_converges() {
+        let g = GraphFamily::HamiltonianChords.generate(12, 6);
+        let cfg = Config {
+            search_period: 8,
+            ..Config::for_n(g.n())
+        };
+        let net = build_network(&g, cfg);
+        let mut session = Session::from_network(net)
+            .scheduler(Scheduler::Synchronous)
+            .horizon(150_000)
+            .build();
+        let out = session.run_to_quiescence(quiet(g.n()), oracle::projection);
+        assert!(out.converged());
+        assert!(oracle::is_legitimate(&g, session.network()));
     }
 }

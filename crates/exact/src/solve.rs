@@ -61,8 +61,10 @@
 //! * **Degree target.** A count of degree-`k` vertices survives across
 //!   pivots; `k` is recomputed only when the count reaches zero.
 //!
-//! This loop is the workspace's one Fürer–Raghavachari local search; the
-//! sequential baselines (`ssmdst-baselines`) run it with settling off. The
+//! This loop is the workspace's one Fürer–Raghavachari local search. With
+//! settling off (`settle_budget(0)`), [`Solver::solve_from`] *is* the
+//! sequential FR baseline of experiment T5, and its pivot count drives the
+//! serialized-\[3\] model of experiment F3 (one swap per phase). The
 //! proof, once:
 //!
 //! * **Termination.** Every phase is finite: a sweep that merges nothing
@@ -550,7 +552,7 @@ fn best_cut_bound(g: &Graph) -> Option<(NodeId, u32)> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use ssmdst_graph::generators::{gadgets, random, structured};
+    use ssmdst_graph::generators::{gadgets, random, structured, GraphFamily};
     use ssmdst_graph::graph::graph_from_edges;
     use ssmdst_graph::{exact_mdst, SpanningTree, UnionFind};
 
@@ -813,6 +815,97 @@ mod tests {
         assert_eq!(best_cut_bound(&g), Some((0, 5)));
         let g = structured::cycle(8).unwrap();
         assert_eq!(best_cut_bound(&g), None, "no articulation in a cycle");
+    }
+
+    /// Sequential FR: `solve_from` with settling off.
+    fn fr(g: &Graph, start: SpanningTree) -> Solution {
+        Solver::builder()
+            .settle_budget(0)
+            .build()
+            .solve_from(g, start)
+    }
+
+    fn check_within_one(g: &Graph, t: &SpanningTree) {
+        let ds = exact_mdst(g, SolveBudget::default())
+            .delta_star()
+            .expect("test instance solvable");
+        assert!(
+            t.max_degree() <= ds + 1,
+            "FR degree {} exceeds Δ*+1 = {}",
+            t.max_degree(),
+            ds + 1
+        );
+        t.validate(g).unwrap();
+    }
+
+    #[test]
+    fn star_with_ring_reduced_to_near_optimal() {
+        let g = structured::star_with_ring(12).unwrap();
+        let t0 = SpanningTree::from_bfs(&g, 0).unwrap();
+        assert_eq!(t0.max_degree(), 11);
+        let sol = fr(&g, t0);
+        assert!(sol.tree.max_degree() <= 3, "got {}", sol.tree.max_degree());
+        // One pivot lowers the hub by at most one: 11 → ≤ 3 takes ≥ 8.
+        assert!(sol.pivots >= 8);
+        check_within_one(&g, &sol.tree);
+    }
+
+    #[test]
+    fn fr_within_one_on_all_families_small() {
+        // n ∈ {1, 2, 3} take the solver's trivial and floor exits: the
+        // tree must come back unchanged, with no swap.
+        let degenerate = [
+            structured::path(1),
+            structured::path(2),
+            structured::complete(3),
+        ];
+        let graphs = GraphFamily::all()
+            .iter()
+            .map(|fam| fam.generate(14, 11))
+            .chain(degenerate.into_iter().map(Result::unwrap));
+        for g in graphs {
+            let sol = fr(&g, SpanningTree::from_bfs(&g, 0).unwrap());
+            check_within_one(&g, &sol.tree);
+            if g.n() <= 3 {
+                assert_eq!(sol.pivots, 0, "n = {}", g.n());
+            }
+        }
+    }
+
+    #[test]
+    fn fr_within_one_from_random_initial_trees() {
+        for seed in 0..5 {
+            let g = gadgets::hamiltonian_with_chords(14, 20, seed);
+            let sol = fr(&g, SpanningTree::random(&g, seed).unwrap());
+            let d = sol.tree.max_degree();
+            assert!(d <= 3, "seed {seed}: {d}");
+        }
+    }
+
+    #[test]
+    fn forced_spider_cannot_improve() {
+        let g = gadgets::spider(4, 2).unwrap();
+        let sol = fr(&g, SpanningTree::from_bfs(&g, 0).unwrap());
+        // The hub's edges are bridges: no swaps exist at all.
+        assert_eq!(sol.tree.max_degree(), 4);
+        assert_eq!(sol.pivots, 0);
+    }
+
+    #[test]
+    fn complete_graph_reaches_degree_two_or_three() {
+        let g = structured::complete(10).unwrap();
+        let star = SpanningTree::from_bfs(&g, 0).unwrap(); // degree 9
+        let d = fr(&g, star).tree.max_degree();
+        assert!(d <= 3, "got {d}");
+    }
+
+    #[test]
+    fn fr_rerun_from_its_fixpoint_is_a_no_op() {
+        let g = structured::grid(4, 4).unwrap();
+        let first = fr(&g, SpanningTree::from_bfs(&g, 0).unwrap());
+        let again = fr(&g, first.tree.clone());
+        assert_eq!(first.tree.edge_set(), again.tree.edge_set());
+        assert_eq!(again.pivots, 0);
     }
 
     #[test]

@@ -14,15 +14,17 @@
 //!   workloads used throughout the experiment suite (random, geometric,
 //!   structured and adversarial gadget graphs with known optimal degree),
 //! * rooted [`SpanningTree`]s — the workspace's one tree type — with
-//!   validation, incremental degree and depth accounting, tree paths, and
-//!   the `O(path + subtree)` fundamental-cycle pivot the exact engine runs,
+//!   validation, incremental degree and depth accounting, tree paths, the
+//!   `O(path + subtree)` fundamental-cycle pivot the exact engine runs, and
+//!   the naive BFS / DFS / random / greedy constructors the experiments
+//!   start from,
 //! * an exact minimum-degree spanning tree solver ([`mdst_exact`]) built on a
 //!   degree-bounded decision procedure, used as ground truth `Δ*` in tests
 //!   and experiments,
 //! * combinatorial lower bounds on `Δ*` ([`lower_bound`]) for graphs too
 //!   large for the exact solver,
 //! * classic traversals and a [`UnionFind`] used by the solvers and the
-//!   baselines.
+//!   tree constructors.
 //!
 //! Node identifiers are dense `u32` indices `0..n`; the protocol crate maps
 //! them to arbitrary unique identifiers when exercising identifier-dependent
@@ -45,11 +47,11 @@ pub mod stats;
 pub mod traversal;
 pub mod union_find;
 
-pub use bridges::{biconnectivity, bridge_degrees, Biconnectivity};
+pub use bridges::{biconnectivity, Biconnectivity};
 pub use error::GraphError;
 pub use graph::{EdgeId, Graph, GraphBuilder, NodeId};
 pub use lower_bound::{degree_lower_bound, vertex_removal_bound};
 pub use mdst_exact::{exact_mdst, has_spanning_tree_with_max_degree, ExactMdst, SolveBudget};
 pub use spanning_tree::SpanningTree;
-pub use traversal::{bfs_distances, bfs_tree, connected_components, dfs_order, is_connected};
+pub use traversal::{bfs_distances, bfs_tree, connected_components, is_connected};
 pub use union_find::UnionFind;

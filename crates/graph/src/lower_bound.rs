@@ -59,22 +59,20 @@ pub fn vertex_removal_bound(g: &Graph, s: &[NodeId]) -> u32 {
     ((c + k - 1) as u32).div_ceil(k as u32)
 }
 
-/// Best lower bound on `Δ*` over singletons, (for small graphs) pairs, a
-/// greedy high-degree set, and the bridge-degree bound (every bridge is in
-/// every spanning tree); floored by the trivial bounds (`1` for any edge,
-/// `2` once `n ≥ 3`).
+/// Best lower bound on `Δ*` over singletons, (for small graphs) pairs and
+/// a greedy high-degree set; floored by the trivial bounds (`1` for any
+/// edge, `2` once `n ≥ 3`).
+///
+/// The bridge count at `v` (every bridge is in every spanning tree) needs
+/// no term of its own: the far ends of the `b` bridges at `v` lie in `b`
+/// distinct components of `G − v`, so the singleton bound `c(G − v)` is
+/// already `≥ b`.
 pub fn degree_lower_bound(g: &Graph) -> u32 {
     let n = g.n();
     if n <= 1 {
         return 0;
     }
     let mut best = if n == 2 { 1 } else { 2 };
-    best = best.max(
-        crate::bridges::bridge_degrees(g)
-            .into_iter()
-            .max()
-            .unwrap_or(0),
-    );
     // Singletons: catches stars, spiders and all cut-vertex forcing.
     for v in 0..n as u32 {
         best = best.max(vertex_removal_bound(g, &[v]));

@@ -188,35 +188,13 @@ pub fn has_spanning_tree_with_max_degree(
     let mut uf = UnionFind::new(g.n());
     match s.decide(&mut uf, 0, 0) {
         Found::Yes => {
-            let t = tree_from_edge_list(g, &s.chosen);
-            Some(Some(t))
+            let t = SpanningTree::from_edge_list(g, &s.chosen);
+            // lint: allow(no-panic-in-library) — a decision witness spans by construction
+            Some(Some(t.expect("edge list formed a spanning tree")))
         }
         Found::No => Some(None),
         Found::Budget => None,
     }
-}
-
-/// Build a rooted [`SpanningTree`] (root 0) from an `n−1`-edge forest list.
-fn tree_from_edge_list(g: &Graph, edges: &[(NodeId, NodeId)]) -> SpanningTree {
-    let n = g.n();
-    let mut adj: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    for &(u, v) in edges {
-        adj[u as usize].push(v);
-        adj[v as usize].push(u);
-    }
-    let mut parent = vec![u32::MAX; n];
-    parent[0] = 0;
-    let mut stack = vec![0u32];
-    while let Some(v) = stack.pop() {
-        for &w in &adj[v as usize] {
-            if parent[w as usize] == u32::MAX {
-                parent[w as usize] = v;
-                stack.push(w);
-            }
-        }
-    }
-    // lint: allow(no-panic-in-library) — caller passed a decision witness, which spans by construction
-    SpanningTree::from_parents(g, 0, parent).expect("edge list formed a spanning tree")
 }
 
 /// Compute `Δ*` exactly (budget permitting).

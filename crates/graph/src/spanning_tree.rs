@@ -15,9 +15,17 @@
 //! a tree edge on its cycle) costs `O(path + re-hung subtree)`: the
 //! threading gives each subtree as a pointer walk, so only the re-hung
 //! vertices are relabelled.
+//!
+//! The naive constructors ([`SpanningTree::from_bfs`],
+//! [`SpanningTree::from_dfs`], [`SpanningTree::random`],
+//! [`SpanningTree::greedy_min_degree`]) are the arbitrary start trees of
+//! the experiments and the comparison points of experiment T5.
 
 use crate::error::GraphError;
+use crate::generators::random::rng;
 use crate::graph::{Graph, NodeId};
+use crate::union_find::UnionFind;
+use rand::seq::SliceRandom;
 
 /// Sentinel for "no node" in the child-list threading.
 const NONE: NodeId = u32::MAX;
@@ -67,18 +75,10 @@ impl SpanningTree {
     /// Validate a parent vector against its host graph, building the
     /// depth, degree and child-list arrays on the way. O(n log Δ).
     pub fn from_parents(g: &Graph, root: NodeId, parent: Vec<NodeId>) -> Result<Self, GraphError> {
+        check_root(g, root)?;
         let n = g.n();
-        if n == 0 {
-            return Err(GraphError::Empty);
-        }
         if parent.len() != n {
             return Err(GraphError::NotASpanningTree("parent vector length != n"));
-        }
-        if root as usize >= n {
-            return Err(GraphError::NodeOutOfRange {
-                node: root,
-                n: n as u32,
-            });
         }
         if parent[root as usize] != root {
             return Err(GraphError::NotASpanningTree("parent[root] != root"));
@@ -121,14 +121,116 @@ impl SpanningTree {
         Ok(t)
     }
 
-    /// Build from a BFS parent vector as returned by
-    /// [`crate::traversal::bfs_tree`].
+    /// Breadth-first tree rooted at `root`, the parent vector of
+    /// [`crate::traversal::bfs_tree`]: what the protocol's spanning-tree
+    /// module (rules R1/R2) converges to when `root` is the minimum ID.
     pub fn from_bfs(g: &Graph, root: NodeId) -> Result<Self, GraphError> {
+        check_root(g, root)?;
         let parent = crate::traversal::bfs_tree(g, root);
-        if parent.contains(&u32::MAX) {
+        if parent.contains(&NONE) {
             return Err(GraphError::Disconnected);
         }
         Self::from_parents(g, root, parent)
+    }
+
+    /// Depth-first tree rooted at `root`, smallest neighbour first. It
+    /// tends to long paths, so low degree on dense graphs: a strong naive
+    /// baseline.
+    pub fn from_dfs(g: &Graph, root: NodeId) -> Result<Self, GraphError> {
+        check_root(g, root)?;
+        let mut parent = vec![NONE; g.n()];
+        // Parents are assigned at *pop* time: that is what makes this a true
+        // DFS tree (long paths) rather than a BFS-like star on dense graphs.
+        let mut stack = vec![(root, root)];
+        while let Some((v, p)) = stack.pop() {
+            if parent[v as usize] != NONE {
+                continue;
+            }
+            parent[v as usize] = p;
+            for &w in g.neighbors(v).iter().rev() {
+                if parent[w as usize] == NONE {
+                    stack.push((w, v));
+                }
+            }
+        }
+        if parent.contains(&NONE) {
+            return Err(GraphError::Disconnected);
+        }
+        Self::from_parents(g, root, parent)
+    }
+
+    /// Kruskal over a seeded shuffle of the edge list, rooted at 0. Not
+    /// uniform over all spanning trees, but unbiased enough to act as an
+    /// arbitrary start tree.
+    pub fn random(g: &Graph, seed: u64) -> Result<Self, GraphError> {
+        let mut edges = g.edges().to_vec();
+        edges.shuffle(&mut rng(seed));
+        let mut uf = UnionFind::new(g.n());
+        edges.retain(|&(u, v)| uf.union(u, v));
+        Self::from_edge_list(g, &edges)
+    }
+
+    /// Greedy degree-aware Kruskal, rooted at 0: always take the usable
+    /// edge whose endpoints have the smallest `(max, sum)` of current tree
+    /// degrees, ties broken by a seeded shuffle. A classic heuristic that
+    /// often lands within 1–2 of `Δ*` without any improvement machinery.
+    pub fn greedy_min_degree(g: &Graph, seed: u64) -> Result<Self, GraphError> {
+        let mut remaining = g.edges().to_vec();
+        remaining.shuffle(&mut rng(seed));
+        let mut uf = UnionFind::new(g.n());
+        let mut deg = vec![0u32; g.n()];
+        let mut picked = Vec::with_capacity(g.n().saturating_sub(1));
+        while picked.len() + 1 < g.n() {
+            let mut best: Option<(usize, (u32, u32))> = None;
+            for (i, &(u, v)) in remaining.iter().enumerate() {
+                if uf.find(u) == uf.find(v) {
+                    continue;
+                }
+                let (du, dv) = (deg[u as usize], deg[v as usize]);
+                let key = (du.max(dv), du + dv);
+                if best.map(|(_, bk)| key < bk).unwrap_or(true) {
+                    best = Some((i, key));
+                }
+            }
+            let Some((i, _)) = best else {
+                return Err(GraphError::Disconnected);
+            };
+            let (u, v) = remaining.swap_remove(i);
+            uf.union(u, v);
+            deg[u as usize] += 1;
+            deg[v as usize] += 1;
+            picked.push((u, v));
+        }
+        Self::from_edge_list(g, &picked)
+    }
+
+    /// Root an edge list at node 0, finding children depth-first in list
+    /// order. `Disconnected` unless the edges connect all of `g`.
+    pub(crate) fn from_edge_list(
+        g: &Graph,
+        edges: &[(NodeId, NodeId)],
+    ) -> Result<Self, GraphError> {
+        check_root(g, 0)?;
+        let mut adj: Vec<Vec<NodeId>> = vec![Vec::new(); g.n()];
+        for &(u, v) in edges {
+            adj[u as usize].push(v);
+            adj[v as usize].push(u);
+        }
+        let mut parent = vec![NONE; g.n()];
+        parent[0] = 0;
+        let mut stack = vec![0];
+        while let Some(v) = stack.pop() {
+            for &w in &adj[v as usize] {
+                if parent[w as usize] == NONE {
+                    parent[w as usize] = v;
+                    stack.push(w);
+                }
+            }
+        }
+        if parent.contains(&NONE) {
+            return Err(GraphError::Disconnected);
+        }
+        Self::from_parents(g, 0, parent)
     }
 
     /// Root of the tree.
@@ -375,10 +477,24 @@ impl SpanningTree {
     }
 }
 
+/// `Empty` or `NodeOutOfRange` unless `root` is a node of `g`.
+fn check_root(g: &Graph, root: NodeId) -> Result<(), GraphError> {
+    if g.n() == 0 {
+        return Err(GraphError::Empty);
+    }
+    if root as usize >= g.n() {
+        return Err(GraphError::NodeOutOfRange {
+            node: root,
+            n: g.n() as u32,
+        });
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{random, structured};
+    use crate::generators::{gadgets, random, structured};
     use crate::graph::graph_from_edges;
 
     /// 0-1-2-3 path plus chord {0,3}: a 4-cycle.
@@ -716,5 +832,125 @@ mod tests {
         let t = SpanningTree::from_parents(&g, 0, vec![0]).unwrap();
         assert_eq!(t.max_degree(), 0);
         assert!(t.edge_set().is_empty());
+    }
+
+    #[test]
+    fn rooted_constructors_reject_out_of_range_roots() {
+        let g = graph_from_edges(3, &[(0, 1), (1, 2)]);
+        let out = GraphError::NodeOutOfRange { node: 3, n: 3 };
+        assert_eq!(SpanningTree::from_bfs(&g, 3), Err(out.clone()));
+        assert_eq!(SpanningTree::from_dfs(&g, 3), Err(out));
+        let empty = crate::graph::GraphBuilder::new(0).build();
+        assert_eq!(SpanningTree::from_bfs(&empty, 0), Err(GraphError::Empty));
+        assert_eq!(SpanningTree::from_dfs(&empty, 0), Err(GraphError::Empty));
+        assert_eq!(SpanningTree::random(&empty, 0), Err(GraphError::Empty));
+        assert_eq!(
+            SpanningTree::greedy_min_degree(&empty, 0),
+            Err(GraphError::Empty)
+        );
+    }
+
+    /// FNV-1a over the little-endian bytes of a parent vector.
+    fn fnv1a(parents: &[NodeId]) -> u64 {
+        parents
+            .iter()
+            .flat_map(|p| p.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn naive_tree_parent_vectors_are_pinned() {
+        // Fingerprints of the DFS (roots 0 and 5), random and greedy (seed
+        // 9) parent vectors: a change to the RNG draws or the traversal
+        // order moves them, and with them the start trees of T5 and the
+        // tests.
+        let pins = [
+            (
+                random::gnp_connected(40, 0.15, 7),
+                [
+                    0x1b2b_bc67_eb0d_4ab7,
+                    0xcdf8_53e1_1e5a_c781,
+                    0x9289_5b18_ac72_c380,
+                    0x0569_ecf1_919f_cf43,
+                ],
+            ),
+            (
+                gadgets::hamiltonian_with_chords(30, 40, 3),
+                [
+                    0x4a81_fc36_16f5_6fbb,
+                    0xc1a9_b693_2783_22cc,
+                    0x536d_12fc_f924_169f,
+                    0xef9d_bdcc_4db6_ab33,
+                ],
+            ),
+        ];
+        for (g, [dfs0, dfs5, random9, greedy9]) in pins {
+            let fp = |t: SpanningTree| fnv1a(t.parents());
+            assert_eq!(fp(SpanningTree::from_dfs(&g, 0).unwrap()), dfs0);
+            assert_eq!(fp(SpanningTree::from_dfs(&g, 5).unwrap()), dfs5);
+            assert_eq!(fp(SpanningTree::random(&g, 9).unwrap()), random9);
+            assert_eq!(fp(SpanningTree::greedy_min_degree(&g, 9).unwrap()), greedy9);
+        }
+    }
+
+    #[test]
+    fn bfs_tree_on_star_ring_has_hub_degree() {
+        let g = structured::star_with_ring(10).unwrap();
+        let t = SpanningTree::from_bfs(&g, 0).unwrap();
+        // BFS from the hub keeps all spokes: the pathological case.
+        assert_eq!(t.max_degree(), 9);
+    }
+
+    #[test]
+    fn random_tree_is_valid_and_seeded() {
+        let g = gadgets::hamiltonian_with_chords(20, 25, 3);
+        let a = SpanningTree::random(&g, 5).unwrap();
+        let b = SpanningTree::random(&g, 5).unwrap();
+        a.validate(&g).unwrap();
+        assert_eq!(a.edge_set(), b.edge_set());
+        let c = SpanningTree::random(&g, 6).unwrap();
+        assert_ne!(a.edge_set(), c.edge_set());
+    }
+
+    #[test]
+    fn dfs_tree_on_complete_graph_is_a_path() {
+        let g = structured::complete(8).unwrap();
+        let t = SpanningTree::from_dfs(&g, 0).unwrap();
+        assert_eq!(t.max_degree(), 2);
+        t.validate(&g).unwrap();
+    }
+
+    #[test]
+    fn greedy_tree_beats_bfs_on_star_ring() {
+        let g = structured::star_with_ring(12).unwrap();
+        let bfs = SpanningTree::from_bfs(&g, 0).unwrap();
+        let greedy = SpanningTree::greedy_min_degree(&g, 1).unwrap();
+        greedy.validate(&g).unwrap();
+        assert!(greedy.max_degree() < bfs.max_degree());
+        assert!(greedy.max_degree() <= 3);
+    }
+
+    #[test]
+    fn disconnected_graph_is_rejected() {
+        let g = graph_from_edges(4, &[(0, 1), (2, 3)]);
+        assert!(SpanningTree::random(&g, 0).is_err());
+        assert!(SpanningTree::from_dfs(&g, 0).is_err());
+        assert!(SpanningTree::greedy_min_degree(&g, 0).is_err());
+    }
+
+    #[test]
+    fn all_baselines_span_the_same_node_set() {
+        let g = structured::grid(4, 4).unwrap();
+        for t in [
+            SpanningTree::from_bfs(&g, 0).unwrap(),
+            SpanningTree::random(&g, 2).unwrap(),
+            SpanningTree::from_dfs(&g, 3).unwrap(),
+            SpanningTree::greedy_min_degree(&g, 4).unwrap(),
+        ] {
+            t.validate(&g).unwrap();
+            assert_eq!(t.edge_set().len(), 15);
+        }
     }
 }

@@ -1,7 +1,8 @@
-//! Classic traversals over [`Graph`]: BFS, DFS, components, diameter.
+//! Classic traversals over [`Graph`]: BFS, components, diameter.
 //!
-//! These back the oracle checks (connectivity, distances), the baselines
-//! (BFS trees) and the experiment harness (diameter normalization).
+//! These back the oracle checks (connectivity, distances),
+//! [`crate::SpanningTree::from_bfs`] and the experiment harness (diameter
+//! normalization).
 
 use crate::graph::{Graph, NodeId};
 use std::collections::VecDeque;
@@ -73,27 +74,6 @@ pub fn connected_components(g: &Graph) -> (usize, Vec<u32>) {
         next += 1;
     }
     (next as usize, comp)
-}
-
-/// Iterative DFS preorder from `src` (neighbors visited in sorted order).
-pub fn dfs_order(g: &Graph, src: NodeId) -> Vec<NodeId> {
-    let mut seen = vec![false; g.n()];
-    let mut order = Vec::new();
-    let mut stack = vec![src];
-    while let Some(v) = stack.pop() {
-        if seen[v as usize] {
-            continue;
-        }
-        seen[v as usize] = true;
-        order.push(v);
-        // Push reversed so that the smallest neighbor is processed first.
-        for &w in g.neighbors(v).iter().rev() {
-            if !seen[w as usize] {
-                stack.push(w);
-            }
-        }
-    }
-    order
 }
 
 /// Exact diameter by n BFS runs; `None` for disconnected or empty graphs.
@@ -173,19 +153,6 @@ mod tests {
         let g = crate::graph::GraphBuilder::new(0).build();
         assert!(is_connected(&g));
         assert_eq!(diameter(&g), None);
-    }
-
-    #[test]
-    fn dfs_preorder_visits_all_once() {
-        let g = graph_from_edges(5, &[(0, 1), (0, 2), (1, 3), (1, 4)]);
-        let order = dfs_order(&g, 0);
-        assert_eq!(order.len(), 5);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3, 4]);
-        // Smallest-neighbor-first: 0 then 1 (not 2).
-        assert_eq!(order[0], 0);
-        assert_eq!(order[1], 1);
     }
 
     #[test]

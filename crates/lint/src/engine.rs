@@ -657,7 +657,7 @@ mod tests {
         let src = "use std::collections::HashMap;\n";
         assert_eq!(codes(&lib("sim"), src), [("R1".to_string(), 1)]);
         assert!(codes(&lib("lint"), src).is_empty());
-        assert!(codes(&lib("baselines"), src).is_empty());
+        assert!(codes(&lib("bench"), src).is_empty());
         assert!(
             codes(&FileClass::new("sim", TargetKind::Test), src).is_empty(),
             "test code is exempt"

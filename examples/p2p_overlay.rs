@@ -8,10 +8,7 @@
 //! cargo run --release --example p2p_overlay
 //! ```
 
-use ssmdst::baselines::{
-    bfs_spanning_tree, dfs_spanning_tree, fr_mdst, greedy_min_degree_tree, random_spanning_tree,
-    serialized_mdst,
-};
+use ssmdst::exact::Solver;
 use ssmdst::graph::generators::random::barabasi_albert;
 use ssmdst::prelude::*;
 
@@ -26,12 +23,15 @@ fn main() {
     );
 
     // Centralized baselines (require a global view the P2P system lacks).
-    let bfs = bfs_spanning_tree(&g, 0).unwrap();
-    let dfs = dfs_spanning_tree(&g, 0).unwrap();
-    let rnd = random_spanning_tree(&g, 1).unwrap();
-    let greedy = greedy_min_degree_tree(&g, 1).unwrap();
-    let (fr, fr_stats) = fr_mdst(&g, bfs.clone());
-    let (ser, ser_stats) = serialized_mdst(&g, bfs.clone(), 10);
+    let bfs = SpanningTree::from_bfs(&g, 0).unwrap();
+    let dfs = SpanningTree::from_dfs(&g, 0).unwrap();
+    let rnd = SpanningTree::random(&g, 1).unwrap();
+    let greedy = SpanningTree::greedy_min_degree(&g, 1).unwrap();
+    // Sequential Fürer–Raghavachari: the exact engine with settling off.
+    let fr = Solver::builder()
+        .settle_budget(0)
+        .build()
+        .solve_from(&g, bfs.clone());
     println!("\nspanning-tree relay load (max tree degree):");
     println!("  BFS tree        : {}", bfs.max_degree());
     println!("  DFS tree        : {}", dfs.max_degree());
@@ -39,14 +39,14 @@ fn main() {
     println!("  greedy tree     : {}", greedy.max_degree());
     println!(
         "  Fürer–Raghavachari: {} ({} swaps, {} phases)",
-        fr.max_degree(),
-        fr_stats.swaps,
-        fr_stats.phases
+        fr.tree.max_degree(),
+        fr.pivots,
+        fr.pivots + 1
     );
     println!(
         "  serialized [3]  : {} ({} one-swap phases)",
-        ser.max_degree(),
-        ser_stats.phases
+        fr.tree.max_degree(),
+        fr.pivots
     );
 
     // The self-stabilizing protocol: fully distributed, one-hop
@@ -72,5 +72,5 @@ fn main() {
         session.network().metrics.kind("Remove").sent,
     );
     // The distributed result must match the centralized FR within 1.
-    assert!(t.max_degree() <= fr.max_degree() + 1);
+    assert!(t.max_degree() <= fr.tree.max_degree() + 1);
 }

@@ -16,7 +16,7 @@ fn main() {
     println!("graph: n={} m={} Δ(G)={}", g.n(), g.m(), g.max_degree());
 
     // What a naive tree looks like.
-    let bfs = bfs_spanning_tree(&g, 0).expect("connected");
+    let bfs = SpanningTree::from_bfs(&g, 0).expect("connected");
     println!("BFS tree degree: {}", bfs.max_degree());
 
     // Run the self-stabilizing protocol from a clean reset: a Session

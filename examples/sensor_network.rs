@@ -52,7 +52,7 @@ fn main() {
          hold a tree (BFS on the full field would give degree {})",
         session.round() - quiet,
         session.network().alive_count(),
-        bfs_spanning_tree(&g, 0).unwrap().max_degree()
+        SpanningTree::from_bfs(&g, 0).unwrap().max_degree()
     );
 
     // Transient fault: half the sensors reboot with corrupted memory.

@@ -19,7 +19,7 @@ fn main() -> std::io::Result<()> {
     let g = multi_hub(3, 5).expect("valid gadget");
     println!("multi-hub gadget: n={} m={}", g.n(), g.m());
 
-    let before = bfs_spanning_tree(&g, 0).expect("connected");
+    let before = SpanningTree::from_bfs(&g, 0).expect("connected");
     fs::write("before.dot", to_dot(&g, Some(&before)))?;
     let s = tree_degrees(&before);
     println!(

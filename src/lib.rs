@@ -4,18 +4,19 @@
 //! Potop-Butucaru & Rovedakis, *"Self-stabilizing minimum-degree spanning
 //! tree within one from the optimal degree"* (IPDPS 2009):
 //!
-//! * [`graph`] — graph substrate: representation, generators, exact MDST,
-//!   lower bounds ([`ssmdst_graph`]);
+//! * [`graph`] — graph substrate: representation, generators, spanning
+//!   trees (including the naive BFS / DFS / random / greedy baselines),
+//!   exact MDST, lower bounds ([`ssmdst_graph`]);
 //! * [`sim`] — event-driven asynchronous message-passing simulator with
 //!   FIFO channels, schedulers, fault injection, dynamic topology, and
 //!   the composable [`sim::Session`] + [`sim::Observer`] execution API
 //!   ([`ssmdst_sim`]);
 //! * [`core`] — the protocol itself ([`ssmdst_core`]);
-//! * [`baselines`] — Fürer–Raghavachari, serialized-improvement and naive
-//!   tree baselines ([`ssmdst_baselines`]);
 //! * [`exact`] — the incremental exact-`Δ*` engine: a certified-interval
 //!   solver pivoting a [`graph::SpanningTree`], with witness objects and
-//!   an incremental re-solver for judging under churn ([`ssmdst_exact`]);
+//!   an incremental re-solver for judging under churn ([`ssmdst_exact`]).
+//!   With settling off, [`exact::Solver::solve_from`] is the sequential
+//!   Fürer–Raghavachari baseline;
 //! * [`scenario`] — declarative scenarios, bit-exact record-replay,
 //!   delta-debugging shrinker and campaign sweeps, generic over the
 //!   protocol registry ([`ssmdst_scenario`]; `ssmdst replay` /
@@ -33,7 +34,7 @@
 //! | `dmax` propagation (PIF over the tree) | [`core::maxdeg`] |
 //! | fundamental-**cycle search** (DFS token per non-tree edge) | [`core::cycle_search`] |
 //! | `Action_on_Cycle`, improving/blocking edges, `Deblock` | [`core::reduction`] |
-//! | **fragments** (the serialized predecessor \[3\] this paper improves on) | [`baselines::fragment`] |
+//! | **fragments** (the serialized predecessor \[3\] this paper improves on) | modelled, not ported: FR's swaps one per phase, each charged a global refresh (`ssmdst_bench::experiments::f3_concurrency`) |
 //! | legitimacy predicate (Definition 1) | [`core::oracle::is_legitimate`] |
 //! | transient faults & topology churn | [`sim::faults`] |
 //! | re-convergence under churn (`deg ≤ Δ*+1` per component) | [`core::churn`] |
@@ -90,7 +91,6 @@
 // reasons). Unit tests keep their unwraps.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub use ssmdst_baselines as baselines;
 pub use ssmdst_core as core;
 pub use ssmdst_exact as exact;
 pub use ssmdst_graph as graph;
@@ -165,7 +165,6 @@ pub use ssmdst_sim as sim;
 /// assert!(minimal.size() < scn.size());
 /// ```
 pub mod prelude {
-    pub use ssmdst_baselines::{bfs_spanning_tree, fr_mdst, random_spanning_tree};
     pub use ssmdst_core::{build_network, oracle, Config, MdstNode};
     pub use ssmdst_graph::{Graph, GraphBuilder, SpanningTree};
     pub use ssmdst_scenario::shrink::shrink;

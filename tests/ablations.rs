@@ -84,22 +84,3 @@ fn deblock_never_hurts_quality() {
         );
     }
 }
-
-/// Config search-period sanity: an aggressive (short) period still
-/// converges — throttles are performance knobs, not correctness knobs.
-#[test]
-fn short_search_period_still_converges() {
-    let g = GraphFamily::HamiltonianChords.generate(12, 6);
-    let cfg = Config {
-        search_period: 8,
-        ..Config::for_n(g.n())
-    };
-    let net = build_network(&g, cfg);
-    let mut session = Session::from_network(net)
-        .scheduler(Scheduler::Synchronous)
-        .horizon(150_000)
-        .build();
-    let out = session.run_to_quiescence(quiet(g.n()), oracle::projection);
-    assert!(out.converged());
-    assert!(oracle::is_legitimate(&g, session.network()));
-}

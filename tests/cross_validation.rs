@@ -1,15 +1,25 @@
-//! Integration: cross-validation between the four independent
+//! Integration: cross-validation between the three independent
 //! implementations of the same optimization —
-//! the distributed protocol, the sequential FR baseline, the serialized
-//! emulation and the exact solver. They were written against different
-//! specifications (message-level pseudocode vs. the FR paper vs. plain
-//! branch-and-bound), so agreement is strong evidence of correctness.
+//! the distributed protocol, the sequential FR baseline (the exact
+//! engine's `Solver` with settling off) and the branch-and-bound solver.
+//! They were written against different specifications (message-level
+//! pseudocode vs. the FR paper vs. plain branch-and-bound), so agreement
+//! is strong evidence of correctness.
 
-use ssmdst::baselines::{bfs_spanning_tree, fr_mdst, serialized_mdst};
 use ssmdst::core::oracle;
+use ssmdst::exact::Solver;
 use ssmdst::graph::generators::GraphFamily;
 use ssmdst::graph::{exact_mdst, SolveBudget};
 use ssmdst::prelude::*;
+
+/// Sequential Fürer–Raghavachari from `start`: its final tree degree.
+fn fr_degree(g: &Graph, start: SpanningTree) -> u32 {
+    let sol = Solver::builder()
+        .settle_budget(0)
+        .build()
+        .solve_from(g, start);
+    sol.tree.max_degree()
+}
 
 fn protocol_degree(g: &ssmdst::graph::Graph) -> u32 {
     let net = build_network(g, Config::for_n(g.n()));
@@ -24,7 +34,7 @@ fn protocol_degree(g: &ssmdst::graph::Graph) -> u32 {
         .max_degree()
 }
 
-/// All three approximation algorithms land in `{Δ*, Δ*+1}`.
+/// Both approximation algorithms land in `{Δ*, Δ*+1}`.
 #[test]
 fn all_methods_within_one_of_exact() {
     for fam in GraphFamily::all() {
@@ -33,15 +43,9 @@ fn all_methods_within_one_of_exact() {
             .known_delta_star(&g)
             .or_else(|| exact_mdst(&g, SolveBudget::default()).delta_star())
             .expect("solvable at n=12");
-        let t0 = bfs_spanning_tree(&g, 0).unwrap();
-        let (fr, _) = fr_mdst(&g, t0.clone());
-        let (ser, _) = serialized_mdst(&g, t0, 1);
+        let fr = fr_degree(&g, SpanningTree::from_bfs(&g, 0).unwrap());
         let dist = protocol_degree(&g);
-        for (label, d) in [
-            ("FR", fr.max_degree()),
-            ("serialized", ser.max_degree()),
-            ("protocol", dist),
-        ] {
+        for (label, d) in [("FR", fr), ("protocol", dist)] {
             assert!(
                 d >= ds && d <= ds + 1,
                 "{} on {}: degree {d} outside [{}, {}]",
@@ -60,12 +64,11 @@ fn all_methods_within_one_of_exact() {
 fn protocol_tracks_fr_quality() {
     for seed in [11u64, 12, 13] {
         let g = GraphFamily::GnpDense.generate(14, seed);
-        let (fr, _) = fr_mdst(&g, bfs_spanning_tree(&g, 0).unwrap());
+        let fr = fr_degree(&g, SpanningTree::from_bfs(&g, 0).unwrap());
         let dist = protocol_degree(&g);
         assert!(
-            dist <= fr.max_degree() + 1 && fr.max_degree() <= dist + 1,
-            "seed {seed}: protocol {dist} vs FR {}",
-            fr.max_degree()
+            dist <= fr + 1 && fr <= dist + 1,
+            "seed {seed}: protocol {dist} vs FR {fr}"
         );
     }
 }
@@ -74,17 +77,10 @@ fn protocol_tracks_fr_quality() {
 /// fixed point depends on the graph, not the start.
 #[test]
 fn fr_quality_independent_of_initial_tree() {
-    use ssmdst::baselines::{dfs_spanning_tree, random_spanning_tree};
     let g = GraphFamily::HamiltonianChords.generate(16, 3);
-    let from_bfs = fr_mdst(&g, bfs_spanning_tree(&g, 0).unwrap())
-        .0
-        .max_degree();
-    let from_dfs = fr_mdst(&g, dfs_spanning_tree(&g, 0).unwrap())
-        .0
-        .max_degree();
-    let from_rnd = fr_mdst(&g, random_spanning_tree(&g, 4).unwrap())
-        .0
-        .max_degree();
+    let from_bfs = fr_degree(&g, SpanningTree::from_bfs(&g, 0).unwrap());
+    let from_dfs = fr_degree(&g, SpanningTree::from_dfs(&g, 0).unwrap());
+    let from_rnd = fr_degree(&g, SpanningTree::random(&g, 4).unwrap());
     // Δ* = 2 by construction: all must be in {2, 3}.
     for d in [from_bfs, from_dfs, from_rnd] {
         assert!((2..=3).contains(&d), "degree {d}");

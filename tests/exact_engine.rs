@@ -9,7 +9,9 @@ use proptest::prelude::*;
 use ssmdst::exact::{CompSolution, IncrementalSolver, Solver, NONE};
 use ssmdst::graph::generators::random::{gnp_connected, gnp_connected_sparse};
 use ssmdst::graph::generators::structured;
-use ssmdst::graph::{bfs_distances, biconnectivity, exact_mdst, Graph, NodeId, SolveBudget};
+use ssmdst::graph::{
+    bfs_distances, biconnectivity, exact_mdst, Graph, NodeId, SolveBudget, SpanningTree,
+};
 use ssmdst::sim::Digest;
 
 /// A small instance from a mix of families: connected G(n, p) most of the
@@ -72,9 +74,9 @@ proptest! {
             sol.witness.certifies(&g),
             sol.lower
         );
-        let t0 = ssmdst::baselines::bfs_spanning_tree(&g, 0).expect("connected");
-        let (fr, _) = ssmdst::baselines::fr_mdst(&g, t0);
-        let deg = fr.max_degree();
+        let t0 = SpanningTree::from_bfs(&g, 0).expect("connected");
+        let fr = Solver::builder().settle_budget(0).build().solve_from(&g, t0);
+        let deg = fr.tree.max_degree();
         prop_assert!(oracle <= deg && deg <= oracle + 1, "FR degree {deg} vs Δ* {oracle}");
     }
 

@@ -61,8 +61,9 @@ proptest! {
     /// graphs (cross-checks both FR and the exact solver).
     #[test]
     fn fr_baseline_within_one_on_random_graphs(g in small_graph(), tree_seed in 0u64..100) {
-        let t0 = ssmdst::baselines::random_spanning_tree(&g, tree_seed).unwrap();
-        let (t, _) = ssmdst::baselines::fr_mdst(&g, t0);
+        let t0 = SpanningTree::random(&g, tree_seed).unwrap();
+        let solver = ssmdst::exact::Solver::builder().settle_budget(0).build();
+        let t = solver.solve_from(&g, t0).tree;
         t.validate(&g).unwrap();
         let ds = exact_mdst(&g, SolveBudget::default()).delta_star().unwrap();
         prop_assert!(t.max_degree() <= ds + 1);

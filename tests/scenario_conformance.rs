@@ -14,7 +14,7 @@
 //! failing scenario to a minimal reproducer and prints the `.scn` text in
 //! the panic message**, so the CI job log carries a one-file repro.
 
-use ssmdst::baselines;
+use ssmdst::exact::Solver;
 use ssmdst::prelude::*;
 use ssmdst::scenario::{corpus, engine, shrink};
 
@@ -30,9 +30,12 @@ fn fail_with_repro(scn: &Scenario, fails: impl FnMut(&Scenario) -> bool, msg: St
 }
 
 fn fr_degree(g: &Graph) -> u32 {
-    let bfs = baselines::bfs_spanning_tree(g, 0).expect("corpus graphs are connected");
-    let (fr, _) = baselines::fr_mdst(g, bfs);
-    fr.max_degree()
+    let bfs = SpanningTree::from_bfs(g, 0).expect("corpus graphs are connected");
+    let fr = Solver::builder()
+        .settle_budget(0)
+        .build()
+        .solve_from(g, bfs);
+    fr.tree.max_degree()
 }
 
 #[test]

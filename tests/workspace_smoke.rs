@@ -18,9 +18,13 @@ fn facade_reexports_are_reachable() {
     let lb = ssmdst::graph::degree_lower_bound(&g);
     assert!(lb >= 2);
 
-    // ssmdst::baselines == ssmdst_baselines
-    let t = ssmdst::baselines::bfs_spanning_tree(&g, 0).expect("bfs tree");
-    t.validate(&g).expect("valid spanning tree");
+    // ssmdst::exact == ssmdst_exact: with settling off, the FR baseline
+    let t = ssmdst::graph::SpanningTree::from_bfs(&g, 0).expect("bfs tree");
+    let fr = ssmdst::exact::Solver::builder()
+        .settle_budget(0)
+        .build()
+        .solve_from(&g, t);
+    fr.tree.validate(&g).expect("valid spanning tree");
 
     // ssmdst::core == ssmdst_core (type path and constructor)
     let cfg: ssmdst::core::Config = ssmdst::core::Config::for_n(g.n());
@@ -46,10 +50,7 @@ fn prelude_surface_is_complete() {
         .edge(1, 2)
         .unwrap()
         .build();
-    let _: SpanningTree = bfs_spanning_tree(&g, 0).unwrap();
-    let _: SpanningTree = random_spanning_tree(&g, 7).unwrap();
-    let (t, _stats) = fr_mdst(&g, bfs_spanning_tree(&g, 0).unwrap());
-    t.validate(&g).unwrap();
+    SpanningTree::from_bfs(&g, 0).unwrap().validate(&g).unwrap();
 
     let net: Network<MdstNode> = build_network(&g, Config::for_n(g.n()));
     let mut session: Session<MdstNode> = Session::from_network(net)
