@@ -96,8 +96,11 @@ fn row_scenario(
     )
 }
 
-/// Engine options for experiments that do not report Δ*: skip the exact
-/// per-component solver when judging phases (the run itself is identical).
+/// Engine options for experiments that do not report Δ*: a settling
+/// budget of 0 turns off the branch-and-bound oracle, so each phase
+/// judgment stops at the Fürer–Raghavachari solve and its witness bound
+/// (still run on every component churn touched). The run itself is
+/// identical.
 fn no_exact() -> EngineOpts {
     EngineOpts {
         delta_budget: SolveBudget { max_nodes: 0 },

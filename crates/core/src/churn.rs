@@ -16,10 +16,11 @@
 //! and the judge **re-verifies the witness itself** on a subgraph built
 //! from the network (never from the solver's own mirror), so a solver bug
 //! can only make verdicts conservative, never unsound. The judge is
-//! stateful: a [`DeltaJudge`] keeps the engine's basis alive across churn
-//! events (fed via [`DeltaJudge::observe_churn`], re-synced defensively on
-//! every [`DeltaJudge::check`]), so a long churn chain re-solves only the
-//! components each event touched. The branch-and-bound solver
+//! stateful: a [`DeltaJudge`] keeps the engine's basis alive across churn.
+//! The network is its only source of topology: every
+//! [`DeltaJudge::check`] first diffs the engine's mirror against the
+//! network, so a long churn chain re-solves only the components the
+//! churn touched. The branch-and-bound solver
 //! ([`ssmdst_graph::exact_mdst`]) remains the engine's settling oracle and
 //! the test suite's small-`n` differential reference.
 
@@ -27,7 +28,7 @@ use crate::node::MdstNode;
 use crate::NodeId;
 use ssmdst_exact::{IncrementalSolver, Solver, Stats};
 use ssmdst_graph::{Graph, SolveBudget, SpanningTree};
-use ssmdst_sim::{ChurnEvent, Network};
+use ssmdst_sim::Network;
 
 /// Largest component the judge's solver settles exactly with the
 /// branch-and-bound oracle; above it the verdict is witness-certified
@@ -112,11 +113,11 @@ fn upper_half(row: &[NodeId], v: NodeId) -> &[NodeId] {
 /// The stateful component-wise judge: an incremental certified-`Δ*`
 /// engine mirroring the live topology, plus the structural tree checks.
 ///
-/// Create one per run ([`DeltaJudge::new`]), feed it every churn event
-/// ([`DeltaJudge::observe_churn`]) and judge at each stable phase
-/// ([`DeltaJudge::check`]). Only the components an event touched are
-/// re-solved; untouched ones are served from the engine's cache. The
-/// one-shot [`check_reconvergence`] wraps a fresh judge for callers
+/// Create one per run ([`DeltaJudge::new`]) and judge at each stable
+/// phase ([`DeltaJudge::check`]). Churn needs no feed: each check reads
+/// the network's live topology and re-solves only the components whose
+/// topology changed; untouched ones are served from the engine's cache.
+/// The one-shot [`check_reconvergence`] wraps a fresh judge for callers
 /// without a churn chain.
 #[derive(Debug, Clone)]
 pub struct DeltaJudge {
@@ -135,66 +136,29 @@ impl DeltaJudge {
         judge
     }
 
-    /// Mirror one applied churn event — `net` must already reflect it (the
-    /// post-event topology is the ground truth for insert-type events,
-    /// whose network semantics include refusals and deferred rejoin
-    /// edges). `O(deg)` per event; keeps the next [`DeltaJudge::check`]
-    /// incremental.
-    pub fn observe_churn(&mut self, net: &Network<MdstNode>, ev: &ChurnEvent) {
-        match ev {
-            ChurnEvent::RemoveEdge(u, v) => {
-                self.inc.remove_edge(*u, *v);
-            }
-            ChurnEvent::InsertEdge(u, v) => {
-                self.inc.set_edge(*u, *v, has_edge(net, *u, *v));
-            }
-            ChurnEvent::CrashNode(v) => {
-                self.inc.crash(*v);
-            }
-            ChurnEvent::RejoinNode(v) => {
-                let nbrs: Vec<NodeId> = net.neighbors(*v).to_vec();
-                self.inc.rejoin(*v, &nbrs);
-            }
-            ChurnEvent::Partition(cut) => {
-                for &(u, v) in cut {
-                    self.inc.remove_edge(u, v);
-                }
-            }
-            ChurnEvent::Heal(cut) => {
-                for &(u, v) in cut {
-                    self.inc.set_edge(u, v, has_edge(net, u, v));
-                }
-            }
-        }
-    }
-
     /// Engine work counters — how much of the judging so far was served
     /// incrementally (cache hits / warm starts / cold starts / pivots).
     pub fn stats(&self) -> Stats {
         self.inc.stats()
     }
 
-    /// Re-sync the mirror to the network by diffing aliveness and sorted
-    /// adjacency. A no-op scan when [`DeltaJudge::observe_churn`] saw
-    /// every event; the safety net that keeps verdicts sound when a
-    /// driver mutated topology behind the judge's back.
+    /// Re-sync the mirror to the network, in two passes. Pass 1 applies
+    /// every crash and rejoin, so pass 2 never inserts an edge towards a
+    /// vertex the mirror still holds dead. Pass 2 diffs the sorted
+    /// upper-half rows; only genuine differences touch the mirror.
     fn sync(&mut self, net: &Network<MdstNode>) {
-        let n = net.n().min(self.inc.n());
-        for v in 0..n as NodeId {
-            let live = net.is_alive(v);
-            if live != self.inc.is_alive(v) {
-                if live {
-                    self.inc.rejoin(v, &[]);
-                } else {
-                    self.inc.crash(v);
-                }
+        let n = net.n().min(self.inc.n()) as NodeId;
+        for v in 0..n {
+            // Both are no-ops when the mirror already agrees.
+            if net.is_alive(v) {
+                self.inc.rejoin(v);
+            } else {
+                self.inc.crash(v);
             }
-            if !live {
-                continue;
-            }
-            // Compare the upper-half rows (both sorted ascending) in place;
-            // only a row that differs is diffed with two pointers, and only
-            // genuine differences touch the mirror.
+        }
+        for v in (0..n).filter(|&v| net.is_alive(v)) {
+            // Compare the rows in place; only a row that differs is diffed
+            // with two pointers.
             let want = upper_half(net.neighbors(v), v);
             let have = upper_half(self.inc.neighbors(v), v);
             if want == have {
@@ -236,14 +200,17 @@ impl DeltaJudge {
         self.sync(net);
         let sols = self.inc.solve_all();
         let comps = net.live_components();
-        debug_assert_eq!(
+        // Checked in release too: a verdict must never pair one component
+        // with another's solution, and the check is O(n) beside an
+        // O(n + m) sync.
+        assert_eq!(
             comps.len(),
             sols.len(),
             "mirror/network component structure diverged after sync"
         );
         let mut reports = Vec::with_capacity(comps.len());
         for (comp, sol) in comps.into_iter().zip(sols) {
-            debug_assert_eq!(comp, sol.members, "component membership diverged");
+            assert_eq!(comp, sol.members, "component membership diverged");
             let sub = induced_subgraph(net, &comp);
             // Map parent pointers into the dense relabeling.
             let mut parents = vec![0 as NodeId; comp.len()];
@@ -301,11 +268,6 @@ impl DeltaJudge {
     }
 }
 
-/// Whether `{u, v}` is currently an edge of the live topology.
-fn has_edge(net: &Network<MdstNode>, u: NodeId, v: NodeId) -> bool {
-    (u as usize) < net.n() && net.neighbors(u).binary_search(&v).is_ok()
-}
-
 /// Check that the network has re-converged to per-component spanning trees
 /// within one of each component's optimal degree. Intended to be called at
 /// quiescence, after each churn event of a [`ssmdst_sim::TopologyPlan`].
@@ -330,7 +292,7 @@ mod tests {
     use ssmdst_graph::generators::structured;
     use ssmdst_graph::{exact_mdst, ExactMdst};
     use ssmdst_sim::faults::apply_churn;
-    use ssmdst_sim::{Scheduler, Session};
+    use ssmdst_sim::{ChurnEvent, Scheduler, Session};
 
     fn budget() -> SolveBudget {
         SolveBudget { max_nodes: 500_000 }
@@ -435,8 +397,9 @@ mod tests {
         }
     }
 
-    /// A judge fed events stays bit-identical in outcome to a fresh judge
-    /// built from scratch at every step of a churn chain.
+    /// A judge driven by `check` alone stays bit-identical in outcome to a
+    /// fresh judge built from scratch at every step of a churn chain, and
+    /// its mirror equals the network after each check.
     #[test]
     fn incremental_judge_tracks_one_shot_judge_across_churn() {
         let g = structured::star_with_ring(9).unwrap();
@@ -444,18 +407,29 @@ mod tests {
         let mut session = sync_session(net);
         converge(&mut session);
         let mut judge = DeltaJudge::new(session.network(), budget());
+        // Cuts {5, 6, 7, 8} off the hub and the rest of the ring.
+        let cut = vec![(0, 5), (0, 6), (0, 7), (0, 8), (4, 5), (1, 8)];
         let chain = [
             ChurnEvent::RemoveEdge(1, 2),
             ChurnEvent::CrashNode(4),
             ChurnEvent::InsertEdge(1, 2),
             ChurnEvent::RejoinNode(4),
+            ChurnEvent::Partition(cut.clone()),
+            ChurnEvent::Heal(cut),
         ];
         for ev in &chain {
             apply_churn(session.network_mut(), ev);
-            judge.observe_churn(session.network(), ev);
             converge(&mut session);
-            let inc = judge.check(session.network()).unwrap();
-            let scratch = check_reconvergence(session.network(), budget()).unwrap();
+            let net = session.network();
+            let inc = judge.check(net).unwrap();
+            for v in (0..9).filter(|&v| net.is_alive(v)) {
+                assert_eq!(
+                    judge.inc.neighbors(v),
+                    net.neighbors(v),
+                    "row {v} after {ev}"
+                );
+            }
+            let scratch = check_reconvergence(net, budget()).unwrap();
             assert_eq!(inc.len(), scratch.len(), "after {ev}");
             for (a, b) in inc.iter().zip(&scratch) {
                 assert_eq!(a.nodes, b.nodes, "after {ev}");
@@ -471,23 +445,25 @@ mod tests {
         );
     }
 
-    /// A judge that missed events (driver churned behind its back) still
-    /// judges the actual network — the defensive re-sync.
+    /// A rejoin restores the rejoined vertex's edges to lower neighbours:
+    /// the sync revives every vertex before it diffs any row, so the
+    /// insert of `{3, 4}` from row 3 is not refused.
     #[test]
-    fn unobserved_churn_is_resynced_before_judging() {
-        let g = structured::cycle(8).unwrap();
-        let net = crate::build_network(&g, Config::for_n(8));
+    fn unobserved_rejoin_restores_lower_neighbour_edges() {
+        let g = structured::path(6).unwrap();
+        let net = crate::build_network(&g, Config::for_n(6));
         let mut session = sync_session(net);
         converge(&mut session);
         let mut judge = DeltaJudge::new(session.network(), budget());
-        // Partition without telling the judge.
-        apply_churn(
-            session.network_mut(),
-            &ChurnEvent::Partition(vec![(0, 7), (3, 4)]),
-        );
+        apply_churn(session.network_mut(), &ChurnEvent::CrashNode(4));
+        converge(&mut session);
+        assert_eq!(judge.check(session.network()).unwrap().len(), 2);
+        apply_churn(session.network_mut(), &ChurnEvent::RejoinNode(4));
         converge(&mut session);
         let reports = judge.check(session.network()).unwrap();
-        assert_eq!(reports.len(), 2, "sync picked up the partition");
-        assert!(reports.iter().all(|r| r.within_one));
+        assert_eq!(judge.inc.neighbors(4), [3, 5]);
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].nodes, [0, 1, 2, 3, 4, 5]);
+        assert!(reports[0].within_one);
     }
 }

@@ -8,7 +8,9 @@
 //! [`IncrementalSolver::remove_edge`], [`IncrementalSolver::crash`],
 //! [`IncrementalSolver::rejoin`]) update the rows in `O(deg)`, clear only
 //! the forest links the event invalidated, and mark the touched vertices
-//! dirty.
+//! dirty. A rejoin only revives the vertex, with no edges: a driver
+//! re-inserts its edges one `insert_edge` at a time, after the rejoin, so
+//! no insert meets an endpoint the mirror still holds dead.
 //!
 //! [`IncrementalSolver::solve_all`] re-solves the components holding a
 //! dirty vertex and serves the rest from the per-component cache.
@@ -241,16 +243,6 @@ impl IncrementalSolver {
         true
     }
 
-    /// Sync one edge of the mirror to an externally observed presence —
-    /// the convenient driver when following a network's ground truth.
-    pub fn set_edge(&mut self, u: NodeId, v: NodeId, present: bool) -> bool {
-        if present {
-            self.insert_edge(u, v)
-        } else {
-            self.remove_edge(u, v)
-        }
-    }
-
     /// Mirror a crash: the vertex leaves the topology with all incident
     /// edges. Returns whether the mirror changed.
     pub fn crash(&mut self, v: NodeId) -> bool {
@@ -271,9 +263,10 @@ impl IncrementalSolver {
         true
     }
 
-    /// Mirror a rejoin: the vertex comes back with edges to the given
-    /// still-live neighbors. Returns whether the mirror changed.
-    pub fn rejoin(&mut self, v: NodeId, neighbors: &[NodeId]) -> bool {
+    /// Mirror a rejoin: the vertex comes back with no edges; its edges
+    /// arrive through [`IncrementalSolver::insert_edge`]. Returns whether
+    /// the mirror changed.
+    pub fn rejoin(&mut self, v: NodeId) -> bool {
         if (v as usize) >= self.alive.len() || self.alive[v as usize] {
             return false;
         }
@@ -281,9 +274,6 @@ impl IncrementalSolver {
         self.basis[v as usize] = NONE;
         self.regroup = true;
         self.dirty.insert(v);
-        for &w in neighbors {
-            self.insert_edge(v, w);
-        }
         true
     }
 
@@ -602,7 +592,9 @@ mod tests {
         assert_eq!(judge(&|e| e.remove_edge(u, v)).0, 1, "basis-edge removal");
         assert_eq!(judge(&|e| e.insert_edge(0, 16)).0, 1, "insert across");
         assert_eq!(judge(&|e| e.crash(17)).0, 1, "crash");
-        assert_eq!(judge(&|e| e.rejoin(17, &[3, 5])).0, 1, "rejoin");
+        assert_eq!(judge(&|e| e.rejoin(17)).0, 1, "rejoin");
+        assert_eq!(judge(&|e| e.insert_edge(17, 3)).0, 1, "rejoined edge");
+        assert_eq!(judge(&|e| e.insert_edge(17, 5)).0, 0, "second edge");
         // Whatever path each re-judge took, the engine agrees with a
         // fresh one on the final topology.
         let mut fresh = IncrementalSolver::new(18, Solver::default());
@@ -664,7 +656,10 @@ mod tests {
         assert!(!inc.crash(0), "double crash is a no-op");
         let crashed = inc.solve_all();
         assert!(crashed.iter().all(|c| !c.members.contains(&0)));
-        assert!(inc.rejoin(0, &nbrs));
+        assert!(inc.rejoin(0));
+        for &w in &nbrs {
+            assert!(inc.insert_edge(0, w));
+        }
         let back = inc.solve_all();
         assert_eq!(back.len(), 1);
         assert_eq!(back[0].members.len(), 8);
@@ -714,7 +709,7 @@ mod tests {
         assert!(!inc.insert_edge(0, 0), "self loop");
         assert!(!inc.insert_edge(0, 99), "out of range");
         assert!(!inc.remove_edge(0, 3), "absent edge");
-        assert!(!inc.rejoin(1, &[]), "rejoin of a live vertex");
+        assert!(!inc.rejoin(1), "rejoin of a live vertex");
         inc.crash(2);
         assert!(!inc.insert_edge(1, 2), "edge to a crashed vertex");
     }

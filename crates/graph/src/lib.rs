@@ -53,5 +53,5 @@ pub use graph::{EdgeId, Graph, GraphBuilder, NodeId};
 pub use lower_bound::{degree_lower_bound, vertex_removal_bound};
 pub use mdst_exact::{exact_mdst, has_spanning_tree_with_max_degree, ExactMdst, SolveBudget};
 pub use spanning_tree::SpanningTree;
-pub use traversal::{bfs_distances, bfs_tree, connected_components, is_connected};
+pub use traversal::{bfs_distances, connected_components, is_connected};
 pub use union_find::UnionFind;

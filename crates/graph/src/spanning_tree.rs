@@ -121,9 +121,10 @@ impl SpanningTree {
         Ok(t)
     }
 
-    /// Breadth-first tree rooted at `root`, the parent vector of
-    /// [`crate::traversal::bfs_tree`]: what the protocol's spanning-tree
-    /// module (rules R1/R2) converges to when `root` is the minimum ID.
+    /// Breadth-first tree rooted at `root` (each node's parent is its
+    /// BFS discoverer, neighbours scanned in ascending order): what the
+    /// protocol's spanning-tree module (rules R1/R2) converges to when
+    /// `root` is the minimum ID.
     pub fn from_bfs(g: &Graph, root: NodeId) -> Result<Self, GraphError> {
         check_root(g, root)?;
         let parent = crate::traversal::bfs_tree(g, root);

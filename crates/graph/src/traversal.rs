@@ -7,9 +7,14 @@
 use crate::graph::{Graph, NodeId};
 use std::collections::VecDeque;
 
-/// Hop distances from `src` (`u32::MAX` for unreachable nodes).
+/// Hop distances from `src` (`u32::MAX` for unreachable nodes). A source
+/// outside the graph (`src >= g.n()`, so every source of the empty graph)
+/// reaches nothing: every distance is `u32::MAX`.
 pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<u32> {
     let mut dist = vec![u32::MAX; g.n()];
+    if src as usize >= g.n() {
+        return dist;
+    }
     let mut q = VecDeque::new();
     dist[src as usize] = 0;
     q.push_back(src);
@@ -28,7 +33,8 @@ pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<u32> {
 /// BFS parent vector rooted at `src`: `parent[src] == src`, unreachable nodes
 /// get `u32::MAX`. This is the shape the paper's spanning-tree module
 /// converges to (up to tie-breaking), so it doubles as a baseline tree.
-pub fn bfs_tree(g: &Graph, src: NodeId) -> Vec<NodeId> {
+/// `src` must be a node of `g`; [`crate::SpanningTree::from_bfs`] checks it.
+pub(crate) fn bfs_tree(g: &Graph, src: NodeId) -> Vec<NodeId> {
     let mut parent = vec![u32::MAX; g.n()];
     let mut q = VecDeque::new();
     parent[src as usize] = src;
@@ -117,6 +123,13 @@ mod tests {
         let g = graph_from_edges(3, &[(0, 1)]);
         let d = bfs_distances(&g, 0);
         assert_eq!(d[2], u32::MAX);
+    }
+
+    #[test]
+    fn bfs_distances_from_outside_the_graph_reach_nothing() {
+        assert_eq!(bfs_distances(&path4(), 4), vec![u32::MAX; 4]);
+        assert_eq!(bfs_distances(&path4(), u32::MAX), vec![u32::MAX; 4]);
+        assert!(bfs_distances(&graph_from_edges(0, &[]), 0).is_empty());
     }
 
     #[test]

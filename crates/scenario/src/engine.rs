@@ -242,8 +242,9 @@ pub fn run_protocol<P: Protocol>(
     }
 
     // One judge per run: its state (for MDST, the incremental engine's
-    // basis and component cache) survives across phases, fed every churn
-    // event so each stable-phase judgment re-solves only what changed.
+    // basis and component cache) survives across phases, and each
+    // stable-phase judgment diffs it against the network so it re-solves
+    // only what the churn changed.
     let mut judge = proto.new_judge(session.network(), &opts);
 
     let mut phases: Vec<PhaseOutcome> = Vec::new();
@@ -275,7 +276,6 @@ pub fn run_protocol<P: Protocol>(
             EventAction::Churn(c) => {
                 let _ = session.churn(c);
                 session.observer_mut().note_churn(round, &label);
-                P::observe_churn(&mut judge, session.network(), c);
             }
         }
     }

@@ -72,8 +72,9 @@ pub trait Protocol {
     /// Per-run judging state, threaded through every phase judgment of
     /// one scenario execution. For MDST this is the incremental
     /// certified-`Δ*` engine ([`ssmdst_core::churn::DeltaJudge`]) whose
-    /// basis survives across churn events; protocols with stateless
-    /// judges use `()`.
+    /// basis survives across churn events; it learns of churn by
+    /// diffing against the network at each judgment. Protocols with
+    /// stateless judges use `()`.
     type Judge;
 
     /// Build the network a scenario describes over `g`.
@@ -90,9 +91,10 @@ pub trait Protocol {
     /// Fresh judging state for one run, over the initial live topology.
     fn new_judge(&self, net: &Network<Self::Node>, opts: &EngineOpts) -> Self::Judge;
 
-    /// Feed an applied churn event to the judging state (`net` already
-    /// reflects it) so the next [`Protocol::judge`] call is incremental.
-    /// Default: stateless judges ignore churn.
+    /// A no-op that the engine never calls: judges read churn from the
+    /// network they are handed at each [`Protocol::judge`]. It survives
+    /// only because `perfbench/` (a workspace of its own) overrides it in
+    /// its `Traced` wrapper; the two go together (ROADMAP.md item 10(g)).
     fn observe_churn(_judge: &mut Self::Judge, _net: &Network<Self::Node>, _ev: &ChurnEvent) {}
 
     /// Judge a stable phase component-wise against the live topology.
@@ -142,10 +144,6 @@ impl Protocol for Mdst {
 
     fn new_judge(&self, net: &Network<MdstNode>, opts: &EngineOpts) -> churn::DeltaJudge {
         churn::DeltaJudge::new(net, opts.delta_budget)
-    }
-
-    fn observe_churn(judge: &mut churn::DeltaJudge, net: &Network<MdstNode>, ev: &ChurnEvent) {
-        judge.observe_churn(net, ev);
     }
 
     fn judge(

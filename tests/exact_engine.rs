@@ -128,7 +128,10 @@ proptest! {
                         let mut nbrs: Vec<u32> =
                             (0..=b % alive.len()).map(|i| alive[i]).collect();
                         nbrs.dedup();
-                        inc.rejoin(v, &nbrs);
+                        inc.rejoin(v);
+                        for &w in &nbrs {
+                            inc.insert_edge(v, w);
+                        }
                     }
                 }
             }
@@ -240,7 +243,10 @@ fn incremental_churn_chain_is_pinned_bit_for_bit() {
         .expect("n > 0");
     assert!(inc.crash(hub));
     step(&mut inc, &mut d);
-    assert!(inc.rejoin(hub, g.neighbors(hub)));
+    assert!(inc.rejoin(hub));
+    for &w in g.neighbors(hub) {
+        assert!(inc.insert_edge(hub, w));
+    }
     step(&mut inc, &mut d);
     // Partition off the radius-2 ball around vertex 0, then heal it.
     let dist = bfs_distances(&g, 0);
