@@ -86,8 +86,10 @@ impl Automaton for MdstNode {
     fn tick(&mut self, out: &mut Outbox<Msg>) {
         self.decay_cooldowns();
         // Priority order (paper §4): spanning tree first, then degree
-        // bookkeeping, then (guarded) cycle searches.
-        self.update_tree();
+        // bookkeeping, then (guarded) cycle searches. A tick writes no
+        // mirror, so the tree evaluation is skipped while the memo holds (a
+        // decayed `busy` changes the rule fields and forces a re-run).
+        self.update_tree_unless_fixpoint();
         let info = Msg::Info(self.info_payload());
         for i in 0..self.st.neighbors.len() {
             let u = self.st.neighbors[i];

@@ -55,10 +55,8 @@ impl MdstNode {
     /// Ingest an `InfoMsg`: refresh the mirror, then re-evaluate the tree
     /// rules and the derived degree variables (paper's `Update_State`).
     ///
-    /// The re-evaluation is skipped when it cannot change anything: the
-    /// payload equals the stored mirror, so the mirrors are those of the
-    /// last evaluation, and the rule fields equal those of that evaluation,
-    /// which was a fixpoint.
+    /// A payload equal to the stored mirror writes nothing, so the
+    /// re-evaluation is skipped while the memo holds.
     // lint: hot-path
     pub(crate) fn handle_info(&mut self, from: NodeId, p: InfoPayload) {
         let Some(i) = self.st.mirror_index(from) else {
@@ -73,13 +71,24 @@ impl MdstNode {
             subtree_max: p.subtree_max,
             color: p.color,
         };
-        if self.st.nbr[i] == v && self.fixpoint == Some(self.rule_fields()) {
+        if self.st.nbr[i] == v {
+            self.update_tree_unless_fixpoint();
+        } else {
+            self.st.nbr[i] = v;
+            self.update_tree();
+        }
+    }
+
+    /// [`MdstNode::update_tree`], skipped when it cannot change anything:
+    /// the caller wrote no mirror since the last evaluation, and the rule
+    /// fields equal those of that evaluation, which was a fixpoint.
+    pub(crate) fn update_tree_unless_fixpoint(&mut self) {
+        if self.fixpoint == Some(self.rule_fields()) {
             #[cfg(debug_assertions)]
             self.assert_still_fixpoint();
-            return;
+        } else {
+            self.update_tree();
         }
-        self.st.nbr[i] = v;
-        self.update_tree();
     }
 
     /// Evaluate the tree rules and the derived variables, and remember the
@@ -107,7 +116,7 @@ impl MdstNode {
         assert_eq!(
             self.rule_fields(),
             memo,
-            "skipped InfoMsg re-evaluation of node {} was not a fixpoint",
+            "skipped re-evaluation of node {} was not a fixpoint",
             self.st.id
         );
     }

@@ -1,54 +1,67 @@
 //! The pending-event queue behind the event-driven runner.
 //!
 //! A round's obligations are *one tick per enabled node* plus *one delivery
-//! per message in flight at round start*. The old runner recomputed that
-//! set by scanning every node and every channel (`O(n + #channels)` per
-//! round even when almost nothing was happening); this queue derives it
-//! from two incremental indices instead — and since the flat-fabric
-//! refactor, neither index performs a single ordered-tree operation or
-//! heap allocation at steady state:
+//! per message in flight at round start*. The queue derives that set from
+//! two incremental indices instead of scanning every node and every
+//! channel, and neither index performs an ordered-tree operation or a heap
+//! allocation at steady state:
 //!
 //! * the **tick index** ([`EventQueue::ticks`]): the set of nodes that are
 //!   alive and whose [`Automaton::enabled`] predicate holds, kept in an
-//!   O(1)-transition [`DenseSet`]. It is refreshed from the network's
-//!   dirty-node list — only nodes whose state actually changed since the
-//!   previous round are re-evaluated;
-//! * the network's **occupancy index**: the non-empty channel slots,
-//!   snapshot in `O(#obligations)` straight off the fabric's swap-remove
-//!   occupancy list.
+//!   ordered O(1)-transition [`DenseSet`] bitset. It is refreshed from the
+//!   network's dirty-node list — only nodes whose state actually changed
+//!   since the previous round are re-evaluated;
+//! * the network's **occupancy index**: the non-empty channel slots, in
+//!   the same bitset.
 //!
-//! Both snapshots land in reusable scratch buffers and are sorted there
-//! (ticks by node id, deliveries by slot id — which on a static topology
-//! is exactly `(from, to)` lexicographic order, the canonical enumeration
-//! the daemons key against). The per-round cost is `O(k log k)` in the
-//! round's own obligation count `k`, never in `n` or `#channels`.
+//! Both bitsets hand out their members in ascending order (ticks by node
+//! id, deliveries by slot id — which on a static topology is exactly
+//! `(from, to)` lexicographic order), so the canonical enumeration the
+//! daemons key against needs no sort of its own.
 //!
 //! Each obligation is assigned a daemon-specific priority key
-//! ([`crate::scheduler::KeySource`]) at enumeration time and the batch is
-//! executed in ascending `(key, enumeration index)` order — fully
+//! ([`crate::scheduler::KeySource`]) at enumeration time and recorded
+//! twice: in a side table indexed by its enumeration index `seq` (key,
+//! action, channel slot), and as one packed `u128` sort word
+//! `order(key) << 32 | seq` ([`order_word`]). The round sorts only the
+//! words. They are unique and ascend exactly as `(key, seq)`, so the batch
+//! executes in ascending `(key, enumeration index)` order — fully
 //! deterministic per `(scheduler, seed)`.
+//!
+//! **Per-round cost**: `O(k log k + (n + slots) / 4096)` for a round of
+//! `k` obligations — the word sort plus the two bitset walks, each of
+//! which stops at its largest member. MDST ticks every live node every
+//! round, so there `k ≥ n` and the walk term stays below `k` unless the
+//! average degree exceeds 4096.
 
 use crate::automaton::Automaton;
 use crate::dense::DenseSet;
 use crate::network::Network;
-use crate::scheduler::{Action, KeySource};
+use crate::scheduler::{order_word, Action, KeySource};
 use crate::NodeId;
 
-/// One pending event: daemon priority key, enumeration index (total-order
-/// tie-break), and the action itself.
-type Pending = (u128, u32, Action);
+/// One obligation as the runner executes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Obligation {
+    /// Daemon priority key (what observers are shown).
+    pub(crate) key: u128,
+    pub(crate) action: Action,
+    /// The channel slot a `Deliver` was enumerated from (`u32::MAX` for a
+    /// `Tick`), so execution never searches for it again.
+    pub(crate) slot: u32,
+}
 
-/// Incremental obligation tracker + per-round pending-event buffers (all
-/// reused round to round — the steady-state loop never allocates).
+/// Incremental obligation tracker + per-round buffers (all reused round to
+/// round — the steady-state loop never allocates).
 pub(crate) struct EventQueue {
     /// Alive nodes whose `enabled()` predicate held at last refresh.
     ticks: DenseSet,
-    /// Reusable buffer for the current round's keyed events.
-    buf: Vec<Pending>,
-    /// Scratch: this round's tick set, sorted by node id.
-    tick_scratch: Vec<NodeId>,
-    /// Scratch: this round's occupied slots, sorted by slot id.
-    slot_scratch: Vec<u32>,
+    /// This round's packed sort words, one per obligation.
+    words: Vec<u128>,
+    /// This round's obligations, indexed by enumeration index.
+    table: Vec<Obligation>,
+    /// Scratch: the ascending members of one index (ticks, then slots).
+    members: Vec<u32>,
     /// Scratch: dirty nodes drained from the network.
     dirty_scratch: Vec<NodeId>,
 }
@@ -57,9 +70,9 @@ impl EventQueue {
     pub(crate) fn new() -> Self {
         EventQueue {
             ticks: DenseSet::new(),
-            buf: Vec::new(),
-            tick_scratch: Vec::new(),
-            slot_scratch: Vec::new(),
+            words: Vec::new(),
+            table: Vec::new(),
+            members: Vec::new(),
             dirty_scratch: Vec::new(),
         }
     }
@@ -78,75 +91,70 @@ impl EventQueue {
         }
     }
 
-    /// Build this round's pending events (canonical enumeration order:
-    /// ticks ascending by node id, then channel deliveries ascending by
-    /// slot id) and hand them back sorted into daemon execution order.
+    /// Enumerate this round's obligations in canonical order (ticks
+    /// ascending by node id, then one delivery per queued message,
+    /// ascending by slot id), key each one, and record its sort word.
     // lint: hot-path
+    pub(crate) fn enumerate<A: Automaton>(
+        &mut self,
+        round: u64,
+        keys: &mut KeySource,
+        net: &Network<A>,
+    ) {
+        self.words.clear();
+        self.table.clear();
+        let mut members = std::mem::take(&mut self.members);
+        members.clear();
+        self.ticks.extend_sorted(&mut members);
+        for &v in &members {
+            self.push(keys.key(round, &Action::Tick(v)), Action::Tick(v), u32::MAX);
+        }
+        members.clear();
+        net.occupied_slots_into(&mut members);
+        for &s in &members {
+            let (from, to) = net.slot_endpoints(s);
+            let a = Action::Deliver(from, to);
+            for _ in 0..net.slot_len(s) {
+                self.push(keys.key(round, &a), a, s);
+            }
+        }
+        self.members = members;
+    }
+
+    #[inline]
+    fn push(&mut self, key: u128, action: Action, slot: u32) {
+        let seq = self.table.len() as u32;
+        self.words.push(order_word(key, seq));
+        self.table.push(Obligation { key, action, slot });
+    }
+
+    /// Put the enumerated obligations into daemon execution order.
+    // lint: hot-path
+    pub(crate) fn sort(&mut self) {
+        self.words.sort_unstable();
+    }
+
+    /// The obligations with their enumeration indices, in the order of the
+    /// sort words: execution order once [`EventQueue::sort`] has run.
+    #[inline]
+    pub(crate) fn ordered(&self) -> impl Iterator<Item = (u32, Obligation)> + '_ {
+        self.words.iter().map(|&w| {
+            let seq = w as u32;
+            (seq, self.table[seq as usize])
+        })
+    }
+
+    /// [`EventQueue::enumerate`] and [`EventQueue::sort`], collected.
+    #[cfg(test)]
     pub(crate) fn schedule<A: Automaton>(
         &mut self,
         round: u64,
         keys: &mut KeySource,
         net: &Network<A>,
-    ) -> &[Pending] {
-        self.buf.clear();
-        self.tick_scratch.clear();
-        self.tick_scratch.extend_from_slice(self.ticks.members());
-        self.tick_scratch.sort_unstable();
-        let mut seq = 0u32;
-        for &v in &self.tick_scratch {
-            let a = Action::Tick(v);
-            self.buf.push((keys.key(round, &a), seq, a));
-            seq += 1;
-        }
-        net.occupied_slots_into(&mut self.slot_scratch);
-        self.slot_scratch.sort_unstable();
-        for &s in &self.slot_scratch {
-            let (from, to) = net.slot_endpoints(s);
-            let a = Action::Deliver(from, to);
-            for _ in 0..net.slot_len(s) {
-                self.buf.push((keys.key(round, &a), seq, a));
-                seq += 1;
-            }
-        }
-        self.buf.sort_unstable_by_key(|e| (e.0, e.1));
-        &self.buf
-    }
-
-    /// Like [`EventQueue::schedule`], but enumerating obligations the
-    /// pre-engine way — full scans over all nodes and all channel slots.
-    /// Same obligations, same keys, same execution order; only the
-    /// discovery cost differs. The test oracle for the incremental tick and
-    /// occupancy indices.
-    #[cfg(test)]
-    pub(crate) fn schedule_rescan<A: Automaton>(
-        &mut self,
-        round: u64,
-        keys: &mut KeySource,
-        net: &Network<A>,
-    ) -> &[Pending] {
-        self.buf.clear();
-        let mut seq = 0u32;
-        for v in 0..net.n() as NodeId {
-            if net.is_alive(v) && net.node(v).enabled() {
-                let a = Action::Tick(v);
-                self.buf.push((keys.key(round, &a), seq, a));
-                seq += 1;
-            }
-        }
-        for s in 0..net.slot_count() as u32 {
-            let len = net.slot_len(s);
-            if len == 0 {
-                continue;
-            }
-            let (from, to) = net.slot_endpoints(s);
-            let a = Action::Deliver(from, to);
-            for _ in 0..len {
-                self.buf.push((keys.key(round, &a), seq, a));
-                seq += 1;
-            }
-        }
-        self.buf.sort_unstable_by_key(|e| (e.0, e.1));
-        &self.buf
+    ) -> Vec<(u32, Obligation)> {
+        self.enumerate(round, keys, net);
+        self.sort();
+        self.ordered().collect()
     }
 
     /// Current number of enabled ticks (for diagnostics/tests).
@@ -154,6 +162,43 @@ impl EventQueue {
     pub(crate) fn enabled_ticks(&self) -> usize {
         self.ticks.len()
     }
+}
+
+/// The same schedule as [`EventQueue::schedule`], derived the pre-engine
+/// way — full scans over all nodes and all channel slots, `(key, seq)`
+/// tuples sorted directly. Same obligations, same keys, same execution
+/// order; only the discovery and the sort differ. The test oracle for the
+/// incremental tick and occupancy indices and for the packed sort words.
+#[cfg(test)]
+pub(crate) fn schedule_rescan<A: Automaton>(
+    round: u64,
+    keys: &mut KeySource,
+    net: &Network<A>,
+) -> Vec<(u32, Obligation)> {
+    let mut keyed: Vec<(u128, u32, Obligation)> = Vec::new();
+    let mut push = |key: u128, action: Action, slot: u32| {
+        let seq = keyed.len() as u32;
+        keyed.push((key, seq, Obligation { key, action, slot }));
+    };
+    for v in 0..net.n() as NodeId {
+        if net.is_alive(v) && net.node(v).enabled() {
+            let a = Action::Tick(v);
+            push(keys.key(round, &a), a, u32::MAX);
+        }
+    }
+    for s in 0..net.slot_count() as u32 {
+        let len = net.slot_len(s);
+        if len == 0 {
+            continue;
+        }
+        let (from, to) = net.slot_endpoints(s);
+        let a = Action::Deliver(from, to);
+        for _ in 0..len {
+            push(keys.key(round, &a), a, s);
+        }
+    }
+    keyed.sort_unstable_by_key(|e| (e.0, e.1));
+    keyed.into_iter().map(|(_, seq, ob)| (seq, ob)).collect()
 }
 
 #[cfg(test)]
@@ -245,8 +290,8 @@ mod tests {
         for sched in [Scheduler::Synchronous, Scheduler::Adversarial { seed: 3 }] {
             let mut k1 = KeySource::new(sched);
             let mut k2 = KeySource::new(sched);
-            let a = q.schedule(5, &mut k1, &n).to_vec();
-            let b = q.schedule_rescan(5, &mut k2, &n).to_vec();
+            let a = q.schedule(5, &mut k1, &n);
+            let b = schedule_rescan(5, &mut k2, &n);
             assert_eq!(a, b, "engines disagree under {sched:?}");
             assert_eq!(a.len(), 3 + 3, "3 ticks + 3 in-flight messages");
         }
@@ -275,9 +320,60 @@ mod tests {
         ] {
             let mut k1 = KeySource::new(sched);
             let mut k2 = KeySource::new(sched);
-            let a = q.schedule(2, &mut k1, &n).to_vec();
-            let b = q.schedule_rescan(2, &mut k2, &n).to_vec();
+            let a = q.schedule(2, &mut k1, &n);
+            let b = schedule_rescan(2, &mut k2, &n);
             assert_eq!(a, b, "engines disagree under {sched:?} after churn");
+        }
+    }
+
+    /// The packed sort words order a round exactly as the `(key, seq)`
+    /// tuples do, for all three daemons, on a round that has synchronous
+    /// delivery keys at or above `2^96`, channels holding several messages
+    /// (equal keys, split only by `seq`) and slots recycled by churn. The
+    /// tuple sort over the side table, and the full-scan oracle, are the
+    /// references.
+    #[test]
+    fn packed_words_sort_as_key_seq_tuples() {
+        let g = graph_from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]);
+        let mut n = Network::from_graph(&g, |_, nbrs| Gate {
+            neighbors: nbrs.to_vec(),
+            open: true,
+        });
+        let mut q = EventQueue::new();
+        q.refresh(&mut n);
+        n.remove_edge(1, 2);
+        n.remove_edge(3, 4);
+        n.insert_edge(0, 2); // recycles the tombstoned slots
+        n.insert_edge(1, 4);
+        for v in [0, 2, 0, 4, 0, 1] {
+            n.tick_node(v); // repeated ticks queue several messages per channel
+        }
+        q.refresh(&mut n);
+        assert!((0..5).any(|v| n.neighbors(v).iter().any(|&w| n.channel_len(v, w) >= 3)));
+        for sched in [
+            Scheduler::Synchronous,
+            Scheduler::RandomAsync { seed: 5 },
+            Scheduler::Adversarial { seed: 5 },
+        ] {
+            let mut k1 = KeySource::new(sched);
+            q.enumerate(4, &mut k1, &n);
+            let mut tuples: Vec<(u128, u32, Obligation)> = q
+                .table
+                .iter()
+                .enumerate()
+                .map(|(seq, &ob)| (ob.key, seq as u32, ob))
+                .collect();
+            tuples.sort_unstable_by_key(|e| (e.0, e.1));
+            let by_tuple: Vec<(u32, Obligation)> =
+                tuples.into_iter().map(|(_, seq, ob)| (seq, ob)).collect();
+            q.sort();
+            let by_word: Vec<(u32, Obligation)> = q.ordered().collect();
+            assert_eq!(by_word, by_tuple, "word sort diverged under {sched:?}");
+            let mut k2 = KeySource::new(sched);
+            assert_eq!(by_word, schedule_rescan(4, &mut k2, &n), "{sched:?}");
+            if sched == Scheduler::Synchronous {
+                assert!(by_word.iter().any(|(_, ob)| ob.key >> 96 == 1));
+            }
         }
     }
 
@@ -304,9 +400,9 @@ mod tests {
             Scheduler::Adversarial { seed: 11 },
         ] {
             let mut k = KeySource::new(sched);
-            let reference = q.schedule(3, &mut k, &n).to_vec();
+            let reference = q.schedule(3, &mut k, &n);
             // (key, seq) is unique per event…
-            let mut ks: Vec<(u128, u32)> = reference.iter().map(|&(k, s, _)| (k, s)).collect();
+            let mut ks: Vec<(u128, u32)> = reference.iter().map(|&(s, ob)| (ob.key, s)).collect();
             ks.sort_unstable();
             ks.dedup();
             assert_eq!(
@@ -314,29 +410,33 @@ mod tests {
                 reference.len(),
                 "(key, seq) collision under {sched:?}"
             );
-            // …so any permutation of the keyed set re-sorts to the
-            // identical schedule, and the digest chained over execution
-            // is invariant.
+            // …so any permutation of the keyed set — or of its packed sort
+            // words — re-sorts to the identical schedule, and the digest
+            // chained over execution is invariant.
             for shuffle_seed in 0..4u64 {
                 let mut permuted = reference.clone();
                 permuted.shuffle(&mut StdRng::seed_from_u64(shuffle_seed));
-                permuted.sort_unstable_by_key(|e| (e.0, e.1));
+                permuted.sort_unstable_by_key(|&(s, ob)| (ob.key, s));
                 assert_eq!(reference, permuted, "re-sort diverged under {sched:?}");
                 assert_eq!(
                     digest_of(&reference),
                     digest_of(&permuted),
                     "digest diverged under {sched:?}"
                 );
+                q.words.shuffle(&mut StdRng::seed_from_u64(shuffle_seed));
+                q.sort();
+                let resorted: Vec<(u32, Obligation)> = q.ordered().collect();
+                assert_eq!(reference, resorted, "word re-sort diverged: {sched:?}");
             }
         }
     }
 
     /// Fold an execution order into the replay digest, the way a
     /// `ScheduleDigest` observer chains what actually ran.
-    fn digest_of(events: &[Pending]) -> u64 {
+    fn digest_of(events: &[(u32, Obligation)]) -> u64 {
         let mut d = crate::trace::Digest::new();
-        for &(_, _, a) in events {
-            match a {
+        for &(_, ob) in events {
+            match ob.action {
                 Action::Tick(v) => {
                     d.write_u32(0);
                     d.write_u32(v);
@@ -359,28 +459,27 @@ mod tests {
         round: u64,
         keys: &mut KeySource,
         net: &Network<A>,
-    ) -> Vec<Pending> {
+    ) -> Vec<Action> {
         let mut actions: Vec<Action> = Vec::new();
-        let mut ticks: Vec<NodeId> = q.ticks.members().to_vec();
-        ticks.sort_unstable();
+        let mut ticks: Vec<NodeId> = Vec::new();
+        q.ticks.extend_sorted(&mut ticks);
         for &v in &ticks {
             actions.push(Action::Tick(v));
         }
         let mut slots = Vec::new();
         net.occupied_slots_into(&mut slots);
-        slots.sort_unstable();
         for &s in &slots {
             let (from, to) = net.slot_endpoints(s);
             for _ in 0..net.slot_len(s) {
                 actions.push(Action::Deliver(from, to));
             }
         }
-        let mut buf: Vec<Pending> = Vec::with_capacity(actions.len());
+        let mut buf: Vec<(u128, u32, Action)> = Vec::with_capacity(actions.len());
         for (i, a) in actions.iter().enumerate().rev() {
             buf.push((keys.key(round, a), i as u32, *a));
         }
         buf.sort_unstable_by_key(|e| (e.0, e.1));
-        buf
+        buf.into_iter().map(|(_, _, a)| a).collect()
     }
 
     /// What the contract deliberately does NOT promise: invariance to the
@@ -400,25 +499,26 @@ mod tests {
         n.tick_node(0);
         n.tick_node(1);
         q.refresh(&mut n);
-        let actions_of = |evs: &[Pending]| evs.iter().map(|&(_, _, a)| a).collect::<Vec<_>>();
+        let actions_of =
+            |evs: &[(u32, Obligation)]| evs.iter().map(|&(_, ob)| ob.action).collect::<Vec<_>>();
         for sched in [Scheduler::Synchronous, Scheduler::Adversarial { seed: 7 }] {
             let mut k1 = KeySource::new(sched);
-            let canonical = q.schedule(2, &mut k1, &n).to_vec();
+            let canonical = q.schedule(2, &mut k1, &n);
             let mut k2 = KeySource::new(sched);
             let reversed = reversed_enumeration(&q, 2, &mut k2, &n);
             assert_eq!(
                 actions_of(&canonical),
-                actions_of(&reversed),
+                reversed,
                 "stateless daemon {sched:?} must tolerate any enumeration order"
             );
         }
         let mut k1 = KeySource::new(Scheduler::RandomAsync { seed: 7 });
-        let canonical = q.schedule(2, &mut k1, &n).to_vec();
+        let canonical = q.schedule(2, &mut k1, &n);
         let mut k2 = KeySource::new(Scheduler::RandomAsync { seed: 7 });
         let reversed = reversed_enumeration(&q, 2, &mut k2, &n);
         assert_ne!(
             actions_of(&canonical),
-            actions_of(&reversed),
+            reversed,
             "a stateful daemon keyed in a different enumeration order must diverge \
              (if it did not, the canonical-order rule would be unnecessary)"
         );

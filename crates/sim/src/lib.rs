@@ -32,11 +32,16 @@
 //! trace and committed digest was recorded on it; [`Backend`] names it and
 //! nothing else. Every directed edge owns a dense channel *slot* taken
 //! from the graph's CSR view, per-round obligations are derived from two
-//! incremental O(1)-transition indices — an enabled-tick set maintained
-//! via dirty flags on node state, and a swap-remove channel occupancy
-//! list — instead of per-round `O(n + #channels)` rescans, and the
+//! incremental indices — an enabled-tick set maintained via dirty flags on
+//! node state, and the channel occupancy set — instead of per-round
+//! `O(n + #channels)` rescans. Both are ordered two-level bitsets with
+//! O(1) transitions that enumerate in ascending order, so a round of `k`
+//! obligations costs `O(k log k + (n + #slots) / 4096)`: one sort of one
+//! packed `u128` order word per obligation plus two bitset walks. Each
+//! delivery executes by the channel slot it was enumerated from. The
 //! steady-state round loop performs no ordered-tree operations and no heap
-//! allocations. All three daemons stay bit-for-bit deterministic per seed.
+//! allocations, and [`StageClock`] can split its time into stages. All
+//! three daemons stay bit-for-bit deterministic per seed.
 //!
 //! The crate is generic over the protocol: the MDST protocol lives in
 //! `ssmdst-core`, and the simulator only sees [`Automaton`] + [`Message`]
@@ -50,8 +55,9 @@
 //! [`Observer`]s with three hooks (`on_event`, `on_round_end`,
 //! `on_phase`); the unit observer costs nothing, so the zero-alloc steady
 //! state survives a `Session<A, ()>`. The [`Runner`] underneath is the
-//! round engine and offers two step primitives, `step_round` and
-//! `step_round_observed`; every run loop goes through a [`Session`].
+//! round engine and offers three step primitives, `step_round`,
+//! `step_round_observed` and `step_round_clocked`; every run loop goes
+//! through a [`Session`].
 //! Convergence detection lives in one named predicate,
 //! [`stop::QuiescenceGate`], shared by every driver.
 
@@ -84,7 +90,7 @@ pub use network::Network;
 pub use observer::{
     observe_rounds, stop_when, EveryRound, Observer, ScheduleDigest, Stop, StopWhen,
 };
-pub use runner::Runner;
+pub use runner::{Runner, Stage, StageClock};
 pub use scheduler::{Action, Scheduler};
 pub use session::{RunOutcome, Session, SessionBuilder, StopReason};
 pub use stop::{quiet_window, QuiescenceGate};

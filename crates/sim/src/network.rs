@@ -6,16 +6,19 @@
 //! channel for `(v, w)` is simply `channels[slot]`. No ordered map sits on
 //! the send/deliver path:
 //!
-//! * **addressing** — sends and deliveries resolve `(from, to)` to a slot
-//!   by binary search inside `from`'s contiguous neighbor row (`O(log δ)`,
-//!   one cache line for typical degrees), then index `channels[slot]`
-//!   directly; the engine *enumerates* delivery obligations straight off
-//!   the occupancy index's slot list, so discovery never searches at all;
-//! * an **occupancy index** (`DenseSet`, `sim/src/dense.rs`): the unordered
-//!   list of slots whose channel is non-empty, with a per-slot position
-//!   table so every empty↔non-empty transition is a swap-remove — O(1),
-//!   allocation-free, no tree rebalancing (the old `BTreeSet` paid
-//!   `O(log m)` and a node allocation per transition);
+//! * **addressing** — sends resolve `(from, to)` to a slot by binary
+//!   search inside `from`'s contiguous neighbor row (`O(log δ)`, one cache
+//!   line for typical degrees), then index `channels[slot]` directly. The
+//!   engine *enumerates* delivery obligations straight off the occupancy
+//!   index's slots and delivers by that slot, so neither discovery nor
+//!   delivery searches at all; only the public
+//!   [`Network::deliver_one`]`(from, to)` looks its slot up first;
+//! * an **occupancy index** (`DenseSet`, `sim/src/dense.rs`): an ordered
+//!   two-level bitset of the slots whose channel is non-empty, so every
+//!   empty↔non-empty transition is one bit flip — O(1), allocation-free,
+//!   no tree rebalancing (the old `BTreeSet` paid `O(log m)` and a node
+//!   allocation per transition) — and the occupied slots come out in
+//!   ascending order with no sort;
 //! * a **dirty-node list**: every node whose automaton state may have
 //!   changed since the engine last looked (tick, receive, fault injection,
 //!   topology change) is queued exactly once, so the engine re-evaluates
@@ -247,23 +250,23 @@ impl<A: Automaton> Network<A> {
     }
 
     /// Directed edges with a non-empty channel, sorted by `(from, to)` —
-    /// read from the occupancy index in `O(k log k)` of its own size `k`.
+    /// read from the occupancy index in `O(k log k + #slots / 4096)` for
+    /// its own size `k` (slot order is `(from, to)` order only until churn
+    /// recycles a slot, hence the sort).
     pub fn nonempty_channels(&self) -> Vec<(NodeId, NodeId)> {
-        let mut v: Vec<(NodeId, NodeId)> = self
-            .occ
-            .members()
-            .iter()
-            .map(|&s| self.slot_ends[s as usize])
-            .collect();
+        let mut slots = Vec::new();
+        self.occupied_slots_into(&mut slots);
+        let mut v: Vec<(NodeId, NodeId)> =
+            slots.iter().map(|&s| self.slot_ends[s as usize]).collect();
         v.sort_unstable();
         v
     }
 
-    /// Snapshot the occupied slot ids into `out` (allocation-free once
-    /// `out` has warmed up; unordered — the engine sorts by slot id).
+    /// Snapshot the occupied slot ids into `out`, ascending
+    /// (allocation-free once `out` has warmed up).
     pub(crate) fn occupied_slots_into(&self, out: &mut Vec<u32>) {
         out.clear();
-        out.extend_from_slice(self.occ.members());
+        self.occ.extend_sorted(out);
     }
 
     /// Endpoints of a live slot (engine-internal, O(1)).
@@ -291,18 +294,12 @@ impl<A: Automaton> Network<A> {
         v
     }
 
-    /// Nodes touched since the last call (state changed, crashed, rejoined,
-    /// or re-wired), each at most once, ascending order not guaranteed.
-    /// Engine-internal: the runner drains this to maintain its tick index.
-    pub fn take_dirty(&mut self) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.take_dirty_into(&mut out);
-        out
-    }
-
-    /// Allocation-free form of [`Network::take_dirty`]: swaps the dirty
-    /// list into `out` (clearing it first), so the two buffers ping-pong
-    /// between caller and network and no round allocates.
+    /// Drain the nodes touched since the last call (state changed,
+    /// crashed, rejoined, or re-wired), each at most once, ascending order
+    /// not guaranteed; the runner drains this to maintain its tick index.
+    /// Swaps the dirty list into `out` (clearing it first), so the two
+    /// buffers ping-pong between caller and network and no round
+    /// allocates.
     pub(crate) fn take_dirty_into(&mut self, out: &mut Vec<NodeId>) {
         out.clear();
         std::mem::swap(&mut self.dirty, out);
@@ -338,10 +335,25 @@ impl<A: Automaton> Network<A> {
         let Some(slot) = self.slot_of(from, to) else {
             panic!("deliver_one: ({from},{to}) is not a channel"); // lint: allow(no-panic-in-library) — documented precondition: callers enumerate live channels
         };
-        let Some(msg) = self.channels[slot as usize].pop_front() else {
+        self.deliver_at(slot, from, to)
+    }
+
+    /// Deliver the head of channel slot `slot`, which must be the live
+    /// `from → to` channel (checked in debug builds): the engine's
+    /// delivery path, which enumerated the obligation from that slot and
+    /// so never looks it up again. Returns `false` if the channel was
+    /// empty.
+    // lint: hot-path
+    pub(crate) fn deliver_at(&mut self, slot: u32, from: NodeId, to: NodeId) -> bool {
+        debug_assert!(
+            self.slot_live[slot as usize] && self.slot_ends[slot as usize] == (from, to),
+            "slot {slot} is not the live channel {from}->{to}"
+        );
+        let q = &mut self.channels[slot as usize];
+        let Some(msg) = q.pop_front() else {
             return false;
         };
-        if self.channels[slot as usize].is_empty() {
+        if q.is_empty() {
             self.occ.remove(slot);
         }
         self.in_flight -= 1;
@@ -356,8 +368,13 @@ impl<A: Automaton> Network<A> {
 
     /// Move an outbox into channels, enforcing locality and recording
     /// metrics. Pure index arithmetic: slot lookup + O(1) occupancy
-    /// transition per message, no map, no allocation.
+    /// transition per message, no map, no allocation. A step that staged
+    /// nothing returns at once: the in-flight count only fell, so the peak
+    /// cannot move.
     fn route(&mut self, from: NodeId, out: &mut Outbox<A::Msg>) {
+        if out.is_empty() {
+            return;
+        }
         let n = self.nodes.len();
         for (to, msg) in out.drain() {
             let Some(slot) = self.slot_of(from, to) else {
@@ -629,7 +646,7 @@ impl<A: Automaton> Network<A> {
     ///
     /// * `in_flight` equals the sum of all channel lengths;
     /// * the occupancy index holds exactly the non-empty channels, and its
-    ///   internal position table is consistent;
+    ///   summary bits and member count are consistent;
     /// * adjacency rows are sorted, symmetric, slot-aligned, and every
     ///   live slot is owned by exactly one directed edge;
     /// * tombstoned slots are empty, dead, and on the free list exactly
@@ -1034,16 +1051,51 @@ mod tests {
     #[test]
     fn dirty_list_reports_touched_nodes_once() {
         let mut net = echo_net();
-        let initial = net.take_dirty();
-        assert_eq!(initial.len(), 3, "everyone dirty at construction");
-        assert!(net.take_dirty().is_empty());
+        let mut d = vec![99]; // stale contents are cleared, not appended to
+        net.take_dirty_into(&mut d);
+        assert_eq!(d.len(), 3, "everyone dirty at construction");
+        net.take_dirty_into(&mut d);
+        assert!(d.is_empty());
         net.tick_node(1);
         net.tick_node(1);
-        let d = net.take_dirty();
+        net.take_dirty_into(&mut d);
         assert_eq!(d, vec![1]);
         net.deliver_one(1, 0);
-        let d = net.take_dirty();
+        net.take_dirty_into(&mut d);
         assert_eq!(d, vec![0]);
+        net.check_invariants();
+    }
+
+    /// The slot-addressed path is the same delivery as `deliver_one`.
+    #[test]
+    fn deliver_at_slot_matches_deliver_one() {
+        let mut a = echo_net();
+        let mut b = echo_net();
+        for net in [&mut a, &mut b] {
+            net.tick_node(0);
+            net.tick_node(0);
+        }
+        let slot = a.slot_of(0, 1).unwrap();
+        assert!(a.deliver_at(slot, 0, 1));
+        assert!(b.deliver_one(0, 1));
+        assert_eq!(a.node(1).best_seen, b.node(1).best_seen);
+        assert_eq!(a.channel_len(0, 1), 1);
+        assert_eq!(a.metrics.total_delivered, b.metrics.total_delivered);
+        assert!(a.deliver_at(slot, 0, 1));
+        assert!(!a.deliver_at(slot, 0, 1), "empty channel");
+        a.check_invariants();
+    }
+
+    /// The checked-build net under the slot-addressed path: a slot that
+    /// does not back `(from, to)` is caught.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "is not the live channel")]
+    fn deliver_at_a_mismatched_slot_panics_in_checked_builds() {
+        let mut net = echo_net();
+        net.tick_node(0);
+        let slot = net.slot_of(1, 0).unwrap();
+        net.deliver_at(slot, 0, 1);
     }
 
     #[test]

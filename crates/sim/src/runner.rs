@@ -1,13 +1,46 @@
 //! The round engine: the simulator's one round loop (event-driven
-//! obligation derivation, daemon keying, execution) and its step
-//! primitives. Run loops (stop conditions, horizons, quiescence) live in
-//! [`crate::Session`].
+//! obligation derivation, daemon keying, one packed-word sort,
+//! slot-addressed execution), its step primitives, and the [`StageClock`]
+//! hooks that split a round's time into its stages. Run loops (stop
+//! conditions, horizons, quiescence) live in [`crate::Session`].
 
 use crate::automaton::Automaton;
-use crate::events::EventQueue;
+use crate::events::{EventQueue, Obligation};
 use crate::network::Network;
 use crate::observer::{Observer, Stop};
 use crate::scheduler::{Action, KeySource, Scheduler};
+
+/// A stage of one [`Runner`] round, in execution order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// Re-evaluate the dirty nodes' enabled predicates into the tick index.
+    Refresh,
+    /// Enumerate the obligations in canonical order and key each one.
+    Enumerate,
+    /// Sort the packed order words into daemon execution order.
+    Sort,
+    /// Execute the obligations (the observer's `on_event` included).
+    Execute,
+    /// Round bookkeeping and the observer's `on_round_end`.
+    RoundEnd,
+}
+
+/// Stage-boundary hooks for [`Runner::step_round_clocked`]: `round_start`
+/// before a round's first stage, then `stage_end` after each [`Stage`].
+/// Both default to no-ops, and the unit clock `()` keeps them, so an
+/// unclocked round compiles to the same loop. A clock that reads the time
+/// (an `Instant`, a cycle counter) lives with its caller: nothing in the
+/// round reads it, so the schedule cannot depend on it.
+pub trait StageClock {
+    /// A round is about to start.
+    #[inline]
+    fn round_start(&mut self) {}
+    /// `stage` of the current round has just finished.
+    #[inline]
+    fn stage_end(&mut self, _stage: Stage) {}
+}
+
+impl StageClock for () {}
 
 /// Drives a [`Network`] under a [`Scheduler`], counting rounds.
 ///
@@ -23,11 +56,14 @@ use crate::scheduler::{Action, KeySource, Scheduler};
 /// The tick set is an incremental index maintained from the network's
 /// dirty-node list (only nodes whose state changed get their
 /// [`Automaton::enabled`] predicate re-evaluated), and delivery obligations
-/// are read off the flat fabric's channel occupancy index — so a round
-/// costs `O(k log k)` in its own obligation count `k`, never
-/// `O(n + #channels)` rescans. At steady state the whole loop (derive →
-/// key → sort → execute → route) reuses its buffers and touches no ordered
-/// tree: zero heap allocations per round, pinned by `tests/zero_alloc.rs`.
+/// are read off the flat fabric's channel occupancy index. Both indices are
+/// ordered bitsets, so a round of `k` obligations costs
+/// `O(k log k + (n + #slots) / 4096)`: one sort of one packed `u128` word
+/// per obligation plus two bitset walks, never an `O(n + #channels)`
+/// rescan. Each delivery executes by the channel slot it was enumerated
+/// from. At steady state the whole loop (derive → key → sort → execute →
+/// route) reuses its buffers and touches no ordered tree: zero heap
+/// allocations per round, pinned by `tests/zero_alloc.rs`.
 ///
 /// # Example
 ///
@@ -123,20 +159,40 @@ impl<A: Automaton> Runner<A> {
     /// [`crate::ScheduleDigest`] folds the complete schedule — the
     /// record-replay witness — with no other change to the round.
     pub fn step_round_observed<O: Observer<A>>(&mut self, obs: &mut O) -> Stop {
+        self.step_round_clocked(obs, &mut ())
+    }
+
+    /// [`Runner::step_round_observed`] with a [`StageClock`] told where
+    /// each [`Stage`] ends. The clock sees no network and no schedule, so
+    /// a clocked round executes exactly the unclocked one; with the unit
+    /// clock `()` this *is* `step_round_observed`.
+    pub fn step_round_clocked<O: Observer<A>, C: StageClock>(
+        &mut self,
+        obs: &mut O,
+        clock: &mut C,
+    ) -> Stop {
+        clock.round_start();
         self.queue.refresh(&mut self.net);
-        let events = self.queue.schedule(self.round, &mut self.keys, &self.net);
-        for &(key, idx, act) in events {
-            obs.on_event(key, idx, act);
-            Self::execute_one(&mut self.net, act);
+        clock.stage_end(Stage::Refresh);
+        self.queue.enumerate(self.round, &mut self.keys, &self.net);
+        clock.stage_end(Stage::Enumerate);
+        self.queue.sort();
+        clock.stage_end(Stage::Sort);
+        for (idx, ob) in self.queue.ordered() {
+            obs.on_event(ob.key, idx, ob.action);
+            Self::execute_one(&mut self.net, ob);
         }
+        clock.stage_end(Stage::Execute);
         self.round += 1;
         self.net.metrics.rounds = self.round;
-        obs.on_round_end(&self.net, self.round)
+        let stop = obs.on_round_end(&self.net, self.round);
+        clock.stage_end(Stage::RoundEnd);
+        stop
     }
 
     // lint: hot-path
-    fn execute_one(net: &mut Network<A>, act: Action) {
-        match act {
+    fn execute_one(net: &mut Network<A>, ob: Obligation) {
+        match ob.action {
             // Re-check the guard at execution time: an earlier event of
             // this round (a delivery) may have disabled the node, and a
             // daemon must never run a step whose guard is false.
@@ -147,8 +203,9 @@ impl<A: Automaton> Runner<A> {
             }
             Action::Deliver(from, to) => {
                 // The channel is guaranteed to still hold this round's
-                // message: deliveries only pop and FIFO keeps order.
-                let ok = net.deliver_one(from, to);
+                // message: deliveries only pop and FIFO keeps order, and
+                // the topology (hence the slot) cannot change mid-round.
+                let ok = net.deliver_at(ob.slot, from, to);
                 debug_assert!(ok, "obligation for empty channel {from}->{to}");
             }
         }
@@ -289,9 +346,8 @@ mod tests {
     /// event-driven derivation is checked against.
     fn step_round_by_full_scan<A: Automaton>(r: &mut Runner<A>) {
         r.queue.refresh(&mut r.net); // keep the indices warm for later steps
-        let events = r.queue.schedule_rescan(r.round, &mut r.keys, &r.net);
-        for &(_, _, act) in events {
-            Runner::execute_one(&mut r.net, act);
+        for (_, ob) in crate::events::schedule_rescan(r.round, &mut r.keys, &r.net) {
+            Runner::execute_one(&mut r.net, ob);
         }
         r.round += 1;
         r.net.metrics.rounds = r.round;

@@ -88,6 +88,24 @@ impl KeySource {
     }
 }
 
+/// The packed sort word of one obligation: `order(key) << 32 | seq`.
+///
+/// Every daemon key is below `2^64`, except a synchronous delivery's,
+/// which is `1 << 96 | from << 32 | to`. `order` maps that prefix to
+/// `1 << 64`, so every order value is below `2^65` and the word fits a
+/// `u128`. The map is strictly monotone in `key` (ticks stay below `2^32`,
+/// every delivery lands at or above `2^64`), and `seq` is unique within a
+/// round, so ascending words are exactly ascending `(key, seq)`.
+#[inline]
+pub(crate) fn order_word(key: u128, seq: u32) -> u128 {
+    let order = if key >> 96 != 0 {
+        1 << 64 | (key & u64::MAX as u128)
+    } else {
+        key
+    };
+    order << 32 | seq as u128
+}
+
 /// Deterministic 64-bit mix for the adversarial daemon (splitmix64 core).
 fn hash_action(seed: u64, round: u64, a: &Action) -> u64 {
     let x = match *a {
@@ -177,6 +195,42 @@ mod tests {
             order(&mut a, 4, obligations()),
             order(&mut b, 5, obligations())
         );
+    }
+
+    /// Packed words compare exactly as `(key, seq)` tuples, across the
+    /// key ranges every daemon produces: tick ids, synchronous deliveries
+    /// at or above `2^96` (extreme endpoints included) and full-width
+    /// `u64` random/adversarial keys, with equal keys split by `seq`.
+    #[test]
+    fn order_words_compare_as_key_seq_tuples() {
+        let deliver = |f: u32, t: u32| (1u128 << 96) | ((f as u128) << 32) | t as u128;
+        let keys = [
+            0,
+            1,
+            u32::MAX as u128,
+            1 << 32,
+            u64::MAX as u128 - 1,
+            u64::MAX as u128,
+            deliver(0, 0),
+            deliver(0, u32::MAX),
+            deliver(1, 0),
+            deliver(u32::MAX, u32::MAX - 1),
+            deliver(u32::MAX, u32::MAX),
+        ];
+        let seqs = [0, 1, 7, u32::MAX - 1, u32::MAX];
+        for &k1 in &keys {
+            for &k2 in &keys {
+                for &s1 in &seqs {
+                    for &s2 in &seqs {
+                        assert_eq!(
+                            order_word(k1, s1).cmp(&order_word(k2, s2)),
+                            (k1, s1).cmp(&(k2, s2)),
+                            "({k1:#x}, {s1}) vs ({k2:#x}, {s2})"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

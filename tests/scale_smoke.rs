@@ -4,7 +4,8 @@
 //! Not a benchmark — a guard that the scale path *works*: sparse-G(n,p)
 //! generation via skip sampling, fabric construction over ~10⁵ directed
 //! slots, sparse-activity rounds whose obligation discovery must not scan
-//! the world, full-gossip rounds, churn at scale, and the MDST protocol
+//! the world (it walks the ordered bitset indices, not every node and
+//! channel), full-gossip rounds, churn at scale, and the MDST protocol
 //! automaton itself taking its first steps. Perf at this size is measured
 //! by the S1–S3 experiment family (`experiments -- s1 s2 s3`).
 
@@ -54,7 +55,9 @@ fn sparse_activity_rounds_at_ten_thousand_nodes() {
     });
     let mut r = Runner::new(net, Scheduler::Synchronous);
     // 500 rounds with exactly 2 obligations each: only feasible in debug
-    // if discovery is index-driven, not an O(n + #channels) rescan.
+    // if discovery is index-driven, not an O(n + #channels) rescan. The
+    // bitset indices walk at most one summary word per 4096 keys, and stop
+    // at their largest member (here node 0 and one of its slots).
     for _ in 0..500 {
         r.step_round();
     }

@@ -1,0 +1,129 @@
+//! Round-stage clock: where a round's time goes.
+//!
+//! `Runner::step_round_clocked` tells a `StageClock` where each stage of a
+//! round ends (refresh, enumerate + key, sort, execute, round end). The
+//! library ships only the trait and the no-op unit clock; lint R2 keeps
+//! wall-clock reads out of library code, so the `Instant`-backed clock
+//! lives here. Two tests:
+//!
+//! * a clocked run executes the unclocked run's schedule exactly: same
+//!   schedule digest, same final states, same message counts;
+//! * `stage_split_of_mdst_recovery` prints the split for MDST recoveries
+//!   from a fully corrupted start on `gnp-sparse` graphs at n = 10 under
+//!   the random daemon (the shape of perfbench's `mdst-recover` inputs):
+//!
+//!   ```sh
+//!   cargo test --release --test stage_clock -- --nocapture
+//!   ```
+
+use ssmdst::core::{build_network, Config, MdstNode};
+use ssmdst::graph::generators::GraphFamily;
+use ssmdst::sim::faults::{inject, FaultPlan};
+use ssmdst::sim::{Runner, ScheduleDigest, Scheduler, Stage, StageClock};
+use std::time::{Duration, Instant};
+
+/// Wall time per stage, summed over every clocked round.
+struct WallClock {
+    last: Instant,
+    spent: [Duration; 5],
+    rounds: u64,
+}
+
+impl WallClock {
+    fn new() -> Self {
+        WallClock {
+            last: Instant::now(),
+            spent: [Duration::ZERO; 5],
+            rounds: 0,
+        }
+    }
+}
+
+impl StageClock for WallClock {
+    fn round_start(&mut self) {
+        self.rounds += 1;
+        self.last = Instant::now();
+    }
+    fn stage_end(&mut self, stage: Stage) {
+        let now = Instant::now();
+        self.spent[stage as usize] += now - self.last;
+        self.last = now;
+    }
+}
+
+/// One recovery: a fully corrupted start, then after `rounds` rounds a
+/// fault burst on half the nodes, then `rounds` more. Returns the schedule
+/// digest, the final node states and the messages sent.
+fn recovery(seed: u64, rounds: u32, clock: Option<&mut WallClock>) -> (u64, String, u64) {
+    let n = 10;
+    let g = GraphFamily::GnpSparse.generate(n, seed);
+    let mut net = build_network(&g, Config::for_n(n));
+    let _ = inject(&mut net, FaultPlan::total(seed ^ 0x5eed));
+    let mut runner = Runner::new(net, Scheduler::RandomAsync { seed });
+    let mut digest = ScheduleDigest::new();
+    let mut clock = clock;
+    for phase in 0..2 {
+        if phase == 1 {
+            let _ = inject(
+                runner.network_mut(),
+                FaultPlan {
+                    node_fraction: 0.5,
+                    message_drop: 1.0,
+                    seed: seed ^ 0xfa17,
+                },
+            );
+        }
+        for _ in 0..rounds {
+            let _ = match clock.as_deref_mut() {
+                Some(c) => runner.step_round_clocked(&mut digest, c),
+                None => runner.step_round_observed(&mut digest),
+            };
+        }
+    }
+    let net = runner.network();
+    let states = format!(
+        "{:?}",
+        net.nodes().iter().map(MdstNode::state).collect::<Vec<_>>()
+    );
+    (digest.value(), states, net.metrics.total_sent)
+}
+
+#[test]
+fn clocked_rounds_execute_the_unclocked_schedule() {
+    for seed in 1..=4 {
+        let mut clock = WallClock::new();
+        let clocked = recovery(seed, 300, Some(&mut clock));
+        assert_eq!(clocked, recovery(seed, 300, None), "seed {seed}");
+        assert_eq!(clock.rounds, 600, "every round was clocked");
+    }
+}
+
+#[test]
+fn stage_split_of_mdst_recovery() {
+    let mut clock = WallClock::new();
+    for seed in 1..=16 {
+        let _ = recovery(seed, 2_000, Some(&mut clock));
+    }
+    let total: Duration = clock.spent.iter().sum();
+    assert!(total > Duration::ZERO);
+    println!(
+        "stage split over {} rounds ({:.0} ns/round):",
+        clock.rounds,
+        total.as_nanos() as f64 / clock.rounds as f64
+    );
+    for stage in [
+        Stage::Refresh,
+        Stage::Enumerate,
+        Stage::Sort,
+        Stage::Execute,
+        Stage::RoundEnd,
+    ] {
+        let t = clock.spent[stage as usize];
+        println!(
+            "  {:<10} {:>6.1} %  {:>8.0} ns/round",
+            format!("{stage:?}"),
+            100.0 * t.as_secs_f64() / total.as_secs_f64(),
+            t.as_nanos() as f64 / clock.rounds as f64
+        );
+    }
+}

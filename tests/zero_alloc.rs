@@ -6,7 +6,7 @@
 //! allocations**. This binary installs a counting allocator (the
 //! `vendor/alloc-counter` shim) and meters the loop directly, so any
 //! future regression (a stray `Vec::new` per round, a `BTreeMap` sneaking
-//! back onto the path, `take_dirty` reverting to handing out fresh
+//! back onto the path, the dirty-list drain reverting to handing out fresh
 //! vectors) fails loudly instead of silently taxing every experiment.
 //!
 //! Scope: the guarantee is about the *fabric*. The messages themselves are
@@ -18,6 +18,9 @@
 //! well: a round that folds every scheduled event into a schedule digest,
 //! through `Runner::step_round_observed` with a `ScheduleDigest` or
 //! through the same observer attached to a `Session`, must not allocate.
+//! So must a round stepped through `Runner::step_round_clocked` with a
+//! stage clock that records every stage boundary (the unclocked rounds
+//! above already run the same loop with the no-op unit clock).
 //!
 //! The counter is per-thread, so the harness's own threads cannot perturb
 //! the measurement; this file still holds a single `#[test]` so the
@@ -27,7 +30,8 @@
 use alloc_counter::{allocations_on_this_thread, CountingAllocator};
 use ssmdst::core::{build_network, oracle, Config, MdstNode};
 use ssmdst::sim::{
-    Automaton, Message, Network, Outbox, Runner, ScheduleDigest, Scheduler, Session,
+    Automaton, Message, Network, Outbox, Runner, ScheduleDigest, Scheduler, Session, Stage,
+    StageClock,
 };
 
 #[global_allocator]
@@ -64,6 +68,22 @@ impl Automaton for Gossip {
     }
     fn receive(&mut self, _from: u32, msg: Beat, _out: &mut Outbox<Beat>) {
         self.heard += msg.0 as u64;
+    }
+}
+
+/// A stage clock that only counts its hooks.
+#[derive(Default)]
+struct CountingClock {
+    starts: u64,
+    ends: [u64; 5],
+}
+
+impl StageClock for CountingClock {
+    fn round_start(&mut self) {
+        self.starts += 1;
+    }
+    fn stage_end(&mut self, stage: Stage) {
+        self.ends[stage as usize] += 1;
     }
 }
 
@@ -171,6 +191,20 @@ fn steady_state_round_loop_is_allocation_free() {
             session.observer().value(),
             digest.value(),
             "observer and runner fold the same chain"
+        );
+
+        let mut runner = Runner::new(gossip_network(), sched);
+        let mut clock = CountingClock::default();
+        for _ in 0..50 {
+            let _ = runner.step_round_clocked(&mut (), &mut clock);
+        }
+        assert_rounds_allocation_free("clocked", sched, || {
+            let _ = runner.step_round_clocked(&mut (), &mut clock);
+        });
+        assert_eq!(
+            (clock.starts, clock.ends),
+            (150, [150; 5]),
+            "every stage boundary of every round reached the clock"
         );
 
         let mut runner = converged_star(sched);
