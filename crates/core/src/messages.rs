@@ -307,6 +307,77 @@ mod tests {
         assert_eq!(l - s, 49 * (2 * 6) + 49 * 6);
     }
 
+    /// One instance of every kind, each list of length 3 or 5.
+    fn one_of_each() -> [Msg; 7] {
+        [
+            info(),
+            Msg::Search {
+                init: (0, 1),
+                idblock: None,
+                dmax: 3,
+                path: vec![(0, 1), (2, 3), (4, 2)],
+                visited: vec![0, 2, 4, 5],
+                backtrack: false,
+            },
+            Msg::Remove {
+                init: (0, 4),
+                deg_max: 3,
+                w_idx: 2,
+                z_idx: 3,
+                cycle: vec![0, 1, 2, 3, 4],
+                dmax: 3,
+                dist_a: 1,
+                dist_b: 2,
+                pos: 1,
+            },
+            Msg::Flip {
+                cycle: vec![0, 1, 2, 3, 4],
+                pos: 1,
+                dir: -1,
+                end: 0,
+                origin: 2,
+                anchor_dist: 2,
+                anchor: 4,
+            },
+            Msg::DistChain {
+                cycle: vec![0, 1, 2, 3, 4],
+                pos: 3,
+                dir: 1,
+                end: 4,
+                dist: 3,
+            },
+            Msg::DistFlood { dist: 3 },
+            Msg::Deblock {
+                idblock: 2,
+                ttl: 8,
+                dmax: 3,
+            },
+        ]
+    }
+
+    /// The size of every kind at n = 16 (4-bit ids) and n = 1000 (10-bit
+    /// ids), pinned so a change to a message's layout names its kind.
+    #[test]
+    fn size_bits_pinned_per_kind() {
+        let want = [
+            ("InfoMsg", 25, 61),
+            ("Search", 54, 132),
+            ("Remove", 56, 140),
+            ("Flip", 42, 102),
+            ("DistChain", 34, 82),
+            ("DistFlood", 4, 10),
+            ("Deblock", 16, 28),
+        ];
+        for (m, (kind, at16, at1000)) in one_of_each().iter().zip(want) {
+            assert_eq!(m.kind(), kind);
+            assert_eq!(
+                (m.size_bits(16), m.size_bits(1000)),
+                (at16, at1000),
+                "{kind}"
+            );
+        }
+    }
+
     #[test]
     fn id_bits_floors_at_one() {
         assert_eq!(id_bits(1), 1);

@@ -815,6 +815,120 @@ mod tests {
         assert!(out2.is_empty());
     }
 
+    /// The `Remove` that commits at node 2 of the cycle `[0, 1, 2, 3, 4]`
+    /// (`a = 0`, `b = 4`), cutting the edge to `cycle[z_idx]`.
+    fn commit_msg(z_idx: usize) -> Msg {
+        Msg::Remove {
+            init: (0, 4),
+            deg_max: 3,
+            w_idx: 2,
+            z_idx,
+            cycle: vec![0, 1, 2, 3, 4],
+            dmax: 3,
+            dist_a: 7,
+            dist_b: 9,
+            pos: 2,
+        }
+    }
+
+    /// `(pos, dir, end, origin, anchor, anchor_dist)` of a `Flip`.
+    fn flip_fields(m: &Msg) -> (usize, i8, usize, usize, NodeId, u32) {
+        match m {
+            Msg::Flip {
+                pos,
+                dir,
+                end,
+                origin,
+                anchor,
+                anchor_dist,
+                ..
+            } => (*pos, *dir, *end, *origin, *anchor, *anchor_dist),
+            other => panic!("expected a Flip, got {other:?}"),
+        }
+    }
+
+    /// Node 2 of the cycle, locally stabilized at dmax 3 with neighbors
+    /// `[1, 3, 5]`: its parent is `parent`, and `children` point at it.
+    fn commit_node(parent: NodeId, children: &[NodeId]) -> crate::MdstNode {
+        let mut n = crate::MdstNode::new(2, &[1, 3, 5], Config::for_n(8));
+        n.st.root = 0;
+        n.st.parent = parent;
+        n.st.distance = 5;
+        for u in [1, 3, 5] {
+            let (p, distance) = if u == parent {
+                (0, 4)
+            } else if children.contains(&u) {
+                (2, 6)
+            } else {
+                (0, 4)
+            };
+            n.st.set_view(
+                u,
+                crate::state::NbrView {
+                    root: 0,
+                    parent: p,
+                    distance,
+                    dmax: 3,
+                    deg: 2,
+                    subtree_max: 2,
+                    color: true,
+                },
+            );
+        }
+        n.st.recompute_derived();
+        assert!(n.st.locally_stabilized());
+        n
+    }
+
+    /// The commit rule over its four orientations (the cut edge on either
+    /// side of `w`, as `w`'s parent or child edge): the committing node's
+    /// new parent and the exact `Flip` it sends.
+    #[test]
+    fn commit_orientations_send_the_exact_flip() {
+        use ssmdst_sim::Automaton;
+        // (w's parent, z_idx) → (w's new parent, Flip recipient,
+        // (pos, dir, end, origin, anchor, anchor_dist)).
+        let table = [
+            // z = w + 1 is w's parent: w re-parents toward a.
+            ((3, 3), (1, 1, (1, -1, 0, 2, 4, 9))),
+            // z = w + 1 is w's child: z's side re-roots at b.
+            ((1, 3), (1, 3, (3, 1, 4, 3, 0, 7))),
+            // z = w − 1 is w's parent: w re-parents toward b.
+            ((1, 1), (3, 3, (3, 1, 4, 2, 0, 7))),
+            // z = w − 1 is w's child: z's side re-roots at a.
+            ((3, 1), (3, 1, (1, -1, 0, 1, 4, 9))),
+        ];
+        for ((parent, z_idx), (new_parent, to, flip)) in table {
+            let children: Vec<NodeId> = [1, 3, 5].into_iter().filter(|&u| u != parent).collect();
+            let mut n = commit_node(parent, &children);
+            assert_eq!(n.st.deg, 3);
+            let mut out = Outbox::new();
+            n.receive(1, commit_msg(z_idx), &mut out);
+            let case = (parent, z_idx);
+            assert_eq!(n.st.parent, new_parent, "{case:?}: new parent");
+            let sent = out.messages();
+            assert_eq!(sent.len(), 1, "{case:?}: one Flip");
+            assert_eq!(sent[0].0, to, "{case:?}: recipient");
+            assert_eq!(flip_fields(&sent[0].1), flip, "{case:?}: Flip fields");
+        }
+    }
+
+    /// A commit whose cut edge is no longer a tree edge (neither `w`'s
+    /// parent nor child edge) is stale: it sends nothing and changes
+    /// nothing beyond the relay latch every fresh hop takes.
+    #[test]
+    fn stale_commit_sends_nothing() {
+        use ssmdst_sim::Automaton;
+        // Node 3 is a neighbor but not a tree neighbor of node 2.
+        let mut n = commit_node(1, &[5]);
+        let mut before = n.st.clone();
+        before.busy = 5 + 4;
+        let mut out = Outbox::new();
+        n.receive(1, commit_msg(3), &mut out);
+        assert!(out.is_empty());
+        assert_eq!(n.st, before);
+    }
+
     #[test]
     fn flip_interior_reorients_and_forwards() {
         let mut n = stabilized_mid();
