@@ -13,7 +13,7 @@
 //! token is dropped. Nothing is committed by a search, so dropping is safe
 //! (ARCHITECTURE.md, "Modelling deviations", deviation 4).
 
-use crate::messages::{Msg, PathEntry};
+use crate::messages::{Msg, Search};
 use crate::node::MdstNode;
 use crate::NodeId;
 use ssmdst_sim::Outbox;
@@ -78,119 +78,80 @@ impl MdstNode {
         };
         out.send(
             first,
-            Msg::Search {
+            Msg::Search(Search {
                 init: (s.id, target),
                 idblock,
                 dmax: s.dmax,
                 path: vec![(s.id, s.deg)],
                 visited: vec![s.id],
                 backtrack: false,
-            },
+            }),
         );
     }
 
     /// One DFS hop (receive side).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn handle_search(
-        &mut self,
-        from: NodeId,
-        init: (NodeId, NodeId),
-        idblock: Option<(NodeId, u8)>,
-        dmax: u32,
-        mut path: Vec<PathEntry>,
-        mut visited: Vec<NodeId>,
-        backtrack: bool,
-        out: &mut Outbox<Msg>,
-    ) {
+    pub(crate) fn handle_search(&mut self, from: NodeId, mut m: Search, out: &mut Outbox<Msg>) {
         let s = &self.st;
         // Staleness and sanity guards; a dropped token is re-launched by the
         // initiator's periodic cooldown. Busy nodes are in the middle of an
         // improvement: cycles crossing them must not be measured now.
         if !s.locally_stabilized()
-            || s.dmax != dmax
-            || (self.cfg.enable_busy_latch && s.busy > 0)
-            || path.len() > self.cfg.max_path_len
-            || visited.len() > self.cfg.max_path_len
-            || path.is_empty()
+            || s.dmax != m.dmax
+            || self.busy_blocked()
+            || m.path.len() > self.cfg.max_path_len
+            || m.visited.len() > self.cfg.max_path_len
+            || m.path.is_empty()
         {
             return;
         }
-        if s.id == init.1 {
+        if s.id == m.init.1 {
             // Cycle closed. Require: arrived over a tree edge, `{a, b}` is
             // still a non-tree edge, and the path indeed starts at `a`.
             if !s.is_tree_edge(from)
-                || !s.is_neighbor(init.0)
-                || s.is_tree_edge(init.0)
-                || path.first().map(|e| e.0) != Some(init.0)
-                || path.last().map(|e| e.0) != Some(from)
+                || !s.is_neighbor(m.init.0)
+                || s.is_tree_edge(m.init.0)
+                || m.path.first().map(|e| e.0) != Some(m.init.0)
+                || m.path.last().map(|e| e.0) != Some(from)
             {
                 return;
             }
-            self.action_on_cycle(init, idblock, path, out);
+            self.action_on_cycle(m, out);
             return;
         }
-        if backtrack {
+        if m.backtrack {
             // A backtrack returns the token to the current stack top.
-            if path.last().map(|e| e.0) != Some(s.id) {
+            if m.path.last().map(|e| e.0) != Some(s.id) {
                 return; // corrupt token
             }
         } else {
-            if visited.contains(&s.id) || !s.is_tree_edge(from) {
+            if m.visited.contains(&s.id) || !s.is_tree_edge(from) {
                 return; // duplicate delivery or non-tree traversal: drop
             }
-            path.push((s.id, s.deg));
-            visited.push(s.id);
+            m.path.push((s.id, s.deg));
+            m.visited.push(s.id);
         }
-        self.advance_search(init, idblock, dmax, path, visited, out);
+        self.advance_search(m, out);
     }
 
     /// Forward the token to the next unvisited tree neighbor, or backtrack.
-    fn advance_search(
-        &mut self,
-        init: (NodeId, NodeId),
-        idblock: Option<(NodeId, u8)>,
-        dmax: u32,
-        mut path: Vec<PathEntry>,
-        visited: Vec<NodeId>,
-        out: &mut Outbox<Msg>,
-    ) {
+    fn advance_search(&mut self, mut m: Search, out: &mut Outbox<Msg>) {
         let s = &self.st;
         let next = (0..s.neighbors.len())
-            .find(|&i| s.is_tree_edge_at(i) && !visited.contains(&s.neighbors[i]))
+            .find(|&i| s.is_tree_edge_at(i) && !m.visited.contains(&s.neighbors[i]))
             .map(|i| s.neighbors[i]);
-        match next {
-            Some(u) => out.send(
-                u,
-                Msg::Search {
-                    init,
-                    idblock,
-                    dmax,
-                    path,
-                    visited,
-                    backtrack: false,
-                },
-            ),
-            None => {
-                // Dead end: pop self, return the token to the new stack top.
-                path.pop();
-                if let Some(&(prev, _)) = path.last() {
-                    if s.is_neighbor(prev) {
-                        out.send(
-                            prev,
-                            Msg::Search {
-                                init,
-                                idblock,
-                                dmax,
-                                path,
-                                visited,
-                                backtrack: true,
-                            },
-                        );
-                    }
-                }
-                // Stack empty: the whole tree was searched without finding
-                // the target — the tree changed mid-flight. Token dies.
-            }
+        m.backtrack = next.is_none();
+        let to = next.or_else(|| {
+            // Dead end: pop self, return the token to the new stack top. An
+            // empty stack means the whole tree was searched without finding
+            // the target — the tree changed mid-flight, and the token dies.
+            m.path.pop();
+            m.path
+                .last()
+                .map(|e| e.0)
+                .filter(|&prev| s.is_neighbor(prev))
+        });
+        if let Some(to) = to {
+            out.send(to, Msg::Search(m));
         }
     }
 }
@@ -198,7 +159,7 @@ impl MdstNode {
 #[cfg(test)]
 mod tests {
     use crate::config::Config;
-    use crate::messages::Msg;
+    use crate::messages::{Msg, Search};
     use crate::oracle;
     use crate::MdstNode;
     use ssmdst_graph::generators::structured;
@@ -282,16 +243,15 @@ mod tests {
         n.st.recompute_derived();
         n.st.dmax = 3;
         let mut out = Outbox::new();
-        n.handle_search(
-            0,
-            (0, 3),
-            None,
-            99, // stale snapshot
-            vec![(0, 1)],
-            vec![0],
-            false,
-            &mut out,
-        );
+        let token = Search {
+            init: (0, 3),
+            idblock: None,
+            dmax: 99, // stale snapshot
+            path: vec![(0, 1)],
+            visited: vec![0],
+            backtrack: false,
+        };
+        n.handle_search(0, token, &mut out);
         assert!(out.is_empty(), "stale token must be dropped");
     }
 
@@ -302,30 +262,30 @@ mod tests {
         let mut n = crate::MdstNode::new(1, &[0, 2], Config::for_n(4));
         let mut out = Outbox::new();
         let huge: Vec<_> = (0..100).map(|i| (i, 1)).collect();
-        n.handle_search(0, (0, 3), None, 0, huge, vec![0], false, &mut out);
+        let token = Search {
+            init: (0, 3),
+            idblock: None,
+            dmax: 0,
+            path: huge,
+            visited: vec![0],
+            backtrack: false,
+        };
+        n.handle_search(0, token, &mut out);
         assert!(out.is_empty());
     }
 
     /// Search messages dominate message size, matching the O(n log n) claim.
     #[test]
     fn search_is_the_largest_message_kind() {
-        let m = Msg::Search {
+        let m = Msg::Search(Search {
             init: (0, 1),
             idblock: None,
             dmax: 3,
             path: (0..20).map(|i| (i, 2)).collect(),
             visited: (0..20).collect(),
             backtrack: false,
-        };
-        let info = Msg::Info(crate::messages::InfoPayload {
-            root: 0,
-            parent: 0,
-            distance: 0,
-            dmax: 0,
-            deg: 0,
-            subtree_max: 0,
-            color: false,
         });
+        let info = Msg::Info(crate::NbrView::unknown(0));
         assert!(m.size_bits(32) > info.size_bits(32));
     }
 }

@@ -1,149 +1,144 @@
 //! The protocol's message alphabet (paper §3.1 "Messages").
 //!
-//! | Paper message | Here | Purpose |
-//! |---|---|---|
-//! | `InfoMsg` | [`Msg::Info`] | gossip local variables to neighbors |
-//! | `Search` | [`Msg::Search`] | DFS token discovering a fundamental cycle |
-//! | `Remove` | [`Msg::Remove`] | delete a tree edge at a max-degree node |
-//! | `Remove` (continuation) / `Back` / `Reverse` | [`Msg::Flip`] | re-orient parents along the reversed cycle arc |
-//! | `Deblock` | [`Msg::Deblock`] | flood asking a blocking node's subtree for help |
-//! | `UpdateDist` | [`Msg::DistChain`], [`Msg::DistFlood`] | repair distances after a reversal |
+//! | Paper message | Here | Payload | Purpose |
+//! |---|---|---|---|
+//! | `InfoMsg` | [`Msg::Info`] | [`NbrView`] | gossip local variables to neighbors |
+//! | `Search` | [`Msg::Search`] | [`Search`] | DFS token discovering a fundamental cycle |
+//! | `Remove` | [`Msg::Remove`] | [`Remove`] | delete a tree edge at a max-degree node |
+//! | `Remove` (continuation) / `Back` / `Reverse` | [`Msg::Flip`] | [`Flip`] | re-orient parents along the reversed cycle arc |
+//! | `Deblock` | [`Msg::Deblock`] | inline | flood asking a blocking node's subtree for help |
+//! | `UpdateDist` | [`Msg::DistChain`], [`Msg::DistFlood`] | [`DistChain`], inline | repair distances after a reversal |
+//!
+//! A multi-field message is one payload struct: a handler takes it whole
+//! and forwards it by struct update, so no hop unpacks and rebuilds it.
+//! An `InfoMsg` carries exactly the record the receiver mirrors.
 //!
 //! Sizes are accounted in bits with the paper's convention that IDs,
 //! degrees and distances cost `⌈log₂ n⌉` bits; the `path` lists make
 //! `Search`/`Remove` the `O(n log n)` messages of the paper's buffer-length
 //! analysis (experiment F5 measures exactly this).
 
+use crate::state::NbrView;
 use crate::NodeId;
 use ssmdst_sim::Message;
 
-/// Payload of the periodic `InfoMsg` gossip: the sender's variables as
-/// mirrored by [`crate::state::NbrView`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InfoPayload {
-    /// Sender's root estimate.
-    pub root: NodeId,
-    /// Sender's parent pointer.
-    pub parent: NodeId,
-    /// Sender's distance estimate.
-    pub distance: u32,
-    /// Sender's `dmax`.
-    pub dmax: u32,
-    /// Sender's tree degree.
-    pub deg: u32,
-    /// Sender's PIF feedback value.
-    pub subtree_max: u32,
-    /// Sender's color bit.
-    pub color: bool,
-}
-
 /// One hop of a search path: `(node, its tree degree when visited)`.
 pub type PathEntry = (NodeId, u32);
+
+/// DFS token looking for the fundamental cycle of the non-tree edge
+/// `{init.0, init.1}` (`init.0` is the lower-ID initiator).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Search {
+    /// `(initiator a, target b)` endpoints of the non-tree edge.
+    pub init: (NodeId, NodeId),
+    /// Blocking node this search works for, with the remaining deblock
+    /// recursion budget (`None` for plain searches).
+    pub idblock: Option<(NodeId, u8)>,
+    /// `dmax` snapshot at launch; any hop seeing a different local `dmax`
+    /// discards the token as stale.
+    pub dmax: u32,
+    /// DFS stack: tree path from the initiator to the current holder, with
+    /// each node's degree at visit time.
+    pub path: Vec<PathEntry>,
+    /// All nodes ever visited (DFS "marked" set, carried in the token so
+    /// nodes stay stateless w.r.t. searches).
+    pub visited: Vec<NodeId>,
+    /// Whether this hop is a backtrack return to the stack top.
+    pub backtrack: bool,
+}
+
+/// Commit request: swap non-tree edge `{init.0, init.1}` in and tree edge
+/// `{cycle[w_idx], cycle[z_idx]}` out. Travels from the cycle-closing
+/// endpoint across the non-tree edge and then along the cycle to `w`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Remove {
+    /// `(a, b)` endpoints of the edge being inserted.
+    pub init: (NodeId, NodeId),
+    /// Required tree degree of the commit node at commit time (freshness:
+    /// a stale request must not fire).
+    pub deg_max: u32,
+    /// Index into `cycle` of the maximum-degree node `w`. The message
+    /// commits *at `w` itself* so the degree check reads fresh local state,
+    /// never a (possibly stale) neighbor mirror.
+    pub w_idx: usize,
+    /// Index of the cycle-neighbor of `w` whose shared tree edge is deleted
+    /// (`w_idx ± 1`).
+    pub z_idx: usize,
+    /// Full cycle node sequence `[a, ..., b]` (tree path endpoints
+    /// inclusive).
+    pub cycle: Vec<NodeId>,
+    /// `dmax` snapshot at launch.
+    pub dmax: u32,
+    /// Distance of `a` (stamped by `a` as the message passes it).
+    pub dist_a: u32,
+    /// Distance of `b` (stamped at launch).
+    pub dist_b: u32,
+    /// Index into `cycle` of the node this hop is addressed to.
+    pub pos: usize,
+}
+
+/// Parent re-orientation along the reversed cycle arc after a commit (the
+/// paper's `Remove`-continuation / `Back` / `Reverse` family). Must always
+/// run to completion — dropping it would partition the tree, so it carries
+/// no freshness guards.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Flip {
+    /// Cycle node sequence (same vector as the `Remove`).
+    pub cycle: Vec<NodeId>,
+    /// Index of the addressee in `cycle`.
+    pub pos: usize,
+    /// Walk direction: `+1` (toward `b`) or `-1` (toward `a`).
+    pub dir: i8,
+    /// Index at which the flip stops (the inserted-edge endpoint).
+    pub end: usize,
+    /// First index of the flipped arc (the cut-adjacent node); the
+    /// distance-repair chain walks back from `end` to here.
+    pub origin: usize,
+    /// Distance of the node the stop index will attach to (so the terminal
+    /// node can set its distance immediately).
+    pub anchor_dist: u32,
+    /// The node the terminal endpoint adopts as parent (the other
+    /// inserted-edge endpoint).
+    pub anchor: NodeId,
+}
+
+/// Distance repair along a freshly flipped arc; each recipient adopts
+/// `dist + 1`, floods [`Msg::DistFlood`] into its off-path subtrees, and
+/// forwards the chain.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DistChain {
+    /// Cycle node sequence.
+    pub cycle: Vec<NodeId>,
+    /// Addressee index in `cycle`.
+    pub pos: usize,
+    /// Walk direction along the cycle.
+    pub dir: i8,
+    /// Last index to update (inclusive).
+    pub end: usize,
+    /// Sender's (already corrected) distance.
+    pub dist: u32,
+}
 
 /// Protocol messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Msg {
     /// Periodic gossip of local variables (the send/receive-atomicity
-    /// refresh).
-    Info(InfoPayload),
-
-    /// DFS token looking for the fundamental cycle of the non-tree edge
-    /// `{init.0, init.1}` (`init.0` is the lower-ID initiator).
-    Search {
-        /// `(initiator a, target b)` endpoints of the non-tree edge.
-        init: (NodeId, NodeId),
-        /// Blocking node this search works for, with the remaining deblock
-        /// recursion budget (`None` for plain searches).
-        idblock: Option<(NodeId, u8)>,
-        /// `dmax` snapshot at launch; any hop seeing a different local
-        /// `dmax` discards the token as stale.
-        dmax: u32,
-        /// DFS stack: tree path from the initiator to the current holder,
-        /// with each node's degree at visit time.
-        path: Vec<PathEntry>,
-        /// All nodes ever visited (DFS "marked" set, carried in the token
-        /// so nodes stay stateless w.r.t. searches).
-        visited: Vec<NodeId>,
-        /// Whether this hop is a backtrack return to the stack top.
-        backtrack: bool,
-    },
-
-    /// Commit request: swap non-tree edge `{init.0, init.1}` in and tree
-    /// edge `target` out. Travels from the cycle-closing endpoint across
-    /// the non-tree edge and then along the cycle to the target edge.
-    Remove {
-        /// `(a, b)` endpoints of the edge being inserted.
-        init: (NodeId, NodeId),
-        /// Required tree degree of the commit node at commit time
-        /// (freshness: a stale request must not fire).
-        deg_max: u32,
-        /// Index into `cycle` of the maximum-degree node `w`. The message
-        /// commits *at `w` itself* so the degree check reads fresh local
-        /// state, never a (possibly stale) neighbor mirror.
-        w_idx: usize,
-        /// Index of the cycle-neighbor of `w` whose shared tree edge is
-        /// deleted (`w_idx ± 1`).
-        z_idx: usize,
-        /// Full cycle node sequence `[a, ..., b]` (tree path endpoints
-        /// inclusive).
-        cycle: Vec<NodeId>,
-        /// `dmax` snapshot at launch.
-        dmax: u32,
-        /// Distance of `a` (stamped by `a` as the message passes it).
-        dist_a: u32,
-        /// Distance of `b` (stamped at launch).
-        dist_b: u32,
-        /// Index into `cycle` of the node this hop is addressed to.
-        pos: usize,
-    },
-
-    /// Parent re-orientation along the reversed cycle arc after a commit
-    /// (the paper's `Remove`-continuation / `Back` / `Reverse` family).
-    /// Must always run to completion — dropping it would partition the
-    /// tree, so it carries no freshness guards.
-    Flip {
-        /// Cycle node sequence (same vector as the `Remove`).
-        cycle: Vec<NodeId>,
-        /// Index of the addressee in `cycle`.
-        pos: usize,
-        /// Walk direction: `+1` (toward `b`) or `-1` (toward `a`).
-        dir: i8,
-        /// Index at which the flip stops (the inserted-edge endpoint).
-        end: usize,
-        /// First index of the flipped arc (the cut-adjacent node); the
-        /// distance-repair chain walks back from `end` to here.
-        origin: usize,
-        /// Distance of the node the stop index will attach to (so the
-        /// terminal node can set its distance immediately).
-        anchor_dist: u32,
-        /// The node the terminal endpoint adopts as parent (the other
-        /// inserted-edge endpoint).
-        anchor: NodeId,
-    },
-
-    /// Distance repair along a freshly flipped arc; each recipient adopts
-    /// `dist + 1`, floods [`Msg::DistFlood`] into its off-path subtrees,
-    /// and forwards the chain.
-    DistChain {
-        /// Cycle node sequence.
-        cycle: Vec<NodeId>,
-        /// Addressee index in `cycle`.
-        pos: usize,
-        /// Walk direction along the cycle.
-        dir: i8,
-        /// Last index to update (inclusive).
-        end: usize,
-        /// Sender's (already corrected) distance.
-        dist: u32,
-    },
-
+    /// refresh): the sender's variables, as the receiver mirrors them.
+    Info(NbrView),
+    /// See [`Search`].
+    Search(Search),
+    /// See [`Remove`].
+    Remove(Remove),
+    /// See [`Flip`].
+    Flip(Flip),
+    /// See [`DistChain`].
+    DistChain(DistChain),
     /// Subtree distance flood: recipient adopts `dist + 1` and forwards to
     /// its children.
     DistFlood {
         /// Sender's distance.
         dist: u32,
     },
-
     /// Flood announcing that `idblock` (tree degree `deg`, which is
     /// `dmax − 1`) blocks an improvement; receivers launch searches on
     /// `idblock`'s behalf and forward the flood through the tree.
@@ -166,10 +161,10 @@ impl Message for Msg {
     fn kind(&self) -> &'static str {
         match self {
             Msg::Info(_) => "InfoMsg",
-            Msg::Search { .. } => "Search",
-            Msg::Remove { .. } => "Remove",
-            Msg::Flip { .. } => "Flip",
-            Msg::DistChain { .. } => "DistChain",
+            Msg::Search(_) => "Search",
+            Msg::Remove(_) => "Remove",
+            Msg::Flip(_) => "Flip",
+            Msg::DistChain(_) => "DistChain",
             Msg::DistFlood { .. } => "DistFlood",
             Msg::Deblock { .. } => "Deblock",
         }
@@ -180,27 +175,18 @@ impl Message for Msg {
         match self {
             // root, parent, distance, dmax, deg, subtree_max + color bit
             Msg::Info(_) => 6 * b + 1,
-            Msg::Search {
-                path,
-                visited,
-                idblock,
-                ..
-            } => {
-                // init edge + dmax + optional idblock + flags
-                2 * b
-                    + b
-                    + idblock.map(|_| b).unwrap_or(1)
-                    + path.len() * 2 * b
-                    + visited.len() * b
+            // init edge + dmax + optional idblock + path + visited + flag
+            Msg::Search(m) => {
+                3 * b
+                    + m.idblock.map(|_| b).unwrap_or(1)
+                    + m.path.len() * 2 * b
+                    + m.visited.len() * b
                     + 1
             }
-            Msg::Remove { cycle, .. } => {
-                // init + deg_max + dmax + two distances + three indices +
-                // cycle
-                2 * b + b + b + 2 * b + 3 * b + cycle.len() * b
-            }
-            Msg::Flip { cycle, .. } => 4 * b + 2 + b + cycle.len() * b,
-            Msg::DistChain { cycle, .. } => 3 * b + 2 + cycle.len() * b,
+            // init + deg_max + dmax + two distances + three indices + cycle
+            Msg::Remove(m) => 9 * b + m.cycle.len() * b,
+            Msg::Flip(m) => 4 * b + 2 + b + m.cycle.len() * b,
+            Msg::DistChain(m) => 3 * b + 2 + m.cycle.len() * b,
             Msg::DistFlood { .. } => b,
             Msg::Deblock { .. } => 2 * b + 8,
         }
@@ -212,30 +198,22 @@ mod tests {
     use super::*;
 
     fn info() -> Msg {
-        Msg::Info(InfoPayload {
-            root: 0,
-            parent: 0,
-            distance: 0,
-            dmax: 0,
-            deg: 0,
-            subtree_max: 0,
-            color: false,
-        })
+        Msg::Info(NbrView::unknown(0))
     }
 
     #[test]
     fn kinds_are_distinct_labels() {
         let msgs = [
             info(),
-            Msg::Search {
+            Msg::Search(Search {
                 init: (0, 1),
                 idblock: None,
                 dmax: 0,
                 path: vec![],
                 visited: vec![],
                 backtrack: false,
-            },
-            Msg::Remove {
+            }),
+            Msg::Remove(Remove {
                 init: (0, 1),
                 deg_max: 3,
                 w_idx: 1,
@@ -245,8 +223,8 @@ mod tests {
                 dist_a: 0,
                 dist_b: 0,
                 pos: 0,
-            },
-            Msg::Flip {
+            }),
+            Msg::Flip(Flip {
                 cycle: vec![],
                 pos: 0,
                 dir: 1,
@@ -254,14 +232,14 @@ mod tests {
                 origin: 0,
                 anchor_dist: 0,
                 anchor: 0,
-            },
-            Msg::DistChain {
+            }),
+            Msg::DistChain(DistChain {
                 cycle: vec![],
                 pos: 0,
                 dir: 1,
                 end: 0,
                 dist: 0,
-            },
+            }),
             Msg::DistFlood { dist: 0 },
             Msg::Deblock {
                 idblock: 0,
@@ -284,22 +262,22 @@ mod tests {
 
     #[test]
     fn search_size_grows_linearly_with_path() {
-        let short = Msg::Search {
+        let short = Msg::Search(Search {
             init: (0, 1),
             idblock: None,
             dmax: 2,
             path: vec![(0, 1)],
             visited: vec![0],
             backtrack: false,
-        };
-        let long = Msg::Search {
+        });
+        let long = Msg::Search(Search {
             init: (0, 1),
             idblock: None,
             dmax: 2,
             path: (0..50).map(|i| (i, 1)).collect(),
             visited: (0..50).collect(),
             backtrack: false,
-        };
+        });
         let (s, l) = (short.size_bits(64), long.size_bits(64));
         assert!(l > s);
         // Linear in list lengths: 49 extra path entries (2b each) + 49
@@ -311,15 +289,15 @@ mod tests {
     fn one_of_each() -> [Msg; 7] {
         [
             info(),
-            Msg::Search {
+            Msg::Search(Search {
                 init: (0, 1),
                 idblock: None,
                 dmax: 3,
                 path: vec![(0, 1), (2, 3), (4, 2)],
                 visited: vec![0, 2, 4, 5],
                 backtrack: false,
-            },
-            Msg::Remove {
+            }),
+            Msg::Remove(Remove {
                 init: (0, 4),
                 deg_max: 3,
                 w_idx: 2,
@@ -329,8 +307,8 @@ mod tests {
                 dist_a: 1,
                 dist_b: 2,
                 pos: 1,
-            },
-            Msg::Flip {
+            }),
+            Msg::Flip(Flip {
                 cycle: vec![0, 1, 2, 3, 4],
                 pos: 1,
                 dir: -1,
@@ -338,14 +316,14 @@ mod tests {
                 origin: 2,
                 anchor_dist: 2,
                 anchor: 4,
-            },
-            Msg::DistChain {
+            }),
+            Msg::DistChain(DistChain {
                 cycle: vec![0, 1, 2, 3, 4],
                 pos: 3,
                 dir: 1,
                 end: 4,
                 dist: 3,
-            },
+            }),
             Msg::DistFlood { dist: 3 },
             Msg::Deblock {
                 idblock: 2,

@@ -1,7 +1,7 @@
 //! The protocol automaton: glue between the simulator and the four modules.
 
 use crate::config::Config;
-use crate::messages::{InfoPayload, Msg};
+use crate::messages::Msg;
 use crate::spanning_tree::RuleFields;
 use crate::state::{NbrView, NodeState};
 use crate::NodeId;
@@ -21,8 +21,9 @@ pub struct MdstNode {
     pub(crate) st: NodeState,
     pub(crate) cfg: Config,
     /// Rule fields of the last tree-rule evaluation, if it was a fixpoint
-    /// under the current mirrors (lets `handle_info` skip a redundant
-    /// re-evaluation; see [`MdstNode::update_tree`]).
+    /// under the current mirrors (lets `tick` and a `handle_info` that
+    /// writes no mirror skip a redundant re-evaluation; see
+    /// [`MdstNode::update_tree`]).
     pub(crate) fixpoint: Option<RuleFields>,
 }
 
@@ -54,16 +55,18 @@ impl MdstNode {
         self.cfg.enable_busy_latch && self.st.busy > 0
     }
 
-    /// The `InfoMsg` gossip payload advertising current variables.
-    pub(crate) fn info_payload(&self) -> InfoPayload {
-        InfoPayload {
-            root: self.st.root,
-            parent: self.st.parent,
-            distance: self.st.distance,
-            dmax: self.st.dmax,
-            deg: self.st.deg,
-            subtree_max: self.st.subtree_max,
-            color: self.st.color,
+    /// The `InfoMsg` gossip payload: current variables, as a neighbor
+    /// mirrors them.
+    pub(crate) fn info_payload(&self) -> NbrView {
+        let s = &self.st;
+        NbrView {
+            root: s.root,
+            parent: s.parent,
+            distance: s.distance,
+            dmax: s.dmax,
+            deg: s.deg,
+            subtree_max: s.subtree_max,
+            color: s.color,
         }
     }
 
@@ -103,44 +106,11 @@ impl Automaton for MdstNode {
         // network enforces locality, so just guard in debug.
         debug_assert!(self.st.is_neighbor(from), "receive from non-neighbor");
         match msg {
-            Msg::Info(p) => self.handle_info(from, p),
-            Msg::Search {
-                init,
-                idblock,
-                dmax,
-                path,
-                visited,
-                backtrack,
-            } => self.handle_search(from, init, idblock, dmax, path, visited, backtrack, out),
-            Msg::Remove {
-                init,
-                deg_max,
-                w_idx,
-                z_idx,
-                cycle,
-                dmax,
-                dist_a,
-                dist_b,
-                pos,
-            } => self.handle_remove(
-                from, init, deg_max, w_idx, z_idx, cycle, dmax, dist_a, dist_b, pos, out,
-            ),
-            Msg::Flip {
-                cycle,
-                pos,
-                dir,
-                end,
-                origin,
-                anchor_dist,
-                anchor,
-            } => self.handle_flip(cycle, pos, dir, end, origin, anchor_dist, anchor, out),
-            Msg::DistChain {
-                cycle,
-                pos,
-                dir,
-                end,
-                dist,
-            } => self.handle_dist_chain(from, cycle, pos, dir, end, dist, out),
+            Msg::Info(v) => self.handle_info(from, v),
+            Msg::Search(m) => self.handle_search(from, m, out),
+            Msg::Remove(m) => self.handle_remove(m, out),
+            Msg::Flip(m) => self.handle_flip(m, out),
+            Msg::DistChain(m) => self.handle_dist_chain(from, m, out),
             Msg::DistFlood { dist } => self.handle_dist_flood(from, dist, out),
             Msg::Deblock { idblock, ttl, dmax } => {
                 self.handle_deblock(from, idblock, ttl, dmax, out)

@@ -20,22 +20,22 @@
 //! the `Flip`/`DistChain` choreography runs unguarded to completion,
 //! exactly as the paper requires ("otherwise the tree partitions").
 
-use crate::messages::{Msg, PathEntry};
+use crate::messages::{DistChain, Flip, Msg, PathEntry, Remove, Search};
 use crate::node::MdstNode;
 use crate::NodeId;
 use ssmdst_sim::Outbox;
 
 impl MdstNode {
     /// `Action_on_Cycle` (paper Figure 1, lines 5–21), executed at the
-    /// cycle-closing endpoint `b == self` with `path = [a, p1, …, p_last]`
+    /// cycle-closing endpoint `b == self` with `m.path = [a, p1, …, p_last]`
     /// the tree path from `a` to `b`'s tree-predecessor.
-    pub(crate) fn action_on_cycle(
-        &mut self,
-        init: (NodeId, NodeId),
-        idblock: Option<(NodeId, u8)>,
-        path: Vec<PathEntry>,
-        out: &mut Outbox<Msg>,
-    ) {
+    pub(crate) fn action_on_cycle(&mut self, m: Search, out: &mut Outbox<Msg>) {
+        let Search {
+            init,
+            idblock,
+            path,
+            ..
+        } = m;
         let dmax = self.st.dmax;
         if dmax < 3 || path.len() < 2 {
             return; // nothing improvable / degenerate cycle
@@ -124,7 +124,7 @@ impl MdstNode {
         let z_idx = if left_key >= right_key { i - 1 } else { i + 1 };
         out.send(
             init.0,
-            Msg::Remove {
+            Msg::Remove(Remove {
                 init,
                 deg_max,
                 w_idx: i,
@@ -134,36 +134,23 @@ impl MdstNode {
                 dist_a: 0, // stamped by `a` on first hop
                 dist_b: self.st.distance,
                 pos: 0,
-            },
+            }),
         );
     }
 
     /// `Remove` hop (paper Figure 2, lines 3–14): relay with freshness
     /// guards until the maximum-degree node `w`, then commit there.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn handle_remove(
-        &mut self,
-        _from: NodeId,
-        init: (NodeId, NodeId),
-        deg_max: u32,
-        w_idx: usize,
-        z_idx: usize,
-        cycle: Vec<NodeId>,
-        dmax: u32,
-        mut dist_a: u32,
-        dist_b: u32,
-        pos: usize,
-        out: &mut Outbox<Msg>,
-    ) {
+    pub(crate) fn handle_remove(&mut self, mut m: Remove, out: &mut Outbox<Msg>) {
         // Structural sanity (corruption guards): w is interior, z adjacent.
-        if cycle.len() < 3
-            || cycle.len() > self.cfg.max_path_len + 1
-            || pos >= cycle.len()
-            || w_idx == 0
-            || w_idx + 1 >= cycle.len()
-            || (z_idx != w_idx - 1 && z_idx != w_idx + 1)
-            || cycle[pos] != self.st.id
-            || pos > w_idx
+        let len = m.cycle.len();
+        if len < 3
+            || len > self.cfg.max_path_len + 1
+            || m.pos >= len
+            || m.w_idx == 0
+            || m.w_idx + 1 >= len
+            || (m.z_idx != m.w_idx - 1 && m.z_idx != m.w_idx + 1)
+            || m.cycle[m.pos] != self.st.id
+            || m.pos > m.w_idx
         {
             return;
         }
@@ -172,38 +159,31 @@ impl MdstNode {
         // The busy latch additionally rejects a second improvement while
         // one is already moving through this node — overlapping flips
         // would cross and corrupt the tree, costing a full re-election.
-        if !self.st.locally_stabilized() || self.st.dmax != dmax || self.busy_blocked() {
+        if !self.st.locally_stabilized() || self.st.dmax != m.dmax || self.busy_blocked() {
             return;
         }
-        self.st.busy = cycle.len() as u32 + 4;
-        if pos == 0 {
+        self.st.busy = len as u32 + 4;
+        if m.pos == 0 {
             // We are `a`: the inserted edge must still be a non-tree edge.
-            if self.st.is_tree_edge(init.1) || !self.st.is_neighbor(init.1) {
+            if self.st.is_tree_edge(m.init.1) || !self.st.is_neighbor(m.init.1) {
                 return;
             }
-            dist_a = self.st.distance;
+            m.dist_a = self.st.distance;
         }
-        if pos == w_idx {
-            self.commit_remove(init, deg_max, w_idx, z_idx, cycle, dist_a, dist_b, out);
+        if m.pos == m.w_idx {
+            self.commit_remove(m, out);
             return;
         }
-        let next = cycle[pos + 1];
+        let next = m.cycle[m.pos + 1];
         if !self.st.is_tree_edge(next) {
             return; // path edge vanished: stale
         }
         out.send(
             next,
-            Msg::Remove {
-                init,
-                deg_max,
-                w_idx,
-                z_idx,
-                cycle,
-                dmax,
-                dist_a,
-                dist_b,
-                pos: pos + 1,
-            },
+            Msg::Remove(Remove {
+                pos: m.pos + 1,
+                ..m
+            }),
         );
     }
 
@@ -211,179 +191,106 @@ impl MdstNode {
     /// maximum-degree node `w = cycle[w_idx]` itself: its *own* (fresh)
     /// degree must still be `deg_max`; then the tree edge `{w, z}` is
     /// deleted and the cut component re-anchored on the inserted edge.
-    #[allow(clippy::too_many_arguments)]
-    fn commit_remove(
-        &mut self,
-        init: (NodeId, NodeId),
-        deg_max: u32,
-        w_idx: usize,
-        z_idx: usize,
-        cycle: Vec<NodeId>,
-        dist_a: u32,
-        dist_b: u32,
-        out: &mut Outbox<Msg>,
-    ) {
+    ///
+    /// One rule covers the four orientations (`z = w ± 1`, and `z` is `w`'s
+    /// parent or child). The side of the cut edge away from the root is cut
+    /// off: `w`'s side if `z` is its parent, `z`'s side if `z` is its child.
+    /// The flip walks that side's cycle arc away from the cut edge, in
+    /// direction `dir`, and stops at the inserted-edge endpoint the arc
+    /// ends in (`a` for `dir = −1`, `b` for `+1`), which re-anchors on the
+    /// other endpoint.
+    fn commit_remove(&mut self, m: Remove, out: &mut Outbox<Msg>) {
+        let Remove {
+            init: (a, b),
+            deg_max,
+            w_idx,
+            z_idx,
+            cycle,
+            dist_a,
+            dist_b,
+            ..
+        } = m;
         let z = cycle[z_idx];
         let s = &self.st;
-        if !s.is_neighbor(z) || !s.is_tree_edge(z) {
-            return;
-        }
         // Degree freshness on *local* state — the whole point of
         // committing at w (a stale mirror must never fire a swap).
-        if s.deg != deg_max {
+        if !s.is_neighbor(z) || s.deg != deg_max {
             return;
         }
-        let k = cycle.len() - 1; // index of b
-        let (a, b) = init;
-        if z_idx == w_idx + 1 {
-            if s.parent == z {
-                // Removing my parent edge: the cut component is my side,
-                // [0..=w_idx], containing `a`. Re-root it at `a`: reverse
-                // the arc w → a; `a` re-anchors on `b`.
-                let prev = cycle[w_idx - 1];
-                if !s.is_neighbor(prev) {
-                    return;
-                }
-                self.st.parent = prev;
-                self.st.recompute_derived();
-                out.send(
-                    prev,
-                    Msg::Flip {
-                        cycle,
-                        pos: w_idx - 1,
-                        dir: -1,
-                        end: 0,
-                        origin: w_idx,
-                        anchor_dist: dist_b,
-                        anchor: b,
-                    },
-                );
-            } else if s.view(z).parent == s.id {
-                // Removing my child edge toward b's side: the cut component
-                // is [w_idx+1..=k], containing `b`. Re-root it at `b`.
-                out.send(
-                    z,
-                    Msg::Flip {
-                        cycle,
-                        pos: w_idx + 1,
-                        dir: 1,
-                        end: k,
-                        origin: w_idx + 1,
-                        anchor_dist: dist_a,
-                        anchor: a,
-                    },
-                );
+        let (dir, origin, pos) = if s.parent == z {
+            // Removing my parent edge: my side is cut off, and I flip first,
+            // onto my cycle-neighbor away from z.
+            let dir = step(z_idx, w_idx);
+            let pos = w_idx.wrapping_add_signed(dir as isize);
+            let next = cycle[pos];
+            if !s.is_neighbor(next) {
+                return;
             }
+            self.st.parent = next;
+            self.st.recompute_derived();
+            (dir, w_idx, pos)
+        } else if s.view(z).parent == s.id {
+            // Removing my child edge: the cut component is z's side, and z
+            // flips first.
+            (step(w_idx, z_idx), z_idx, z_idx)
         } else {
-            // z = cycle[w_idx - 1]: the mirrored cases.
-            if s.parent == z {
-                // Removing my parent edge toward a's side: the cut
-                // component is [w_idx..=k], containing `b` (and me).
-                // Re-root it at `b`: I flip toward b first.
-                let next = cycle[w_idx + 1];
-                if !s.is_neighbor(next) {
-                    return;
-                }
-                self.st.parent = next;
-                self.st.recompute_derived();
-                out.send(
-                    next,
-                    Msg::Flip {
-                        cycle,
-                        pos: w_idx + 1,
-                        dir: 1,
-                        end: k,
-                        origin: w_idx,
-                        anchor_dist: dist_a,
-                        anchor: a,
-                    },
-                );
-            } else if s.view(z).parent == s.id {
-                // Removing my child edge toward a's side: the cut component
-                // is [0..=w_idx-1], containing `a`. Re-root it at `a`.
-                out.send(
-                    z,
-                    Msg::Flip {
-                        cycle,
-                        pos: w_idx - 1,
-                        dir: -1,
-                        end: 0,
-                        origin: w_idx - 1,
-                        anchor_dist: dist_b,
-                        anchor: b,
-                    },
-                );
-            }
-        }
-        // Neither orientation holds: the edge is already gone — stale, drop.
+            return; // neither orientation holds: the edge is already gone — stale, drop
+        };
+        let (end, anchor, anchor_dist) = if dir < 0 {
+            (0, b, dist_b)
+        } else {
+            (cycle.len() - 1, a, dist_a)
+        };
+        out.send(
+            cycle[pos],
+            Msg::Flip(Flip {
+                cycle,
+                pos,
+                dir,
+                end,
+                origin,
+                anchor_dist,
+                anchor,
+            }),
+        );
     }
 
     /// `Flip` hop: unconditional parent re-orientation along the reversed
     /// arc (paper's `Reverse_Orientation`; runs to completion).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn handle_flip(
-        &mut self,
-        cycle: Vec<NodeId>,
-        pos: usize,
-        dir: i8,
-        end: usize,
-        origin: usize,
-        anchor_dist: u32,
-        anchor: NodeId,
-        out: &mut Outbox<Msg>,
-    ) {
+    pub(crate) fn handle_flip(&mut self, m: Flip, out: &mut Outbox<Msg>) {
         // `origin` is the cut-adjacent end of the flipped arc: the walk
         // position always lies between `end` (terminal) and `origin`.
-        if !flip_indices_valid(&cycle, pos, dir, end, self.cfg.max_path_len)
-            || cycle[pos] != self.st.id
-            || origin >= cycle.len()
-            || !in_arc(pos as i32, end as i32, origin as i32)
+        if !flip_indices_valid(&m.cycle, m.pos, m.dir, m.end, self.cfg.max_path_len)
+            || m.cycle[m.pos] != self.st.id
+            || m.origin >= m.cycle.len()
+            || !in_arc(m.pos as i32, m.end as i32, m.origin as i32)
         {
             return;
         }
         // A flip in progress makes this region off-limits to new Removes.
-        self.st.busy = self.st.busy.max(cycle.len() as u32 + 4);
-        if pos == end {
+        self.st.busy = self.st.busy.max(m.cycle.len() as u32 + 4);
+        if m.pos == m.end {
             // Terminal endpoint of the inserted edge: adopt the anchor.
-            if !self.st.is_neighbor(anchor) {
+            if !self.st.is_neighbor(m.anchor) {
                 return; // corrupt; stabilization will clean up
             }
-            self.st.parent = anchor;
-            self.st.distance = anchor_dist.saturating_add(1);
+            self.st.parent = m.anchor;
+            self.st.distance = m.anchor_dist.saturating_add(1);
             self.st.recompute_derived();
             // Repair distances back along the flipped arc (terminal → cut-
-            // adjacent origin), flooding each node's off-arc subtree.
-            let back = -(dir as i32);
-            let chain_pos = pos as i32 + back;
-            let has_chain = in_arc(chain_pos, pos as i32, origin as i32) && origin != pos;
-            if has_chain {
-                let nxt = cycle[chain_pos as usize];
-                if self.st.is_neighbor(nxt) {
-                    out.send(
-                        nxt,
-                        Msg::DistChain {
-                            cycle: cycle.clone(),
-                            pos: chain_pos as usize,
-                            dir: back as i8,
-                            end: origin,
-                            dist: self.st.distance,
-                        },
-                    );
-                }
-            }
-            let exclude = if has_chain {
-                vec![cycle[chain_pos as usize]]
-            } else {
-                vec![]
-            };
-            self.flood_dist_to_children(&exclude, out);
+            // adjacent origin); the chain is empty if the origin is not
+            // behind the terminal.
+            let back = -m.dir;
+            let behind = in_arc(m.pos as i32 + back as i32, m.pos as i32, m.origin as i32);
+            let chain_end = if behind { m.origin } else { m.pos };
+            self.dist_chain(m.cycle, m.pos, back, chain_end, None, out);
             return;
         }
         // Interior flip: each arc node adopts the next node toward the
         // terminal, because the terminal is the new local root of the cut
         // component.
-        let toward_terminal = (pos as i32 + dir as i32) as usize;
-        let next_parent = cycle[toward_terminal];
+        let toward_terminal = m.pos.wrapping_add_signed(m.dir as isize);
+        let next_parent = m.cycle[toward_terminal];
         if !self.st.is_neighbor(next_parent) {
             return; // corrupt cycle vector; stabilization will clean up
         }
@@ -391,59 +298,59 @@ impl MdstNode {
         self.st.recompute_derived();
         out.send(
             next_parent,
-            Msg::Flip {
-                cycle,
+            Msg::Flip(Flip {
                 pos: toward_terminal,
-                dir,
-                end,
-                origin,
-                anchor_dist,
-                anchor,
-            },
+                ..m
+            }),
         );
     }
 
     /// `DistChain` hop: adopt the corrected distance and keep walking the
     /// flipped arc (paper's `UpdateDist` along the reversed path).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn handle_dist_chain(
-        &mut self,
-        from: NodeId,
-        cycle: Vec<NodeId>,
-        pos: usize,
-        dir: i8,
-        end: usize,
-        dist: u32,
-        out: &mut Outbox<Msg>,
-    ) {
-        if !flip_indices_valid(&cycle, pos, dir, end, self.cfg.max_path_len)
-            || cycle[pos] != self.st.id
+    pub(crate) fn handle_dist_chain(&mut self, from: NodeId, m: DistChain, out: &mut Outbox<Msg>) {
+        if !flip_indices_valid(&m.cycle, m.pos, m.dir, m.end, self.cfg.max_path_len)
+            || m.cycle[m.pos] != self.st.id
         {
             return;
         }
         if self.st.parent == from {
-            self.st.distance = dist.saturating_add(1);
+            self.st.distance = m.dist.saturating_add(1);
             self.st.recompute_derived();
         }
-        let mut exclude = vec![from];
-        if pos != end {
-            let nxt_i = (pos as i32 + dir as i32) as usize;
-            let nxt = cycle[nxt_i];
-            if self.st.is_neighbor(nxt) {
-                out.send(
-                    nxt,
-                    Msg::DistChain {
-                        cycle: cycle.clone(),
-                        pos: nxt_i,
-                        dir,
-                        end,
-                        dist: self.st.distance,
-                    },
-                );
-                exclude.push(nxt);
-            }
+        self.dist_chain(m.cycle, m.pos, m.dir, m.end, Some(from), out);
+    }
+
+    /// The distance-repair chain at `cycle[pos]`, walking `dir` toward
+    /// `end` (shared by the `Flip` terminal and every `DistChain` hop):
+    /// forward `DistChain` to the next arc node if it is a neighbor, then
+    /// flood `DistFlood` into every other child except `from`.
+    fn dist_chain(
+        &self,
+        cycle: Vec<NodeId>,
+        pos: usize,
+        dir: i8,
+        end: usize,
+        from: Option<NodeId>,
+        out: &mut Outbox<Msg>,
+    ) {
+        let dist = self.st.distance;
+        let next_pos = pos.wrapping_add_signed(dir as isize);
+        let next = (pos != end)
+            .then(|| cycle[next_pos])
+            .filter(|&u| self.st.is_neighbor(u));
+        if let Some(u) = next {
+            out.send(
+                u,
+                Msg::DistChain(DistChain {
+                    cycle,
+                    pos: next_pos,
+                    dir,
+                    end,
+                    dist,
+                }),
+            );
         }
-        self.flood_dist_to_children(&exclude, out);
+        self.flood_dist_to_children([from, next], out);
     }
 
     /// `DistFlood`: child-side distance repair (subtree flood).
@@ -456,13 +363,13 @@ impl MdstNode {
             return; // nothing changed: stop the flood here
         }
         self.st.distance = new;
-        self.flood_dist_to_children(&[from], out);
+        self.flood_dist_to_children([Some(from), None], out);
     }
 
-    /// Send `DistFlood` to all (mirror-)children except `exclude`.
-    fn flood_dist_to_children(&self, exclude: &[NodeId], out: &mut Outbox<Msg>) {
+    /// Send `DistFlood` to all (mirror-)children except `skip`.
+    fn flood_dist_to_children(&self, skip: [Option<NodeId>; 2], out: &mut Outbox<Msg>) {
         for u in self.st.children() {
-            if !exclude.contains(&u) {
+            if !skip.contains(&Some(u)) {
                 out.send(
                     u,
                     Msg::DistFlood {
@@ -579,6 +486,15 @@ fn flip_indices_valid(cycle: &[NodeId], pos: usize, dir: i8, end: usize, cap: us
     }
 }
 
+/// The walk direction from index `from` to the adjacent index `to`.
+fn step(from: usize, to: usize) -> i8 {
+    if to > from {
+        1
+    } else {
+        -1
+    }
+}
+
 /// Whether `x` lies on the inclusive walk from `from_` to `to`.
 fn in_arc(x: i32, from_: i32, to: i32) -> bool {
     if from_ <= to {
@@ -683,22 +599,32 @@ mod tests {
         t.validate(&g).unwrap();
     }
 
+    /// A `Remove` for the cycle `[0, 1, 2, 3]` with dmax snapshot 0,
+    /// committing at `cycle[w_idx]` and addressed to `cycle[pos]`.
+    fn remove_msg(w_idx: usize, z_idx: usize, pos: usize) -> Remove {
+        Remove {
+            init: (0, 3),
+            deg_max: 3,
+            w_idx,
+            z_idx,
+            cycle: vec![0, 1, 2, 3],
+            dmax: 0,
+            dist_a: 0,
+            dist_b: 0,
+            pos,
+        }
+    }
+
     /// A Remove with a stale dmax snapshot must be dropped before commit.
     #[test]
     fn stale_remove_is_dropped() {
         let mut n = crate::MdstNode::new(1, &[0, 2], Config::for_n(4));
         let mut out = Outbox::new();
         n.handle_remove(
-            0,
-            (0, 3),
-            3,
-            1,
-            2,
-            vec![0, 1, 2, 3],
-            99, // stale
-            0,
-            0,
-            1,
+            Remove {
+                dmax: 99, // stale
+                ..remove_msg(1, 2, 1)
+            },
             &mut out,
         );
         assert!(out.is_empty());
@@ -709,7 +635,7 @@ mod tests {
     fn corrupt_remove_geometry_dropped() {
         let mut n = crate::MdstNode::new(2, &[1, 3], Config::for_n(4));
         let mut out = Outbox::new();
-        n.handle_remove(1, (0, 3), 3, 1, 2, vec![0, 1, 2, 3], 0, 0, 0, 2, &mut out);
+        n.handle_remove(remove_msg(1, 2, 2), &mut out);
         assert!(out.is_empty());
     }
 
@@ -718,7 +644,7 @@ mod tests {
     fn corrupt_z_index_dropped() {
         let mut n = crate::MdstNode::new(1, &[0, 2], Config::for_n(4));
         let mut out = Outbox::new();
-        n.handle_remove(0, (0, 3), 3, 1, 3, vec![0, 1, 2, 3], 0, 0, 0, 1, &mut out);
+        n.handle_remove(remove_msg(1, 3, 1), &mut out);
         assert!(out.is_empty());
     }
 
@@ -818,7 +744,7 @@ mod tests {
     /// The `Remove` that commits at node 2 of the cycle `[0, 1, 2, 3, 4]`
     /// (`a = 0`, `b = 4`), cutting the edge to `cycle[z_idx]`.
     fn commit_msg(z_idx: usize) -> Msg {
-        Msg::Remove {
+        Msg::Remove(Remove {
             init: (0, 4),
             deg_max: 3,
             w_idx: 2,
@@ -828,13 +754,13 @@ mod tests {
             dist_a: 7,
             dist_b: 9,
             pos: 2,
-        }
+        })
     }
 
     /// `(pos, dir, end, origin, anchor, anchor_dist)` of a `Flip`.
     fn flip_fields(m: &Msg) -> (usize, i8, usize, usize, NodeId, u32) {
         match m {
-            Msg::Flip {
+            Msg::Flip(Flip {
                 pos,
                 dir,
                 end,
@@ -842,7 +768,7 @@ mod tests {
                 anchor,
                 anchor_dist,
                 ..
-            } => (*pos, *dir, *end, *origin, *anchor, *anchor_dist),
+            }) => (*pos, *dir, *end, *origin, *anchor, *anchor_dist),
             other => panic!("expected a Flip, got {other:?}"),
         }
     }
@@ -929,17 +855,37 @@ mod tests {
         assert_eq!(n.st, before);
     }
 
+    /// A `Flip` walking toward index 0 (`dir = -1`).
+    fn flip_msg(
+        cycle: Vec<NodeId>,
+        pos: usize,
+        end: usize,
+        origin: usize,
+        anchor_dist: u32,
+        anchor: NodeId,
+    ) -> Flip {
+        Flip {
+            cycle,
+            pos,
+            dir: -1,
+            end,
+            origin,
+            anchor_dist,
+            anchor,
+        }
+    }
+
     #[test]
     fn flip_interior_reorients_and_forwards() {
         let mut n = stabilized_mid();
         let mut out = Outbox::new();
         // Cycle [0,1,2,3] reversed toward index 0; node 1 at pos 1.
-        n.handle_flip(vec![0, 1, 2, 3], 1, -1, 0, 2, 5, 3, &mut out);
+        n.handle_flip(flip_msg(vec![0, 1, 2, 3], 1, 0, 2, 5, 3), &mut out);
         assert_eq!(n.st.parent, 0, "interior flip adopts the next-to-terminal");
         let drained = out.messages().to_vec();
         assert_eq!(drained.len(), 1);
         assert_eq!(drained[0].0, 0);
-        assert!(matches!(drained[0].1, Msg::Flip { pos: 0, .. }));
+        assert!(matches!(drained[0].1, Msg::Flip(Flip { pos: 0, .. })));
         assert!(n.st.busy > 0, "flip marks the region busy");
     }
 
@@ -949,13 +895,13 @@ mod tests {
         let mut out = Outbox::new();
         // Terminal at pos==end==1, arc origin 2 lies beyond: chain goes to 2.
         // Anchor must be a neighbor (0 here).
-        n.handle_flip(vec![2, 1, 2], 1, -1, 1, 2, 9, 0, &mut out);
+        n.handle_flip(flip_msg(vec![2, 1, 2], 1, 1, 2, 9, 0), &mut out);
         assert_eq!(n.st.parent, 0);
         assert_eq!(n.st.distance, 10);
         let drained = out.messages().to_vec();
         assert!(drained
             .iter()
-            .any(|(to, m)| *to == 2 && matches!(m, Msg::DistChain { .. })));
+            .any(|(to, m)| *to == 2 && matches!(m, Msg::DistChain(DistChain { .. }))));
     }
 
     #[test]
@@ -963,7 +909,7 @@ mod tests {
         let mut n = stabilized_mid();
         let before = n.st.parent;
         let mut out = Outbox::new();
-        n.handle_flip(vec![9, 1], 1, -1, 1, 1, 4, 9, &mut out);
+        n.handle_flip(flip_msg(vec![9, 1], 1, 1, 1, 4, 9), &mut out);
         assert_eq!(n.st.parent, before);
         assert!(out.is_empty());
     }

@@ -14,7 +14,6 @@
 //! self-stabilizing, but gentle avoids tearing down the tree after every
 //! deliberate parent reversal performed by the reduction module.
 
-use crate::messages::InfoPayload;
 use crate::node::MdstNode;
 use crate::state::NbrView;
 use crate::NodeId;
@@ -58,18 +57,9 @@ impl MdstNode {
     /// A payload equal to the stored mirror writes nothing, so the
     /// re-evaluation is skipped while the memo holds.
     // lint: hot-path
-    pub(crate) fn handle_info(&mut self, from: NodeId, p: InfoPayload) {
+    pub(crate) fn handle_info(&mut self, from: NodeId, v: NbrView) {
         let Some(i) = self.st.mirror_index(from) else {
             return;
-        };
-        let v = NbrView {
-            root: p.root,
-            parent: p.parent,
-            distance: p.distance,
-            dmax: p.dmax,
-            deg: p.deg,
-            subtree_max: p.subtree_max,
-            color: p.color,
         };
         if self.st.nbr[i] == v {
             self.update_tree_unless_fixpoint();
@@ -208,15 +198,12 @@ mod tests {
     use ssmdst_graph::generators::structured;
     use ssmdst_sim::{stop_when, Network, Scheduler, Session};
 
-    fn info(root: NodeId, parent: NodeId, distance: u32) -> InfoPayload {
-        InfoPayload {
+    fn info(root: NodeId, parent: NodeId, distance: u32) -> NbrView {
+        NbrView {
             root,
             parent,
             distance,
-            dmax: 0,
-            deg: 0,
-            subtree_max: 0,
-            color: false,
+            ..NbrView::unknown(0)
         }
     }
 
