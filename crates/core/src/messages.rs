@@ -175,10 +175,12 @@ impl Message for Msg {
         match self {
             // root, parent, distance, dmax, deg, subtree_max + color bit
             Msg::Info(_) => 6 * b + 1,
-            // init edge + dmax + optional idblock + path + visited + flag
+            // init edge + dmax + presence bit and optional (idblock, ttl) +
+            // path + visited + flag
             Msg::Search(m) => {
                 3 * b
-                    + m.idblock.map(|_| b).unwrap_or(1)
+                    + 1
+                    + m.idblock.map_or(0, |_| b + 8)
                     + m.path.len() * 2 * b
                     + m.visited.len() * b
                     + 1
@@ -354,6 +356,21 @@ mod tests {
                 "{kind}"
             );
         }
+    }
+
+    /// A deblock-context search pays a presence bit plus the blocker's id
+    /// and its 8-bit ttl, as `Deblock` does; a plain one pays the bit alone.
+    #[test]
+    fn deblock_search_pays_for_its_context() {
+        let Msg::Search(plain) = &one_of_each()[1] else {
+            unreachable!()
+        };
+        let deblock = Msg::Search(Search {
+            idblock: Some((2, 8)),
+            ..plain.clone()
+        });
+        // The plain search's (54, 132) plus 4 + 8 and 10 + 8 bits.
+        assert_eq!((deblock.size_bits(16), deblock.size_bits(1000)), (66, 150));
     }
 
     #[test]
