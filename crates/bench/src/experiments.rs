@@ -933,10 +933,17 @@ mod fabric {
     }
 }
 
+/// Repetitions of every S-family measurement; each cell is their median.
+const SCALE_REPS: usize = 5;
+
 /// Shared body of the S experiments: sweep `p.scale_sizes`, one row per
-/// size. The `disc vs n₀` column is event-engine discovery cost relative
-/// to the sweep's smallest size — the "flat, not log-linear" claim is that
-/// it stays O(1)-ish as n grows.
+/// size. Each size's graph is built once and measured [`SCALE_REPS`]
+/// times, repetition-major (every size once, then every size again), so a
+/// slow stretch of the host hits all sizes of a repetition alike. Each
+/// cell is the median over the repetitions. The `disc vs n₀` column is
+/// event-engine discovery cost relative to the sweep's smallest size, as
+/// the median over repetitions of each repetition's own ratio — the "flat,
+/// not log-linear" claim is that it stays O(1)-ish as n grows.
 fn scale_table(p: &Profile, gen: impl Fn(usize, u64) -> Graph) -> Table {
     let mut t = Table::new(vec![
         "n",
@@ -947,19 +954,32 @@ fn scale_table(p: &Profile, gen: impl Fn(usize, u64) -> Graph) -> Table {
         "gossip ns/oblig",
         "disc vs n₀",
     ]);
-    let mut baseline: Option<f64> = None;
-    for &n in &p.scale_sizes {
-        let g = gen(n, p.seeds[0]);
-        let row = fabric::measure(&g);
-        let base = *baseline.get_or_insert(row.event_ns_per_round);
+    let graphs: Vec<Graph> = p.scale_sizes.iter().map(|&n| gen(n, p.seeds[0])).collect();
+    let mut reps: Vec<Vec<fabric::FabricRow>> = graphs.iter().map(|_| Vec::new()).collect();
+    for _ in 0..SCALE_REPS {
+        for (g, rows) in graphs.iter().zip(&mut reps) {
+            rows.push(fabric::measure(g));
+        }
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    for rows in &reps {
+        let cell = |f: fn(&fabric::FabricRow) -> f64| median(rows.iter().map(f).collect());
+        let disc = rows
+            .iter()
+            .zip(&reps[0])
+            .map(|(r, base)| r.event_ns_per_round / base.event_ns_per_round)
+            .collect();
         t.row(vec![
-            row.n.to_string(),
-            row.m.to_string(),
-            row.slots.to_string(),
-            row.build_us.to_string(),
-            format!("{:.0}", row.event_ns_per_round),
-            format!("{:.1}", row.gossip_ns_per_obligation),
-            format!("{:.2}x", row.event_ns_per_round / base),
+            rows[0].n.to_string(),
+            rows[0].m.to_string(),
+            rows[0].slots.to_string(),
+            format!("{:.0}", cell(|r| r.build_us as f64)),
+            format!("{:.0}", cell(|r| r.event_ns_per_round)),
+            format!("{:.1}", cell(|r| r.gossip_ns_per_obligation)),
+            format!("{:.2}x", median(disc)),
         ]);
     }
     t
