@@ -140,16 +140,13 @@ impl MdstNode {
             .find(|&i| s.is_tree_edge_at(i) && !m.visited.contains(&s.neighbors[i]))
             .map(|i| s.neighbors[i]);
         m.backtrack = next.is_none();
-        let to = next.or_else(|| {
+        if m.backtrack {
             // Dead end: pop self, return the token to the new stack top. An
             // empty stack means the whole tree was searched without finding
             // the target — the tree changed mid-flight, and the token dies.
             m.path.pop();
-            m.path
-                .last()
-                .map(|e| e.0)
-                .filter(|&prev| s.is_neighbor(prev))
-        });
+        }
+        let to = next.or_else(|| m.path.last().map(|e| e.0).filter(|&p| s.is_neighbor(p)));
         if let Some(to) = to {
             out.send(to, Msg::Search(m));
         }

@@ -205,50 +205,7 @@ mod tests {
 
     #[test]
     fn kinds_are_distinct_labels() {
-        let msgs = [
-            info(),
-            Msg::Search(Search {
-                init: (0, 1),
-                idblock: None,
-                dmax: 0,
-                path: vec![],
-                visited: vec![],
-                backtrack: false,
-            }),
-            Msg::Remove(Remove {
-                init: (0, 1),
-                deg_max: 3,
-                w_idx: 1,
-                z_idx: 2,
-                cycle: vec![],
-                dmax: 3,
-                dist_a: 0,
-                dist_b: 0,
-                pos: 0,
-            }),
-            Msg::Flip(Flip {
-                cycle: vec![],
-                pos: 0,
-                dir: 1,
-                end: 0,
-                origin: 0,
-                anchor_dist: 0,
-                anchor: 0,
-            }),
-            Msg::DistChain(DistChain {
-                cycle: vec![],
-                pos: 0,
-                dir: 1,
-                end: 0,
-                dist: 0,
-            }),
-            Msg::DistFlood { dist: 0 },
-            Msg::Deblock {
-                idblock: 0,
-                ttl: 1,
-                dmax: 2,
-            },
-        ];
+        let msgs = one_of_each();
         let mut kinds: Vec<_> = msgs.iter().map(|m| m.kind()).collect();
         kinds.sort_unstable();
         kinds.dedup();
