@@ -25,6 +25,7 @@ use ssmdst_scenario::{
     ConfigSpec, CorruptSpec, EventAction, Mdst, Scenario, ScenarioEvent, ScenarioOutcome,
     SchedSpec, TopologySpec,
 };
+use ssmdst_sim::parallel::{default_workers, run_many};
 use ssmdst_sim::TopologyPlan;
 
 /// Sweep sizing. `quick` keeps the full suite under ~a minute in release;
@@ -69,6 +70,117 @@ impl Profile {
         }
     }
 }
+
+/// One experiment of the suite: the id that names it on the command line
+/// and in the committed JSON, the title its table is printed under, and
+/// the function that measures it.
+#[derive(Debug, Clone, Copy)]
+pub struct Experiment {
+    /// Command-line and JSON id (`t1`, `f4`, `c1`, …).
+    pub id: &'static str,
+    /// Title the table is printed and committed under.
+    pub title: &'static str,
+    /// Runs the experiment under a profile.
+    pub run: fn(&Profile) -> Table,
+}
+
+impl Experiment {
+    const fn new(id: &'static str, title: &'static str, run: fn(&Profile) -> Table) -> Self {
+        Experiment { id, title, run }
+    }
+}
+
+/// Every experiment, in the order `experiments all` runs them.
+pub const EXPERIMENTS: &[Experiment] = &[
+    Experiment::new(
+        "t1",
+        "T1 — degree quality (Thm 2: deg ≤ Δ*+1)",
+        t1_degree_quality,
+    ),
+    Experiment::new(
+        "t2",
+        "T2 — convergence rounds vs O(m·n²·lg n) (Lemma 5)",
+        t2_convergence,
+    ),
+    Experiment::new("t3", "T3 — message complexity by kind", t3_messages),
+    Experiment::new(
+        "t4",
+        "T4 — memory per node vs O(δ·lg n) (Lemma 5)",
+        t4_memory,
+    ),
+    Experiment::new("t5", "T5 — baseline comparison", t5_baselines),
+    Experiment::new("f1", "F1 — convergence trajectory", f1_trajectory),
+    Experiment::new(
+        "f2",
+        "F2 — transient-fault recovery (Def. 1)",
+        f2_fault_recovery,
+    ),
+    Experiment::new(
+        "f3",
+        "F3 — concurrent improvements vs serialized [3]",
+        f3_concurrency,
+    ),
+    Experiment::new("f4", "F4 — scheduler sensitivity", f4_schedulers),
+    Experiment::new(
+        "f5",
+        "F5 — max message length vs O(n·lg n)",
+        f5_message_length,
+    ),
+    Experiment::new(
+        "a1",
+        "A1 — ablation: strict vs gentle distance repair",
+        a1_strict_vs_gentle,
+    ),
+    Experiment::new("a2", "A2 — ablation: Deblock disabled", a2_deblock),
+    Experiment::new("a3", "A3 — ablation: busy latch disabled", a3_busy_latch),
+    Experiment::new(
+        "d1",
+        "D1 — dynamic topology: edge churn re-convergence",
+        d1_edge_churn,
+    ),
+    Experiment::new(
+        "d2",
+        "D2 — dynamic topology: node crash/rejoin re-convergence",
+        d2_node_churn,
+    ),
+    Experiment::new(
+        "d3",
+        "D3 — dynamic topology: partition/heal re-convergence",
+        d3_partition_heal,
+    ),
+    Experiment::new(
+        "s1",
+        "S1 — fabric scale: sparse G(n,p), mean degree 8",
+        s1_scale_gnp,
+    ),
+    Experiment::new(
+        "s2",
+        "S2 — fabric scale: near-regular, degree 8",
+        s2_scale_regular,
+    ),
+    Experiment::new(
+        "s3",
+        "S3 — fabric scale: Barabási–Albert, attachment 2",
+        s3_scale_ba,
+    ),
+    Experiment::new(
+        "c1",
+        "C1 — scenario campaign: corpus grid, replayable rows",
+        c1_campaign,
+    ),
+];
+
+/// The experiment named `id`, if there is one.
+pub fn find(id: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.id == id)
+}
+
+/// The three daemons, in the order the F4 and D tables list them.
+const DAEMONS: [SchedSpec; 3] = [
+    SchedSpec::Synchronous,
+    SchedSpec::RandomAsync { seed: 11 },
+    SchedSpec::Adversarial { seed: 11 },
+];
 
 fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -469,11 +581,8 @@ pub fn f3_concurrency(p: &Profile) -> Table {
 pub fn f4_schedulers(p: &Profile) -> Table {
     let mut t = Table::new(vec!["scheduler", "family", "n", "rounds", "deg"]);
     let n = *p.large_sizes.first().unwrap_or(&16);
-    for (label, sched) in [
-        ("synchronous", SchedSpec::Synchronous),
-        ("random-async", SchedSpec::RandomAsync { seed: 11 }),
-        ("adversarial", SchedSpec::Adversarial { seed: 11 }),
-    ] {
+    for sched in DAEMONS {
+        let label = sched.label();
         for fam in [GraphFamily::GnpSparse, GraphFamily::ScaleFree] {
             let scn = row_scenario(&format!("f4-{label}"), fam, n, p.seeds[0], sched, p);
             let res = run_mdst(&scn, no_exact());
@@ -689,11 +798,8 @@ fn churn_table(topo: &TopologySpec, plan: &TopologyPlan, p: &Profile, label: &st
         "Δ*",
         "≤Δ*+1",
     ]);
-    for (name, sched) in [
-        ("synchronous", SchedSpec::Synchronous),
-        ("random-async", SchedSpec::RandomAsync { seed: 11 }),
-        ("adversarial", SchedSpec::Adversarial { seed: 11 }),
-    ] {
+    for sched in DAEMONS {
+        let name = sched.label();
         let mut scn = Scenario::converge(
             format!("d-{label}-{name}"),
             topo.clone(),
@@ -756,7 +862,7 @@ pub fn d3_partition_heal(p: &Profile) -> Table {
 }
 
 /// **C1 — Scenario campaign**: the conformance corpus fanned out over
-/// worker threads ([`ssmdst_sim::parallel::run_many`]). One row per
+/// worker threads ([`run_many`] over [`engine::run_any`]). One row per
 /// scenario; the digest column is the replay identity — re-running the
 /// named scenario must reproduce it bit-for-bit (`ssmdst replay NAME`).
 pub fn c1_campaign(_p: &Profile) -> Table {
@@ -773,25 +879,26 @@ pub fn c1_campaign(_p: &Profile) -> Table {
         "digest",
     ]);
     let corpus = ssmdst_scenario::corpus::corpus();
-    let rows = ssmdst_scenario::run_campaign(&corpus, ssmdst_sim::parallel::default_workers());
-    for r in rows {
+    let outs = run_many(corpus.clone(), default_workers(), engine::run_any);
+    for (scn, out) in corpus.iter().zip(outs) {
+        let ok = out.all_ok();
         t.row(vec![
-            r.name,
-            r.scheduler.to_string(),
-            r.n.to_string(),
-            r.m.to_string(),
-            if r.converged {
+            out.name,
+            scn.scheduler.label().to_string(),
+            out.n.to_string(),
+            out.m.to_string(),
+            if out.converged {
                 "yes".into()
             } else {
                 "NO".to_string()
             },
-            r.rounds.to_string(),
-            r.degree
+            out.conv_round.to_string(),
+            out.final_degree
                 .map(|d| d.to_string())
                 .unwrap_or_else(|| "-".into()),
-            r.total_msgs.to_string(),
-            if r.ok { "yes".into() } else { "NO".to_string() },
-            format!("{:016x}", r.digest),
+            out.total_msgs.to_string(),
+            if ok { "yes".into() } else { "NO".to_string() },
+            format!("{:016x}", out.digest),
         ]);
     }
     t

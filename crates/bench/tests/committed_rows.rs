@@ -1,19 +1,26 @@
 //! Committed bench anchors must stay reproducible.
 //!
-//! The T5 and F3 rows committed in `BENCH_baseline.json` must reproduce:
-//! both tables are deterministic (seeded graphs, synchronous daemon), so
-//! rendering them under `Profile::quick()` — the profile that file records —
-//! gives the committed cells exactly. A baseline or protocol change that
-//! moves a cell fails here until the file is regenerated with
-//! `experiments all --quick --json BENCH_baseline.json`.
+//! Every table committed in `BENCH_baseline.json` (T1–T5, F1–F5, A1–A3)
+//! must reproduce: each is deterministic (seeded graphs, seeded daemons),
+//! so running it under `Profile::quick()` — the profile that file records
+//! — gives the committed title, header and rows exactly; only `wall_ms` is
+//! not compared. The experiment is looked up by id in
+//! `experiments::EXPERIMENTS`, the registry the `experiments` bin runs. A
+//! protocol or harness change that moves a cell fails here until the row
+//! is re-taken with `experiments IDS --quick --json PATH`.
+//!
+//! The five slowest tables (T2, T4, F2, A1, A3) take about 10 s between
+//! them in a debug build, so they are `#[ignore]`d in `cargo test`; CI
+//! runs them in release with
+//! `cargo test --release -p ssmdst-bench -- --include-ignored`.
 //!
 //! The X rows of `BENCH_exact.json` are too slow to re-run here, so the
 //! generator instances behind them are pinned by structural fingerprint
 //! instead: a generator change fails here rather than silently leaving the
 //! committed X rows stale.
 
-use ssmdst_bench::experiments::{f3_concurrency, t5_baselines};
-use ssmdst_bench::{Profile, Table};
+use ssmdst_bench::experiments;
+use ssmdst_bench::{json_string, Profile};
 use ssmdst_graph::generators::random::gnp_connected_sparse;
 use ssmdst_graph::Graph;
 use ssmdst_sim::Digest;
@@ -32,18 +39,35 @@ fn rows(table_json: &str) -> Vec<String> {
         .collect()
 }
 
-/// The committed table JSON of experiment `id`.
-fn committed(id: &str) -> &'static str {
-    let prefix = format!("{{\"id\":\"{id}\",");
+/// The ids of the experiments committed in `BENCH_baseline.json`, in order.
+fn committed_ids() -> Vec<&'static str> {
+    BASELINE
+        .lines()
+        .filter_map(|l| l.strip_prefix("{\"id\":\""))
+        .map(|l| &l[..l.find('"').expect("id closes")])
+        .collect()
+}
+
+/// Run experiment `id` under the quick profile and compare its title,
+/// header and rows with the committed line.
+fn assert_reproduces(id: &str) {
+    let e = experiments::find(id).unwrap_or_else(|| panic!("no experiment `{id}`"));
+    let prefix = format!("{{\"id\":{},", json_string(id));
     let line = BASELINE
         .lines()
         .find(|l| l.starts_with(&prefix))
         .unwrap_or_else(|| panic!("BENCH_baseline.json has no `{id}` row"));
-    &line[line.find("\"table\":").expect("experiment has a table")..]
-}
-
-fn assert_reproduces(id: &str, table: &Table) {
-    let committed = committed(id);
+    let title = format!("{prefix}\"title\":{},\"wall_ms\":", json_string(e.title));
+    assert!(
+        line.starts_with(&title),
+        "{id} title differs from BENCH_baseline.json: {line}"
+    );
+    let committed = line
+        [line.find("\"table\":").expect("experiment has a table") + "\"table\":".len()..]
+        .trim_end_matches(',')
+        .strip_suffix('}')
+        .expect("experiment object closes");
+    let table = (e.run)(&Profile::quick());
     let rendered = table.to_json();
     assert_eq!(
         rows(committed),
@@ -51,17 +75,51 @@ fn assert_reproduces(id: &str, table: &Table) {
         "{id} rows differ from BENCH_baseline.json\n{}",
         table.render()
     );
-    assert!(
-        committed.contains(&rendered),
-        "{id} header differs from BENCH_baseline.json:\ncommitted {committed}\nrendered  {rendered}"
+    assert_eq!(
+        committed, rendered,
+        "{id} header differs from BENCH_baseline.json"
     );
 }
 
+/// One test per committed table, so the harness runs them in parallel,
+/// and `PINNED` listing them for the completeness check.
+macro_rules! pin_tables {
+    ($($(#[$attr:meta])* $id:ident),* $(,)?) => {
+        const PINNED: &[&str] = &[$(stringify!($id)),*];
+        $(
+            #[test]
+            $(#[$attr])*
+            fn $id() {
+                assert_reproduces(stringify!($id));
+            }
+        )*
+    };
+}
+
+pin_tables!(
+    t1,
+    #[ignore = "slow in a debug build; CI runs it in release with --include-ignored"]
+    t2,
+    t3,
+    #[ignore = "slow in a debug build; CI runs it in release with --include-ignored"]
+    t4,
+    t5,
+    f1,
+    #[ignore = "slow in a debug build; CI runs it in release with --include-ignored"]
+    f2,
+    f3,
+    f4,
+    f5,
+    #[ignore = "slow in a debug build; CI runs it in release with --include-ignored"]
+    a1,
+    a2,
+    #[ignore = "slow in a debug build; CI runs it in release with --include-ignored"]
+    a3,
+);
+
 #[test]
-fn committed_t5_and_f3_rows_reproduce_under_quick_profile() {
-    let p = Profile::quick();
-    assert_reproduces("t5", &t5_baselines(&p));
-    assert_reproduces("f3", &f3_concurrency(&p));
+fn every_committed_table_is_pinned() {
+    assert_eq!(committed_ids(), PINNED);
 }
 
 /// `(n, m, FNV-1a over n, m and the sorted edge list)` of a graph.

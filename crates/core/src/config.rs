@@ -87,11 +87,7 @@ mod tests {
     use super::*;
     use crate::{build_network, oracle};
     use ssmdst_graph::generators::GraphFamily;
-    use ssmdst_sim::{Scheduler, Session};
-
-    fn quiet(n: usize) -> u64 {
-        (6 * n as u64).max(64)
-    }
+    use ssmdst_sim::{quiet_window, Scheduler, Session};
 
     #[test]
     fn defaults_scale_with_n() {
@@ -130,7 +126,7 @@ mod tests {
             .scheduler(Scheduler::Synchronous)
             .horizon(150_000)
             .build();
-        let out = session.run_to_quiescence(quiet(g.n()), oracle::projection);
+        let out = session.run_to_quiescence(quiet_window(g.n()), oracle::projection);
         assert!(out.converged());
         assert!(oracle::is_legitimate(&g, session.network()));
     }

@@ -393,13 +393,14 @@ fn run_phase<P: Protocol>(
 }
 
 /// Run a scenario under whatever protocol it names — the entry point for
-/// campaigns, shrinking, the conformance harness and storm.
+/// shrinking, the conformance harness and storm, and, fanned out over
+/// [`ssmdst_sim::parallel::run_many`], for campaigns.
 pub fn run_any(scn: &Scenario) -> ScenarioOutcome {
     run_traced_any(scn).0
 }
 
 /// Run a scenario under whatever protocol it names, keeping the full
-/// [`RunTrace`] for golden-file verification, replay and the CLI.
+/// [`RunTrace`] for golden-file verification and `ssmdst replay`.
 pub fn run_traced_any(scn: &Scenario) -> (ScenarioOutcome, RunTrace) {
     let opts = EngineOpts::default();
     match scn.protocol {
@@ -430,6 +431,7 @@ mod tests {
     use super::*;
     use crate::spec::{ConfigSpec, CorruptSpec, ScenarioEvent, SchedSpec, StopSpec, TopologySpec};
     use ssmdst_graph::generators::GraphFamily;
+    use ssmdst_sim::parallel::run_many;
     use ssmdst_sim::ChurnEvent;
 
     fn quick_converge(topology: TopologySpec, sched: SchedSpec) -> Scenario {
@@ -621,6 +623,44 @@ mod tests {
         assert!(out.converged);
         // A path stabilizes in O(n) rounds; the window must not be charged.
         assert!(out.conv_round < 100, "conv_round = {}", out.conv_round);
+    }
+
+    /// A grid fanned out over `run_many` keeps input order, and parallel
+    /// execution never perturbs an outcome.
+    #[test]
+    fn campaign_rows_are_ordered_and_deterministic() {
+        let scns: Vec<Scenario> = [
+            SchedSpec::Synchronous,
+            SchedSpec::RandomAsync { seed: 7 },
+            SchedSpec::Adversarial { seed: 7 },
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, sched)| {
+            Scenario::converge(
+                format!("grid-{i}"),
+                TopologySpec::StarRing { n: 8 },
+                sched,
+                40_000,
+            )
+        })
+        .collect();
+        let rows = run_many(scns.clone(), 3, run_any);
+        assert_eq!(rows.len(), 3);
+        for (row, scn) in rows.iter().zip(&scns) {
+            assert_eq!(row.name, scn.name, "input order preserved");
+            assert!(row.all_ok(), "star-ring converges under every daemon");
+            assert!(row.final_degree.unwrap() <= 3);
+        }
+        // Parallel execution never perturbs a row: sequential run agrees,
+        // digests included.
+        let seq = run_many(scns, 1, run_any);
+        for (a, b) in rows.iter().zip(&seq) {
+            assert_eq!(a.digest, b.digest);
+            assert_eq!(a.conv_round, b.conv_round);
+        }
+        // Different daemons are different executions.
+        assert_ne!(rows[0].digest, rows[1].digest);
     }
 
     // ------------------------------------------------------------------

@@ -22,16 +22,16 @@
 //!   state projection into a chained [`ssmdst_sim::Digest`]. Re-running
 //!   from `(Scenario, seed)` reproduces the trace **bit-for-bit**; the
 //!   rendered [`ssmdst_sim::RunTrace`] is the golden-file format CI
-//!   verifies.
+//!   verifies. A campaign needs no type of its own:
+//!   [`ssmdst_sim::parallel::run_many`] over [`engine::run_any`] fans a
+//!   scenario grid out over worker threads and returns one
+//!   [`ScenarioOutcome`] per scenario, in input order, each carrying the
+//!   name and digest that make it replayable.
 //! * [`shrink`] — a delta-debugging minimizer lifted to whole simulations:
 //!   given a failing scenario and a failure predicate it searches for a
 //!   strictly smaller scenario (fewer fault/churn events, smaller `n`,
 //!   no initial corruption, shorter horizon) that still fails, emitting a
 //!   commit-ready `.scn` reproducer.
-//! * [`campaign`] — fans a scenario grid out over
-//!   [`ssmdst_sim::parallel::run_many`] and aggregates convergence /
-//!   degree / round / digest metrics into table rows, so every row of an
-//!   experiment table is a replayable artifact.
 //! * [`corpus`] — the curated scenario corpus exercised by the
 //!   conformance tests and the CI smoke job.
 //! * [`protocol`] — the protocol registry: the engine, campaigns, replay
@@ -57,7 +57,6 @@
 // reasons). Unit tests keep their unwraps.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod campaign;
 pub mod corpus;
 pub mod coverage;
 pub mod engine;
@@ -68,7 +67,6 @@ pub mod shrink;
 pub mod spec;
 pub mod storm;
 
-pub use campaign::{run_campaign, CampaignRow};
 pub use coverage::{CoverageMap, Signature};
 pub use engine::{verify_replay, EngineOpts, PhaseOutcome, ScenarioOutcome};
 pub use mutate::{mutate, sanitize, MutationKind};

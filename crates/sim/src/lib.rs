@@ -40,7 +40,7 @@
 //! packed `u128` order word per obligation plus two bitset walks. Each
 //! delivery executes by the channel slot it was enumerated from. The
 //! steady-state round loop performs no ordered-tree operations and no heap
-//! allocations, and [`StageClock`] can split its time into stages. All
+//! allocations, and an [`Observer`] can split its time into [`Stage`]s. All
 //! three daemons stay bit-for-bit deterministic per seed.
 //!
 //! The crate is generic over the protocol: the MDST protocol lives in
@@ -52,12 +52,12 @@
 //! builder over network + scheduler + horizon + planned churn — with
 //! cross-cutting machinery (the [`ScheduleDigest`] replay witness,
 //! per-round closures, stop conditions) attached as statically-dispatched
-//! [`Observer`]s with three hooks (`on_event`, `on_round_end`,
-//! `on_phase`); the unit observer costs nothing, so the zero-alloc steady
-//! state survives a `Session<A, ()>`. The [`Runner`] underneath is the
-//! round engine and offers three step primitives, `step_round`,
-//! `step_round_observed` and `step_round_clocked`; every run loop goes
-//! through a [`Session`].
+//! [`Observer`]s (`on_event`, `on_round_end`, `on_phase`, and the stage
+//! marks `on_round_start` and `on_stage_end`); the unit observer costs
+//! nothing, so the zero-alloc steady state survives a `Session<A, ()>`.
+//! The [`Runner`] underneath is the round engine and offers two step
+//! primitives, `step_round` and `step_round_observed`; every run loop
+//! goes through a [`Session`].
 //! Convergence detection lives in one named predicate,
 //! [`stop::QuiescenceGate`], shared by every driver.
 
@@ -88,9 +88,9 @@ pub use faults::{ChurnEvent, Corrupt, TopologyPlan};
 pub use metrics::{log2_bucket, KindStats, Metrics};
 pub use network::Network;
 pub use observer::{
-    observe_rounds, stop_when, EveryRound, Observer, ScheduleDigest, Stop, StopWhen,
+    observe_rounds, stop_when, EveryRound, Observer, ScheduleDigest, Stage, Stop, StopWhen,
 };
-pub use runner::{Runner, Stage, StageClock};
+pub use runner::Runner;
 pub use scheduler::{Action, Scheduler};
 pub use session::{RunOutcome, Session, SessionBuilder, StopReason};
 pub use stop::{quiet_window, QuiescenceGate};

@@ -12,6 +12,12 @@
 //! without costing the zero-allocation steady-state round loop anything
 //! when nothing is attached (`tests/zero_alloc.rs` pins this).
 //!
+//! Two more hooks mark a round's stages: [`Observer::on_round_start`]
+//! before its first stage and [`Observer::on_stage_end`] after each
+//! [`Stage`]. They see no network and no schedule, so an observer that
+//! reads the time there (lint R2 keeps such a clock out of library code)
+//! cannot change the execution.
+//!
 //! The crate ships three observers: [`ScheduleDigest`] (the replay
 //! witness) and the closure adapters [`observe_rounds`] and
 //! [`stop_when`]. Anything else — the scenario engine's recorder, an
@@ -37,6 +43,21 @@ use crate::automaton::Automaton;
 use crate::network::Network;
 use crate::scheduler::Action;
 use crate::trace::Digest;
+
+/// A stage of one [`crate::Runner`] round, in execution order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// Re-evaluate the dirty nodes' enabled predicates into the tick index.
+    Refresh,
+    /// Enumerate the obligations in canonical order and key each one.
+    Enumerate,
+    /// Sort the packed order words into daemon execution order.
+    Sort,
+    /// Execute the obligations (the observer's `on_event` included).
+    Execute,
+    /// Round bookkeeping and the observer's `on_round_end`.
+    RoundEnd,
+}
 
 /// An observer's verdict after a round: keep going or stop the run.
 ///
@@ -71,6 +92,10 @@ impl Stop {
 /// Hooks into the simulation loop. All methods default to no-ops (and
 /// [`Stop::Continue`]), so an observer implements only what it needs.
 ///
+/// * [`on_round_start`](Observer::on_round_start) — before a round's
+///   first stage;
+/// * [`on_stage_end`](Observer::on_stage_end) — after each [`Stage`] of
+///   the round;
 /// * [`on_event`](Observer::on_event) — once per scheduled event of the
 ///   round, immediately before that event executes, in execution order
 ///   (this is the record-replay witness stream: key, enumeration index,
@@ -82,6 +107,12 @@ impl Stop {
 ///   boundaries (fault bursts, topology churn, scenario phases), with the
 ///   post-event network and a rendered label.
 pub trait Observer<A: Automaton> {
+    /// Called before a round's first stage.
+    fn on_round_start(&mut self) {}
+
+    /// Called after `stage` of the current round has finished.
+    fn on_stage_end(&mut self, _stage: Stage) {}
+
     /// Called for every scheduled event of the round, immediately before
     /// that event executes, in execution order. `key` is the daemon
     /// priority key, `idx` the canonical enumeration index (the
@@ -114,6 +145,14 @@ impl<A: Automaton> Observer<A> for () {}
 /// decision is not short-circuited, so bookkeeping observers stay
 /// consistent even when a sibling ends the run.
 impl<A: Automaton, O1: Observer<A>, O2: Observer<A>> Observer<A> for (O1, O2) {
+    fn on_round_start(&mut self) {
+        self.0.on_round_start();
+        self.1.on_round_start();
+    }
+    fn on_stage_end(&mut self, stage: Stage) {
+        self.0.on_stage_end(stage);
+        self.1.on_stage_end(stage);
+    }
     fn on_event(&mut self, key: u128, idx: u32, action: Action) {
         self.0.on_event(key, idx, action);
         self.1.on_event(key, idx, action);
@@ -132,6 +171,12 @@ impl<A: Automaton, O1: Observer<A>, O2: Observer<A>> Observer<A> for (O1, O2) {
 /// Borrowed observers observe too — lets a driver compose a transient
 /// stop condition with a session-owned observer for one call.
 impl<A: Automaton, O: Observer<A>> Observer<A> for &mut O {
+    fn on_round_start(&mut self) {
+        (**self).on_round_start();
+    }
+    fn on_stage_end(&mut self, stage: Stage) {
+        (**self).on_stage_end(stage);
+    }
     fn on_event(&mut self, key: u128, idx: u32, action: Action) {
         (**self).on_event(key, idx, action);
     }
@@ -326,6 +371,35 @@ mod tests {
             let _ = s.run_until(20, &mut ());
             assert_eq!(s.observer().value(), digest.value(), "{sched:?}");
         }
+    }
+
+    /// A session's observer sees every round's stage marks in execution
+    /// order, between `on_round_start` and the round's last stage.
+    #[test]
+    fn session_observer_sees_stage_marks() {
+        #[derive(Default)]
+        struct Marks(Vec<Option<Stage>>);
+        impl Observer<Chat> for Marks {
+            fn on_round_start(&mut self) {
+                self.0.push(None);
+            }
+            fn on_stage_end(&mut self, stage: Stage) {
+                self.0.push(Some(stage));
+            }
+        }
+        let mut s = Session::from_network(net())
+            .scheduler(Scheduler::RandomAsync { seed: 3 })
+            .observe(Marks::default());
+        let _ = s.run_until(2, &mut ());
+        let round = [
+            None,
+            Some(Stage::Refresh),
+            Some(Stage::Enumerate),
+            Some(Stage::Sort),
+            Some(Stage::Execute),
+            Some(Stage::RoundEnd),
+        ];
+        assert_eq!(s.observer().0, [round, round].concat());
     }
 
     /// Tuple composition fans hooks to both members and combines the stop

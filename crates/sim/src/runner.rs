@@ -1,46 +1,14 @@
 //! The round engine: the simulator's one round loop (event-driven
 //! obligation derivation, daemon keying, one packed-word sort,
-//! slot-addressed execution), its step primitives, and the [`StageClock`]
-//! hooks that split a round's time into its stages. Run loops (stop
-//! conditions, horizons, quiescence) live in [`crate::Session`].
+//! slot-addressed execution) and its step primitives, which mark each
+//! round's stages on the observer. Run loops (stop conditions, horizons,
+//! quiescence) live in [`crate::Session`].
 
 use crate::automaton::Automaton;
 use crate::events::{EventQueue, Obligation};
 use crate::network::Network;
-use crate::observer::{Observer, Stop};
+use crate::observer::{Observer, Stage, Stop};
 use crate::scheduler::{Action, KeySource, Scheduler};
-
-/// A stage of one [`Runner`] round, in execution order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage {
-    /// Re-evaluate the dirty nodes' enabled predicates into the tick index.
-    Refresh,
-    /// Enumerate the obligations in canonical order and key each one.
-    Enumerate,
-    /// Sort the packed order words into daemon execution order.
-    Sort,
-    /// Execute the obligations (the observer's `on_event` included).
-    Execute,
-    /// Round bookkeeping and the observer's `on_round_end`.
-    RoundEnd,
-}
-
-/// Stage-boundary hooks for [`Runner::step_round_clocked`]: `round_start`
-/// before a round's first stage, then `stage_end` after each [`Stage`].
-/// Both default to no-ops, and the unit clock `()` keeps them, so an
-/// unclocked round compiles to the same loop. A clock that reads the time
-/// (an `Instant`, a cycle counter) lives with its caller: nothing in the
-/// round reads it, so the schedule cannot depend on it.
-pub trait StageClock {
-    /// A round is about to start.
-    #[inline]
-    fn round_start(&mut self) {}
-    /// `stage` of the current round has just finished.
-    #[inline]
-    fn stage_end(&mut self, _stage: Stage) {}
-}
-
-impl StageClock for () {}
 
 /// Drives a [`Network`] under a [`Scheduler`], counting rounds.
 ///
@@ -149,44 +117,33 @@ impl<A: Automaton> Runner<A> {
         let _ = self.step_round_observed(&mut ());
     }
 
-    /// Execute one full round through an [`Observer`] stack: `on_event`
-    /// for every scheduled event immediately before that event executes,
-    /// in execution order (a tick whose guard an earlier delivery of the
-    /// round falsified is still reported), `on_round_end` after — whose
-    /// verdict is returned. With the unit observer `()` every hook is an
-    /// inlineable no-op, so this *is* [`Runner::step_round`]: same
+    /// Execute one full round through an [`Observer`] stack:
+    /// `on_round_start` first and `on_stage_end` after each [`Stage`],
+    /// `on_event` for every scheduled event immediately before that event
+    /// executes, in execution order (a tick whose guard an earlier delivery
+    /// of the round falsified is still reported), `on_round_end` after —
+    /// whose verdict is returned. With the unit observer `()` every hook is
+    /// an inlineable no-op, so this *is* [`Runner::step_round`]: same
     /// execution, same zero-allocation steady state. Passing a
     /// [`crate::ScheduleDigest`] folds the complete schedule — the
     /// record-replay witness — with no other change to the round.
     pub fn step_round_observed<O: Observer<A>>(&mut self, obs: &mut O) -> Stop {
-        self.step_round_clocked(obs, &mut ())
-    }
-
-    /// [`Runner::step_round_observed`] with a [`StageClock`] told where
-    /// each [`Stage`] ends. The clock sees no network and no schedule, so
-    /// a clocked round executes exactly the unclocked one; with the unit
-    /// clock `()` this *is* `step_round_observed`.
-    pub fn step_round_clocked<O: Observer<A>, C: StageClock>(
-        &mut self,
-        obs: &mut O,
-        clock: &mut C,
-    ) -> Stop {
-        clock.round_start();
+        obs.on_round_start();
         self.queue.refresh(&mut self.net);
-        clock.stage_end(Stage::Refresh);
+        obs.on_stage_end(Stage::Refresh);
         self.queue.enumerate(self.round, &mut self.keys, &self.net);
-        clock.stage_end(Stage::Enumerate);
+        obs.on_stage_end(Stage::Enumerate);
         self.queue.sort();
-        clock.stage_end(Stage::Sort);
+        obs.on_stage_end(Stage::Sort);
         for (idx, ob) in self.queue.ordered() {
             obs.on_event(ob.key, idx, ob.action);
             Self::execute_one(&mut self.net, ob);
         }
-        clock.stage_end(Stage::Execute);
+        obs.on_stage_end(Stage::Execute);
         self.round += 1;
         self.net.metrics.rounds = self.round;
         let stop = obs.on_round_end(&self.net, self.round);
-        clock.stage_end(Stage::RoundEnd);
+        obs.on_stage_end(Stage::RoundEnd);
         stop
     }
 

@@ -3,10 +3,10 @@
 //! A session bundles everything a run needs — network, scheduler, round
 //! horizon, an optional planned churn timeline, and a stack of
 //! [`Observer`]s — behind one fluent builder and one `run()`/`step()`
-//! surface. Every driver in the workspace (the scenario engine, the
-//! experiment harness, the CLI) is a thin layer over a `Session`;
-//! protocol-specific machinery plugs in as observers rather than as
-//! bespoke loops.
+//! surface. Every driver in the workspace is a thin layer over a
+//! `Session`: the scenario engine, which the experiment harness and every
+//! `ssmdst` subcommand run through. Protocol-specific machinery plugs in
+//! as observers rather than as bespoke loops.
 //!
 //! ```
 //! use ssmdst_sim::{Automaton, Message, Network, Outbox, Scheduler, Session};

@@ -1,18 +1,20 @@
 //! `ssmdst` — command-line driver for the self-stabilizing MDST protocol.
 //!
 //! ```text
-//! ssmdst --family gnp-sparse --n 48 --seed 7 --scheduler async
-//! ssmdst --family spider --n 16 --corrupt 0.5 --dot tree.dot
+//! ssmdst run --family gnp-sparse --n 48 --seed 7 --scheduler async
+//! ssmdst run --family spider --n 16 --corrupt 0.5 --dot tree.dot
 //! ssmdst replay failing.scn --trace run.trace
 //! ssmdst replay corrupt-start-total --expect tests/golden/corrupt-start-total.trace
 //! ssmdst shrink failing.scn --pred quality -o minimal.scn
 //! ssmdst storm --seed 1 --execs 1000 --workers 8 --out storm-corpus/
 //! ```
 //!
-//! The flag form generates a workload graph, runs the protocol to
-//! quiescence, optionally injects a transient fault and measures recovery,
-//! and prints a summary (degree vs. lower bound, rounds, message counts).
-//! With `--dot PATH` the final tree is written as Graphviz DOT.
+//! Every subcommand runs scenarios through the scenario engine. `run`
+//! builds one from its flags: a family graph, a daemon, a per-phase round
+//! budget and, with `--corrupt F`, a fault on a fraction `F` of the nodes
+//! once the protocol is quiet. It prints the scenario's `.scn` text, so the
+//! run can be replayed, then the same report as `replay`. With
+//! `--dot PATH` the final tree is written as Graphviz DOT.
 //!
 //! The `replay` subcommand runs a scenario (`.scn` file or corpus name) and
 //! prints its per-phase outcomes and chained run digest; `--expect FILE`
@@ -23,77 +25,64 @@
 //! scenarios, fan executions across workers, admit only novelty-bearing
 //! mutants, report execs/sec and corpus growth, and auto-shrink any judge
 //! failure into a committable `.scn` reproducer (exit 1).
+//!
+//! Exit status: 0 when every judged phase passed, 1 on a judged failure
+//! (or a replay divergence, or a storm failure), 2 on a usage or I/O error.
+
+use std::fmt::Display;
+use std::str::FromStr;
 
 use ssmdst::core::oracle;
 use ssmdst::graph::generators::GraphFamily;
 use ssmdst::prelude::*;
-use ssmdst::scenario::{corpus, engine, scn, shrink, storm, Predicate, StormConfig};
-use ssmdst::sim::faults::FaultPlan;
+use ssmdst::scenario::engine::{self, EngineOpts};
+use ssmdst::scenario::{
+    corpus, scn, shrink, storm, CorruptSpec, EventAction, Mdst, Predicate, ScenarioEvent,
+    StormConfig,
+};
 use ssmdst::sim::parallel::default_workers;
 use ssmdst::sim::RunTrace;
 
-#[derive(Debug)]
-struct Args {
-    family: String,
-    n: usize,
-    seed: u64,
-    scheduler: String,
-    corrupt: f64,
-    dot: Option<String>,
-    max_rounds: u64,
+const USAGE: &str = "\
+usage: ssmdst run [--family NAME] [--n N] [--seed S] [--scheduler sync|async|adversarial]
+                  [--corrupt FRAC] [--dot PATH] [--max-rounds R]
+       ssmdst replay SCENARIO.scn|CORPUS-NAME [--trace OUT] [--expect GOLDEN]
+       ssmdst shrink SCENARIO.scn|CORPUS-NAME --pred not-converged|degree-ge:K|quality [-o OUT.scn]
+       ssmdst storm [SEED.scn|CORPUS-NAME ...] --seed S --execs N [--workers W] [--batch B]
+                    [--max-corpus M] [--fail PRED] [--out DIR] [--expect-admissions K] [--distill]";
+
+/// Report a usage or I/O error and exit with status 2.
+fn die(msg: impl Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            family: "gnp-sparse".into(),
-            n: 32,
-            seed: 1,
-            scheduler: "sync".into(),
-            corrupt: 0.0,
-            dot: None,
-            max_rounds: 500_000,
-        }
-    }
+/// The value following `flag`, parsed. A missing or unparsable value is a
+/// usage error: never silently skip the work the flag asked for.
+fn flag_value<T: FromStr>(flag: &str, it: &mut std::slice::Iter<String>) -> T
+where
+    T::Err: Display,
+{
+    let Some(v) = it.next() else {
+        die(format!("{flag} requires a value"))
+    };
+    v.parse().unwrap_or_else(|e| die(format!("{flag}: {e}")))
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut val = || it.next().ok_or_else(|| format!("missing value for {flag}"));
-        match flag.as_str() {
-            "--family" => args.family = val()?,
-            "--n" => args.n = val()?.parse().map_err(|e| format!("--n: {e}"))?,
-            "--seed" => args.seed = val()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--scheduler" => args.scheduler = val()?,
-            "--corrupt" => args.corrupt = val()?.parse().map_err(|e| format!("--corrupt: {e}"))?,
-            "--dot" => args.dot = Some(val()?),
-            "--max-rounds" => {
-                args.max_rounds = val()?.parse().map_err(|e| format!("--max-rounds: {e}"))?
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: ssmdst [--family NAME] [--n N] [--seed S] \
-                     [--scheduler sync|async|adversarial] [--corrupt FRAC] \
-                     [--dot PATH] [--max-rounds R]\n\
-                     \x20      ssmdst replay SCENARIO.scn|CORPUS-NAME [--trace OUT] [--expect GOLDEN]\n\
-                     \x20      ssmdst shrink SCENARIO.scn|CORPUS-NAME --pred not-converged|degree-ge:K|quality [-o OUT.scn]\n\
-                     \x20      ssmdst storm [SEED.scn|CORPUS-NAME ...] --seed S --execs N [--workers W] [--batch B]\n\
-                     \x20                   [--max-corpus M] [--fail PRED] [--out DIR] [--expect-admissions K] [--distill]\n\
-                     families: {}",
-                    GraphFamily::all()
-                        .iter()
-                        .map(|f| f.label())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag: {other}")),
-        }
-    }
-    Ok(args)
+fn parse_predicate(spelling: &str) -> Predicate {
+    Predicate::parse(spelling).unwrap_or_else(|e| die(e))
+}
+
+fn write_file(path: &str, contents: &str) {
+    std::fs::write(path, contents).unwrap_or_else(|e| die(format!("writing {path}: {e}")));
+}
+
+fn family_labels() -> String {
+    GraphFamily::all()
+        .iter()
+        .map(|f| f.label())
+        .collect::<Vec<_>>()
+        .join(", ")
 }
 
 /// Load a scenario from a `.scn` file path or a corpus name.
@@ -102,60 +91,19 @@ fn load_scenario(handle: &str) -> Scenario {
         return s;
     }
     let text = std::fs::read_to_string(handle).unwrap_or_else(|e| {
-        eprintln!("error: '{handle}' is neither a corpus scenario nor a readable file: {e}");
-        eprintln!(
-            "corpus scenarios: {}",
-            corpus::corpus()
-                .iter()
-                .map(|s| s.name.clone())
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        std::process::exit(2);
+        let names: Vec<String> = corpus::corpus().into_iter().map(|s| s.name).collect();
+        die(format!(
+            "'{handle}' is neither a corpus scenario nor a readable file: {e}\n\
+             corpus scenarios: {}",
+            names.join(", ")
+        ))
     });
-    scn::parse(&text).unwrap_or_else(|e| {
-        eprintln!("error: parsing {handle}: {e}");
-        std::process::exit(2);
-    })
+    scn::parse(&text).unwrap_or_else(|e| die(format!("parsing {handle}: {e}")))
 }
 
-/// Value of a flag; a flag with no following value is a hard error (never
-/// silently skip the work the flag asked for).
-fn flag_value(flag: &str, it: &mut std::slice::Iter<String>) -> String {
-    match it.next() {
-        Some(v) => v.clone(),
-        None => {
-            eprintln!("error: {flag} requires a value");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// `ssmdst replay SCENARIO [--trace OUT] [--expect GOLDEN]`
-fn cmd_replay(args: &[String]) -> ! {
-    let mut handle = None;
-    let mut trace_out = None;
-    let mut expect = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--trace" => trace_out = Some(flag_value("--trace", &mut it)),
-            "--expect" => expect = Some(flag_value("--expect", &mut it)),
-            other if !other.starts_with("--") && handle.is_none() => {
-                handle = Some(other.to_string())
-            }
-            other => {
-                eprintln!("error: unexpected replay argument {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let Some(handle) = handle else {
-        eprintln!("usage: ssmdst replay SCENARIO.scn|CORPUS-NAME [--trace OUT] [--expect GOLDEN]");
-        std::process::exit(2);
-    };
-    let scenario = load_scenario(&handle);
-    let (out, trace) = engine::run_traced_any(&scenario);
+/// Print a run's header, per-phase verdicts and chained digest — the
+/// report `run` and `replay` share. Returns whether every phase passed.
+fn report(scenario: &Scenario, out: &ScenarioOutcome) -> bool {
     println!(
         "scenario: {} (protocol={} n={} m={} fingerprint={:016x})",
         scenario.name,
@@ -180,22 +128,116 @@ fn cmd_replay(args: &[String]) -> ! {
         );
     }
     println!("digest: {:016x}", out.digest);
+    out.all_ok()
+}
+
+/// `ssmdst run [--family NAME] [--n N] [--seed S] [--scheduler S]
+///             [--corrupt FRAC] [--dot PATH] [--max-rounds R]`
+fn cmd_run(args: &[String]) -> ! {
+    let mut family = "gnp-sparse".to_string();
+    let mut n: usize = 32;
+    let mut seed: u64 = 1;
+    let mut scheduler = "sync".to_string();
+    let mut corrupt: f64 = 0.0;
+    let mut dot: Option<String> = None;
+    let mut max_rounds: u64 = 500_000;
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--family" => family = flag_value(a, &mut it),
+            "--n" => n = flag_value(a, &mut it),
+            "--seed" => seed = flag_value(a, &mut it),
+            "--scheduler" => scheduler = flag_value(a, &mut it),
+            "--corrupt" => corrupt = flag_value(a, &mut it),
+            "--dot" => dot = Some(flag_value(a, &mut it)),
+            "--max-rounds" => max_rounds = flag_value(a, &mut it),
+            other => die(format!("unexpected run argument {other:?}")),
+        }
+    }
+    let Some(&fam) = GraphFamily::all().iter().find(|f| f.label() == family) else {
+        die(format!(
+            "unknown family '{family}'; available: {}",
+            family_labels()
+        ))
+    };
+    let sched = match scheduler.as_str() {
+        "sync" => SchedSpec::Synchronous,
+        "async" => SchedSpec::RandomAsync { seed },
+        "adversarial" => SchedSpec::Adversarial { seed },
+        other => die(format!(
+            "unknown scheduler '{other}' (sync|async|adversarial)"
+        )),
+    };
+    let mut scenario = Scenario::converge(
+        format!("run-{family}-n{n}-s{seed}"),
+        TopologySpec::family(fam, n, seed),
+        sched,
+        max_rounds,
+    );
+    if !(0.0..=1.0).contains(&corrupt) {
+        die(format!(
+            "--corrupt takes a fraction in 0..=1, got {corrupt}"
+        ))
+    }
+    if corrupt > 0.0 {
+        scenario
+            .events
+            .push(ScenarioEvent::stable(EventAction::Fault(CorruptSpec {
+                fraction: corrupt,
+                drop: 0.0,
+                seed: seed.wrapping_add(1),
+            })));
+    }
+    // Run what `replay` runs from the printed text, so the parser's checks
+    // (a family graph needs n >= 4) hold and the text is the replay handle.
+    let text = scenario.canonical();
+    let scenario = scn::parse(&text).unwrap_or_else(|e| die(format!("not a valid scenario: {e}")));
+    print!("{text}");
+    let (out, _, runner) = engine::run_protocol(&Mdst, &scenario, EngineOpts::default(), |_, _| {});
+    let ok = report(&scenario, &out);
+    if let Some(path) = dot {
+        let g = scenario.topology.build();
+        match oracle::try_extract_tree(&g, runner.network()) {
+            Some(t) => {
+                write_file(&path, &ssmdst::graph::dot::to_dot(&g, Some(&t)));
+                println!("wrote {path}");
+            }
+            None => eprintln!("no spanning tree at the end of the run; {path} not written"),
+        }
+    }
+    std::process::exit(if ok { 0 } else { 1 });
+}
+
+/// `ssmdst replay SCENARIO [--trace OUT] [--expect GOLDEN]`
+fn cmd_replay(args: &[String]) -> ! {
+    let mut handle = None;
+    let mut trace_out: Option<String> = None;
+    let mut expect: Option<String> = None;
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--trace" => trace_out = Some(flag_value(a, &mut it)),
+            "--expect" => expect = Some(flag_value(a, &mut it)),
+            other if !other.starts_with("--") && handle.is_none() => {
+                handle = Some(other.to_string())
+            }
+            other => die(format!("unexpected replay argument {other:?}")),
+        }
+    }
+    let Some(handle) = handle else {
+        die("replay needs a SCENARIO.scn or CORPUS-NAME (see ssmdst --help)")
+    };
+    let scenario = load_scenario(&handle);
+    let (out, trace) = engine::run_traced_any(&scenario);
+    let ok = report(&scenario, &out);
     if let Some(path) = trace_out {
-        std::fs::write(&path, trace.render()).unwrap_or_else(|e| {
-            eprintln!("error: writing {path}: {e}");
-            std::process::exit(2);
-        });
+        write_file(&path, &trace.render());
         println!("wrote {path}");
     }
     if let Some(path) = expect {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("error: reading {path}: {e}");
-            std::process::exit(2);
-        });
-        let golden = RunTrace::parse(&text).unwrap_or_else(|e| {
-            eprintln!("error: parsing {path}: {e}");
-            std::process::exit(2);
-        });
+        let text =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| die(format!("reading {path}: {e}")));
+        let golden = RunTrace::parse(&text).unwrap_or_else(|e| die(format!("parsing {path}: {e}")));
         match golden.first_divergence(&trace) {
             None => println!("replay matches {path} bit-for-bit"),
             Some(d) => {
@@ -204,38 +246,28 @@ fn cmd_replay(args: &[String]) -> ! {
             }
         }
     }
-    std::process::exit(if out.all_ok() { 0 } else { 1 });
+    std::process::exit(if ok { 0 } else { 1 });
 }
 
 /// `ssmdst shrink SCENARIO --pred PRED [-o OUT.scn]`
 fn cmd_shrink(args: &[String]) -> ! {
     let mut handle = None;
     let mut pred = None;
-    let mut out_path = None;
+    let mut out_path: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--pred" => pred = Some(flag_value("--pred", &mut it)),
+            "--pred" => pred = Some(parse_predicate(&flag_value::<String>(a, &mut it))),
             "-o" | "--out" => out_path = Some(flag_value(a, &mut it)),
             other if !other.starts_with('-') && handle.is_none() => {
                 handle = Some(other.to_string())
             }
-            other => {
-                eprintln!("error: unexpected shrink argument {other:?}");
-                std::process::exit(2);
-            }
+            other => die(format!("unexpected shrink argument {other:?}")),
         }
     }
-    let (Some(handle), Some(pred)) = (handle, pred) else {
-        eprintln!(
-            "usage: ssmdst shrink SCENARIO.scn|CORPUS-NAME --pred not-converged|degree-ge:K|quality [-o OUT.scn]"
-        );
-        std::process::exit(2);
+    let (Some(handle), Some(predicate)) = (handle, pred) else {
+        die("shrink needs a SCENARIO.scn or CORPUS-NAME and --pred (see ssmdst --help)")
     };
-    let predicate = Predicate::parse(&pred).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
     let scenario = load_scenario(&handle);
     eprintln!(
         "shrinking '{}' (size {}) under predicate {} …",
@@ -261,10 +293,7 @@ fn cmd_shrink(args: &[String]) -> ! {
             );
             let text = minimal.canonical();
             if let Some(path) = out_path {
-                std::fs::write(&path, &text).unwrap_or_else(|e| {
-                    eprintln!("error: writing {path}: {e}");
-                    std::process::exit(2);
-                });
+                write_file(&path, &text);
                 eprintln!("wrote {path}");
             }
             print!("{text}");
@@ -289,41 +318,20 @@ fn cmd_storm(args: &[String]) -> ! {
     let mut out_dir = None;
     let mut expect_admissions = 0usize;
     let mut do_distill = false;
-    let parse_or_die = |flag: &str, v: String| -> u64 {
-        v.parse().unwrap_or_else(|e| {
-            eprintln!("error: {flag}: {e}");
-            std::process::exit(2);
-        })
-    };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--seed" => cfg.seed = parse_or_die(a, flag_value(a, &mut it)),
-            "--execs" => cfg.execs = parse_or_die(a, flag_value(a, &mut it)),
-            "--workers" => cfg.workers = parse_or_die(a, flag_value(a, &mut it)) as usize,
-            "--batch" => cfg.batch = parse_or_die(a, flag_value(a, &mut it)) as usize,
-            "--max-corpus" => cfg.max_corpus = parse_or_die(a, flag_value(a, &mut it)) as usize,
-            "--expect-admissions" => {
-                expect_admissions = parse_or_die(a, flag_value(a, &mut it)) as usize
-            }
-            "--fail" => {
-                cfg.failure = Predicate::parse(&flag_value(a, &mut it)).unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                })
-            }
-            "--out" => out_dir = Some(flag_value(a, &mut it)),
+            "--seed" => cfg.seed = flag_value(a, &mut it),
+            "--execs" => cfg.execs = flag_value(a, &mut it),
+            "--workers" => cfg.workers = flag_value(a, &mut it),
+            "--batch" => cfg.batch = flag_value(a, &mut it),
+            "--max-corpus" => cfg.max_corpus = flag_value(a, &mut it),
+            "--expect-admissions" => expect_admissions = flag_value(a, &mut it),
+            "--fail" => cfg.failure = parse_predicate(&flag_value::<String>(a, &mut it)),
+            "--out" => out_dir = Some(flag_value::<String>(a, &mut it)),
             "--distill" => do_distill = true,
             other if !other.starts_with("--") => seeds_handles.push(other.to_string()),
-            other => {
-                eprintln!("error: unexpected storm argument {other:?}");
-                eprintln!(
-                    "usage: ssmdst storm [SEED.scn|CORPUS-NAME ...] --seed S --execs N \
-                     [--workers W] [--batch B] [--max-corpus M] [--fail PRED] [--out DIR] \
-                     [--expect-admissions K] [--distill]"
-                );
-                std::process::exit(2);
-            }
+            other => die(format!("unexpected storm argument {other:?}")),
         }
     }
     let seeds: Vec<Scenario> = if seeds_handles.is_empty() {
@@ -384,16 +392,10 @@ fn cmd_storm(args: &[String]) -> ! {
         None
     };
     if let Some(dir) = &out_dir {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-            eprintln!("error: creating {dir}: {e}");
-            std::process::exit(2);
-        });
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| die(format!("creating {dir}: {e}")));
         let write = |scenario: &Scenario| {
             let path = format!("{dir}/{}.scn", scenario.name);
-            std::fs::write(&path, scenario.canonical()).unwrap_or_else(|e| {
-                eprintln!("error: writing {path}: {e}");
-                std::process::exit(2);
-            });
+            write_file(&path, &scenario.canonical());
         };
         if let Some(d) = &distilled {
             for p in &d.selected {
@@ -456,95 +458,19 @@ fn cmd_storm(args: &[String]) -> ! {
 }
 
 fn main() {
-    // Subcommand dispatch; the flag form below is the legacy single-run CLI.
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    match raw.first().map(String::as_str) {
-        Some("replay") => cmd_replay(&raw[1..]),
-        Some("shrink") => cmd_shrink(&raw[1..]),
-        Some("storm") => cmd_storm(&raw[1..]),
-        _ => {}
-    }
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e} (try --help)");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.first().map(String::as_str) {
+        Some("run") => cmd_run(&args[1..]),
+        Some("replay") => cmd_replay(&args[1..]),
+        Some("shrink") => cmd_shrink(&args[1..]),
+        Some("storm") => cmd_storm(&args[1..]),
+        Some("--help" | "-h") => println!("{USAGE}\nfamilies: {}", family_labels()),
+        Some(other) => die(format!(
+            "unknown subcommand {other:?} (the single-run flags go after `ssmdst run`)\n{USAGE}"
+        )),
+        None => {
+            eprintln!("{USAGE}");
             std::process::exit(2);
         }
-    };
-    let Some(family) = GraphFamily::all().iter().find(|f| f.label() == args.family) else {
-        eprintln!(
-            "unknown family '{}'; available: {}",
-            args.family,
-            GraphFamily::all()
-                .iter()
-                .map(|f| f.label())
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        std::process::exit(2);
-    };
-    let sched = match args.scheduler.as_str() {
-        "sync" => Scheduler::Synchronous,
-        "async" => Scheduler::RandomAsync { seed: args.seed },
-        "adversarial" => Scheduler::Adversarial { seed: args.seed },
-        other => {
-            eprintln!("unknown scheduler '{other}' (sync|async|adversarial)");
-            std::process::exit(2);
-        }
-    };
-
-    let g = family.generate(args.n, args.seed);
-    let lb = ssmdst::graph::degree_lower_bound(&g);
-    println!(
-        "graph: {} n={} m={} Δ(G)={} (Δ* ≥ {lb})",
-        family.label(),
-        g.n(),
-        g.m(),
-        g.max_degree()
-    );
-
-    // The legacy flag form is a thin layer over the same Session surface
-    // the scenario engine and the experiment harness use.
-    let quiet = ssmdst::sim::quiet_window(g.n());
-    let mut session = Session::from_network(build_network(&g, Config::for_n(g.n())))
-        .scheduler(sched)
-        .horizon(args.max_rounds)
-        .build();
-    let out = session.run_to_quiescence(quiet, oracle::projection);
-    if !out.converged() {
-        eprintln!("did not stabilize within {} rounds", args.max_rounds);
-        std::process::exit(1);
-    }
-    let t = oracle::try_extract_tree(&g, session.network()).expect("stabilized ⇒ tree");
-    println!(
-        "stabilized: deg(T)={} after ~{} rounds, {} messages (largest {} bits)",
-        t.max_degree(),
-        session.round() - quiet,
-        session.network().metrics.total_sent,
-        session.network().metrics.max_message_bits(),
-    );
-
-    if args.corrupt > 0.0 {
-        let victims = session.inject(FaultPlan::partial(args.corrupt, args.seed + 1));
-        println!("injected fault: corrupted {} nodes", victims.len());
-        let before = session.round();
-        let out = session.run_to_quiescence(quiet, oracle::projection);
-        if !out.converged() {
-            eprintln!("did not recover within {} rounds", args.max_rounds);
-            std::process::exit(1);
-        }
-        let t = oracle::try_extract_tree(&g, session.network()).expect("recovered ⇒ tree");
-        println!(
-            "recovered: deg(T)={} after ~{} rounds",
-            t.max_degree(),
-            session.round() - before - quiet
-        );
-    }
-
-    if let Some(path) = args.dot {
-        let t = oracle::try_extract_tree(&g, session.network()).expect("tree");
-        std::fs::write(&path, ssmdst::graph::dot::to_dot(&g, Some(&t)))
-            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("wrote {path}");
     }
 }

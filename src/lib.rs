@@ -19,8 +19,8 @@
 //!   Fürer–Raghavachari baseline;
 //! * [`scenario`] — declarative scenarios, bit-exact record-replay,
 //!   delta-debugging shrinker and campaign sweeps, generic over the
-//!   protocol registry ([`ssmdst_scenario`]; `ssmdst replay` /
-//!   `ssmdst shrink` on the CLI).
+//!   protocol registry ([`ssmdst_scenario`]; every `ssmdst` subcommand,
+//!   `run` included, runs through its engine).
 //!
 //! ## Paper-to-code map
 //!
@@ -45,7 +45,8 @@
 //! ## Quickstart
 //!
 //! Every run goes through a [`sim::Session`] — the one composable driver
-//! surface the scenario engine, the experiment harness and the CLI use:
+//! surface under the scenario engine, which the experiment harness and
+//! the `ssmdst` binary run through:
 //!
 //! ```
 //! use ssmdst::prelude::*;

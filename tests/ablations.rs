@@ -7,10 +7,6 @@ use ssmdst::graph::generators::GraphFamily;
 use ssmdst::prelude::*;
 use ssmdst::sim::faults::{inject, FaultPlan};
 
-fn quiet(n: usize) -> u64 {
-    (6 * n as u64).max(64)
-}
-
 /// A1: strict paper-style R2 still converges to a legitimate configuration.
 #[test]
 fn strict_mode_converges() {
@@ -20,7 +16,7 @@ fn strict_mode_converges() {
         .scheduler(Scheduler::Synchronous)
         .horizon(300_000)
         .build();
-    let out = session.run_to_quiescence(quiet(g.n()), oracle::projection);
+    let out = session.run_to_quiescence(quiet_window(g.n()), oracle::projection);
     assert!(out.converged(), "strict mode stuck");
     assert!(oracle::is_legitimate(&g, session.network()));
 }
@@ -35,7 +31,7 @@ fn strict_mode_recovers_from_faults() {
         .horizon(300_000)
         .build();
     inject(session.network_mut(), FaultPlan::total(5));
-    let out = session.run_to_quiescence(quiet(g.n()), oracle::projection);
+    let out = session.run_to_quiescence(quiet_window(g.n()), oracle::projection);
     assert!(out.converged());
     assert!(oracle::try_extract_tree(&g, session.network()).is_some());
 }
@@ -51,7 +47,7 @@ fn no_deblock_still_safe() {
             .scheduler(Scheduler::Synchronous)
             .horizon(150_000)
             .build();
-        let out = session.run_to_quiescence(quiet(g.n()), oracle::projection);
+        let out = session.run_to_quiescence(quiet_window(g.n()), oracle::projection);
         assert!(out.converged(), "{}", fam.label());
         let t = oracle::try_extract_tree(&g, session.network()).expect("tree");
         t.validate(&g).unwrap();
@@ -70,7 +66,7 @@ fn deblock_never_hurts_quality() {
                 .scheduler(Scheduler::Synchronous)
                 .horizon(150_000)
                 .build();
-            let out = session.run_to_quiescence(quiet(g.n()), oracle::projection);
+            let out = session.run_to_quiescence(quiet_window(g.n()), oracle::projection);
             assert!(out.converged());
             oracle::try_extract_tree(&g, session.network())
                 .expect("tree")

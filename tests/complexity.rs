@@ -12,7 +12,7 @@ fn run(g: &ssmdst::graph::Graph) -> Session<ssmdst::core::MdstNode> {
         .scheduler(Scheduler::Synchronous)
         .horizon(150_000)
         .build();
-    let out = session.run_to_quiescence((6 * g.n() as u64).max(64), oracle::projection);
+    let out = session.run_to_quiescence(quiet_window(g.n()), oracle::projection);
     assert!(out.converged());
     session
 }
@@ -64,7 +64,7 @@ fn rounds_within_paper_bound() {
             .scheduler(Scheduler::Synchronous)
             .horizon(bound as u64)
             .build();
-        let out = session.run_to_quiescence((6 * g.n() as u64).max(64), oracle::projection);
+        let out = session.run_to_quiescence(quiet_window(g.n()), oracle::projection);
         assert!(out.converged(), "{} exceeded the paper bound", fam.label());
     }
 }

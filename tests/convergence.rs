@@ -13,7 +13,7 @@ fn converge(g: &ssmdst::graph::Graph, sched: Scheduler) -> (bool, Option<u32>) {
         .scheduler(sched)
         .horizon(150_000)
         .build();
-    let quiet = (6 * g.n() as u64).max(64);
+    let quiet = quiet_window(g.n());
     let out = session.run_to_quiescence(quiet, oracle::projection);
     let tree = oracle::try_extract_tree(g, session.network());
     if let Some(t) = &tree {

@@ -27,7 +27,7 @@ fn protocol_degree(g: &ssmdst::graph::Graph) -> u32 {
         .scheduler(Scheduler::Synchronous)
         .horizon(150_000)
         .build();
-    let out = session.run_to_quiescence((6 * g.n() as u64).max(64), oracle::projection);
+    let out = session.run_to_quiescence(quiet_window(g.n()), oracle::projection);
     assert!(out.converged());
     oracle::try_extract_tree(g, session.network())
         .expect("terminal tree")

@@ -20,7 +20,7 @@ fn converge(g: &Graph, sched: Scheduler) -> Option<u32> {
         .scheduler(sched)
         .horizon(80_000)
         .build();
-    let out = session.run_to_quiescence((6 * g.n() as u64).max(64), oracle::projection);
+    let out = session.run_to_quiescence(quiet_window(g.n()), oracle::projection);
     if !out.converged() {
         return None;
     }
@@ -52,7 +52,7 @@ proptest! {
         let net = build_network(&g, Config::for_n(g.n()));
         let mut session = Session::from_network(net).scheduler(Scheduler::RandomAsync { seed: fault_seed }).horizon(80_000).build();
         inject(session.network_mut(), FaultPlan::total(fault_seed));
-        let out = session.run_to_quiescence((6 * g.n() as u64).max(64), oracle::projection);
+        let out = session.run_to_quiescence(quiet_window(g.n()), oracle::projection);
         prop_assert!(out.converged());
         prop_assert!(oracle::is_legitimate(&g, session.network()));
     }

@@ -17,6 +17,7 @@
 use ssmdst::exact::Solver;
 use ssmdst::prelude::*;
 use ssmdst::scenario::{corpus, engine, shrink};
+use ssmdst::sim::parallel::run_many;
 
 /// Shrink under `fails`, then panic with the minimal committable `.scn`.
 fn fail_with_repro(scn: &Scenario, fails: impl FnMut(&Scenario) -> bool, msg: String) -> ! {
@@ -166,12 +167,12 @@ fn shrinker_reduces_injected_failure_to_minimal_repro() {
 #[test]
 fn corpus_campaign_is_parallel_deterministic() {
     let scns = corpus::corpus();
-    let par = ssmdst::scenario::run_campaign(&scns, 8);
-    let seq = ssmdst::scenario::run_campaign(&scns, 1);
+    let par = run_many(scns.clone(), 8, engine::run_any);
+    let seq = run_many(scns.clone(), 1, engine::run_any);
     assert_eq!(par.len(), scns.len());
     for ((p, s), scn) in par.iter().zip(&seq).zip(&scns) {
         assert_eq!(p.name, scn.name, "input order preserved");
         assert_eq!(p.digest, s.digest, "{}: parallel != sequential", p.name);
-        assert!(p.ok, "{} failed", p.name);
+        assert!(p.all_ok(), "{} failed", p.name);
     }
 }

@@ -6,10 +6,6 @@ use ssmdst::graph::generators::GraphFamily;
 use ssmdst::prelude::*;
 use ssmdst::sim::faults::{inject, FaultPlan};
 
-fn quiet(n: usize) -> u64 {
-    (6 * n as u64).max(64)
-}
-
 /// Convergence: start from total garbage (every node corrupted, channels
 /// emptied) and reach a legitimate configuration.
 #[test]
@@ -26,7 +22,7 @@ fn converges_from_total_corruption() {
             .horizon(150_000)
             .build();
         inject(session.network_mut(), FaultPlan::total(13));
-        let out = session.run_to_quiescence(quiet(g.n()), oracle::projection);
+        let out = session.run_to_quiescence(quiet_window(g.n()), oracle::projection);
         assert!(out.converged(), "{}: stuck after corruption", fam.label());
         assert!(
             oracle::is_legitimate(&g, session.network()),
@@ -48,7 +44,7 @@ fn converges_from_many_garbage_states() {
             .horizon(150_000)
             .build();
         inject(session.network_mut(), FaultPlan::total(adversary_seed));
-        let out = session.run_to_quiescence(quiet(g.n()), oracle::projection);
+        let out = session.run_to_quiescence(quiet_window(g.n()), oracle::projection);
         assert!(out.converged(), "adversary seed {adversary_seed}");
         assert!(oracle::is_legitimate(&g, session.network()));
     }
@@ -64,7 +60,7 @@ fn legitimate_configurations_are_closed() {
         .scheduler(Scheduler::Synchronous)
         .horizon(150_000)
         .build();
-    let out = session.run_to_quiescence(quiet(g.n()), oracle::projection);
+    let out = session.run_to_quiescence(quiet_window(g.n()), oracle::projection);
     assert!(out.converged());
     let before = oracle::projection(session.network());
     // Run a long time past convergence: nothing may change.
@@ -85,10 +81,10 @@ fn recovers_from_partial_corruption_at_all_fractions() {
             .scheduler(Scheduler::Synchronous)
             .horizon(150_000)
             .build();
-        let out = session.run_to_quiescence(quiet(g.n()), oracle::projection);
+        let out = session.run_to_quiescence(quiet_window(g.n()), oracle::projection);
         assert!(out.converged());
         inject(session.network_mut(), FaultPlan::partial(frac, 21));
-        let out = session.run_to_quiescence(quiet(g.n()), oracle::projection);
+        let out = session.run_to_quiescence(quiet_window(g.n()), oracle::projection);
         assert!(out.converged(), "fraction {frac}");
         let t = oracle::try_extract_tree(&g, session.network()).expect("tree");
         // deg ≤ Δ*+1 and Δ* is at least the combinatorial lower bound; the
@@ -111,7 +107,7 @@ fn survives_message_loss_bursts() {
         let _ = session.run_until(50, &mut ());
         session.network_mut().clear_channels();
     }
-    let out = session.run_to_quiescence(quiet(g.n()), oracle::projection);
+    let out = session.run_to_quiescence(quiet_window(g.n()), oracle::projection);
     assert!(out.converged());
     assert!(oracle::is_legitimate(&g, session.network()));
 }
@@ -125,10 +121,10 @@ fn recovery_under_adversarial_daemon() {
         .scheduler(Scheduler::Adversarial { seed: 17 })
         .horizon(200_000)
         .build();
-    let out = session.run_to_quiescence(quiet(g.n()), oracle::projection);
+    let out = session.run_to_quiescence(quiet_window(g.n()), oracle::projection);
     assert!(out.converged());
     inject(session.network_mut(), FaultPlan::total(3));
-    let out = session.run_to_quiescence(quiet(g.n()), oracle::projection);
+    let out = session.run_to_quiescence(quiet_window(g.n()), oracle::projection);
     assert!(out.converged());
     assert!(oracle::is_legitimate(&g, session.network()));
 }

@@ -1,10 +1,10 @@
 //! Round-stage clock: where a round's time goes.
 //!
-//! `Runner::step_round_clocked` tells a `StageClock` where each stage of a
-//! round ends (refresh, enumerate + key, sort, execute, round end). The
-//! library ships only the trait and the no-op unit clock; lint R2 keeps
-//! wall-clock reads out of library code, so the `Instant`-backed clock
-//! lives here. Two tests:
+//! `Runner::step_round_observed` tells its observer where each stage of a
+//! round ends (refresh, enumerate + key, sort, execute, round end) through
+//! the `on_round_start` and `on_stage_end` hooks. Lint R2 keeps wall-clock
+//! reads out of library code, so the `Instant`-backed observer lives here.
+//! Two tests:
 //!
 //! * a clocked run executes the unclocked run's schedule exactly: same
 //!   schedule digest, same final states, same message counts;
@@ -19,7 +19,7 @@
 use ssmdst::core::{build_network, Config, MdstNode};
 use ssmdst::graph::generators::GraphFamily;
 use ssmdst::sim::faults::{inject, FaultPlan};
-use ssmdst::sim::{Runner, ScheduleDigest, Scheduler, Stage, StageClock};
+use ssmdst::sim::{Automaton, Observer, Runner, ScheduleDigest, Scheduler, Stage};
 use std::time::{Duration, Instant};
 
 /// Wall time per stage, summed over every clocked round.
@@ -39,12 +39,12 @@ impl WallClock {
     }
 }
 
-impl StageClock for WallClock {
-    fn round_start(&mut self) {
+impl<A: Automaton> Observer<A> for WallClock {
+    fn on_round_start(&mut self) {
         self.rounds += 1;
         self.last = Instant::now();
     }
-    fn stage_end(&mut self, stage: Stage) {
+    fn on_stage_end(&mut self, stage: Stage) {
         let now = Instant::now();
         self.spent[stage as usize] += now - self.last;
         self.last = now;
@@ -75,7 +75,7 @@ fn recovery(seed: u64, rounds: u32, clock: Option<&mut WallClock>) -> (u64, Stri
         }
         for _ in 0..rounds {
             let _ = match clock.as_deref_mut() {
-                Some(c) => runner.step_round_clocked(&mut digest, c),
+                Some(c) => runner.step_round_observed(&mut (&mut digest, &mut *c)),
                 None => runner.step_round_observed(&mut digest),
             };
         }

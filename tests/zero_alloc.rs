@@ -18,9 +18,9 @@
 //! well: a round that folds every scheduled event into a schedule digest,
 //! through `Runner::step_round_observed` with a `ScheduleDigest` or
 //! through the same observer attached to a `Session`, must not allocate.
-//! So must a round stepped through `Runner::step_round_clocked` with a
-//! stage clock that records every stage boundary (the unclocked rounds
-//! above already run the same loop with the no-op unit clock).
+//! So must a round stepped through an observer that records every stage
+//! boundary (`on_round_start`, `on_stage_end`; the other rounds run the
+//! same loop with those hooks as no-ops).
 //!
 //! The counter is per-thread, so the harness's own threads cannot perturb
 //! the measurement; this file still holds a single `#[test]` so the
@@ -30,8 +30,8 @@
 use alloc_counter::{allocations_on_this_thread, CountingAllocator};
 use ssmdst::core::{build_network, oracle, Config, MdstNode};
 use ssmdst::sim::{
-    Automaton, Message, Network, Outbox, Runner, ScheduleDigest, Scheduler, Session, Stage,
-    StageClock,
+    Automaton, Message, Network, Observer, Outbox, Runner, ScheduleDigest, Scheduler, Session,
+    Stage,
 };
 
 #[global_allocator]
@@ -71,18 +71,18 @@ impl Automaton for Gossip {
     }
 }
 
-/// A stage clock that only counts its hooks.
+/// An observer that only counts its stage marks.
 #[derive(Default)]
 struct CountingClock {
     starts: u64,
     ends: [u64; 5],
 }
 
-impl StageClock for CountingClock {
-    fn round_start(&mut self) {
+impl<A: Automaton> Observer<A> for CountingClock {
+    fn on_round_start(&mut self) {
         self.starts += 1;
     }
-    fn stage_end(&mut self, stage: Stage) {
+    fn on_stage_end(&mut self, stage: Stage) {
         self.ends[stage as usize] += 1;
     }
 }
@@ -196,10 +196,10 @@ fn steady_state_round_loop_is_allocation_free() {
         let mut runner = Runner::new(gossip_network(), sched);
         let mut clock = CountingClock::default();
         for _ in 0..50 {
-            let _ = runner.step_round_clocked(&mut (), &mut clock);
+            let _ = runner.step_round_observed(&mut clock);
         }
-        assert_rounds_allocation_free("clocked", sched, || {
-            let _ = runner.step_round_clocked(&mut (), &mut clock);
+        assert_rounds_allocation_free("stage-marked", sched, || {
+            let _ = runner.step_round_observed(&mut clock);
         });
         assert_eq!(
             (clock.starts, clock.ends),
