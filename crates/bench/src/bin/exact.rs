@@ -48,7 +48,11 @@ struct ScratchRow {
 fn measure_scratch(g: &Graph, reps: u64) -> ScratchRow {
     let s = solver();
     let warm = s.solve(g);
-    let t = Instant::now(); // lint: allow(no-ambient-entropy) — observation-side wall-clock for the timing column; never feeds simulation state
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "observation-side wall-clock for the timing column; never feeds simulation state"
+    )]
+    let t = Instant::now();
     let mut last = warm;
     for _ in 0..reps {
         last = s.solve(g);
@@ -81,7 +85,11 @@ fn measure_incremental(g: &Graph, churns: u64, scratch: &ScratchRow) -> IncRow {
     let edges = g.edges();
     let stride = (edges.len() / churns.max(1) as usize).max(1);
     let mut judgments = 0u64;
-    let t = Instant::now(); // lint: allow(no-ambient-entropy) — observation-side wall-clock for the timing column; never feeds simulation state
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "observation-side wall-clock for the timing column; never feeds simulation state"
+    )]
+    let t = Instant::now();
     for i in 0..churns {
         let (u, v) = edges[(i as usize * stride) % edges.len()];
         inc.remove_edge(u, v);

@@ -68,7 +68,11 @@ fn main() {
     println!("# ssmdst experiment suite ({profile_label} profile)");
     let mut json_entries: Vec<String> = Vec::new();
     for e in selected {
-        let started = Instant::now(); // lint: allow(no-ambient-entropy) — observation-side wall-clock for the printed timing column; never feeds simulation state
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "observation-side wall-clock for the printed timing column; never feeds simulation state"
+        )]
+        let started = Instant::now();
         let table = (e.run)(&profile);
         let wall_ms = started.elapsed().as_millis();
         println!("\n## {}\n", e.title);

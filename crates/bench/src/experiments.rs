@@ -414,11 +414,27 @@ pub fn t5_baselines(p: &Profile) -> Table {
         let seed = p.seeds[0];
         let scn = row_scenario("t5", fam, n, seed, SchedSpec::Synchronous, p);
         let g = scn.topology.build();
-        let bfs = SpanningTree::from_bfs(&g, 0).expect("family graphs are connected"); // lint: allow(no-panic-in-library) — every GraphFamily generates a connected instance
-        let dfs = SpanningTree::from_dfs(&g, 0).expect("family graphs are connected"); // lint: allow(no-panic-in-library) — every GraphFamily generates a connected instance
-        let rnd = SpanningTree::random(&g, seed).expect("family graphs are connected"); // lint: allow(no-panic-in-library) — every GraphFamily generates a connected instance
+        #[expect(
+            clippy::expect_used,
+            reason = "every GraphFamily generates a connected instance"
+        )]
+        let bfs = SpanningTree::from_bfs(&g, 0).expect("family graphs are connected");
+        #[expect(
+            clippy::expect_used,
+            reason = "every GraphFamily generates a connected instance"
+        )]
+        let dfs = SpanningTree::from_dfs(&g, 0).expect("family graphs are connected");
+        #[expect(
+            clippy::expect_used,
+            reason = "every GraphFamily generates a connected instance"
+        )]
+        let rnd = SpanningTree::random(&g, seed).expect("family graphs are connected");
+        #[expect(
+            clippy::expect_used,
+            reason = "every GraphFamily generates a connected instance"
+        )]
         let greedy =
-            SpanningTree::greedy_min_degree(&g, seed).expect("family graphs are connected"); // lint: allow(no-panic-in-library) — every GraphFamily generates a connected instance
+            SpanningTree::greedy_min_degree(&g, seed).expect("family graphs are connected");
         let fr = fr.solve_from(&g, bfs.clone()).tree;
         let res = run_mdst(&scn, no_exact());
         let (ds_str, _) = match fam.known_delta_star(&g) {
@@ -553,7 +569,8 @@ pub fn f3_concurrency(p: &Profile) -> Table {
         let (res, _, _) = engine::run_protocol(&Mdst, &scn, no_exact(), |net, round| {
             ins.observe(net, round)
         });
-        let t0 = SpanningTree::from_bfs(&g, 0).expect("multi-hub graphs are connected"); // lint: allow(no-panic-in-library) — multi_hub builds a connected gadget
+        #[expect(clippy::expect_used, reason = "multi_hub builds a connected gadget")]
+        let t0 = SpanningTree::from_bfs(&g, 0).expect("multi-hub graphs are connected");
         let diam = ssmdst_graph::traversal::diameter(&g).unwrap_or(1) as u64;
         // The serialized model of \[3\] makes FR's swaps one per phase and
         // pays a full refresh per phase (≥ diameter rounds, as \[3\]
@@ -994,7 +1011,11 @@ mod fabric {
     /// Measure one instance: fabric build time, sparse-activity round cost
     /// and dense-gossip per-obligation cost.
     pub fn measure(g: &ssmdst_graph::Graph) -> FabricRow {
-        let build_start = Instant::now(); // lint: allow(no-ambient-entropy) — wall-clock measurement is the payload of this microbenchmark; never feeds simulation state
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock measurement is the payload of this microbenchmark; never feeds simulation state"
+        )]
+        let build_start = Instant::now();
         let sentinel_net = sentinel_network(g);
         let build_us = build_start.elapsed().as_micros();
         let slots = sentinel_net.slot_count();
@@ -1006,7 +1027,11 @@ mod fabric {
             r.step_round();
         }
         let rounds = 16_384u64;
-        let t = Instant::now(); // lint: allow(no-ambient-entropy) — wall-clock measurement is the payload of this microbenchmark; never feeds simulation state
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock measurement is the payload of this microbenchmark; never feeds simulation state"
+        )]
+        let t = Instant::now();
         for _ in 0..rounds {
             r.step_round();
         }
@@ -1020,7 +1045,11 @@ mod fabric {
         }
         let gossip_rounds = 6u64;
         let delivered_before = r.network().metrics.total_delivered;
-        let t = Instant::now(); // lint: allow(no-ambient-entropy) — wall-clock measurement is the payload of this microbenchmark; never feeds simulation state
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock measurement is the payload of this microbenchmark; never feeds simulation state"
+        )]
+        let t = Instant::now();
         for _ in 0..gossip_rounds {
             r.step_round();
         }

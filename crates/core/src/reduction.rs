@@ -57,12 +57,16 @@ impl MdstNode {
                 if ends_max + 2 <= dmax {
                     // Improving edge (Eq. 1): target the min-ID interior
                     // node of maximum degree, as the paper does.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "this branch is taken only when an interior node hits dmax"
+                    )]
                     let w = interior
                         .iter()
                         .filter(|&&(_, d)| d == dmax)
                         .map(|&(id, _)| id)
                         .min()
-                        .expect("d_int == dmax implies a witness"); // lint: allow(no-panic-in-library) — this branch is taken only when an interior node hits dmax
+                        .expect("d_int == dmax implies a witness");
                     self.send_remove(init, dmax, w, &path, out);
                 } else if ends_max + 1 == dmax && self.cfg.enable_deblock {
                     self.start_deblock(init, deg_a, deg_b, self.cfg.deblock_ttl, out);

@@ -56,7 +56,7 @@ impl MdstNode {
     ///
     /// A payload equal to the stored mirror writes nothing, so the
     /// re-evaluation is skipped while the memo holds.
-    // lint: hot-path
+    // Allocation-free: tests/zero_alloc.rs meters it.
     pub(crate) fn handle_info(&mut self, from: NodeId, v: NbrView) {
         let Some(i) = self.st.mirror_index(from) else {
             return;
@@ -112,7 +112,7 @@ impl MdstNode {
     }
 
     /// Rules R2 then R1 (R1 is guarded by coherence, as in the paper).
-    // lint: hot-path
+    // Allocation-free: tests/zero_alloc.rs meters it.
     pub(crate) fn apply_tree_rules(&mut self) {
         // Distances are bounded by the network size (config's path cap): a
         // distance beyond it can only come from a parent cycle, whose

@@ -266,7 +266,7 @@ impl NodeState {
     }
 
     /// [`Self::adoptable_parent`] as an index into `neighbors`.
-    // lint: hot-path
+    // Allocation-free: tests/zero_alloc.rs meters it.
     pub(crate) fn adoptable_index(&self) -> Option<usize> {
         let mut best: Option<(NodeId, usize)> = None;
         for (i, v) in self.nbr.iter().enumerate() {
@@ -283,7 +283,7 @@ impl NodeState {
     }
 
     /// `coherent_parent(v)`: parent is me or a neighbor with my root.
-    // lint: hot-path
+    // Allocation-free: tests/zero_alloc.rs meters it.
     pub fn coherent_parent(&self) -> bool {
         if self.parent == self.id {
             // A self-rooted node must claim its own ID as root, and must not
@@ -298,7 +298,7 @@ impl NodeState {
     }
 
     /// `coherent_distance(v)`: distance is parent's + 1 (0 when self-rooted).
-    // lint: hot-path
+    // Allocation-free: tests/zero_alloc.rs meters it.
     pub fn coherent_distance(&self) -> bool {
         if self.parent == self.id {
             self.distance == 0
@@ -323,7 +323,6 @@ impl NodeState {
     /// which is what freezes the reduction module during tree churn). When
     /// every neighbor shares my root none advertises a smaller one, so the
     /// root check alone also settles "no better parent".
-    // lint: hot-path
     pub fn tree_stabilized(&self) -> bool {
         self.coherent_parent()
             && self.coherent_distance()
@@ -331,13 +330,11 @@ impl NodeState {
     }
 
     /// `degree_stabilized(v)`: all mirrors agree with my `dmax`.
-    // lint: hot-path
     pub fn degree_stabilized(&self) -> bool {
         self.nbr.iter().all(|v| v.dmax == self.dmax)
     }
 
     /// `color_stabilized(v)`: all mirrors carry my color bit.
-    // lint: hot-path
     pub fn color_stabilized(&self) -> bool {
         self.nbr.iter().all(|v| v.color == self.color)
     }
@@ -345,7 +342,7 @@ impl NodeState {
     /// `locally_stabilized(v)` — the freeze guard for modules 3 and 4: the
     /// conjunction of the three predicates above, in one pass over the
     /// mirrors.
-    // lint: hot-path
+    // Allocation-free: tests/zero_alloc.rs meters it.
     pub fn locally_stabilized(&self) -> bool {
         self.coherent_parent()
             && self.coherent_distance()
@@ -358,7 +355,7 @@ impl NodeState {
     /// Recompute the derived variables (`deg`, `subtree_max`, `dmax`,
     /// `color`) from own pointers and mirrors. Called after every mirror or
     /// parent update; O(δ): one pass over the mirrors, with no lookups.
-    // lint: hot-path
+    // Allocation-free: tests/zero_alloc.rs meters it.
     pub fn recompute_derived(&mut self) {
         let mut deg = 0;
         let mut sub = 0;

@@ -205,7 +205,10 @@ impl Solver {
     /// Panics if `g` is empty or disconnected (no spanning tree exists).
     pub fn solve(&self, g: &Graph) -> Solution {
         assert!(g.n() >= 1, "exact::solve: empty graph");
-        // lint: allow(no-panic-in-library) — documented `# Panics`: a disconnected graph has no spanning tree
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `# Panics`: a disconnected graph has no spanning tree"
+        )]
         let tree = SpanningTree::from_bfs(g, 0).expect("exact::solve: disconnected graph");
         self.solve_from(g, tree)
     }
@@ -367,7 +370,6 @@ impl PhaseState {
     /// Sweep the non-tree edges in `g.edges()` order, merging components
     /// along blocked cycles, until an improvement `((u, v), (w, z))` turns
     /// up (insert `{u, v}`, drop `{w, z}`) or a sweep merges nothing.
-    // lint: hot-path
     fn find_improvement(
         &mut self,
         g: &Graph,

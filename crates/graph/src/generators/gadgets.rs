@@ -52,7 +52,11 @@ pub fn hamiltonian_with_chords(n: usize, chords: usize, seed: u64) -> Graph {
     perm.shuffle(&mut r);
     let mut b = GraphBuilder::new(n);
     for w in perm.windows(2) {
-        b.add_edge_dedup(w[0], w[1]).expect("path edge valid"); // lint: allow(no-panic-in-library) — permutation windows are distinct in-range pairs
+        #[expect(
+            clippy::expect_used,
+            reason = "permutation windows are distinct in-range pairs"
+        )]
+        b.add_edge_dedup(w[0], w[1]).expect("path edge valid");
     }
     let max_extra = n * (n - 1) / 2 - (n - 1);
     let target = chords.min(max_extra);
@@ -66,7 +70,11 @@ pub fn hamiltonian_with_chords(n: usize, chords: usize, seed: u64) -> Graph {
             continue;
         }
         let before = b.staged_edges();
-        b.add_edge_dedup(u, v).expect("chord valid"); // lint: allow(no-panic-in-library) — u != v checked above and both drawn from 0..n
+        #[expect(
+            clippy::expect_used,
+            reason = "u != v checked above and both drawn from 0..n"
+        )]
+        b.add_edge_dedup(u, v).expect("chord valid");
         if b.staged_edges() > before {
             added += 1;
         }

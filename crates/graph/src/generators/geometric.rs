@@ -30,7 +30,8 @@ pub fn random_geometric(n: usize, radius: f64, seed: u64) -> Graph {
             let dx = pts[u].0 - pts[v].0;
             let dy = pts[u].1 - pts[v].1;
             if dx * dx + dy * dy <= r2 {
-                b.add_edge(u as u32, v as u32).expect("rgg edge valid"); // lint: allow(no-panic-in-library) — u < v < n and each pair visited once
+                #[expect(clippy::expect_used, reason = "u < v < n and each pair visited once")]
+                b.add_edge(u as u32, v as u32).expect("rgg edge valid");
             }
         }
     }

@@ -109,17 +109,26 @@ impl GraphFamily {
             ScaleFree => barabasi_albert(n, 2, seed),
             Grid => {
                 let side = (n as f64).sqrt().ceil() as usize;
-                grid(side, side).expect("grid parameters valid") // lint: allow(no-panic-in-library) — side = ceil(sqrt(n)) >= 2 for the n this family accepts
+                #[expect(
+                    clippy::expect_used,
+                    reason = "side = ceil(sqrt(n)) >= 2 for the n this family accepts"
+                )]
+                grid(side, side).expect("grid parameters valid")
             }
             Hypercube => {
                 let dim = (n as f64).log2().ceil().max(2.0) as u32;
-                hypercube(dim).expect("hypercube parameters valid") // lint: allow(no-panic-in-library) — dim clamped to >= 2 on the line above
+                #[expect(clippy::expect_used, reason = "dim clamped to >= 2 on the line above")]
+                hypercube(dim).expect("hypercube parameters valid")
             }
             HamiltonianChords => hamiltonian_with_chords(n, 2 * n, seed),
             Spider => {
                 let legs = 5.min(n - 1).max(3);
                 let leg_len = ((n - 1) / legs).max(1);
-                spider(legs, leg_len).expect("spider parameters valid") // lint: allow(no-panic-in-library) — legs in 3..=5 and leg_len >= 1 by the clamps above
+                #[expect(
+                    clippy::expect_used,
+                    reason = "legs in 3..=5 and leg_len >= 1 by the clamps above"
+                )]
+                spider(legs, leg_len).expect("spider parameters valid")
             }
         }
     }

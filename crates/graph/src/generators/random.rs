@@ -39,10 +39,22 @@ pub(crate) fn connect_components(b: &mut GraphBuilder, n: usize, rng: &mut StdRn
         uf.union(u, v);
     }
     for w in members.windows(2) {
-        let u = *w[0].choose(rng).expect("non-empty component"); // lint: allow(no-panic-in-library) — every component has at least one member
-        let v = *w[1].choose(rng).expect("non-empty component"); // lint: allow(no-panic-in-library) — every component has at least one member
+        #[expect(
+            clippy::expect_used,
+            reason = "every component has at least one member"
+        )]
+        let u = *w[0].choose(rng).expect("non-empty component");
+        #[expect(
+            clippy::expect_used,
+            reason = "every component has at least one member"
+        )]
+        let v = *w[1].choose(rng).expect("non-empty component");
         if uf.union(u, v) {
-            b.add_edge_dedup(u, v).expect("repair edge valid"); // lint: allow(no-panic-in-library) — endpoints come from distinct components, so u != v
+            #[expect(
+                clippy::expect_used,
+                reason = "endpoints come from distinct components, so u != v"
+            )]
+            b.add_edge_dedup(u, v).expect("repair edge valid");
         }
     }
 }
@@ -59,7 +71,8 @@ pub fn gnp_connected(n: usize, p: f64, seed: u64) -> Graph {
     for u in 0..n as u32 {
         for v in (u + 1)..n as u32 {
             if r.random::<f64>() < p {
-                b.add_edge(u, v).expect("gnp edge valid"); // lint: allow(no-panic-in-library) — u < v < n and each pair flipped once
+                #[expect(clippy::expect_used, reason = "u < v < n and each pair flipped once")]
+                b.add_edge(u, v).expect("gnp edge valid");
             }
         }
     }
@@ -104,7 +117,8 @@ pub fn gnp_connected_sparse(n: usize, p: f64, seed: u64) -> Graph {
                 _ => break,
             };
             let (u, v) = triangle_unrank(idx, n as u64);
-            b.add_edge_dedup(u, v).expect("gnp_sparse edge valid"); // lint: allow(no-panic-in-library) — triangle_unrank yields u < v < n
+            #[expect(clippy::expect_used, reason = "triangle_unrank yields u < v < n")]
+            b.add_edge_dedup(u, v).expect("gnp_sparse edge valid");
             idx += 1;
             if idx >= total {
                 break;
@@ -157,7 +171,11 @@ pub fn gnm_connected(n: usize, m: usize, seed: u64) -> Graph {
             continue;
         }
         let before = b.staged_edges();
-        b.add_edge_dedup(u, v).expect("gnm edge valid"); // lint: allow(no-panic-in-library) — u != v checked above and both drawn from 0..n
+        #[expect(
+            clippy::expect_used,
+            reason = "u != v checked above and both drawn from 0..n"
+        )]
+        b.add_edge_dedup(u, v).expect("gnm edge valid");
         if b.staged_edges() > before {
             added += 1;
         }
@@ -183,7 +201,11 @@ pub fn barabasi_albert(n: usize, attach: usize, seed: u64) -> Graph {
     let core = attach + 1;
     for u in 0..core as u32 {
         for v in (u + 1)..core as u32 {
-            b.add_edge(u, v).expect("ba core edge"); // lint: allow(no-panic-in-library) — clique pairs u < v < core <= n are distinct
+            #[expect(
+                clippy::expect_used,
+                reason = "clique pairs u < v < core <= n are distinct"
+            )]
+            b.add_edge(u, v).expect("ba core edge");
             urn.push(u);
             urn.push(v);
         }
@@ -193,13 +215,21 @@ pub fn barabasi_albert(n: usize, attach: usize, seed: u64) -> Graph {
         let mut guard = 0;
         while targets.len() < attach && guard < 10_000 {
             guard += 1;
-            let t = *urn.choose(&mut r).expect("urn non-empty"); // lint: allow(no-panic-in-library) — urn seeded with the core clique before any draw
+            #[expect(
+                clippy::expect_used,
+                reason = "urn seeded with the core clique before any draw"
+            )]
+            let t = *urn.choose(&mut r).expect("urn non-empty");
             if t != v && !targets.contains(&t) {
                 targets.push(t);
             }
         }
         for &t in &targets {
-            b.add_edge(v, t).expect("ba attach edge"); // lint: allow(no-panic-in-library) — targets are distinct, != v, and staged once per v
+            #[expect(
+                clippy::expect_used,
+                reason = "targets are distinct, != v, and staged once per v"
+            )]
+            b.add_edge(v, t).expect("ba attach edge");
             urn.push(v);
             urn.push(t);
         }
@@ -221,8 +251,12 @@ pub fn near_regular(n: usize, d: usize, seed: u64) -> Graph {
     let mut perm: Vec<u32> = (0..n as u32).collect();
     perm.shuffle(&mut r);
     for i in 0..n {
+        #[expect(
+            clippy::expect_used,
+            reason = "consecutive entries of a permutation differ for n >= 2"
+        )]
         b.add_edge_dedup(perm[i], perm[(i + 1) % n])
-            .expect("cycle edge"); // lint: allow(no-panic-in-library) — consecutive entries of a permutation differ for n >= 2
+            .expect("cycle edge");
     }
     let mut deg = vec![2usize; n];
     // Track how many nodes still sit below the target degree incrementally:
@@ -249,7 +283,11 @@ pub fn near_regular(n: usize, d: usize, seed: u64) -> Graph {
             continue;
         }
         let before = b.staged_edges();
-        b.add_edge_dedup(u, v).expect("regular edge"); // lint: allow(no-panic-in-library) — u != v checked above and both drawn from 0..n
+        #[expect(
+            clippy::expect_used,
+            reason = "u != v checked above and both drawn from 0..n"
+        )]
+        b.add_edge_dedup(u, v).expect("regular edge");
         if b.staged_edges() > before {
             for x in [u, v] {
                 deg[x as usize] += 1;
@@ -278,7 +316,11 @@ pub fn near_regular(n: usize, d: usize, seed: u64) -> Graph {
             }
             let (u, v) = (pool[i], pool[j]);
             let before = b.staged_edges();
-            b.add_edge_dedup(u, v).expect("regular edge"); // lint: allow(no-panic-in-library) — pool holds distinct node ids < n and i != j
+            #[expect(
+                clippy::expect_used,
+                reason = "pool holds distinct node ids < n and i != j"
+            )]
+            b.add_edge_dedup(u, v).expect("regular edge");
             if b.staged_edges() > before {
                 for x in [u, v] {
                     deg[x as usize] += 1;
@@ -297,6 +339,10 @@ pub fn near_regular(n: usize, d: usize, seed: u64) -> Graph {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the million-node smokes bound their own wall time; no digest reads it"
+)]
 mod tests {
     use super::*;
     use crate::traversal::is_connected;

@@ -19,7 +19,11 @@
 use crate::error::GraphError;
 #[cfg(feature = "serde")]
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet; // lint: allow(no-unordered-collections) — membership-only duplicate probe in GraphBuilder; never iterated
+#[expect(
+    clippy::disallowed_types,
+    reason = "membership-only duplicate probe in GraphBuilder; never iterated"
+)]
+use std::collections::HashSet;
 
 /// Dense node identifier, `0..n`.
 pub type NodeId = u32;
@@ -239,7 +243,11 @@ pub struct GraphBuilder {
     /// O(1) duplicate probe over canonical keys (`u < v` packed into a
     /// `u64`), so randomized generators can stage E edges in O(E) expected
     /// time instead of the O(E²) a per-insert linear scan would cost.
-    staged: HashSet<u64>, // lint: allow(no-unordered-collections) — probed with `contains`/`insert` only; iteration order can't leak
+    #[expect(
+        clippy::disallowed_types,
+        reason = "probed with `contains`/`insert` only; iteration order can't leak"
+    )]
+    staged: HashSet<u64>,
 }
 
 /// Canonical `u64` key for the undirected edge `{u, v}`.
@@ -256,7 +264,11 @@ impl GraphBuilder {
         GraphBuilder {
             n: n as u32,
             edges: Vec::new(),
-            staged: HashSet::new(), // lint: allow(no-unordered-collections) — same membership-only set as the field above
+            #[expect(
+                clippy::disallowed_types,
+                reason = "same membership-only set as the field above"
+            )]
+            staged: HashSet::new(),
         }
     }
 
@@ -363,8 +375,11 @@ impl GraphBuilder {
 pub fn graph_from_edges(n: usize, edges: &[(NodeId, NodeId)]) -> Graph {
     let mut b = GraphBuilder::new(n);
     for &(u, v) in edges {
+        #[expect(
+            clippy::panic,
+            reason = "documented `# Panics` test helper; loud failure is the contract"
+        )]
         b.add_edge(u, v)
-            // lint: allow(no-panic-in-library) — documented `# Panics` test helper; loud failure is the contract
             .unwrap_or_else(|e| panic!("bad edge ({u},{v}): {e}"));
     }
     b.build()

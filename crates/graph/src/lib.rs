@@ -30,10 +30,13 @@
 //! them to arbitrary unique identifiers when exercising identifier-dependent
 //! behaviour (the paper breaks ties by node ID).
 
-// Library code must not grow bare `.unwrap()`s: use `.expect` with the
-// invariant that makes failure unreachable (ssmdst-lint R4 audits the
-// reasons). Unit tests keep their unwraps.
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+// R4: library code does not panic. A failure that an invariant makes
+// unreachable carries `#[expect(clippy::expect_used, reason = "…")]`
+// naming the invariant. Unit tests keep their unwraps.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod bridges;
 pub mod dot;

@@ -135,7 +135,11 @@ impl<'g> Searcher<'g> {
         if usable < need {
             return Found::No;
         }
-        let i = first.expect("usable >= need >= 1"); // lint: allow(no-panic-in-library) — the usable < need early return above guarantees a hit
+        #[expect(
+            clippy::expect_used,
+            reason = "the usable < need early return above guarantees a hit"
+        )]
+        let i = first.expect("usable >= need >= 1");
         let (u, v) = self.g.edges()[i];
 
         // Branch 1: include edge i.
@@ -171,8 +175,9 @@ pub fn has_spanning_tree_with_max_degree(
         return Some(None);
     }
     if g.n() == 1 {
+        #[expect(clippy::expect_used, reason = "single-node tree is always well-formed")]
         return Some(Some(
-            SpanningTree::from_parents(g, 0, vec![0]).expect("trivial tree"), // lint: allow(no-panic-in-library) — single-node tree is always well-formed
+            SpanningTree::from_parents(g, 0, vec![0]).expect("trivial tree"),
         ));
     }
     if cap == 0 || !crate::traversal::is_connected(g) {
@@ -189,7 +194,10 @@ pub fn has_spanning_tree_with_max_degree(
     match s.decide(&mut uf, 0, 0) {
         Found::Yes => {
             let t = SpanningTree::from_edge_list(g, &s.chosen);
-            // lint: allow(no-panic-in-library) — a decision witness spans by construction
+            #[expect(
+                clippy::expect_used,
+                reason = "a decision witness spans by construction"
+            )]
             Some(Some(t.expect("edge list formed a spanning tree")))
         }
         Found::No => Some(None),
@@ -209,13 +217,18 @@ pub fn has_spanning_tree_with_max_degree(
 pub fn exact_mdst(g: &Graph, budget: SolveBudget) -> ExactMdst {
     assert!(g.n() >= 1, "exact_mdst: empty graph");
     if g.n() == 1 {
-        let witness = SpanningTree::from_parents(g, 0, vec![0]).expect("trivial"); // lint: allow(no-panic-in-library) — single-node tree is always well-formed
+        #[expect(clippy::expect_used, reason = "single-node tree is always well-formed")]
+        let witness = SpanningTree::from_parents(g, 0, vec![0]).expect("trivial");
         return ExactMdst::Exact {
             delta_star: 0,
             witness,
         };
     }
-    let fallback = SpanningTree::from_bfs(g, 0).expect("connected graph"); // lint: allow(no-panic-in-library) — documented `# Panics`: disconnected graphs have no spanning tree to witness
+    #[expect(
+        clippy::expect_used,
+        reason = "documented `# Panics`: disconnected graphs have no spanning tree to witness"
+    )]
+    let fallback = SpanningTree::from_bfs(g, 0).expect("connected graph");
     let lb = degree_lower_bound(g);
     let ub_start = fallback.max_degree();
     let mut cap = lb;

@@ -208,8 +208,12 @@ pub fn corpus() -> Vec<Scenario> {
     scns.push(flood_gauntlet);
 
     for text in STORM_HARVEST {
+        #[expect(
+            clippy::expect_used,
+            reason = "compile-time literals, covered by the round-trip test"
+        )]
         let scn = crate::scn::parse(text)
-            .expect("harvested corpus entries are storm-emitted canonical .scn text"); // lint: allow(no-panic-in-library) — compile-time literals, covered by the round-trip test
+            .expect("harvested corpus entries are storm-emitted canonical .scn text");
         scns.push(scn);
     }
 

@@ -26,7 +26,11 @@
 
 use crate::engine::ScenarioOutcome;
 use ssmdst_sim::{log2_bucket, Digest};
-use std::collections::HashSet; // lint: allow(no-unordered-collections) — membership-only coverage probe; features are counted, never iterated
+#[expect(
+    clippy::disallowed_types,
+    reason = "membership-only coverage probe; features are counted, never iterated"
+)]
+use std::collections::HashSet;
 
 /// Hash one feature: a domain tag plus its coordinates. FNV-1a via the
 /// replay [`Digest`], so features are stable across platforms and runs.
@@ -124,7 +128,11 @@ impl Signature {
 /// observations are applied in a deterministic order.
 #[derive(Debug, Default)]
 pub struct CoverageMap {
-    seen: HashSet<u64>, // lint: allow(no-unordered-collections) — insert/contains/len only; doc above states the order-independence argument
+    #[expect(
+        clippy::disallowed_types,
+        reason = "insert/contains/len only; doc above states the order-independence argument"
+    )]
+    seen: HashSet<u64>,
 }
 
 impl CoverageMap {

@@ -292,7 +292,8 @@ pub fn run_protocol<P: Protocol>(
     );
     phases.push(phase);
 
-    let last = phases.last().expect("at least one phase"); // lint: allow(no-panic-in-library) — a phase was pushed on the line above
+    #[expect(clippy::expect_used, reason = "a phase was pushed on the line above")]
+    let last = phases.last().expect("at least one phase");
     let final_degree = if last.checked && last.components == 1 && last.degree > 0 {
         Some(last.degree)
     } else {
@@ -328,7 +329,10 @@ pub fn run_protocol<P: Protocol>(
 /// Drive one phase: to quiescence (`until = None`) or to the absolute
 /// round `until`, with the [`Recorder`] folding schedule and projection
 /// into the chain each round and deciding the stop.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is a distinct phase input from run_protocol; a struct bundling them would serve this one function"
+)]
 fn run_phase<P: Protocol>(
     proto: &P,
     session: &mut Session<P::Node, Recorder<P>>,

@@ -242,7 +242,10 @@ mod tests {
             .horizon(1_000)
             .build();
         let opts = EngineOpts::default();
-        #[allow(clippy::let_unit_value)] // exercising the trait path: Flood's Judge is ()
+        #[expect(
+            clippy::let_unit_value,
+            reason = "exercising the trait path: Flood's Judge is ()"
+        )]
         let mut judge = Flood.new_judge(session.network(), &opts);
         // Before convergence: nodes still claim themselves — not ok.
         let j = Flood.judge(&mut judge, session.network(), &opts);

@@ -73,24 +73,45 @@ impl TopologySpec {
     pub fn build(&self) -> Graph {
         match self {
             TopologySpec::Family { family, n, seed } => {
+                #[expect(
+                    clippy::panic,
+                    reason = "documented `# Panics`: .scn parsing validates labels before build"
+                )]
                 let fam = GraphFamily::all()
                     .iter()
                     .find(|f| f.label() == family)
-                    // lint: allow(no-panic-in-library) — documented `# Panics`: .scn parsing validates labels before build
                     .unwrap_or_else(|| panic!("unknown graph family '{family}'"));
                 fam.generate(*n, *seed)
             }
-            TopologySpec::Path { n } => structured::path(*n).expect("path parameters"), // lint: allow(no-panic-in-library) — documented `# Panics`: parse-time validation
-            TopologySpec::Cycle { n } => structured::cycle(*n).expect("cycle parameters"), // lint: allow(no-panic-in-library) — documented `# Panics`: parse-time validation
+            #[expect(
+                clippy::expect_used,
+                reason = "documented `# Panics`: parse-time validation"
+            )]
+            TopologySpec::Path { n } => structured::path(*n).expect("path parameters"),
+            #[expect(
+                clippy::expect_used,
+                reason = "documented `# Panics`: parse-time validation"
+            )]
+            TopologySpec::Cycle { n } => structured::cycle(*n).expect("cycle parameters"),
+            #[expect(
+                clippy::expect_used,
+                reason = "documented `# Panics`: parse-time validation"
+            )]
             TopologySpec::StarRing { n } => {
-                structured::star_with_ring(*n).expect("star-ring parameters") // lint: allow(no-panic-in-library) — documented `# Panics`: parse-time validation
+                structured::star_with_ring(*n).expect("star-ring parameters")
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "documented `# Panics`: parse-time validation"
+            )]
             TopologySpec::MultiHub { hubs, spokes } => {
-                // lint: allow(no-panic-in-library) — documented `# Panics`: parse-time validation
                 gadgets::multi_hub(*hubs, *spokes).expect("multi-hub parameters")
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "documented `# Panics`: parse-time validation"
+            )]
             TopologySpec::CompleteBipartite { a, b } => {
-                // lint: allow(no-panic-in-library) — documented `# Panics`: parse-time validation
                 structured::complete_bipartite(*a, *b).expect("complete-bipartite parameters")
             }
         }

@@ -150,7 +150,11 @@ pub fn storm_observed(
     mut on_admit: impl FnMut(&Admission),
 ) -> StormReport {
     assert!(!seeds.is_empty(), "storm needs at least one seed scenario");
-    let start = Instant::now(); // lint: allow(no-ambient-entropy) — observation-side timing for the report's elapsed field; never feeds scenario selection or digests
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "observation-side timing for the report's elapsed field; never feeds scenario selection or digests"
+    )]
+    let start = Instant::now();
     let mut map = CoverageMap::new();
     let mut corpus: Vec<Scenario> = Vec::new();
 
@@ -289,7 +293,11 @@ pub fn distill(candidates: &[Scenario], workers: usize) -> DistillReport {
                 best = Some((gain, pos));
             }
         }
-        let (gain, pos) = best.expect("uncovered features all came from some candidate"); // lint: allow(no-panic-in-library) — every uncovered feature was contributed by a remaining candidate
+        #[expect(
+            clippy::expect_used,
+            reason = "every uncovered feature was contributed by a remaining candidate"
+        )]
+        let (gain, pos) = best.expect("uncovered features all came from some candidate");
         let i = remaining.remove(pos);
         for f in sigs[i].features() {
             uncovered.remove(f);
@@ -308,8 +316,12 @@ pub fn distill(candidates: &[Scenario], workers: usize) -> DistillReport {
 
 /// Delta-debug a failing scenario into a minimal verified reproducer.
 fn minimize(scn: &Scenario, pred: Predicate, exec: Option<u64>) -> StormFailure {
+    #[expect(
+        clippy::expect_used,
+        reason = "replay determinism: a failure observed once reproduces"
+    )]
     let (shrunk, stats) = shrink::shrink(scn, |s| pred.test(s))
-        .expect("the scenario failed when executed, so it must fail when re-tested"); // lint: allow(no-panic-in-library) — replay determinism: a failure observed once reproduces
+        .expect("the scenario failed when executed, so it must fail when re-tested");
     StormFailure {
         exec,
         scenario: scn.clone(),

@@ -38,12 +38,12 @@ impl DenseSet {
     }
 
     /// Number of members.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -101,7 +101,7 @@ impl DenseSet {
 
     /// Append the members to `out` in ascending order:
     /// `O(k + universe / 4096)`, stopping once all `k` members are out.
-    // lint: hot-path
+    // Allocation-free: tests/zero_alloc.rs meters it.
     #[inline]
     pub(crate) fn extend_sorted(&self, out: &mut Vec<u32>) {
         let mut left = self.len;

@@ -79,7 +79,7 @@ impl EventQueue {
 
     /// Re-evaluate the enabled-tick predicate for every node the network
     /// marked dirty since the last call.
-    // lint: hot-path
+    // Allocation-free: tests/zero_alloc.rs meters it.
     pub(crate) fn refresh<A: Automaton>(&mut self, net: &mut Network<A>) {
         net.take_dirty_into(&mut self.dirty_scratch);
         for &v in &self.dirty_scratch {
@@ -94,7 +94,7 @@ impl EventQueue {
     /// Enumerate this round's obligations in canonical order (ticks
     /// ascending by node id, then one delivery per queued message,
     /// ascending by slot id), key each one, and record its sort word.
-    // lint: hot-path
+    // Allocation-free: tests/zero_alloc.rs meters it.
     pub(crate) fn enumerate<A: Automaton>(
         &mut self,
         round: u64,
@@ -129,7 +129,7 @@ impl EventQueue {
     }
 
     /// Put the enumerated obligations into daemon execution order.
-    // lint: hot-path
+    // Allocation-free: tests/zero_alloc.rs meters it.
     pub(crate) fn sort(&mut self) {
         self.words.sort_unstable();
     }

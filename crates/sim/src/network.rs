@@ -332,8 +332,12 @@ impl<A: Automaton> Network<A> {
     /// Deliver the head of the `from → to` channel (one receive atomic
     /// step). Returns `false` if the channel was empty.
     pub fn deliver_one(&mut self, from: NodeId, to: NodeId) -> bool {
+        #[expect(
+            clippy::panic,
+            reason = "documented precondition: callers enumerate live channels"
+        )]
         let Some(slot) = self.slot_of(from, to) else {
-            panic!("deliver_one: ({from},{to}) is not a channel"); // lint: allow(no-panic-in-library) — documented precondition: callers enumerate live channels
+            panic!("deliver_one: ({from},{to}) is not a channel");
         };
         self.deliver_at(slot, from, to)
     }
@@ -343,7 +347,7 @@ impl<A: Automaton> Network<A> {
     /// delivery path, which enumerated the obligation from that slot and
     /// so never looks it up again. Returns `false` if the channel was
     /// empty.
-    // lint: hot-path
+    // Allocation-free: tests/zero_alloc.rs meters it.
     pub(crate) fn deliver_at(&mut self, slot: u32, from: NodeId, to: NodeId) -> bool {
         debug_assert!(
             self.slot_live[slot as usize] && self.slot_ends[slot as usize] == (from, to),
@@ -377,6 +381,10 @@ impl<A: Automaton> Network<A> {
         }
         let n = self.nodes.len();
         for (to, msg) in out.drain() {
+            #[expect(
+                clippy::panic,
+                reason = "protocol bug trap on static topologies; dynamic runs drop instead"
+            )]
             let Some(slot) = self.slot_of(from, to) else {
                 if self.dynamic {
                     // A stale mirror naming a departed neighbor: the send is
@@ -384,7 +392,7 @@ impl<A: Automaton> Network<A> {
                     self.metrics.dropped_sends += 1;
                     continue;
                 }
-                panic!("node {from} sent to non-neighbor {to}"); // lint: allow(no-panic-in-library) — protocol bug trap on static topologies; dynamic runs drop instead
+                panic!("node {from} sent to non-neighbor {to}");
             };
             self.metrics.on_send(msg.kind(), msg.size_bits(n));
             let q = &mut self.channels[slot as usize];

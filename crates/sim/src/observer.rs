@@ -193,7 +193,7 @@ impl<A: Automaton, O: Observer<A>> Observer<A> for &mut O {
 /// tag and operands). [`ScheduleDigest`] and the scenario engine's
 /// recorder share this function, so their schedule folds are
 /// byte-identical by construction.
-// lint: hot-path
+// Allocation-free: tests/zero_alloc.rs meters it.
 pub fn fold_event(digest: &mut Digest, key: u128, idx: u32, action: Action) {
     digest.write_u128(key);
     digest.write_u32(idx);

@@ -49,6 +49,10 @@ where
     let inputs_ref = &inputs;
     let slots_ref = &slots;
     let job_ref = &job;
+    #[expect(
+        clippy::expect_used,
+        reason = "propagating a worker panic is the only honest option here"
+    )]
     thread::scope(|s| {
         for _ in 0..workers.min(n) {
             s.spawn(|_| loop {
@@ -61,10 +65,14 @@ where
             });
         }
     })
-    .expect("sweep worker panicked"); // lint: allow(no-panic-in-library) — propagating a worker panic is the only honest option here
+    .expect("sweep worker panicked");
+    #[expect(
+        clippy::expect_used,
+        reason = "the scoped join above proves every job wrote its slot"
+    )]
     slots
         .into_iter()
-        .map(|m| m.into_inner().expect("every slot filled")) // lint: allow(no-panic-in-library) — the scoped join above proves every job wrote its slot
+        .map(|m| m.into_inner().expect("every slot filled"))
         .collect()
 }
 

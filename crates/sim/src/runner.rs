@@ -147,7 +147,7 @@ impl<A: Automaton> Runner<A> {
         stop
     }
 
-    // lint: hot-path
+    // Allocation-free: tests/zero_alloc.rs meters it.
     fn execute_one(net: &mut Network<A>, ob: Obligation) {
         match ob.action {
             // Re-check the guard at execution time: an earlier event of

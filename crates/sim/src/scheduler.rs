@@ -80,7 +80,11 @@ impl KeySource {
                 Action::Deliver(f, t) => (1u128 << 96) | ((f as u128) << 32) | t as u128,
             },
             Scheduler::RandomAsync { .. } => {
-                let rng = self.rng.as_mut().expect("random daemon has rng"); // lint: allow(no-panic-in-library) — KeySource::new seeds rng whenever the daemon is RandomAsync
+                #[expect(
+                    clippy::expect_used,
+                    reason = "KeySource::new seeds rng whenever the daemon is RandomAsync"
+                )]
+                let rng = self.rng.as_mut().expect("random daemon has rng");
                 rng.random::<u64>() as u128
             }
             Scheduler::Adversarial { seed } => hash_action(seed, round, a) as u128,

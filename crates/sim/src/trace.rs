@@ -62,7 +62,7 @@ impl Digest {
 
     /// Fold the low `width` bytes of `v` (little-endian; `width ≤ 8` and
     /// `v < 2^(8·width)`), exactly as [`Digest::write_bytes`] would.
-    // lint: hot-path
+    // Allocation-free: tests/zero_alloc.rs meters it.
     #[inline]
     fn write_word(&mut self, mut v: u64, width: u32) {
         let nonzero = (u64::BITS - v.leading_zeros()).div_ceil(8);

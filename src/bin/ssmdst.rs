@@ -51,6 +51,9 @@ usage: ssmdst run [--family NAME] [--n N] [--seed S] [--scheduler sync|async|adv
        ssmdst storm [SEED.scn|CORPUS-NAME ...] --seed S --execs N [--workers W] [--batch B]
                     [--max-corpus M] [--fail PRED] [--out DIR] [--expect-admissions K] [--distill]";
 
+/// The most `storm --workers` accepts.
+const MAX_WORKERS: usize = 256;
+
 /// Report a usage or I/O error and exit with status 2.
 fn die(msg: impl Display) -> ! {
     eprintln!("error: {msg}");
@@ -333,6 +336,13 @@ fn cmd_storm(args: &[String]) -> ! {
             other if !other.starts_with("--") => seeds_handles.push(other.to_string()),
             other => die(format!("unexpected storm argument {other:?}")),
         }
+    }
+    // Each worker is an OS thread, for the storm and for `--distill`.
+    if !(1..=MAX_WORKERS).contains(&cfg.workers) {
+        die(format!(
+            "--workers takes a thread count in 1..={MAX_WORKERS}, got {}",
+            cfg.workers
+        ))
     }
     let seeds: Vec<Scenario> = if seeds_handles.is_empty() {
         corpus::corpus()

@@ -61,6 +61,8 @@ fn usage_errors_exit_2_before_running_anything() {
         &["run", "--corrupt", "-0.5"],
         &["replay", "--expect"],
         &["storm", "--execs"],
+        &["storm", "--workers", "0"],
+        &["storm", "--workers", "100000"],
     ] {
         let out = ssmdst(args);
         assert_eq!(out.status.code(), Some(2), "ssmdst {args:?}");
