@@ -98,14 +98,15 @@ fn solver_for(budget: SolveBudget) -> Solver {
 /// The network's rows are sorted and the relabelling is monotone on the
 /// ascending component, so the relabelled rows are already a CSR.
 fn induced_subgraph(net: &Network<MdstNode>, comp: &[NodeId]) -> Graph {
-    #[expect(
-        clippy::expect_used,
-        reason = "components partition the graph, so every neighbor is listed"
-    )]
     Graph::from_sorted_rows(comp.iter().map(|&v| {
-        net.neighbors(v)
-            .iter()
-            .map(|w| comp.binary_search(w).expect("neighbor in component") as NodeId)
+        net.neighbors(v).iter().map(|w| {
+            #[expect(
+                clippy::expect_used,
+                reason = "components partition the graph, so every neighbor is listed"
+            )]
+            let i = comp.binary_search(w).expect("neighbor in component");
+            i as NodeId
+        })
     }))
 }
 

@@ -78,19 +78,24 @@ impl MdstNode {
         };
         out.send(
             first,
-            Msg::Search(Search {
+            Msg::Search(Box::new(Search {
                 init: (s.id, target),
                 idblock,
                 dmax: s.dmax,
                 path: vec![(s.id, s.deg)],
                 visited: vec![s.id],
                 backtrack: false,
-            }),
+            })),
         );
     }
 
     /// One DFS hop (receive side).
-    pub(crate) fn handle_search(&mut self, from: NodeId, mut m: Search, out: &mut Outbox<Msg>) {
+    pub(crate) fn handle_search(
+        &mut self,
+        from: NodeId,
+        mut m: Box<Search>,
+        out: &mut Outbox<Msg>,
+    ) {
         let s = &self.st;
         // Staleness and sanity guards; a dropped token is re-launched by the
         // initiator's periodic cooldown. Busy nodes are in the middle of an
@@ -115,7 +120,7 @@ impl MdstNode {
             {
                 return;
             }
-            self.action_on_cycle(m, out);
+            self.action_on_cycle(*m, out);
             return;
         }
         if m.backtrack {
@@ -134,7 +139,7 @@ impl MdstNode {
     }
 
     /// Forward the token to the next unvisited tree neighbor, or backtrack.
-    fn advance_search(&mut self, mut m: Search, out: &mut Outbox<Msg>) {
+    fn advance_search(&mut self, mut m: Box<Search>, out: &mut Outbox<Msg>) {
         let s = &self.st;
         let next = (0..s.neighbors.len())
             .find(|&i| s.is_tree_edge_at(i) && !m.visited.contains(&s.neighbors[i]))
@@ -240,14 +245,14 @@ mod tests {
         n.st.recompute_derived();
         n.st.dmax = 3;
         let mut out = Outbox::new();
-        let token = Search {
+        let token = Box::new(Search {
             init: (0, 3),
             idblock: None,
             dmax: 99, // stale snapshot
             path: vec![(0, 1)],
             visited: vec![0],
             backtrack: false,
-        };
+        });
         n.handle_search(0, token, &mut out);
         assert!(out.is_empty(), "stale token must be dropped");
     }
@@ -259,14 +264,14 @@ mod tests {
         let mut n = crate::MdstNode::new(1, &[0, 2], Config::for_n(4));
         let mut out = Outbox::new();
         let huge: Vec<_> = (0..100).map(|i| (i, 1)).collect();
-        let token = Search {
+        let token = Box::new(Search {
             init: (0, 3),
             idblock: None,
             dmax: 0,
             path: huge,
             visited: vec![0],
             backtrack: false,
-        };
+        });
         n.handle_search(0, token, &mut out);
         assert!(out.is_empty());
     }
@@ -274,14 +279,14 @@ mod tests {
     /// Search messages dominate message size, matching the O(n log n) claim.
     #[test]
     fn search_is_the_largest_message_kind() {
-        let m = Msg::Search(Search {
+        let m = Msg::Search(Box::new(Search {
             init: (0, 1),
             idblock: None,
             dmax: 3,
             path: (0..20).map(|i| (i, 2)).collect(),
             visited: (0..20).collect(),
             backtrack: false,
-        });
+        }));
         let info = Msg::Info(crate::NbrView::unknown(0));
         assert!(m.size_bits(32) > info.size_bits(32));
     }

@@ -9,9 +9,18 @@
 //! | `Deblock` | [`Msg::Deblock`] | inline | flood asking a blocking node's subtree for help |
 //! | `UpdateDist` | [`Msg::DistChain`], [`Msg::DistFlood`] | [`DistChain`], inline | repair distances after a reversal |
 //!
-//! A multi-field message is one payload struct: a handler takes it whole
-//! and forwards it by struct update, so no hop unpacks and rebuilds it.
-//! An `InfoMsg` carries exactly the record the receiver mirrors.
+//! A multi-field message is one payload struct. An `InfoMsg` carries
+//! exactly the record the receiver mirrors.
+//!
+//! The four payloads that carry a path (`Search`, `Remove`, `Flip`,
+//! `DistChain`) are boxed. Every event moves a `Msg` through an outbox and
+//! a channel, and most events are `InfoMsg` gossip, so the enum's size is
+//! paid per event: inline, these payloads would make `Msg` 80 bytes;
+//! boxed, it is 32 (`msg_stays_within_32_bytes` pins it). A handler takes
+//! the `Box` and forwards the same one, updating the hop fields in place,
+//! so a token allocates only where a new kind of message starts (a search
+//! launch, a `Remove` at its cycle, the `Flip` at commit and the
+//! `DistChain` at the flip's terminal), never per hop.
 //!
 //! Sizes are accounted in bits with the paper's convention that IDs,
 //! degrees and distances cost `⌈log₂ n⌉` bits; the `path` lists make
@@ -126,13 +135,13 @@ pub enum Msg {
     /// refresh): the sender's variables, as the receiver mirrors them.
     Info(NbrView),
     /// See [`Search`].
-    Search(Search),
+    Search(Box<Search>),
     /// See [`Remove`].
-    Remove(Remove),
+    Remove(Box<Remove>),
     /// See [`Flip`].
-    Flip(Flip),
+    Flip(Box<Flip>),
     /// See [`DistChain`].
-    DistChain(DistChain),
+    DistChain(Box<DistChain>),
     /// Subtree distance flood: recipient adopts `dist + 1` and forwards to
     /// its children.
     DistFlood {
@@ -153,11 +162,13 @@ pub enum Msg {
 }
 
 /// `⌈log₂ n⌉`, floored at 1 bit.
+#[inline]
 fn id_bits(n: usize) -> usize {
     (usize::BITS - n.max(2).saturating_sub(1).leading_zeros()) as usize
 }
 
 impl Message for Msg {
+    #[inline]
     fn kind(&self) -> &'static str {
         match self {
             Msg::Info(_) => "InfoMsg",
@@ -170,6 +181,7 @@ impl Message for Msg {
         }
     }
 
+    #[inline]
     fn size_bits(&self, n: usize) -> usize {
         let b = id_bits(n);
         match self {
@@ -221,22 +233,22 @@ mod tests {
 
     #[test]
     fn search_size_grows_linearly_with_path() {
-        let short = Msg::Search(Search {
+        let short = Msg::Search(Box::new(Search {
             init: (0, 1),
             idblock: None,
             dmax: 2,
             path: vec![(0, 1)],
             visited: vec![0],
             backtrack: false,
-        });
-        let long = Msg::Search(Search {
+        }));
+        let long = Msg::Search(Box::new(Search {
             init: (0, 1),
             idblock: None,
             dmax: 2,
             path: (0..50).map(|i| (i, 1)).collect(),
             visited: (0..50).collect(),
             backtrack: false,
-        });
+        }));
         let (s, l) = (short.size_bits(64), long.size_bits(64));
         assert!(l > s);
         // Linear in list lengths: 49 extra path entries (2b each) + 49
@@ -248,15 +260,15 @@ mod tests {
     fn one_of_each() -> [Msg; 7] {
         [
             info(),
-            Msg::Search(Search {
+            Msg::Search(Box::new(Search {
                 init: (0, 1),
                 idblock: None,
                 dmax: 3,
                 path: vec![(0, 1), (2, 3), (4, 2)],
                 visited: vec![0, 2, 4, 5],
                 backtrack: false,
-            }),
-            Msg::Remove(Remove {
+            })),
+            Msg::Remove(Box::new(Remove {
                 init: (0, 4),
                 deg_max: 3,
                 w_idx: 2,
@@ -266,8 +278,8 @@ mod tests {
                 dist_a: 1,
                 dist_b: 2,
                 pos: 1,
-            }),
-            Msg::Flip(Flip {
+            })),
+            Msg::Flip(Box::new(Flip {
                 cycle: vec![0, 1, 2, 3, 4],
                 pos: 1,
                 dir: -1,
@@ -275,14 +287,14 @@ mod tests {
                 origin: 2,
                 anchor_dist: 2,
                 anchor: 4,
-            }),
-            Msg::DistChain(DistChain {
+            })),
+            Msg::DistChain(Box::new(DistChain {
                 cycle: vec![0, 1, 2, 3, 4],
                 pos: 3,
                 dir: 1,
                 end: 4,
                 dist: 3,
-            }),
+            })),
             Msg::DistFlood { dist: 3 },
             Msg::Deblock {
                 idblock: 2,
@@ -322,12 +334,40 @@ mod tests {
         let Msg::Search(plain) = &one_of_each()[1] else {
             unreachable!()
         };
-        let deblock = Msg::Search(Search {
+        let deblock = Msg::Search(Box::new(Search {
             idblock: Some((2, 8)),
-            ..plain.clone()
-        });
+            ..(**plain).clone()
+        }));
         // The plain search's (54, 132) plus 4 + 8 and 10 + 8 bits.
         assert_eq!((deblock.size_bits(16), deblock.size_bits(1000)), (66, 150));
+    }
+
+    /// Every hop moves a `Msg` through an outbox and a channel, so its size
+    /// is paid per event: the path-carrying payloads stay boxed and `Msg`
+    /// stays within 32 bytes. A variant whose inline payload outgrows 28
+    /// bytes is named.
+    #[test]
+    fn msg_stays_within_32_bytes() {
+        use std::mem::{size_of, size_of_val};
+        for m in one_of_each() {
+            let inline = match &m {
+                Msg::Info(v) => size_of_val(v),
+                Msg::Search(b) => size_of_val(b),
+                Msg::Remove(b) => size_of_val(b),
+                Msg::Flip(b) => size_of_val(b),
+                Msg::DistChain(b) => size_of_val(b),
+                Msg::DistFlood { dist } => size_of_val(dist),
+                Msg::Deblock { idblock, ttl, dmax } => {
+                    size_of_val(idblock) + size_of_val(ttl) + size_of_val(dmax)
+                }
+            };
+            assert!(
+                inline <= 28,
+                "{} carries {inline} inline bytes: box it to keep Msg within 32",
+                m.kind()
+            );
+        }
+        assert!(size_of::<Msg>() <= 32, "Msg is {} bytes", size_of::<Msg>());
     }
 
     #[test]

@@ -128,7 +128,7 @@ impl MdstNode {
         let z_idx = if left_key >= right_key { i - 1 } else { i + 1 };
         out.send(
             init.0,
-            Msg::Remove(Remove {
+            Msg::Remove(Box::new(Remove {
                 init,
                 deg_max,
                 w_idx: i,
@@ -138,13 +138,13 @@ impl MdstNode {
                 dist_a: 0, // stamped by `a` on first hop
                 dist_b: self.st.distance,
                 pos: 0,
-            }),
+            })),
         );
     }
 
     /// `Remove` hop (paper Figure 2, lines 3–14): relay with freshness
     /// guards until the maximum-degree node `w`, then commit there.
-    pub(crate) fn handle_remove(&mut self, mut m: Remove, out: &mut Outbox<Msg>) {
+    pub(crate) fn handle_remove(&mut self, mut m: Box<Remove>, out: &mut Outbox<Msg>) {
         // Structural sanity (corruption guards): w is interior, z adjacent.
         let len = m.cycle.len();
         if len < 3
@@ -175,20 +175,15 @@ impl MdstNode {
             m.dist_a = self.st.distance;
         }
         if m.pos == m.w_idx {
-            self.commit_remove(m, out);
+            self.commit_remove(*m, out);
             return;
         }
         let next = m.cycle[m.pos + 1];
         if !self.st.is_tree_edge(next) {
             return; // path edge vanished: stale
         }
-        out.send(
-            next,
-            Msg::Remove(Remove {
-                pos: m.pos + 1,
-                ..m
-            }),
-        );
+        m.pos += 1;
+        out.send(next, Msg::Remove(m));
     }
 
     /// Commit point (`target_remove` in the paper), executed at the
@@ -247,7 +242,7 @@ impl MdstNode {
         };
         out.send(
             cycle[pos],
-            Msg::Flip(Flip {
+            Msg::Flip(Box::new(Flip {
                 cycle,
                 pos,
                 dir,
@@ -255,13 +250,13 @@ impl MdstNode {
                 origin,
                 anchor_dist,
                 anchor,
-            }),
+            })),
         );
     }
 
     /// `Flip` hop: unconditional parent re-orientation along the reversed
     /// arc (paper's `Reverse_Orientation`; runs to completion).
-    pub(crate) fn handle_flip(&mut self, m: Flip, out: &mut Outbox<Msg>) {
+    pub(crate) fn handle_flip(&mut self, mut m: Box<Flip>, out: &mut Outbox<Msg>) {
         // `origin` is the cut-adjacent end of the flipped arc: the walk
         // position always lies between `end` (terminal) and `origin`.
         if !flip_indices_valid(&m.cycle, m.pos, m.dir, m.end, self.cfg.max_path_len)
@@ -287,7 +282,14 @@ impl MdstNode {
             let back = -m.dir;
             let behind = in_arc(m.pos as i32 + back as i32, m.pos as i32, m.origin as i32);
             let chain_end = if behind { m.origin } else { m.pos };
-            self.dist_chain(m.cycle, m.pos, back, chain_end, None, out);
+            let chain = Box::new(DistChain {
+                cycle: m.cycle,
+                pos: m.pos,
+                dir: back,
+                end: chain_end,
+                dist: self.st.distance,
+            });
+            self.dist_chain(chain, None, out);
             return;
         }
         // Interior flip: each arc node adopts the next node toward the
@@ -300,18 +302,18 @@ impl MdstNode {
         }
         self.st.parent = next_parent;
         self.st.recompute_derived();
-        out.send(
-            next_parent,
-            Msg::Flip(Flip {
-                pos: toward_terminal,
-                ..m
-            }),
-        );
+        m.pos = toward_terminal;
+        out.send(next_parent, Msg::Flip(m));
     }
 
     /// `DistChain` hop: adopt the corrected distance and keep walking the
     /// flipped arc (paper's `UpdateDist` along the reversed path).
-    pub(crate) fn handle_dist_chain(&mut self, from: NodeId, m: DistChain, out: &mut Outbox<Msg>) {
+    pub(crate) fn handle_dist_chain(
+        &mut self,
+        from: NodeId,
+        m: Box<DistChain>,
+        out: &mut Outbox<Msg>,
+    ) {
         if !flip_indices_valid(&m.cycle, m.pos, m.dir, m.end, self.cfg.max_path_len)
             || m.cycle[m.pos] != self.st.id
         {
@@ -321,38 +323,23 @@ impl MdstNode {
             self.st.distance = m.dist.saturating_add(1);
             self.st.recompute_derived();
         }
-        self.dist_chain(m.cycle, m.pos, m.dir, m.end, Some(from), out);
+        self.dist_chain(m, Some(from), out);
     }
 
-    /// The distance-repair chain at `cycle[pos]`, walking `dir` toward
-    /// `end` (shared by the `Flip` terminal and every `DistChain` hop):
-    /// forward `DistChain` to the next arc node if it is a neighbor, then
-    /// flood `DistFlood` into every other child except `from`.
-    fn dist_chain(
-        &self,
-        cycle: Vec<NodeId>,
-        pos: usize,
-        dir: i8,
-        end: usize,
-        from: Option<NodeId>,
-        out: &mut Outbox<Msg>,
-    ) {
-        let dist = self.st.distance;
-        let next_pos = pos.wrapping_add_signed(dir as isize);
-        let next = (pos != end)
-            .then(|| cycle[next_pos])
+    /// The distance-repair chain at `c.cycle[c.pos]`, walking `c.dir`
+    /// toward `c.end` (shared by the `Flip` terminal and every `DistChain`
+    /// hop): forward the same chain to the next arc node if it is a
+    /// neighbor, then flood `DistFlood` into every other child except
+    /// `from`.
+    fn dist_chain(&self, mut c: Box<DistChain>, from: Option<NodeId>, out: &mut Outbox<Msg>) {
+        let next_pos = c.pos.wrapping_add_signed(c.dir as isize);
+        let next = (c.pos != c.end)
+            .then(|| c.cycle[next_pos])
             .filter(|&u| self.st.is_neighbor(u));
         if let Some(u) = next {
-            out.send(
-                u,
-                Msg::DistChain(DistChain {
-                    cycle,
-                    pos: next_pos,
-                    dir,
-                    end,
-                    dist,
-                }),
-            );
+            c.pos = next_pos;
+            c.dist = self.st.distance;
+            out.send(u, Msg::DistChain(c));
         }
         self.flood_dist_to_children([from, next], out);
     }
@@ -605,8 +592,8 @@ mod tests {
 
     /// A `Remove` for the cycle `[0, 1, 2, 3]` with dmax snapshot 0,
     /// committing at `cycle[w_idx]` and addressed to `cycle[pos]`.
-    fn remove_msg(w_idx: usize, z_idx: usize, pos: usize) -> Remove {
-        Remove {
+    fn remove_msg(w_idx: usize, z_idx: usize, pos: usize) -> Box<Remove> {
+        Box::new(Remove {
             init: (0, 3),
             deg_max: 3,
             w_idx,
@@ -616,7 +603,7 @@ mod tests {
             dist_a: 0,
             dist_b: 0,
             pos,
-        }
+        })
     }
 
     /// A Remove with a stale dmax snapshot must be dropped before commit.
@@ -625,10 +612,10 @@ mod tests {
         let mut n = crate::MdstNode::new(1, &[0, 2], Config::for_n(4));
         let mut out = Outbox::new();
         n.handle_remove(
-            Remove {
+            Box::new(Remove {
                 dmax: 99, // stale
-                ..remove_msg(1, 2, 1)
-            },
+                ..*remove_msg(1, 2, 1)
+            }),
             &mut out,
         );
         assert!(out.is_empty());
@@ -748,7 +735,7 @@ mod tests {
     /// The `Remove` that commits at node 2 of the cycle `[0, 1, 2, 3, 4]`
     /// (`a = 0`, `b = 4`), cutting the edge to `cycle[z_idx]`.
     fn commit_msg(z_idx: usize) -> Msg {
-        Msg::Remove(Remove {
+        Msg::Remove(Box::new(Remove {
             init: (0, 4),
             deg_max: 3,
             w_idx: 2,
@@ -758,21 +745,13 @@ mod tests {
             dist_a: 7,
             dist_b: 9,
             pos: 2,
-        })
+        }))
     }
 
     /// `(pos, dir, end, origin, anchor, anchor_dist)` of a `Flip`.
     fn flip_fields(m: &Msg) -> (usize, i8, usize, usize, NodeId, u32) {
         match m {
-            Msg::Flip(Flip {
-                pos,
-                dir,
-                end,
-                origin,
-                anchor,
-                anchor_dist,
-                ..
-            }) => (*pos, *dir, *end, *origin, *anchor, *anchor_dist),
+            Msg::Flip(f) => (f.pos, f.dir, f.end, f.origin, f.anchor, f.anchor_dist),
             other => panic!("expected a Flip, got {other:?}"),
         }
     }
@@ -867,8 +846,8 @@ mod tests {
         origin: usize,
         anchor_dist: u32,
         anchor: NodeId,
-    ) -> Flip {
-        Flip {
+    ) -> Box<Flip> {
+        Box::new(Flip {
             cycle,
             pos,
             dir: -1,
@@ -876,7 +855,7 @@ mod tests {
             origin,
             anchor_dist,
             anchor,
-        }
+        })
     }
 
     #[test]
@@ -889,7 +868,7 @@ mod tests {
         let drained = out.messages().to_vec();
         assert_eq!(drained.len(), 1);
         assert_eq!(drained[0].0, 0);
-        assert!(matches!(drained[0].1, Msg::Flip(Flip { pos: 0, .. })));
+        assert!(matches!(&drained[0].1, Msg::Flip(f) if f.pos == 0));
         assert!(n.st.busy > 0, "flip marks the region busy");
     }
 
@@ -905,7 +884,7 @@ mod tests {
         let drained = out.messages().to_vec();
         assert!(drained
             .iter()
-            .any(|(to, m)| *to == 2 && matches!(m, Msg::DistChain(DistChain { .. }))));
+            .any(|(to, m)| *to == 2 && matches!(m, Msg::DistChain(_))));
     }
 
     #[test]

@@ -323,6 +323,7 @@ impl NodeState {
     /// which is what freezes the reduction module during tree churn). When
     /// every neighbor shares my root none advertises a smaller one, so the
     /// root check alone also settles "no better parent".
+    // Allocation-free: tests/zero_alloc.rs meters it.
     pub fn tree_stabilized(&self) -> bool {
         self.coherent_parent()
             && self.coherent_distance()
@@ -330,11 +331,13 @@ impl NodeState {
     }
 
     /// `degree_stabilized(v)`: all mirrors agree with my `dmax`.
+    // Allocation-free: tests/zero_alloc.rs meters it.
     pub fn degree_stabilized(&self) -> bool {
         self.nbr.iter().all(|v| v.dmax == self.dmax)
     }
 
     /// `color_stabilized(v)`: all mirrors carry my color bit.
+    // Allocation-free: tests/zero_alloc.rs meters it.
     pub fn color_stabilized(&self) -> bool {
         self.nbr.iter().all(|v| v.color == self.color)
     }

@@ -105,16 +105,17 @@ fn shrink_n(cur: &mut Scenario, accept: &mut Accept, stats: &mut ShrinkStats) ->
             break;
         }
         let mut accepted = false;
-        #[expect(
-            clippy::expect_used,
-            reason = "min came from min_n(), so with_n accepts cand_n >= min"
-        )]
         for cand_n in [min, (min + n) / 2, n - 1] {
             if cand_n >= n || cand_n < min {
                 continue;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "min came from min_n(), so with_n accepts cand_n >= min"
+            )]
+            let topology = cur.topology.with_n(cand_n).expect("min_n implies with_n");
             let mut cand = cur.clone();
-            cand.topology = cur.topology.with_n(cand_n).expect("min_n implies with_n");
+            cand.topology = topology;
             if accept(cur, cand, stats) {
                 accepted = true;
                 improved = true;

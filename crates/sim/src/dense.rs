@@ -38,7 +38,7 @@ impl DenseSet {
     }
 
     /// Number of members.
-    #[cfg(test)]
+    #[inline]
     pub(crate) fn len(&self) -> usize {
         self.len
     }

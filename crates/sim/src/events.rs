@@ -22,17 +22,23 @@
 //! Each obligation is assigned a daemon-specific priority key
 //! ([`crate::scheduler::KeySource`]) at enumeration time and recorded
 //! twice: in a side table indexed by its enumeration index `seq` (key,
-//! action, channel slot), and as one packed `u128` sort word
-//! `order(key) << 32 | seq` ([`order_word`]). The round sorts only the
-//! words. They are unique and ascend exactly as `(key, seq)`, so the batch
-//! executes in ascending `(key, enumeration index)` order — fully
-//! deterministic per `(scheduler, seed)`.
+//! action, channel slot), and as one `u64` sort word ([`order_word`]):
+//! the high bits of a monotone 64-bit image of the key, with `seq` in the
+//! low `⌈lg k⌉` bits. The round sorts the words, then one linear pass
+//! re-sorts every run of words whose high parts tie by the exact
+//! `(key, seq)` from the table. Words whose high parts differ already
+//! ascend as `(key, seq)`, so the batch executes in exactly ascending
+//! `(key, enumeration index)` order — fully deterministic per
+//! `(scheduler, seed)`. Random and adversarial keys are uniform over 64
+//! bits, so their ties are rare; synchronous keys arrive in canonical
+//! order, so the word sort finds them sorted and every tied run is already
+//! sorted too, and both passes stay linear.
 //!
 //! **Per-round cost**: `O(k log k + (n + slots) / 4096)` for a round of
-//! `k` obligations — the word sort plus the two bitset walks, each of
-//! which stops at its largest member. MDST ticks every live node every
-//! round, so there `k ≥ n` and the walk term stays below `k` unless the
-//! average degree exceeds 4096.
+//! `k` obligations — the word sort and its tie pass plus the two bitset
+//! walks, each of which stops at its largest member. MDST ticks every live
+//! node every round, so there `k ≥ n` and the walk term stays below `k`
+//! unless the average degree exceeds 4096.
 
 use crate::automaton::Automaton;
 use crate::dense::DenseSet;
@@ -56,8 +62,10 @@ pub(crate) struct Obligation {
 pub(crate) struct EventQueue {
     /// Alive nodes whose `enabled()` predicate held at last refresh.
     ticks: DenseSet,
-    /// This round's packed sort words, one per obligation.
-    words: Vec<u128>,
+    /// This round's sort words, one per obligation.
+    words: Vec<u64>,
+    /// The low bits of this round's words that hold `seq`: `2^⌈lg k⌉ - 1`.
+    seq_mask: u64,
     /// This round's obligations, indexed by enumeration index.
     table: Vec<Obligation>,
     /// Scratch: the ascending members of one index (ticks, then slots).
@@ -71,6 +79,7 @@ impl EventQueue {
         EventQueue {
             ticks: DenseSet::new(),
             words: Vec::new(),
+            seq_mask: 0,
             table: Vec::new(),
             members: Vec::new(),
             dirty_scratch: Vec::new(),
@@ -101,8 +110,8 @@ impl EventQueue {
         keys: &mut KeySource,
         net: &Network<A>,
     ) {
-        self.words.clear();
-        self.table.clear();
+        // Every obligation is an enabled tick or a queued message.
+        self.start_round(self.ticks.len() + net.in_flight());
         let mut members = std::mem::take(&mut self.members);
         members.clear();
         self.ticks.extend_sorted(&mut members);
@@ -121,25 +130,44 @@ impl EventQueue {
         self.members = members;
     }
 
+    /// Empty the round's buffers and size `seq`'s field for at most
+    /// `bound` obligations.
+    fn start_round(&mut self, bound: usize) {
+        self.words.clear();
+        self.table.clear();
+        self.seq_mask = (bound as u64).next_power_of_two() - 1;
+    }
+
     #[inline]
     fn push(&mut self, key: u128, action: Action, slot: u32) {
         let seq = self.table.len() as u32;
-        self.words.push(order_word(key, seq));
+        debug_assert!(u64::from(seq) & !self.seq_mask == 0, "seq {seq} overflows");
+        self.words.push(order_word(key, seq, self.seq_mask));
         self.table.push(Obligation { key, action, slot });
     }
 
-    /// Put the enumerated obligations into daemon execution order.
+    /// Put the enumerated obligations into daemon execution order: sort
+    /// the words, then re-sort each run whose high parts tie by the exact
+    /// `(key, seq)`.
     // Allocation-free: tests/zero_alloc.rs meters it.
     pub(crate) fn sort(&mut self) {
         self.words.sort_unstable();
+        let mask = self.seq_mask;
+        let table = &self.table;
+        for run in self.words.chunk_by_mut(|a, b| (a ^ b) & !mask == 0) {
+            if run.len() > 1 {
+                run.sort_unstable_by_key(|&w| (table[(w & mask) as usize].key, w));
+            }
+        }
     }
 
     /// The obligations with their enumeration indices, in the order of the
     /// sort words: execution order once [`EventQueue::sort`] has run.
     #[inline]
     pub(crate) fn ordered(&self) -> impl Iterator<Item = (u32, Obligation)> + '_ {
-        self.words.iter().map(|&w| {
-            let seq = w as u32;
+        let mask = self.seq_mask;
+        self.words.iter().map(move |&w| {
+            let seq = (w & mask) as u32;
             (seq, self.table[seq as usize])
         })
     }
@@ -168,7 +196,8 @@ impl EventQueue {
 /// way — full scans over all nodes and all channel slots, `(key, seq)`
 /// tuples sorted directly. Same obligations, same keys, same execution
 /// order; only the discovery and the sort differ. The test oracle for the
-/// incremental tick and occupancy indices and for the packed sort words.
+/// incremental tick and occupancy indices and for the sort words and their
+/// tie pass.
 #[cfg(test)]
 pub(crate) fn schedule_rescan<A: Automaton>(
     round: u64,
@@ -326,12 +355,15 @@ mod tests {
         }
     }
 
-    /// The packed sort words order a round exactly as the `(key, seq)`
-    /// tuples do, for all three daemons, on a round that has synchronous
-    /// delivery keys at or above `2^96`, channels holding several messages
-    /// (equal keys, split only by `seq`) and slots recycled by churn. The
-    /// tuple sort over the side table, and the full-scan oracle, are the
-    /// references.
+    /// The sort words and their tie pass order a round exactly as the
+    /// `(key, seq)` tuples do, for all three daemons, on a round that has
+    /// synchronous delivery keys at or above `2^96`, channels holding
+    /// several messages (equal keys, split only by `seq`) and slots
+    /// recycled by churn. Recycling puts node 0's channel to 2 after its
+    /// channel to 4 in slot order, and the two synchronous keys share their
+    /// word's high part, so the word sort alone runs them in the wrong
+    /// order and only the tie pass puts them right. The tuple sort over the
+    /// side table, and the full-scan oracle, are the references.
     #[test]
     fn packed_words_sort_as_key_seq_tuples() {
         let g = graph_from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]);
@@ -357,24 +389,76 @@ mod tests {
         ] {
             let mut k1 = KeySource::new(sched);
             q.enumerate(4, &mut k1, &n);
-            let mut tuples: Vec<(u128, u32, Obligation)> = q
-                .table
-                .iter()
-                .enumerate()
-                .map(|(seq, &ob)| (ob.key, seq as u32, ob))
-                .collect();
-            tuples.sort_unstable_by_key(|e| (e.0, e.1));
-            let by_tuple: Vec<(u32, Obligation)> =
-                tuples.into_iter().map(|(_, seq, ob)| (seq, ob)).collect();
-            q.sort();
-            let by_word: Vec<(u32, Obligation)> = q.ordered().collect();
-            assert_eq!(by_word, by_tuple, "word sort diverged under {sched:?}");
+            if sched == Scheduler::Synchronous {
+                assert!(words_alone_misorder(&q), "no tie for the tie pass to fix");
+            }
+            let by_word = sorted_like_tuples(&mut q);
             let mut k2 = KeySource::new(sched);
             assert_eq!(by_word, schedule_rescan(4, &mut k2, &n), "{sched:?}");
             if sched == Scheduler::Synchronous {
                 assert!(by_word.iter().any(|(_, ob)| ob.key >> 96 == 1));
             }
         }
+        // Crafted keys, enumerated out of key order: keys whose high parts
+        // tie but whose low bits differ, equal keys that only `seq` splits,
+        // full-width keys, and synchronous delivery keys with extreme
+        // endpoints.
+        let deliver = |f: u32, t: u32| (1u128 << 96) | ((f as u128) << 32) | t as u128;
+        let keys = [
+            deliver(u32::MAX, u32::MAX),
+            deliver(u32::MAX, u32::MAX - 1),
+            deliver(0, 1),
+            deliver(0, 0),
+            deliver(0, 0),
+            deliver(0, u32::MAX),
+            u64::MAX as u128,
+            u64::MAX as u128 - 1,
+            7,
+            6,
+            5,
+            5,
+            4,
+            1 << 32,
+            0,
+            0,
+        ];
+        q.start_round(keys.len());
+        for (v, &key) in keys.iter().enumerate() {
+            q.push(key, Action::Tick(v as NodeId), u32::MAX);
+        }
+        assert!(words_alone_misorder(&q), "no tie for the tie pass to fix");
+        let by_word = sorted_like_tuples(&mut q);
+        let keys_in_order: Vec<u128> = by_word.iter().map(|&(_, ob)| ob.key).collect();
+        let mut want = keys.to_vec();
+        want.sort_unstable();
+        assert_eq!(keys_in_order, want);
+    }
+
+    /// Whether sorting the enumerated words alone, without the tie pass,
+    /// would run some obligations out of `(key, seq)` order.
+    fn words_alone_misorder(q: &EventQueue) -> bool {
+        let mut words = q.words.clone();
+        words.sort_unstable();
+        let key = |w: u64| (q.table[(w & q.seq_mask) as usize].key, w & q.seq_mask);
+        words.windows(2).any(|p| key(p[0]) > key(p[1]))
+    }
+
+    /// Sort the enumerated round, check that it runs in the order of the
+    /// `(key, seq)` tuple sort over the side table, and return it.
+    fn sorted_like_tuples(q: &mut EventQueue) -> Vec<(u32, Obligation)> {
+        let mut tuples: Vec<(u128, u32, Obligation)> = q
+            .table
+            .iter()
+            .enumerate()
+            .map(|(seq, &ob)| (ob.key, seq as u32, ob))
+            .collect();
+        tuples.sort_unstable_by_key(|e| (e.0, e.1));
+        let by_tuple: Vec<(u32, Obligation)> =
+            tuples.into_iter().map(|(_, seq, ob)| (seq, ob)).collect();
+        q.sort();
+        let by_word: Vec<(u32, Obligation)> = q.ordered().collect();
+        assert_eq!(by_word, by_tuple, "word sort diverged from the tuple sort");
+        by_word
     }
 
     /// What the determinism contract promises about same-round ordering.

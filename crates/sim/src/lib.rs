@@ -37,7 +37,8 @@
 //! `O(n + #channels)` rescans. Both are ordered two-level bitsets with
 //! O(1) transitions that enumerate in ascending order, so a round of `k`
 //! obligations costs `O(k log k + (n + #slots) / 4096)`: one sort of one
-//! packed `u128` order word per obligation plus two bitset walks. Each
+//! `u64` order word per obligation, a linear pass that re-sorts the words
+//! whose high bits tie by the exact `(key, seq)`, and two bitset walks. Each
 //! delivery executes by the channel slot it was enumerated from. The
 //! steady-state round loop performs no ordered-tree operations and no heap
 //! allocations, and an [`Observer`] can split its time into [`Stage`]s. All

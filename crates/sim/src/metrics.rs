@@ -62,6 +62,7 @@ impl Metrics {
 
     /// Find-or-insert the stats entry for `kind`: pointer-identity fast
     /// path, string-equality fallback, push on first sight.
+    #[inline]
     fn entry(&mut self, kind: &'static str) -> &mut KindStats {
         let idx = self
             .by_kind
@@ -78,6 +79,7 @@ impl Metrics {
     }
 
     /// Record a send of a message with the given kind/size.
+    #[inline]
     pub fn on_send(&mut self, kind: &'static str, size_bits: usize) {
         let e = self.entry(kind);
         e.sent += 1;
@@ -87,6 +89,7 @@ impl Metrics {
     }
 
     /// Record a delivery.
+    #[inline]
     pub fn on_deliver(&mut self, kind: &'static str) {
         self.entry(kind).delivered += 1;
         self.total_delivered += 1;
@@ -94,6 +97,7 @@ impl Metrics {
 
     /// Record current in-flight message count (called by the network after
     /// each step).
+    #[inline]
     pub fn on_in_flight(&mut self, in_flight: usize) {
         self.peak_in_flight = self.peak_in_flight.max(in_flight);
     }

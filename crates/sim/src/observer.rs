@@ -51,7 +51,8 @@ pub enum Stage {
     Refresh,
     /// Enumerate the obligations in canonical order and key each one.
     Enumerate,
-    /// Sort the packed order words into daemon execution order.
+    /// Sort the obligations' sort words into daemon execution order (the
+    /// word sort and its tie pass).
     Sort,
     /// Execute the obligations (the observer's `on_event` included).
     Execute,
@@ -194,6 +195,7 @@ impl<A: Automaton, O: Observer<A>> Observer<A> for &mut O {
 /// recorder share this function, so their schedule folds are
 /// byte-identical by construction.
 // Allocation-free: tests/zero_alloc.rs meters it.
+#[inline]
 pub fn fold_event(digest: &mut Digest, key: u128, idx: u32, action: Action) {
     digest.write_u128(key);
     digest.write_u32(idx);

@@ -49,11 +49,7 @@ where
     let inputs_ref = &inputs;
     let slots_ref = &slots;
     let job_ref = &job;
-    #[expect(
-        clippy::expect_used,
-        reason = "propagating a worker panic is the only honest option here"
-    )]
-    thread::scope(|s| {
+    let joined = thread::scope(|s| {
         for _ in 0..workers.min(n) {
             s.spawn(|_| loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -64,16 +60,19 @@ where
                 *slots_ref[i].lock() = Some(out);
             });
         }
-    })
-    .expect("sweep worker panicked");
+    });
+    #[expect(
+        clippy::expect_used,
+        reason = "propagating a worker panic is the only honest option here"
+    )]
+    let () = joined.expect("sweep worker panicked");
+    let filled: Option<Vec<O>> = slots.into_iter().map(|m| m.into_inner()).collect();
     #[expect(
         clippy::expect_used,
         reason = "the scoped join above proves every job wrote its slot"
     )]
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("every slot filled"))
-        .collect()
+    let outputs = filled.expect("every slot filled");
+    outputs
 }
 
 /// Number of workers to use by default: the available parallelism, capped

@@ -1,7 +1,7 @@
 //! The round engine: the simulator's one round loop (event-driven
-//! obligation derivation, daemon keying, one packed-word sort,
-//! slot-addressed execution) and its step primitives, which mark each
-//! round's stages on the observer. Run loops (stop conditions, horizons,
+//! obligation derivation, daemon keying, one 64-bit word sort with its tie
+//! pass, slot-addressed execution) and its step primitives, which mark
+//! each round's stages on the observer. Run loops (stop conditions, horizons,
 //! quiescence) live in [`crate::Session`].
 
 use crate::automaton::Automaton;
@@ -26,9 +26,9 @@ use crate::scheduler::{Action, KeySource, Scheduler};
 /// [`Automaton::enabled`] predicate re-evaluated), and delivery obligations
 /// are read off the flat fabric's channel occupancy index. Both indices are
 /// ordered bitsets, so a round of `k` obligations costs
-/// `O(k log k + (n + #slots) / 4096)`: one sort of one packed `u128` word
-/// per obligation plus two bitset walks, never an `O(n + #channels)`
-/// rescan. Each delivery executes by the channel slot it was enumerated
+/// `O(k log k + (n + #slots) / 4096)`: one sort of one `u64` word per
+/// obligation and a linear tie pass, plus two bitset walks, never an
+/// `O(n + #channels)` rescan. Each delivery executes by the channel slot it was enumerated
 /// from. At steady state the whole loop (derive → key → sort → execute →
 /// route) reuses its buffers and touches no ordered tree: zero heap
 /// allocations per round, pinned by `tests/zero_alloc.rs`.

@@ -6,9 +6,12 @@
 //!
 //! Since the event-driven engine landed, a daemon is expressed as a **key
 //! source**: each pending event gets a priority key and the engine executes
-//! events in ascending `(key, enumeration index)` order. This keeps the
-//! per-event cost logarithmic while preserving the exact semantics of the
-//! old sort-the-whole-round pickers:
+//! events in ascending `(key, enumeration index)` order. It sorts one
+//! 64-bit word per event (`order_word`: the high bits of a monotone
+//! image of the key, with the index in the low bits) and re-sorts the
+//! events whose high bits tie by the exact key. This keeps the per-event
+//! cost logarithmic while preserving the exact semantics of the old
+//! sort-the-whole-round pickers:
 //!
 //! * [`Scheduler::Synchronous`] keys ticks before deliveries, each in id /
 //!   channel order — the classic lockstep round;
@@ -72,6 +75,7 @@ impl KeySource {
     /// Priority key for one pending event of round `round`. For
     /// `RandomAsync` this consumes one value from the seeded stream, so the
     /// caller must request keys in the canonical enumeration order.
+    #[inline]
     pub(crate) fn key(&mut self, round: u64, a: &Action) -> u128 {
         match self.sched {
             Scheduler::Synchronous => match *a {
@@ -92,25 +96,44 @@ impl KeySource {
     }
 }
 
-/// The packed sort word of one obligation: `order(key) << 32 | seq`.
+/// A monotone 64-bit image of a daemon key: `k1 <= k2` implies
+/// `order_image(k1) <= order_image(k2)`.
 ///
 /// Every daemon key is below `2^64`, except a synchronous delivery's,
-/// which is `1 << 96 | from << 32 | to`. `order` maps that prefix to
-/// `1 << 64`, so every order value is below `2^65` and the word fits a
-/// `u128`. The map is strictly monotone in `key` (ticks stay below `2^32`,
-/// every delivery lands at or above `2^64`), and `seq` is unique within a
-/// round, so ascending words are exactly ascending `(key, seq)`.
+/// which is `1 << 96 | from << 32 | to`. Mapping that prefix to `1 << 64`
+/// gives a strictly monotone value below `2^65`; dropping its lowest bit
+/// brings it into a `u64`. Keys that differ only in that bit share an
+/// image, which is why the image orders a round only up to ties.
 #[inline]
-pub(crate) fn order_word(key: u128, seq: u32) -> u128 {
-    let order = if key >> 96 != 0 {
-        1 << 64 | (key & u64::MAX as u128)
+pub(crate) fn order_image(key: u128) -> u64 {
+    debug_assert!(
+        key >> 64 == 0 || key >> 96 == 1,
+        "not a daemon key: {key:#x}"
+    );
+    let low = key as u64;
+    if key >> 96 != 0 {
+        1 << 63 | low >> 1
     } else {
-        key
-    };
-    order << 32 | seq as u128
+        low >> 1
+    }
+}
+
+/// The 64-bit sort word of one obligation: [`order_image`]`(key)` with the
+/// low bits that `seq_mask` covers replaced by the enumeration index `seq`
+/// (`seq_mask` is `2^b - 1` for some `b <= 32`, and `seq <= seq_mask`).
+///
+/// Two words whose high parts differ are ordered exactly as their
+/// `(key, seq)` pairs, because the image is monotone. Words whose high
+/// parts tie are ordered by `seq` alone, which may disagree with the keys
+/// in the bits the word dropped; the event queue re-sorts each such run by
+/// the exact `(key, seq)` after the word sort.
+#[inline]
+pub(crate) fn order_word(key: u128, seq: u32, seq_mask: u64) -> u64 {
+    order_image(key) & !seq_mask | seq as u64
 }
 
 /// Deterministic 64-bit mix for the adversarial daemon (splitmix64 core).
+#[inline]
 fn hash_action(seed: u64, round: u64, a: &Action) -> u64 {
     let x = match *a {
         Action::Tick(v) => (v as u64) << 1,
@@ -201,40 +224,68 @@ mod tests {
         );
     }
 
-    /// Packed words compare exactly as `(key, seq)` tuples, across the
+    /// Sort words compare exactly as `(key, seq)` tuples wherever their
+    /// high parts differ, for every `seq` width from 0 to 32 bits and the
     /// key ranges every daemon produces: tick ids, synchronous deliveries
-    /// at or above `2^96` (extreme endpoints included) and full-width
-    /// `u64` random/adversarial keys, with equal keys split by `seq`.
+    /// at or above `2^96` (extreme endpoints included) and full-width `u64`
+    /// random/adversarial keys. Where the high parts tie, the words order
+    /// by `seq` alone; the set includes keys whose high parts tie while
+    /// their low bits differ, and equal keys that only `seq` splits, so
+    /// some tied pairs disagree with `(key, seq)` — the pairs the event
+    /// queue's tie pass re-sorts.
     #[test]
     fn order_words_compare_as_key_seq_tuples() {
         let deliver = |f: u32, t: u32| (1u128 << 96) | ((f as u128) << 32) | t as u128;
         let keys = [
             0,
             1,
+            2,
+            3,
+            0x1e,
+            0x21,
             u32::MAX as u128,
             1 << 32,
+            (1 << 32) + 1,
             u64::MAX as u128 - 1,
             u64::MAX as u128,
             deliver(0, 0),
+            deliver(0, 1),
+            deliver(0, 2),
             deliver(0, u32::MAX),
             deliver(1, 0),
             deliver(u32::MAX, u32::MAX - 1),
             deliver(u32::MAX, u32::MAX),
         ];
-        let seqs = [0, 1, 7, u32::MAX - 1, u32::MAX];
-        for &k1 in &keys {
-            for &k2 in &keys {
-                for &s1 in &seqs {
-                    for &s2 in &seqs {
-                        assert_eq!(
-                            order_word(k1, s1).cmp(&order_word(k2, s2)),
-                            (k1, s1).cmp(&(k2, s2)),
-                            "({k1:#x}, {s1}) vs ({k2:#x}, {s2})"
-                        );
+        let mut misordered_ties = 0;
+        for seq_bits in [0, 1, 5, 17, 32] {
+            let mask = (1u64 << seq_bits) - 1;
+            let seqs: Vec<u32> = [0, 1, 7, 31, u32::MAX - 1, u32::MAX]
+                .into_iter()
+                .filter(|&s| u64::from(s) <= mask)
+                .collect();
+            for &k1 in &keys {
+                for &k2 in &keys {
+                    if k1 <= k2 {
+                        assert!(order_image(k1) <= order_image(k2), "{k1:#x} vs {k2:#x}");
+                    }
+                    for &s1 in &seqs {
+                        for &s2 in &seqs {
+                            let (w1, w2) = (order_word(k1, s1, mask), order_word(k2, s2, mask));
+                            let exact = (k1, s1).cmp(&(k2, s2));
+                            let case =
+                                format!("({k1:#x}, {s1}) vs ({k2:#x}, {s2}), {seq_bits} bits");
+                            if w1 & !mask != w2 & !mask {
+                                assert_eq!(w1.cmp(&w2), exact, "{case}");
+                            } else {
+                                assert_eq!(w1.cmp(&w2), s1.cmp(&s2), "{case}");
+                                misordered_ties += usize::from(w1.cmp(&w2) != exact);
+                            }
+                        }
                     }
                 }
             }
         }
+        assert!(misordered_ties > 0, "no tie that the word alone misorders");
     }
 
     #[test]

@@ -76,16 +76,19 @@ impl Digest {
     }
 
     /// Fold a `u32` (little-endian).
+    #[inline]
     pub fn write_u32(&mut self, v: u32) {
         self.write_word(v as u64, 4);
     }
 
     /// Fold a `u64` (little-endian).
+    #[inline]
     pub fn write_u64(&mut self, v: u64) {
         self.write_word(v, 8);
     }
 
     /// Fold a `u128` (little-endian) — scheduler priority keys.
+    #[inline]
     pub fn write_u128(&mut self, v: u128) {
         self.write_word(v as u64, 8);
         self.write_word((v >> 64) as u64, 8);

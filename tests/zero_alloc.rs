@@ -14,7 +14,11 @@
 //! vector) pays for those clones, which is the protocol's cost, not the
 //! fabric's. The MDST automaton is metered too, at quiescence on a star,
 //! where only its heap-free `InfoMsg` gossip runs: its tick and `InfoMsg`
-//! handlers must not allocate either. The observed path is metered as
+//! handlers must not allocate either, and neither must the three
+//! stabilization predicates of its nodes' state (`tree_stabilized`,
+//! `degree_stabilized`, `color_stabilized`), evaluated on every node each
+//! metered round. The judge (`exact::solve`) runs between phases, not in
+//! the round loop, and is not metered. The observed path is metered as
 //! well: a round that folds every scheduled event into a schedule digest,
 //! through `Runner::step_round_observed` with a `ScheduleDigest` or
 //! through the same observer attached to a `Session`, must not allocate.
@@ -212,7 +216,15 @@ fn steady_state_round_loop_is_allocation_free() {
             runner.step_round();
         }
         let delivered = runner.network().metrics.total_delivered;
-        assert_rounds_allocation_free("MDST star", sched, || runner.step_round());
+        let mut stabilized = true;
+        assert_rounds_allocation_free("MDST star", sched, || {
+            runner.step_round();
+            stabilized &= runner.network().nodes().iter().all(|node| {
+                let s = node.state();
+                s.tree_stabilized() && s.degree_stabilized() && s.color_stabilized()
+            });
+        });
+        assert!(stabilized, "the converged star left a stabilized state");
         assert!(runner.network().metrics.total_delivered > delivered);
         assert_eq!(runner.network().metrics.kind("Search").sent, 0);
     }
