@@ -5,15 +5,16 @@
 //! cargo run --release -p ssmdst-bench --bin exact -- --n 1000 --churns 16   # X-mini (CI smoke)
 //! ```
 //!
-//! Measures what unlocked large-`n` scenario judging: per-judgment cost of
-//! a from-scratch certified solve ([`ssmdst_exact::Solver`]) versus the
+//! Measures the exact engine at scale: per-judgment cost of a
+//! from-scratch certified solve ([`ssmdst_exact::Solver`]) versus the
 //! incremental re-solve ([`ssmdst_exact::IncrementalSolver`]) across an
 //! edge-churn chain, on sparse G(n, 8/n) at n = 10³ … 10⁵. One row pair
-//! per size: the two per-judgment costs are what a stable scenario phase
-//! pays to re-judge after one churn event, without and with the
-//! incremental engine. Each incremental judgment's certified interval is
-//! asserted consistent with the from-scratch interval in-bench (both
-//! bracket Δ*), so a timing for an unsound run is never reported.
+//! per size: the two per-judgment costs of re-judging after one churn
+//! event, without and with the incremental engine. (The scenario judge
+//! solves each component from the protocol's own tree instead.) Each
+//! incremental judgment's certified interval is asserted consistent with
+//! the from-scratch interval in-bench (both bracket Δ*), so a timing for
+//! an unsound run is never reported.
 //!
 //! The JSON document has one record per row (`id`, `wall_ms`,
 //! `ms_per_judgment`, and the certified interval and pivot count of each

@@ -10,23 +10,23 @@
 //! the tree's degree is within one of the component's optimum `Δ*`
 //! (Theorem 2's guarantee, re-established after every perturbation).
 //!
-//! Optima come from the certified-interval engine
-//! ([`ssmdst_exact::IncrementalSolver`]): each component gets a tree
-//! achieving `upper` and a [`ssmdst_exact::Witness`] certifying `lower`,
-//! and the judge **re-verifies the witness itself** on a subgraph built
-//! from the network (never from the solver's own mirror), so a solver bug
-//! can only make verdicts conservative, never unsound. The judge is
-//! stateful: a [`DeltaJudge`] keeps the engine's basis alive across churn.
-//! The network is its only source of topology: every
-//! [`DeltaJudge::check`] first diffs the engine's mirror against the
-//! network, so a long churn chain re-solves only the components the
-//! churn touched. The branch-and-bound solver
-//! ([`ssmdst_graph::exact_mdst`]) remains the engine's settling oracle and
-//! the test suite's small-`n` differential reference.
+//! Each component is certified from the protocol's own tree: its parent
+//! pointers, mapped into a spanning tree `T` of the component's induced
+//! subgraph, seed one Fürer–Raghavachari solve
+//! ([`ssmdst_exact::Solver::solve_from`]), which settles an open interval
+//! by branch and bound on components of at most [`SETTLE_MAX_N`]
+//! vertices. The solve returns a tree achieving `upper` and a
+//! [`ssmdst_exact::Witness`] certifying `lower`, and the judge
+//! **re-verifies the witness itself** on the subgraph it built from the
+//! network, so a solver bug can only make verdicts conservative, never
+//! unsound. The judge keeps no topology of its own: a verdict is a
+//! function of the network alone. The branch-and-bound solver
+//! ([`ssmdst_graph::exact_mdst`]) remains the settling oracle and the
+//! test suite's small-`n` differential reference.
 
 use crate::node::MdstNode;
 use crate::NodeId;
-use ssmdst_exact::{IncrementalSolver, Solver, Stats};
+use ssmdst_exact::{Solver, Stats};
 use ssmdst_graph::{Graph, SolveBudget, SpanningTree};
 use ssmdst_sim::Network;
 
@@ -38,7 +38,7 @@ use ssmdst_sim::Network;
 pub const SETTLE_MAX_N: usize = 256;
 
 /// Verdict for one connected component of the live topology.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ComponentReport {
     /// Member nodes, original ids, ascending.
     pub nodes: Vec<NodeId>,
@@ -110,166 +110,113 @@ fn induced_subgraph(net: &Network<MdstNode>, comp: &[NodeId]) -> Graph {
     }))
 }
 
-/// The neighbors of `v` above `v` in a sorted row.
-fn upper_half(row: &[NodeId], v: NodeId) -> &[NodeId] {
-    &row[row.partition_point(|&w| w <= v)..]
-}
-
-/// The stateful component-wise judge: an incremental certified-`Δ*`
-/// engine mirroring the live topology, plus the structural tree checks.
+/// The component-wise judge: the structural tree checks plus one
+/// certified solve per component, seeded with the protocol's own tree.
 ///
-/// Create one per run ([`DeltaJudge::new`]) and judge at each stable
-/// phase ([`DeltaJudge::check`]). Churn needs no feed: each check reads
-/// the network's live topology and re-solves only the components whose
-/// topology changed; untouched ones are served from the engine's cache.
-/// The one-shot [`check_reconvergence`] wraps a fresh judge for callers
-/// without a churn chain.
+/// A judge holds only its solver configuration and work counters, so a
+/// verdict depends on the network alone: a judge reused across a churn
+/// chain and a fresh one return equal reports at every step. Churn needs
+/// no feed; each [`DeltaJudge::check`] reads the live topology. The
+/// one-shot [`check_reconvergence`] wraps a fresh judge.
 #[derive(Debug, Clone)]
 pub struct DeltaJudge {
-    inc: IncrementalSolver,
+    solver: Solver,
+    stats: Stats,
 }
 
 impl DeltaJudge {
-    /// A judge mirroring `net`'s current live topology, solving under
-    /// `budget`: the budget bounds the settling oracle's branch-and-bound
-    /// nodes, capped at [`SETTLE_MAX_N`] vertices.
-    pub fn new(net: &Network<MdstNode>, budget: SolveBudget) -> Self {
-        let mut judge = DeltaJudge {
-            inc: IncrementalSolver::new(net.n(), solver_for(budget)),
-        };
-        judge.sync(net);
-        judge
+    /// A judge solving under `budget`: the budget bounds the settling
+    /// oracle's branch-and-bound nodes, capped at [`SETTLE_MAX_N`]
+    /// vertices.
+    pub fn new(budget: SolveBudget) -> Self {
+        DeltaJudge {
+            solver: solver_for(budget),
+            stats: Stats::default(),
+        }
     }
 
-    /// Engine work counters — how much of the judging so far was served
-    /// incrementally (cache hits / warm starts / cold starts / pivots).
+    /// Engine work counters over every check so far: `cold_starts` counts
+    /// the judged components (each is one solve from the protocol's
+    /// tree) and `pivots` the improvement pivots those solves took.
+    /// `cache_hits`, `warm_starts` and `regroups` stay 0, since the judge
+    /// keeps no basis or cache between checks.
     pub fn stats(&self) -> Stats {
-        self.inc.stats()
-    }
-
-    /// Re-sync the mirror to the network, in two passes. Pass 1 applies
-    /// every crash and rejoin, so pass 2 never inserts an edge towards a
-    /// vertex the mirror still holds dead. Pass 2 diffs the sorted
-    /// upper-half rows; only genuine differences touch the mirror.
-    fn sync(&mut self, net: &Network<MdstNode>) {
-        let n = net.n().min(self.inc.n()) as NodeId;
-        for v in 0..n {
-            // Both are no-ops when the mirror already agrees.
-            if net.is_alive(v) {
-                self.inc.rejoin(v);
-            } else {
-                self.inc.crash(v);
-            }
-        }
-        for v in (0..n).filter(|&v| net.is_alive(v)) {
-            // Compare the rows in place; only a row that differs is diffed
-            // with two pointers.
-            let want = upper_half(net.neighbors(v), v);
-            let have = upper_half(self.inc.neighbors(v), v);
-            if want == have {
-                continue;
-            }
-            // Owned: the diff below edits the row it was read from.
-            let have = have.to_vec();
-            let mut have = have.into_iter().peekable();
-            for &w in want {
-                loop {
-                    match have.peek() {
-                        Some(&h) if h < w => {
-                            self.inc.remove_edge(v, h);
-                            have.next();
-                        }
-                        Some(&h) if h == w => {
-                            have.next();
-                            break;
-                        }
-                        _ => {
-                            self.inc.insert_edge(v, w);
-                            break;
-                        }
-                    }
-                }
-            }
-            for h in have {
-                self.inc.remove_edge(v, h);
-            }
-        }
+        self.stats
     }
 
     /// Judge the network: every live component must carry a spanning tree
     /// (via the protocol's parent pointers) whose degree is certified
-    /// within one of the component's `Δ*`. Untouched components are
-    /// served from the engine's cache; dirty ones re-solve from their
-    /// repaired basis.
+    /// within one of the component's `Δ*`.
     pub fn check(&mut self, net: &Network<MdstNode>) -> Result<Vec<ComponentReport>, ChurnError> {
-        self.sync(net);
-        let sols = self.inc.solve_all();
-        let comps = net.live_components();
-        // Checked in release too: a verdict must never pair one component
-        // with another's solution, and the check is O(n) beside an
-        // O(n + m) sync.
-        assert_eq!(
-            comps.len(),
-            sols.len(),
-            "mirror/network component structure diverged after sync"
-        );
-        let mut reports = Vec::with_capacity(comps.len());
-        for (comp, sol) in comps.into_iter().zip(sols) {
-            assert_eq!(comp, sol.members, "component membership diverged");
-            let sub = induced_subgraph(net, &comp);
-            // Map parent pointers into the dense relabeling.
-            let mut parents = vec![0 as NodeId; comp.len()];
-            let mut roots = Vec::new();
-            for (i, &v) in comp.iter().enumerate() {
-                let p = net.node(v).state().parent;
-                if p == v {
-                    roots.push(i as NodeId);
-                    parents[i] = i as NodeId;
-                } else {
-                    let Ok(j) = comp.binary_search(&p) else {
-                        return Err(ChurnError::ParentOutsideComponent { node: v, parent: p });
-                    };
-                    parents[i] = j as NodeId;
-                }
-            }
-            let &[root] = roots.as_slice() else {
-                return Err(ChurnError::BadRootCount {
-                    component_min: comp[0],
-                    roots: roots.len(),
-                });
-            };
-            let Ok(tree) = SpanningTree::from_parents(&sub, root, parents) else {
-                return Err(ChurnError::NotATree {
-                    component_min: comp[0],
-                });
-            };
-            let degree = tree.max_degree();
-            // Independent certification: re-derive the witness bound on
-            // the network-built subgraph (one BFS). The solver's `lower`
-            // is only trusted when its certificate checks out here — a
-            // settled component's witness certifies `lower − 1`, the
-            // settling oracle closed the last gap.
-            let cert = sol.witness.certifies(&sub);
-            let trusted = cert >= sol.lower.saturating_sub(u32::from(sol.settled));
-            let (delta_star, lower) = if trusted {
-                (sol.delta_star(), sol.lower)
+        net.live_components()
+            .into_iter()
+            .map(|comp| self.certify(net, comp))
+            .collect()
+    }
+
+    /// Judge one live component `comp` (ascending ids): map its parent
+    /// pointers into a spanning tree `T` of its induced subgraph, solve
+    /// from `T`, and re-verify the solver's witness on that subgraph.
+    fn certify(
+        &mut self,
+        net: &Network<MdstNode>,
+        comp: Vec<NodeId>,
+    ) -> Result<ComponentReport, ChurnError> {
+        let sub = induced_subgraph(net, &comp);
+        // Map parent pointers into the dense relabeling.
+        let mut parents = vec![0 as NodeId; comp.len()];
+        let mut roots = Vec::new();
+        for (i, &v) in comp.iter().enumerate() {
+            let p = net.node(v).state().parent;
+            if p == v {
+                roots.push(i as NodeId);
+                parents[i] = i as NodeId;
             } else {
-                (None, cert)
-            };
-            let within_one = match delta_star {
-                Some(d) => degree <= d + 1,
-                None => degree <= lower + 1,
-            };
-            reports.push(ComponentReport {
-                nodes: comp,
-                degree,
-                delta_star,
-                lower,
-                upper: sol.upper,
-                within_one,
-            });
+                let Ok(j) = comp.binary_search(&p) else {
+                    return Err(ChurnError::ParentOutsideComponent { node: v, parent: p });
+                };
+                parents[i] = j as NodeId;
+            }
         }
-        Ok(reports)
+        let &[root] = roots.as_slice() else {
+            return Err(ChurnError::BadRootCount {
+                component_min: comp[0],
+                roots: roots.len(),
+            });
+        };
+        let Ok(tree) = SpanningTree::from_parents(&sub, root, parents) else {
+            return Err(ChurnError::NotATree {
+                component_min: comp[0],
+            });
+        };
+        let degree = tree.max_degree();
+        let sol = self.solver.solve_from(&sub, tree);
+        self.stats.cold_starts += 1;
+        self.stats.pivots += sol.pivots;
+        // Independent certification: re-derive the witness bound on the
+        // network-built subgraph (one BFS). The solver's `lower` is only
+        // trusted when its certificate checks out here — a settled
+        // component's witness certifies `lower − 1`, the settling oracle
+        // closed the last gap.
+        let cert = sol.witness.certifies(&sub);
+        let trusted = cert >= sol.lower.saturating_sub(u32::from(sol.settled));
+        let (delta_star, lower) = if trusted {
+            (sol.delta_star(), sol.lower)
+        } else {
+            (None, cert)
+        };
+        let within_one = match delta_star {
+            Some(d) => degree <= d + 1,
+            None => degree <= lower + 1,
+        };
+        Ok(ComponentReport {
+            nodes: comp,
+            degree,
+            delta_star,
+            lower,
+            upper: sol.upper,
+            within_one,
+        })
     }
 }
 
@@ -277,16 +224,15 @@ impl DeltaJudge {
 /// within one of each component's optimal degree. Intended to be called at
 /// quiescence, after each churn event of a [`ssmdst_sim::TopologyPlan`].
 ///
-/// One-shot form: builds a fresh [`DeltaJudge`] (cold solve of every
-/// component). Drivers judging repeatedly across a churn chain keep a
-/// judge alive instead. `budget` bounds the settling oracle per component;
-/// pass `SolveBudget { max_nodes: 0 }` to skip settling entirely (the
-/// witness lower bound then gives a conservative verdict).
+/// One-shot form of [`DeltaJudge::check`]. `budget` bounds the settling
+/// oracle per component; pass `SolveBudget { max_nodes: 0 }` to skip
+/// settling entirely (the witness lower bound then gives a conservative
+/// verdict).
 pub fn check_reconvergence(
     net: &Network<MdstNode>,
     budget: SolveBudget,
 ) -> Result<Vec<ComponentReport>, ChurnError> {
-    DeltaJudge::new(net, budget).check(net)
+    DeltaJudge::new(budget).check(net)
 }
 
 #[cfg(test)]
@@ -402,16 +348,16 @@ mod tests {
         }
     }
 
-    /// A judge driven by `check` alone stays bit-identical in outcome to a
-    /// fresh judge built from scratch at every step of a churn chain, and
-    /// its mirror equals the network after each check.
+    /// A verdict is a function of the network: one judge reused across a
+    /// churn chain returns, at every step, the reports a fresh judge
+    /// returns, field by field.
     #[test]
-    fn incremental_judge_tracks_one_shot_judge_across_churn() {
+    fn verdict_is_a_function_of_the_network_across_churn() {
         let g = structured::star_with_ring(9).unwrap();
         let net = crate::build_network(&g, Config::for_n(9));
         let mut session = sync_session(net);
         converge(&mut session);
-        let mut judge = DeltaJudge::new(session.network(), budget());
+        let mut judge = DeltaJudge::new(budget());
         // Cuts {5, 6, 7, 8} off the hub and the rest of the ring.
         let cut = vec![(0, 5), (0, 6), (0, 7), (0, 8), (4, 5), (1, 8)];
         let chain = [
@@ -422,51 +368,58 @@ mod tests {
             ChurnEvent::Partition(cut.clone()),
             ChurnEvent::Heal(cut),
         ];
+        let mut judged = 0;
         for ev in &chain {
             apply_churn(session.network_mut(), ev);
             converge(&mut session);
             let net = session.network();
-            let inc = judge.check(net).unwrap();
-            for v in (0..9).filter(|&v| net.is_alive(v)) {
-                assert_eq!(
-                    judge.inc.neighbors(v),
-                    net.neighbors(v),
-                    "row {v} after {ev}"
-                );
-            }
-            let scratch = check_reconvergence(net, budget()).unwrap();
-            assert_eq!(inc.len(), scratch.len(), "after {ev}");
-            for (a, b) in inc.iter().zip(&scratch) {
-                assert_eq!(a.nodes, b.nodes, "after {ev}");
-                assert_eq!(a.degree, b.degree, "after {ev}");
-                assert_eq!(a.delta_star, b.delta_star, "after {ev}");
-                assert_eq!(a.within_one, b.within_one, "after {ev}");
-            }
+            let reused = judge.check(net).unwrap();
+            let fresh = check_reconvergence(net, budget()).unwrap();
+            assert_eq!(reused, fresh, "after {ev}");
+            judged += reused.len() as u64;
         }
         let stats = judge.stats();
-        assert!(
-            stats.warm_starts + stats.cache_hits > 0,
-            "chain stayed incremental: {stats:?}"
-        );
+        assert_eq!(stats.cold_starts, judged, "{stats:?}");
+        assert_eq!(stats.warm_starts + stats.cache_hits, 0, "{stats:?}");
+    }
+
+    /// Witness-only judging (`max_nodes: 0`, the budget the path
+    /// experiments judge with) leaves an open interval unsettled yet still
+    /// certifies the tree: on K₂,₄ (`Δ* = 3`) the solver's witness
+    /// certifies only 2, and a degree-3 tree is within one of that.
+    #[test]
+    fn witness_only_budget_certifies_without_delta_star() {
+        let g = structured::complete_bipartite(2, 4).unwrap();
+        let net = crate::build_network(&g, Config::for_n(6));
+        let mut session = sync_session(net);
+        converge(&mut session);
+        let net = session.network();
+        let reports = check_reconvergence(net, SolveBudget { max_nodes: 0 }).unwrap();
+        assert_eq!(reports.len(), 1);
+        let r = &reports[0];
+        assert_eq!(r.delta_star, None);
+        assert!(r.lower < r.upper, "interval must stay open: {r:?}");
+        assert!(r.within_one, "{r:?}");
+        let settled = check_reconvergence(net, budget()).unwrap();
+        assert_eq!(settled[0].delta_star, Some(3));
     }
 
     /// A rejoin restores the rejoined vertex's edges to lower neighbours:
-    /// the sync revives every vertex before it diffs any row, so the
-    /// insert of `{3, 4}` from row 3 is not refused.
+    /// the judge sees the path whole again, not split at 4. (A judge that
+    /// mirrored the topology once lost `{3, 4}` here.)
     #[test]
     fn unobserved_rejoin_restores_lower_neighbour_edges() {
         let g = structured::path(6).unwrap();
         let net = crate::build_network(&g, Config::for_n(6));
         let mut session = sync_session(net);
         converge(&mut session);
-        let mut judge = DeltaJudge::new(session.network(), budget());
+        let mut judge = DeltaJudge::new(budget());
         apply_churn(session.network_mut(), &ChurnEvent::CrashNode(4));
         converge(&mut session);
         assert_eq!(judge.check(session.network()).unwrap().len(), 2);
         apply_churn(session.network_mut(), &ChurnEvent::RejoinNode(4));
         converge(&mut session);
         let reports = judge.check(session.network()).unwrap();
-        assert_eq!(judge.inc.neighbors(4), [3, 5]);
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].nodes, [0, 1, 2, 3, 4, 5]);
         assert!(reports[0].within_one);

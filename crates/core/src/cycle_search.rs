@@ -18,6 +18,11 @@ use crate::node::MdstNode;
 use crate::NodeId;
 use ssmdst_sim::Outbox;
 
+/// Entries a new token reserves in its `path` and `visited` lists (never
+/// more than `max_path_len`, past which a token is dropped), so a walk of
+/// up to this many hops does not reallocate them as it grows.
+const TOKEN_RESERVE: usize = 16;
+
 /// Deterministic splitmix-style jitter for search retry de-synchronization.
 fn jitter(id: NodeId, edge_to: NodeId, counter: u64) -> u32 {
     let mut z = (id as u64) << 40 ^ (edge_to as u64) << 20 ^ counter;
@@ -76,14 +81,19 @@ impl MdstNode {
         else {
             return; // no tree edges yet
         };
+        let reserve = TOKEN_RESERVE.min(self.cfg.max_path_len);
+        let mut path = Vec::with_capacity(reserve);
+        path.push((s.id, s.deg));
+        let mut visited = Vec::with_capacity(reserve);
+        visited.push(s.id);
         out.send(
             first,
             Msg::Search(Box::new(Search {
                 init: (s.id, target),
                 idblock,
                 dmax: s.dmax,
-                path: vec![(s.id, s.deg)],
-                visited: vec![s.id],
+                path,
+                visited,
                 backtrack: false,
             })),
         );

@@ -213,8 +213,9 @@ impl Solver {
         self.solve_from(g, tree)
     }
 
-    /// Solve starting from an existing spanning tree of `g` — the warm
-    /// start the incremental engine uses after repairing its forest.
+    /// Solve starting from an existing spanning tree of `g`: the
+    /// protocol's own tree when the scenario judge certifies a component,
+    /// or the incremental engine's repaired basis.
     pub fn solve_from(&self, g: &Graph, mut tree: SpanningTree) -> Solution {
         let n = g.n();
         let mut pivots = 0u64;

@@ -1,7 +1,6 @@
 //! Descriptive graph statistics used by the experiment tables and examples:
 //! degree distributions, tree quality summaries.
 
-use crate::graph::Graph;
 use crate::spanning_tree::SpanningTree;
 
 /// Summary of a degree sequence.
@@ -43,11 +42,6 @@ fn stats_of(degs: impl Iterator<Item = u32>) -> DegreeStats {
     }
 }
 
-/// Degree statistics of the host graph.
-pub fn graph_degrees(g: &Graph) -> DegreeStats {
-    stats_of(g.nodes().map(|v| g.degree(v) as u32))
-}
-
 /// Degree statistics of a spanning tree.
 pub fn tree_degrees(t: &SpanningTree) -> DegreeStats {
     stats_of(t.degrees().iter().copied())
@@ -69,6 +63,11 @@ pub fn leaf_count(t: &SpanningTree) -> usize {
 mod tests {
     use super::*;
     use crate::generators::structured;
+    use crate::graph::Graph;
+
+    fn graph_degrees(g: &Graph) -> DegreeStats {
+        stats_of(g.nodes().map(|v| g.degree(v) as u32))
+    }
 
     #[test]
     fn path_statistics() {

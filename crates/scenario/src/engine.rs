@@ -241,10 +241,10 @@ pub fn run_protocol<P: Protocol>(
         session.observer_mut().note_init_fault(victims.len());
     }
 
-    // One judge per run: its state (for MDST, the incremental engine's
-    // basis and component cache) survives across phases, and each
-    // stable-phase judgment diffs it against the network so it re-solves
-    // only what the churn changed.
+    // One judge per run, threaded through every phase. For MDST it holds
+    // no topology: each stable-phase judgment certifies every live
+    // component from the network as it stands, so across phases the judge
+    // only accumulates its work counters.
     let mut judge = proto.new_judge(session.network(), &opts);
 
     let mut phases: Vec<PhaseOutcome> = Vec::new();

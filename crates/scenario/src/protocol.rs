@@ -70,11 +70,11 @@ pub trait Protocol {
     type Proj: PartialEq;
 
     /// Per-run judging state, threaded through every phase judgment of
-    /// one scenario execution. For MDST this is the incremental
-    /// certified-`Δ*` engine ([`ssmdst_core::churn::DeltaJudge`]) whose
-    /// basis survives across churn events; it learns of churn by
-    /// diffing against the network at each judgment. Protocols with
-    /// stateless judges use `()`.
+    /// one scenario execution. For MDST this is
+    /// [`ssmdst_core::churn::DeltaJudge`], which holds only its solver
+    /// configuration and work counters: each judgment certifies every
+    /// component from the network it is handed, so churn needs no feed.
+    /// Protocols without judging state use `()`.
     type Judge;
 
     /// Build the network a scenario describes over `g`.
@@ -88,7 +88,8 @@ pub trait Protocol {
     /// traces pin it.
     fn fold_projection(proj: &Self::Proj, chain: &mut Digest);
 
-    /// Fresh judging state for one run, over the initial live topology.
+    /// Fresh judging state for one run. `net` is the initial network; a
+    /// judge that reads its topology only at [`Protocol::judge`] ignores it.
     fn new_judge(&self, net: &Network<Self::Node>, opts: &EngineOpts) -> Self::Judge;
 
     /// A no-op that the engine never calls: judges read churn from the
@@ -142,8 +143,10 @@ impl Protocol for Mdst {
         }
     }
 
-    fn new_judge(&self, net: &Network<MdstNode>, opts: &EngineOpts) -> churn::DeltaJudge {
-        churn::DeltaJudge::new(net, opts.delta_budget)
+    /// A judge solving under `opts.delta_budget`. It reads no topology
+    /// here: each [`Protocol::judge`] certifies the network it is handed.
+    fn new_judge(&self, _net: &Network<MdstNode>, opts: &EngineOpts) -> churn::DeltaJudge {
+        churn::DeltaJudge::new(opts.delta_budget)
     }
 
     fn judge(
