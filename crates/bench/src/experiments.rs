@@ -12,8 +12,8 @@
 //! serializable [`Scenario`] through `ssmdst_scenario::engine`, so any row
 //! is a replayable artifact — rebuild the same scenario (family, n, seed,
 //! daemon, config, events) and the run reproduces bit-for-bit. The S
-//! family measures the message *fabric* with purpose-built automata (not
-//! the MDST protocol), so it stays on its own driver.
+//! family measures the message *fabric* with a purpose-built gossip
+//! automaton (not the MDST protocol), so it stays on its own driver.
 
 use crate::instance::Instrument;
 use crate::table::Table;
@@ -38,8 +38,7 @@ pub struct Profile {
     pub large_sizes: Vec<usize>,
     /// Sizes for the S1–S3 message-fabric scale experiments. These run the
     /// fabric (not protocol convergence), so tens of thousands of nodes
-    /// stay affordable even in the quick profile; the first entry is the
-    /// baseline the flat-discovery ratio is reported against.
+    /// stay affordable even in the quick profile.
     pub scale_sizes: Vec<usize>,
     /// Random seeds per configuration.
     pub seeds: Vec<u64>,
@@ -925,10 +924,11 @@ pub fn c1_campaign(_p: &Profile) -> Table {
 // S family — message-fabric scale (n = 256 … 65 536)
 // ----------------------------------------------------------------------
 
-/// Workloads for the fabric scale sweep. They drive the *fabric*, not
-/// protocol convergence: the quantity under test is what one round costs
-/// at n = 65 536, which is a property of slot addressing and the
-/// occupancy/tick indices, independent of the MDST rules.
+/// The workload for the fabric scale sweep. It drives the *fabric*, not
+/// protocol convergence: the quantity under test is what one obligation
+/// costs at n = 65 536 when every node ticks and every channel carries a
+/// message, the regime every protocol here runs in. That is a property of
+/// slot addressing and the round loop, independent of the MDST rules.
 mod fabric {
     use ssmdst_sim::{Automaton, Message, Network, Outbox, Runner, Scheduler};
     use std::time::Instant;
@@ -941,25 +941,6 @@ mod fabric {
         }
         fn size_bits(&self, _n: usize) -> usize {
             1
-        }
-    }
-
-    /// One sentinel circulates a token; everyone else is disabled — two
-    /// obligations per round, so per-round cost ≈ pure discovery cost.
-    pub struct Sentinel {
-        first_neighbor: Option<u32>,
-        active: bool,
-    }
-    impl Automaton for Sentinel {
-        type Msg = Token;
-        fn tick(&mut self, out: &mut Outbox<Token>) {
-            if let Some(w) = self.first_neighbor {
-                out.send(w, Token);
-            }
-        }
-        fn receive(&mut self, _: u32, _: Token, _: &mut Outbox<Token>) {}
-        fn enabled(&self) -> bool {
-            self.active
         }
     }
 
@@ -981,15 +962,6 @@ mod fabric {
         }
     }
 
-    /// The sparse-activity workload over `g`: node 0 circulates a token,
-    /// everyone else is disabled.
-    pub fn sentinel_network(g: &ssmdst_graph::Graph) -> Network<Sentinel> {
-        Network::from_graph(g, |v, nbrs| Sentinel {
-            first_neighbor: nbrs.first().copied(),
-            active: v == 0,
-        })
-    }
-
     /// The obligation-dense workload over `g`: everyone gossips to every
     /// neighbor every round.
     pub fn gossip_network(g: &ssmdst_graph::Graph) -> Network<Gossip> {
@@ -1004,42 +976,24 @@ mod fabric {
         pub m: usize,
         pub slots: usize,
         pub build_us: u128,
-        pub event_ns_per_round: f64,
         pub gossip_ns_per_obligation: f64,
     }
 
-    /// Measure one instance: fabric build time, sparse-activity round cost
-    /// and dense-gossip per-obligation cost.
+    /// Measure one instance: fabric build time and dense-gossip
+    /// per-obligation cost.
     pub fn measure(g: &ssmdst_graph::Graph) -> FabricRow {
         #[expect(
             clippy::disallowed_methods,
             reason = "wall-clock measurement is the payload of this microbenchmark; never feeds simulation state"
         )]
         let build_start = Instant::now();
-        let sentinel_net = sentinel_network(g);
+        let net = gossip_network(g);
         let build_us = build_start.elapsed().as_micros();
-        let slots = sentinel_net.slot_count();
+        let slots = net.slot_count();
 
-        // Sparse activity, event engine: cheap per round, so many rounds.
-        let mut r = Runner::new(sentinel_net, Scheduler::Synchronous);
-        let warmup = 64u64;
-        for _ in 0..warmup {
-            r.step_round();
-        }
-        let rounds = 16_384u64;
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "wall-clock measurement is the payload of this microbenchmark; never feeds simulation state"
-        )]
-        let t = Instant::now();
-        for _ in 0..rounds {
-            r.step_round();
-        }
-        let event_ns_per_round = t.elapsed().as_nanos() as f64 / rounds as f64;
-
-        // Dense gossip: a handful of rounds is plenty — each already
-        // executes ~n + 2m obligations.
-        let mut r = Runner::new(gossip_network(g), Scheduler::Synchronous);
+        // A handful of rounds is plenty — each already executes ~n + 2m
+        // obligations.
+        let mut r = Runner::new(net, Scheduler::Synchronous);
         for _ in 0..2 {
             r.step_round(); // warm channel capacities
         }
@@ -1063,7 +1017,6 @@ mod fabric {
             m: g.m(),
             slots,
             build_us,
-            event_ns_per_round,
             gossip_ns_per_obligation,
         }
     }
@@ -1076,20 +1029,9 @@ const SCALE_REPS: usize = 5;
 /// size. Each size's graph is built once and measured [`SCALE_REPS`]
 /// times, repetition-major (every size once, then every size again), so a
 /// slow stretch of the host hits all sizes of a repetition alike. Each
-/// cell is the median over the repetitions. The `disc vs n₀` column is
-/// event-engine discovery cost relative to the sweep's smallest size, as
-/// the median over repetitions of each repetition's own ratio — the "flat,
-/// not log-linear" claim is that it stays O(1)-ish as n grows.
+/// cell is the median over the repetitions.
 fn scale_table(p: &Profile, gen: impl Fn(usize, u64) -> Graph) -> Table {
-    let mut t = Table::new(vec![
-        "n",
-        "m",
-        "slots",
-        "build µs",
-        "event ns/round",
-        "gossip ns/oblig",
-        "disc vs n₀",
-    ]);
+    let mut t = Table::new(vec!["n", "m", "slots", "build µs", "gossip ns/oblig"]);
     let graphs: Vec<Graph> = p.scale_sizes.iter().map(|&n| gen(n, p.seeds[0])).collect();
     let mut reps: Vec<Vec<fabric::FabricRow>> = graphs.iter().map(|_| Vec::new()).collect();
     for _ in 0..SCALE_REPS {
@@ -1103,19 +1045,12 @@ fn scale_table(p: &Profile, gen: impl Fn(usize, u64) -> Graph) -> Table {
     };
     for rows in &reps {
         let cell = |f: fn(&fabric::FabricRow) -> f64| median(rows.iter().map(f).collect());
-        let disc = rows
-            .iter()
-            .zip(&reps[0])
-            .map(|(r, base)| r.event_ns_per_round / base.event_ns_per_round)
-            .collect();
         t.row(vec![
             rows[0].n.to_string(),
             rows[0].m.to_string(),
             rows[0].slots.to_string(),
             format!("{:.0}", cell(|r| r.build_us as f64)),
-            format!("{:.0}", cell(|r| r.event_ns_per_round)),
             format!("{:.1}", cell(|r| r.gossip_ns_per_obligation)),
-            format!("{:.2}x", median(disc)),
         ]);
     }
     t

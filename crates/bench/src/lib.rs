@@ -34,7 +34,7 @@
 //! `ssmdst_scenario::Scenario` through the scenario engine, making every
 //! row a replayable artifact (`ssmdst replay` reproduces it bit-for-bit
 //! from the scenario description). The S family measures the message
-//! fabric with purpose-built automata and keeps its own driver.
+//! fabric with a purpose-built gossip automaton and keeps its own driver.
 //!
 //! Run `cargo run --release -p ssmdst-bench --bin experiments -- all` to
 //! print everything, and `--bin exact` for the X family (the exact-Δ*

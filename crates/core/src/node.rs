@@ -121,8 +121,8 @@ impl Automaton for MdstNode {
     /// The `Do forever` loop of Figure 2 never terminates: a correct node
     /// always has an enabled spontaneous step (its periodic `InfoMsg`
     /// gossip is what keeps mirrors fresh and searches flowing even at
-    /// quiescence). The engine's enabled-tick index therefore only shrinks
-    /// through crashes, which the network tracks separately.
+    /// quiescence). So every alive node gets a tick in every round; only
+    /// a crash, which the network tracks separately, takes one away.
     fn enabled(&self) -> bool {
         true
     }

@@ -39,11 +39,12 @@ pub trait Automaton {
     fn receive(&mut self, from: NodeId, msg: Self::Msg, out: &mut Outbox<Self::Msg>);
 
     /// Whether the node currently has an enabled spontaneous step. The
-    /// event-driven runner keeps an incremental index of enabled ticks and
-    /// re-evaluates this predicate only for nodes whose state changed since
-    /// the last round (dirty flags), so implementations must derive the
-    /// answer purely from local state. The default — always enabled —
-    /// matches the paper's `Do forever` loop, which never terminates.
+    /// runner reads this predicate for every alive node at the start of
+    /// every round, to decide which nodes get a tick, and reads it again
+    /// when a tick executes, since an earlier delivery of the round may
+    /// have falsified it. Implementations must derive the answer purely
+    /// from local state. The default — always enabled — matches the
+    /// paper's `Do forever` loop, which never terminates.
     fn enabled(&self) -> bool {
         true
     }

@@ -6,7 +6,7 @@
 use std::fmt;
 
 /// Which round loop a [`crate::Session`] runs. `Reference`, the
-/// event-driven loop every golden trace was recorded on, is the only one.
+/// round loop every golden trace was recorded on, is the only one.
 ///
 /// Why a one-variant enum survives: `perfbench/` (a workspace of its own
 /// that builds these crates by path) names `Backend::Reference`,
@@ -16,7 +16,7 @@ use std::fmt;
 /// next change to the benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
-    /// The event-driven round loop.
+    /// The one round loop.
     #[default]
     Reference,
 }

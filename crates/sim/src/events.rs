@@ -1,47 +1,39 @@
-//! The pending-event queue behind the event-driven runner.
+//! The pending-event queue behind the round engine.
 //!
 //! A round's obligations are *one tick per enabled node* plus *one delivery
-//! per message in flight at round start*. The queue derives that set from
-//! two incremental indices instead of scanning every node and every
-//! channel, and neither index performs an ordered-tree operation or a heap
-//! allocation at steady state:
-//!
-//! * the **tick index** ([`EventQueue::ticks`]): the set of nodes that are
-//!   alive and whose [`Automaton::enabled`] predicate holds, kept in an
-//!   ordered O(1)-transition [`DenseSet`] bitset. It is refreshed from the
-//!   network's dirty-node list — only nodes whose state actually changed
-//!   since the previous round are re-evaluated;
-//! * the network's **occupancy index**: the non-empty channel slots, in
-//!   the same bitset.
-//!
-//! Both bitsets hand out their members in ascending order (ticks by node
-//! id, deliveries by slot id — which on a static topology is exactly
-//! `(from, to)` lexicographic order), so the canonical enumeration the
-//! daemons key against needs no sort of its own.
+//! per message in flight at round start*. [`EventQueue::enumerate`] finds
+//! them in one ascending pass: every node id in `0..n`, keeping those that
+//! are alive and whose [`Automaton::enabled`] predicate holds, then every
+//! channel slot in `0..slot_count`, one delivery per queued message. Under
+//! the paper's `Do forever: send InfoMsg` loop every live node is enabled
+//! and every live channel is occupied in every round, so the pass skips
+//! next to nothing. Ticks come out by node id and deliveries by slot id,
+//! which on a static topology is exactly `(from, to)` lexicographic order:
+//! the canonical enumeration the daemons key against needs no sort of its
+//! own.
 //!
 //! Each obligation is assigned a daemon-specific priority key
 //! ([`crate::scheduler::KeySource`]) at enumeration time and recorded
 //! twice: in a side table indexed by its enumeration index `seq` (key,
 //! action, channel slot), and as one `u64` sort word ([`order_word`]):
 //! the high bits of a monotone 64-bit image of the key, with `seq` in the
-//! low `⌈lg k⌉` bits. The round sorts the words, then one linear pass
-//! re-sorts every run of words whose high parts tie by the exact
-//! `(key, seq)` from the table. Words whose high parts differ already
-//! ascend as `(key, seq)`, so the batch executes in exactly ascending
-//! `(key, enumeration index)` order — fully deterministic per
+//! low `⌈lg (n + in_flight)⌉` bits. The round sorts the words, then one
+//! linear pass re-sorts every run of words whose high parts tie by the
+//! exact `(key, seq)` from the table. Words whose high parts differ
+//! already ascend as `(key, seq)`, so the batch executes in exactly
+//! ascending `(key, enumeration index)` order — fully deterministic per
 //! `(scheduler, seed)`. Random and adversarial keys are uniform over 64
 //! bits, so their ties are rare; synchronous keys arrive in canonical
 //! order, so the word sort finds them sorted and every tied run is already
 //! sorted too, and both passes stay linear.
 //!
-//! **Per-round cost**: `O(k log k + (n + slots) / 4096)` for a round of
-//! `k` obligations — the word sort and its tie pass plus the two bitset
-//! walks, each of which stops at its largest member. MDST ticks every live
-//! node every round, so there `k ≥ n` and the walk term stays below `k`
-//! unless the average degree exceeds 4096.
+//! **Per-round cost**: `O(n + slots + k log k)` for a round of `k`
+//! obligations — the ascending pass, then the word sort and its tie pass.
+//! MDST ticks every live node and finds a message on every live channel,
+//! so there `k ≥ n + slots` minus the crashed nodes and their tombstoned
+//! slots, and the pass costs no more than keying what it finds.
 
 use crate::automaton::Automaton;
-use crate::dense::DenseSet;
 use crate::network::Network;
 use crate::scheduler::{order_word, Action, KeySource};
 use crate::NodeId;
@@ -57,46 +49,24 @@ pub(crate) struct Obligation {
     pub(crate) slot: u32,
 }
 
-/// Incremental obligation tracker + per-round buffers (all reused round to
-/// round — the steady-state loop never allocates).
+/// Per-round obligation buffers (all reused round to round — the
+/// steady-state loop never allocates).
 pub(crate) struct EventQueue {
-    /// Alive nodes whose `enabled()` predicate held at last refresh.
-    ticks: DenseSet,
     /// This round's sort words, one per obligation.
     words: Vec<u64>,
-    /// The low bits of this round's words that hold `seq`: `2^⌈lg k⌉ - 1`.
+    /// The low bits of this round's words that hold `seq`:
+    /// `2^⌈lg (n + in_flight)⌉ - 1`, room for every possible obligation.
     seq_mask: u64,
     /// This round's obligations, indexed by enumeration index.
     table: Vec<Obligation>,
-    /// Scratch: the ascending members of one index (ticks, then slots).
-    members: Vec<u32>,
-    /// Scratch: dirty nodes drained from the network.
-    dirty_scratch: Vec<NodeId>,
 }
 
 impl EventQueue {
     pub(crate) fn new() -> Self {
         EventQueue {
-            ticks: DenseSet::new(),
             words: Vec::new(),
             seq_mask: 0,
             table: Vec::new(),
-            members: Vec::new(),
-            dirty_scratch: Vec::new(),
-        }
-    }
-
-    /// Re-evaluate the enabled-tick predicate for every node the network
-    /// marked dirty since the last call.
-    // Allocation-free: tests/zero_alloc.rs meters it.
-    pub(crate) fn refresh<A: Automaton>(&mut self, net: &mut Network<A>) {
-        net.take_dirty_into(&mut self.dirty_scratch);
-        for &v in &self.dirty_scratch {
-            if net.is_alive(v) && net.node(v).enabled() {
-                self.ticks.insert(v);
-            } else {
-                self.ticks.remove(v);
-            }
         }
     }
 
@@ -111,23 +81,23 @@ impl EventQueue {
         net: &Network<A>,
     ) {
         // Every obligation is an enabled tick or a queued message.
-        self.start_round(self.ticks.len() + net.in_flight());
-        let mut members = std::mem::take(&mut self.members);
-        members.clear();
-        self.ticks.extend_sorted(&mut members);
-        for &v in &members {
-            self.push(keys.key(round, &Action::Tick(v)), Action::Tick(v), u32::MAX);
+        self.start_round(net.n() + net.in_flight());
+        for v in 0..net.n() as NodeId {
+            if net.is_alive(v) && net.node(v).enabled() {
+                self.push(keys.key(round, &Action::Tick(v)), Action::Tick(v), u32::MAX);
+            }
         }
-        members.clear();
-        net.occupied_slots_into(&mut members);
-        for &s in &members {
+        for s in 0..net.slot_count() as u32 {
+            let len = net.slot_len(s);
+            if len == 0 {
+                continue;
+            }
             let (from, to) = net.slot_endpoints(s);
             let a = Action::Deliver(from, to);
-            for _ in 0..net.slot_len(s) {
+            for _ in 0..len {
                 self.push(keys.key(round, &a), a, s);
             }
         }
-        self.members = members;
     }
 
     /// Empty the round's buffers and size `seq`'s field for at most
@@ -184,20 +154,12 @@ impl EventQueue {
         self.sort();
         self.ordered().collect()
     }
-
-    /// Current number of enabled ticks (for diagnostics/tests).
-    #[cfg(test)]
-    pub(crate) fn enabled_ticks(&self) -> usize {
-        self.ticks.len()
-    }
 }
 
-/// The same schedule as [`EventQueue::schedule`], derived the pre-engine
-/// way — full scans over all nodes and all channel slots, `(key, seq)`
-/// tuples sorted directly. Same obligations, same keys, same execution
-/// order; only the discovery and the sort differ. The test oracle for the
-/// incremental tick and occupancy indices and for the sort words and their
-/// tie pass.
+/// The same schedule as [`EventQueue::schedule`], with the `(key, seq)`
+/// tuples sorted directly instead of the packed sort words and their tie
+/// pass. Same obligations, same keys, same execution order; only the sort
+/// differs. The test oracle for the sort words.
 #[cfg(test)]
 pub(crate) fn schedule_rescan<A: Automaton>(
     round: u64,
@@ -237,8 +199,8 @@ mod tests {
     use crate::scheduler::Scheduler;
     use ssmdst_graph::graph::graph_from_edges;
 
-    /// Automaton whose enabled predicate is a toggle, to exercise the
-    /// dirty-flag path.
+    /// Automaton whose enabled predicate is a toggle; any message it
+    /// receives opens it.
     #[derive(Debug)]
     struct Gate {
         neighbors: Vec<NodeId>,
@@ -263,7 +225,9 @@ mod tests {
                 out.send(w, Unit);
             }
         }
-        fn receive(&mut self, _: NodeId, _: Unit, _: &mut Outbox<Unit>) {}
+        fn receive(&mut self, _: NodeId, _: Unit, _: &mut Outbox<Unit>) {
+            self.open = true;
+        }
         fn enabled(&self) -> bool {
             self.open
         }
@@ -280,68 +244,81 @@ mod tests {
         })
     }
 
+    /// The nodes that round `round`'s schedule ticks, ascending.
+    fn ticked(q: &mut EventQueue, round: u64, n: &Network<Gate>) -> Vec<NodeId> {
+        let mut keys = KeySource::new(Scheduler::Synchronous);
+        let mut ticks: Vec<NodeId> = q
+            .schedule(round, &mut keys, n)
+            .into_iter()
+            .filter_map(|(_, ob)| match ob.action {
+                Action::Tick(v) => Some(v),
+                Action::Deliver(..) => None,
+            })
+            .collect();
+        ticks.sort_unstable();
+        ticks
+    }
+
+    /// The enabled predicate is read every round: a node disabled between
+    /// rounds gets no tick in the next one, and re-enabling it, through
+    /// `node_mut` or by a message it receives, brings the tick back with no
+    /// other call.
     #[test]
-    fn tick_index_tracks_enabled_predicate() {
+    fn disabled_node_gets_no_tick_until_reenabled() {
         let mut n = net(true);
         let mut q = EventQueue::new();
-        q.refresh(&mut n);
-        assert_eq!(q.enabled_ticks(), 3);
-        // Disable node 1; the network marks it dirty through node_mut.
+        assert_eq!(ticked(&mut q, 0, &n), [0, 1, 2]);
         n.node_mut(1).open = false;
-        q.refresh(&mut n);
-        assert_eq!(q.enabled_ticks(), 2);
+        assert_eq!(ticked(&mut q, 1, &n), [0, 2]);
         n.node_mut(1).open = true;
-        q.refresh(&mut n);
-        assert_eq!(q.enabled_ticks(), 3);
-    }
-
-    #[test]
-    fn crashed_nodes_leave_the_tick_index() {
-        let mut n = net(true);
-        let mut q = EventQueue::new();
-        q.refresh(&mut n);
-        n.crash_node(2);
-        q.refresh(&mut n);
-        assert_eq!(q.enabled_ticks(), 2);
-        n.rejoin_node(2);
-        q.refresh(&mut n);
-        assert_eq!(q.enabled_ticks(), 3);
-    }
-
-    #[test]
-    fn indexed_and_rescan_schedules_agree() {
-        let mut n = net(true);
-        let mut q = EventQueue::new();
-        q.refresh(&mut n);
+        assert_eq!(ticked(&mut q, 2, &n), [0, 1, 2]);
+        n.node_mut(1).open = false;
+        assert_eq!(ticked(&mut q, 3, &n), [0, 2]);
         n.tick_node(0);
+        assert!(n.deliver_one(0, 1), "the receipt re-opens node 1's gate");
+        assert_eq!(ticked(&mut q, 4, &n), [0, 1, 2]);
+    }
+
+    /// A crashed node gets no tick and its channels no delivery; once it
+    /// rejoins it ticks again.
+    #[test]
+    fn crashed_node_gets_no_tick_and_rejoined_one_does() {
+        let mut n = net(true);
+        let mut q = EventQueue::new();
         n.tick_node(1);
-        q.refresh(&mut n);
-        for sched in [Scheduler::Synchronous, Scheduler::Adversarial { seed: 3 }] {
-            let mut k1 = KeySource::new(sched);
-            let mut k2 = KeySource::new(sched);
-            let a = q.schedule(5, &mut k1, &n);
-            let b = schedule_rescan(5, &mut k2, &n);
-            assert_eq!(a, b, "engines disagree under {sched:?}");
-            assert_eq!(a.len(), 3 + 3, "3 ticks + 3 in-flight messages");
-        }
+        n.tick_node(2);
+        n.crash_node(2);
+        assert_eq!(ticked(&mut q, 0, &n), [0, 1]);
+        let mut keys = KeySource::new(Scheduler::Synchronous);
+        let delivered: Vec<Action> = q
+            .schedule(0, &mut keys, &n)
+            .into_iter()
+            .map(|(_, ob)| ob.action)
+            .filter(|a| matches!(a, Action::Deliver(..)))
+            .collect();
+        assert_eq!(
+            delivered,
+            [Action::Deliver(1, 0)],
+            "node 2's traffic is gone"
+        );
+        n.rejoin_node(2);
+        assert_eq!(ticked(&mut q, 1, &n), [0, 1, 2]);
     }
 
     #[test]
     fn schedules_agree_after_churn_recycles_slots() {
-        // Slot recycling reorders slot ids relative to (from,to); both
-        // enumeration paths must still agree event for event.
+        // Slot recycling reorders slot ids relative to (from,to); the word
+        // sort and the tuple sort must still agree event for event.
         let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 3), (0, 3)]);
         let mut n = Network::from_graph(&g, |_, nbrs| Gate {
             neighbors: nbrs.to_vec(),
             open: true,
         });
         let mut q = EventQueue::new();
-        q.refresh(&mut n);
         n.remove_edge(1, 2);
         n.insert_edge(0, 2); // reuses the tombstoned slots
         n.tick_node(0);
         n.tick_node(2);
-        q.refresh(&mut n);
         for sched in [
             Scheduler::Synchronous,
             Scheduler::RandomAsync { seed: 9 },
@@ -351,7 +328,7 @@ mod tests {
             let mut k2 = KeySource::new(sched);
             let a = q.schedule(2, &mut k1, &n);
             let b = schedule_rescan(2, &mut k2, &n);
-            assert_eq!(a, b, "engines disagree under {sched:?} after churn");
+            assert_eq!(a, b, "sorts disagree under {sched:?} after churn");
         }
     }
 
@@ -372,7 +349,6 @@ mod tests {
             open: true,
         });
         let mut q = EventQueue::new();
-        q.refresh(&mut n);
         n.remove_edge(1, 2);
         n.remove_edge(3, 4);
         n.insert_edge(0, 2); // recycles the tombstoned slots
@@ -380,7 +356,6 @@ mod tests {
         for v in [0, 2, 0, 4, 0, 1] {
             n.tick_node(v); // repeated ticks queue several messages per channel
         }
-        q.refresh(&mut n);
         assert!((0..5).any(|v| n.neighbors(v).iter().any(|&w| n.channel_len(v, w) >= 3)));
         for sched in [
             Scheduler::Synchronous,
@@ -474,10 +449,8 @@ mod tests {
         use rand::{rngs::StdRng, SeedableRng};
         let mut n = net(true);
         let mut q = EventQueue::new();
-        q.refresh(&mut n);
         n.tick_node(0);
         n.tick_node(1);
-        q.refresh(&mut n);
         for sched in [
             Scheduler::Synchronous,
             Scheduler::RandomAsync { seed: 11 },
@@ -539,20 +512,17 @@ mod tests {
     /// request daemon keys in *reverse* enumeration order (seq still
     /// records canonical positions, so ties break identically).
     fn reversed_enumeration<A: Automaton>(
-        q: &EventQueue,
         round: u64,
         keys: &mut KeySource,
         net: &Network<A>,
     ) -> Vec<Action> {
         let mut actions: Vec<Action> = Vec::new();
-        let mut ticks: Vec<NodeId> = Vec::new();
-        q.ticks.extend_sorted(&mut ticks);
-        for &v in &ticks {
-            actions.push(Action::Tick(v));
+        for v in 0..net.n() as NodeId {
+            if net.is_alive(v) && net.node(v).enabled() {
+                actions.push(Action::Tick(v));
+            }
         }
-        let mut slots = Vec::new();
-        net.occupied_slots_into(&mut slots);
-        for &s in &slots {
+        for s in 0..net.slot_count() as u32 {
             let (from, to) = net.slot_endpoints(s);
             for _ in 0..net.slot_len(s) {
                 actions.push(Action::Deliver(from, to));
@@ -579,17 +549,15 @@ mod tests {
     fn enumeration_order_is_contractual_only_for_the_stateful_daemon() {
         let mut n = net(true);
         let mut q = EventQueue::new();
-        q.refresh(&mut n);
         n.tick_node(0);
         n.tick_node(1);
-        q.refresh(&mut n);
         let actions_of =
             |evs: &[(u32, Obligation)]| evs.iter().map(|&(_, ob)| ob.action).collect::<Vec<_>>();
         for sched in [Scheduler::Synchronous, Scheduler::Adversarial { seed: 7 }] {
             let mut k1 = KeySource::new(sched);
             let canonical = q.schedule(2, &mut k1, &n);
             let mut k2 = KeySource::new(sched);
-            let reversed = reversed_enumeration(&q, 2, &mut k2, &n);
+            let reversed = reversed_enumeration(2, &mut k2, &n);
             assert_eq!(
                 actions_of(&canonical),
                 reversed,
@@ -599,7 +567,7 @@ mod tests {
         let mut k1 = KeySource::new(Scheduler::RandomAsync { seed: 7 });
         let canonical = q.schedule(2, &mut k1, &n);
         let mut k2 = KeySource::new(Scheduler::RandomAsync { seed: 7 });
-        let reversed = reversed_enumeration(&q, 2, &mut k2, &n);
+        let reversed = reversed_enumeration(2, &mut k2, &n);
         assert_ne!(
             actions_of(&canonical),
             reversed,

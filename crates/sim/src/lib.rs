@@ -27,22 +27,23 @@
 //!   partitions form and heal — the churn regime under which
 //!   re-convergence is measured.
 //!
-//! There is one round loop: an **event-driven engine** over a **flat
-//! message fabric** (see [`runner::Runner`] and [`network`]). Every golden
-//! trace and committed digest was recorded on it; [`Backend`] names it and
+//! There is one round loop: a **round engine** over a **flat message
+//! fabric** (see [`runner::Runner`] and [`network`]). Every golden trace
+//! and committed digest was recorded on it; [`Backend`] names it and
 //! nothing else. Every directed edge owns a dense channel *slot* taken
-//! from the graph's CSR view, per-round obligations are derived from two
-//! incremental indices — an enabled-tick set maintained via dirty flags on
-//! node state, and the channel occupancy set — instead of per-round
-//! `O(n + #channels)` rescans. Both are ordered two-level bitsets with
-//! O(1) transitions that enumerate in ascending order, so a round of `k`
-//! obligations costs `O(k log k + (n + #slots) / 4096)`: one sort of one
-//! `u64` order word per obligation, a linear pass that re-sorts the words
-//! whose high bits tie by the exact `(key, seq)`, and two bitset walks. Each
-//! delivery executes by the channel slot it was enumerated from. The
-//! steady-state round loop performs no ordered-tree operations and no heap
-//! allocations, and an [`Observer`] can split its time into [`Stage`]s. All
-//! three daemons stay bit-for-bit deterministic per seed.
+//! from the graph's CSR view. A round's obligations are found in one
+//! ascending pass: a tick for every alive node whose [`Automaton::enabled`]
+//! predicate holds, then a delivery for every message queued on each slot.
+//! Under the paper's do-forever loop every live node is enabled and every
+//! live channel is occupied each round, so the pass skips next to nothing,
+//! and a round of `k` obligations costs `O(n + #slots + k log k)`: the
+//! pass, one sort of one `u64` order word per obligation, and a linear
+//! pass that re-sorts the words whose high bits tie by the exact
+//! `(key, seq)`. Each delivery executes by the channel slot it was
+//! enumerated from. The steady-state round loop performs no ordered-tree
+//! operations and no heap allocations, and an [`Observer`] can split its
+//! time into [`Stage`]s. All three daemons stay bit-for-bit deterministic
+//! per seed.
 //!
 //! The crate is generic over the protocol: the MDST protocol lives in
 //! `ssmdst-core`, and the simulator only sees [`Automaton`] + [`Message`]
@@ -50,7 +51,7 @@
 //! minimum flood, ships in-crate).
 //!
 //! **Driving a run**: the composable surface is [`Session`] — a fluent
-//! builder over network + scheduler + horizon + planned churn — with
+//! builder over network + scheduler + horizon — with
 //! cross-cutting machinery (the [`ScheduleDigest`] replay witness,
 //! per-round closures, stop conditions) attached as statically-dispatched
 //! [`Observer`]s (`on_event`, `on_round_end`, `on_phase`, and the stage
@@ -72,7 +73,6 @@
 
 pub mod automaton;
 pub mod backend;
-pub(crate) mod dense;
 pub(crate) mod events;
 pub mod faults;
 pub mod metrics;

@@ -9,22 +9,16 @@
 //! * **addressing** — sends resolve `(from, to)` to a slot by binary
 //!   search inside `from`'s contiguous neighbor row (`O(log δ)`, one cache
 //!   line for typical degrees), then index `channels[slot]` directly. The
-//!   engine *enumerates* delivery obligations straight off the occupancy
-//!   index's slots and delivers by that slot, so neither discovery nor
-//!   delivery searches at all; only the public
+//!   engine *enumerates* delivery obligations by walking the slots in
+//!   ascending order and delivers by the slot it found, so neither
+//!   discovery nor delivery searches at all; only the public
 //!   [`Network::deliver_one`]`(from, to)` looks its slot up first;
-//! * an **occupancy index** (`DenseSet`, `sim/src/dense.rs`): an ordered
-//!   two-level bitset of the slots whose channel is non-empty, so every
-//!   empty↔non-empty transition is one bit flip — O(1), allocation-free,
-//!   no tree rebalancing (the old `BTreeSet` paid `O(log m)` and a node
-//!   allocation per transition) — and the occupied slots come out in
-//!   ascending order with no sort;
-//! * a **dirty-node list**: every node whose automaton state may have
-//!   changed since the engine last looked (tick, receive, fault injection,
-//!   topology change) is queued exactly once, so the engine re-evaluates
-//!   [`Automaton::enabled`] only where something happened.
+//! * **no side index**: which channels are non-empty and which nodes are
+//!   enabled is read off the channels and the automata themselves when a
+//!   round starts, so a send, a delivery, a fault or a topology change
+//!   updates nothing but the channel, the node and the in-flight count.
 //!
-//! At steady state the round loop (tick → send → deliver → dirty-mark)
+//! At steady state the round loop (tick → send → deliver)
 //! performs **zero heap allocations**: the per-step [`Outbox`] and all
 //! engine buffers are reused, and channel deques keep their capacity. The
 //! `tests/zero_alloc.rs` suite at the workspace root pins this down with a
@@ -44,7 +38,6 @@
 //! recovers from it.
 
 use crate::automaton::{Automaton, Message, Outbox};
-use crate::dense::DenseSet;
 use crate::metrics::Metrics;
 use crate::NodeId;
 use ssmdst_graph::Graph;
@@ -60,9 +53,9 @@ use std::collections::VecDeque;
 /// * channels deliver in FIFO order and never drop messages on their own —
 ///   loss happens only through explicit fault injection or edge removal.
 ///
-/// [`Network::check_invariants`] audits the full accounting (occupancy,
-/// in-flight totals, slot liveness, dirty flags) and is exercised after
-/// every mutation by the fabric property tests.
+/// [`Network::check_invariants`] audits the full accounting (in-flight
+/// totals, adjacency, slot liveness and the free list) and is exercised
+/// after every mutation by the fabric property tests.
 pub struct Network<A: Automaton> {
     nodes: Vec<A>,
     /// Sorted neighbor list per node (empty while crashed).
@@ -81,16 +74,9 @@ pub struct Network<A: Automaton> {
     slot_live: Vec<bool>,
     /// Tombstoned slots recycled by edge removal / crashes.
     free_slots: Vec<u32>,
-    /// Occupancy index: slots with a non-empty channel, O(1) transitions.
-    occ: DenseSet,
     in_flight: usize,
-    /// Dirty-node tracking for the incremental enabled-tick index.
-    dirty_flag: Vec<bool>,
-    dirty: Vec<NodeId>,
     /// Scratch outbox reused by every atomic step (zero-alloc round loop).
     outbox: Outbox<A::Msg>,
-    /// Scratch slot buffer reused by occupancy-driven bulk operations.
-    slot_scratch: Vec<u32>,
     /// Neighbor lists at crash time, for [`Network::rejoin_node`]; indexed
     /// by node id, empty unless the node is crashed (or holds a handed-over
     /// record from an overlapping crash).
@@ -134,12 +120,8 @@ impl<A: Automaton> Network<A> {
             slot_ends,
             slot_live: vec![true; slots],
             free_slots: Vec::new(),
-            occ: DenseSet::new(),
             in_flight: 0,
-            dirty_flag: vec![true; n],
-            dirty: (0..n as NodeId).collect(),
             outbox: Outbox::new(),
-            slot_scratch: Vec::new(),
             crash_edges: vec![Vec::new(); n],
             dynamic: false,
             metrics: Metrics::new(),
@@ -156,10 +138,10 @@ impl<A: Automaton> Network<A> {
         &self.nodes[v as usize]
     }
 
-    /// Mutable access — used by fault injection. Marks the node dirty so
-    /// the engine re-evaluates its enabled predicate.
+    /// Mutable access — used by fault injection. The engine reads the
+    /// node's enabled predicate afresh every round, so nothing else needs
+    /// telling.
     pub fn node_mut(&mut self, v: NodeId) -> &mut A {
-        self.mark_dirty(v);
         &mut self.nodes[v as usize]
     }
 
@@ -249,24 +231,20 @@ impl<A: Automaton> Network<A> {
         self.channels.len()
     }
 
-    /// Directed edges with a non-empty channel, sorted by `(from, to)` —
-    /// read from the occupancy index in `O(k log k + #slots / 4096)` for
-    /// its own size `k` (slot order is `(from, to)` order only until churn
-    /// recycles a slot, hence the sort).
+    /// Directed edges with a non-empty channel, sorted by `(from, to)`:
+    /// one walk over every node's sorted outgoing row, `O(n + #live
+    /// slots)`. (Slot order is `(from, to)` order only until churn
+    /// recycles a slot, so the walk goes by rows, not by slots.)
     pub fn nonempty_channels(&self) -> Vec<(NodeId, NodeId)> {
-        let mut slots = Vec::new();
-        self.occupied_slots_into(&mut slots);
-        let mut v: Vec<(NodeId, NodeId)> =
-            slots.iter().map(|&s| self.slot_ends[s as usize]).collect();
-        v.sort_unstable();
+        let mut v = Vec::new();
+        for (from, (row, slots)) in self.topo.iter().zip(&self.out_slot).enumerate() {
+            for (&to, &s) in row.iter().zip(slots) {
+                if !self.channels[s as usize].is_empty() {
+                    v.push((from as NodeId, to));
+                }
+            }
+        }
         v
-    }
-
-    /// Snapshot the occupied slot ids into `out`, ascending
-    /// (allocation-free once `out` has warmed up).
-    pub(crate) fn occupied_slots_into(&self, out: &mut Vec<u32>) {
-        out.clear();
-        self.occ.extend_sorted(out);
     }
 
     /// Endpoints of a live slot (engine-internal, O(1)).
@@ -281,41 +259,6 @@ impl<A: Automaton> Network<A> {
         self.channels[s as usize].len()
     }
 
-    /// The same answer as [`Network::nonempty_channels`], computed by a
-    /// full scan over every channel slot: the oracle the fabric tests
-    /// check the incremental occupancy index against (the two must always
-    /// agree).
-    pub fn scan_nonempty_channels(&self) -> Vec<(NodeId, NodeId)> {
-        let mut v: Vec<(NodeId, NodeId)> = (0..self.channels.len())
-            .filter(|&s| !self.channels[s].is_empty())
-            .map(|s| self.slot_ends[s])
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Drain the nodes touched since the last call (state changed,
-    /// crashed, rejoined, or re-wired), each at most once, ascending order
-    /// not guaranteed; the runner drains this to maintain its tick index.
-    /// Swaps the dirty list into `out` (clearing it first), so the two
-    /// buffers ping-pong between caller and network and no round
-    /// allocates.
-    pub(crate) fn take_dirty_into(&mut self, out: &mut Vec<NodeId>) {
-        out.clear();
-        std::mem::swap(&mut self.dirty, out);
-        for &v in out.iter() {
-            self.dirty_flag[v as usize] = false;
-        }
-    }
-
-    /// Queue `v` for enabled-predicate re-evaluation (idempotent).
-    fn mark_dirty(&mut self, v: NodeId) {
-        if !self.dirty_flag[v as usize] {
-            self.dirty_flag[v as usize] = true;
-            self.dirty.push(v);
-        }
-    }
-
     /// Run one spontaneous atomic step at `v` and route its sends. No-op on
     /// a crashed node.
     pub fn tick_node(&mut self, v: NodeId) {
@@ -324,7 +267,6 @@ impl<A: Automaton> Network<A> {
         }
         let mut out = std::mem::take(&mut self.outbox);
         self.nodes[v as usize].tick(&mut out);
-        self.mark_dirty(v);
         self.route(v, &mut out);
         self.outbox = out;
     }
@@ -353,26 +295,21 @@ impl<A: Automaton> Network<A> {
             self.slot_live[slot as usize] && self.slot_ends[slot as usize] == (from, to),
             "slot {slot} is not the live channel {from}->{to}"
         );
-        let q = &mut self.channels[slot as usize];
-        let Some(msg) = q.pop_front() else {
+        let Some(msg) = self.channels[slot as usize].pop_front() else {
             return false;
         };
-        if q.is_empty() {
-            self.occ.remove(slot);
-        }
         self.in_flight -= 1;
         self.metrics.on_deliver(msg.kind());
         let mut out = std::mem::take(&mut self.outbox);
         self.nodes[to as usize].receive(from, msg, &mut out);
-        self.mark_dirty(to);
         self.route(to, &mut out);
         self.outbox = out;
         true
     }
 
     /// Move an outbox into channels, enforcing locality and recording
-    /// metrics. Pure index arithmetic: slot lookup + O(1) occupancy
-    /// transition per message, no map, no allocation. A step that staged
+    /// metrics. Pure index arithmetic: one slot lookup per message, no
+    /// map, no allocation. A step that staged
     /// nothing returns at once: the in-flight count only fell, so the peak
     /// cannot move.
     fn route(&mut self, from: NodeId, out: &mut Outbox<A::Msg>) {
@@ -395,11 +332,7 @@ impl<A: Automaton> Network<A> {
                 panic!("node {from} sent to non-neighbor {to}");
             };
             self.metrics.on_send(msg.kind(), msg.size_bits(n));
-            let q = &mut self.channels[slot as usize];
-            if q.is_empty() {
-                self.occ.insert(slot);
-            }
-            q.push_back(msg);
+            self.channels[slot as usize].push_back(msg);
             self.in_flight += 1;
         }
         self.metrics.on_in_flight(self.in_flight);
@@ -443,7 +376,6 @@ impl<A: Automaton> Network<A> {
     fn free_slot(&mut self, s: u32) {
         self.in_flight -= self.channels[s as usize].len();
         self.channels[s as usize].clear();
-        self.occ.remove(s);
         self.slot_live[s as usize] = false;
         self.free_slots.push(s);
     }
@@ -473,13 +405,12 @@ impl<A: Automaton> Network<A> {
         }
     }
 
-    /// Fire the topology-change hook on an alive node and mark it dirty.
+    /// Fire the topology-change hook on an alive node.
     fn notify_topology(&mut self, v: NodeId) {
         if self.alive[v as usize] {
             let nbrs = std::mem::take(&mut self.topo[v as usize]);
             self.nodes[v as usize].on_topology_change(&nbrs);
             self.topo[v as usize] = nbrs;
-            self.mark_dirty(v);
         }
     }
 
@@ -549,7 +480,6 @@ impl<A: Automaton> Network<A> {
         }
         self.crash_edges[v as usize] = nbrs.clone();
         self.alive[v as usize] = false;
-        self.mark_dirty(v);
         for &u in &nbrs {
             self.notify_topology(u);
         }
@@ -607,41 +537,32 @@ impl<A: Automaton> Network<A> {
 
     /// Fault injection: erase all channel contents (an arbitrary initial
     /// configuration includes arbitrary — here, empty — channel states).
-    /// Driven off the occupancy index: O(#non-empty channels).
+    /// O(#slots).
     pub fn clear_channels(&mut self) {
-        let mut scratch = std::mem::take(&mut self.slot_scratch);
-        self.occupied_slots_into(&mut scratch);
-        for &s in &scratch {
-            self.channels[s as usize].clear();
+        for c in &mut self.channels {
+            c.clear();
         }
-        self.occ.clear();
         self.in_flight = 0;
-        self.slot_scratch = scratch;
     }
 
     /// Fault injection: drop each in-flight message independently with
     /// probability `p` (transient corruption of channel contents; FIFO
     /// order of survivors is preserved).
     ///
-    /// Driven off the occupancy index — O(#non-empty channels + #messages),
-    /// never a walk over every (possibly tombstoned) slot. The non-empty
-    /// channels are visited in `(from, to)` order; since empty channels
-    /// never consumed RNG draws, this reproduces the draw sequence of the
-    /// old full-scan implementation, so per-seed outcomes are unchanged.
+    /// O(n + #live slots + #messages): the live channels are visited in
+    /// `(from, to)` order, one sorted outgoing row after another, and each
+    /// message draws once. An empty channel draws nothing, so a seed's
+    /// draws depend only on the messages in flight and their channels,
+    /// never on slot ids or the order the channels filled.
     pub fn drop_in_flight<R: rand::Rng>(&mut self, p: f64, rng: &mut R) {
-        let mut scratch = std::mem::take(&mut self.slot_scratch);
-        self.occupied_slots_into(&mut scratch);
-        scratch.sort_unstable_by_key(|&s| self.slot_ends[s as usize]);
-        for &s in &scratch {
-            let c = &mut self.channels[s as usize];
-            let before = c.len();
-            c.retain(|_| rng.random::<f64>() >= p);
-            self.in_flight -= before - c.len();
-            if c.is_empty() {
-                self.occ.remove(s);
+        for slots in &self.out_slot {
+            for &s in slots {
+                let c = &mut self.channels[s as usize];
+                let before = c.len();
+                c.retain(|_| rng.random::<f64>() >= p);
+                self.in_flight -= before - c.len();
             }
         }
-        self.slot_scratch = scratch;
     }
 
     // ------------------------------------------------------------------
@@ -653,14 +574,10 @@ impl<A: Automaton> Network<A> {
     /// and the property tests, which call it after every mutation:
     ///
     /// * `in_flight` equals the sum of all channel lengths;
-    /// * the occupancy index holds exactly the non-empty channels, and its
-    ///   summary bits and member count are consistent;
     /// * adjacency rows are sorted, symmetric, slot-aligned, and every
     ///   live slot is owned by exactly one directed edge;
     /// * tombstoned slots are empty, dead, and on the free list exactly
     ///   once;
-    /// * the dirty list and the `dirty_flag` mask agree, with no node
-    ///   queued twice;
     /// * crashed nodes have no neighbors and no slots.
     pub fn check_invariants(&self) {
         let n = self.nodes.len();
@@ -722,28 +639,9 @@ impl<A: Automaton> Network<A> {
         }
         let dead = slots - owned.iter().filter(|&&b| b).count();
         assert_eq!(free.len(), dead, "free list does not cover all tombstones");
-        // Occupancy and in-flight accounting.
-        let mut total = 0usize;
-        for s in 0..slots {
-            let len = self.channels[s].len();
-            total += len;
-            assert_eq!(
-                self.occ.contains(s as u32),
-                len > 0,
-                "occupancy wrong for slot {s} (len {len})"
-            );
-        }
+        // In-flight accounting.
+        let total: usize = self.channels.iter().map(VecDeque::len).sum();
         assert_eq!(self.in_flight, total, "in_flight out of sync");
-        self.occ.check_consistent();
-        // Dirty tracking.
-        let mut queued = vec![false; n];
-        for &v in &self.dirty {
-            assert!(!queued[v as usize], "node {v} queued dirty twice");
-            queued[v as usize] = true;
-        }
-        for (v, &q) in queued.iter().enumerate() {
-            assert_eq!(self.dirty_flag[v], q, "dirty flag mismatch at node {v}");
-        }
     }
 }
 
@@ -865,10 +763,9 @@ mod tests {
 
     #[test]
     fn drop_in_flight_visits_channels_in_endpoint_order() {
-        // Seed determinism across occupancy-index insertion orders: two
-        // networks whose channels filled in different orders must consume
-        // identical RNG streams (channel visit order is (from,to), not
-        // occupancy order).
+        // Seed determinism across fill orders: two networks whose channels
+        // filled in different orders must consume identical RNG streams
+        // (channel visit order is (from,to), not fill order).
         use rand::SeedableRng;
         let fill = |first_zero: bool| {
             let mut net = echo_net();
@@ -897,19 +794,6 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_index_matches_full_scan() {
-        let mut net = echo_net();
-        net.tick_node(0);
-        net.tick_node(1);
-        assert_eq!(net.nonempty_channels(), net.scan_nonempty_channels());
-        net.deliver_one(0, 1);
-        net.deliver_one(1, 0);
-        net.deliver_one(1, 2);
-        assert_eq!(net.nonempty_channels(), net.scan_nonempty_channels());
-        assert!(net.nonempty_channels().is_empty());
-    }
-
-    #[test]
     fn peak_in_flight_tracked() {
         let mut net = echo_net();
         net.tick_node(1);
@@ -927,7 +811,7 @@ mod tests {
         assert_eq!(net.neighbors(1), &[0]);
         assert_eq!(net.neighbors(2), &[] as &[NodeId]);
         assert!(!net.remove_edge(1, 2), "already removed");
-        assert_eq!(net.nonempty_channels(), net.scan_nonempty_channels());
+        assert_eq!(net.nonempty_channels(), [(1, 0)]);
         net.check_invariants();
     }
 
@@ -1054,24 +938,6 @@ mod tests {
         assert_eq!(g1.m(), 2);
         assert!(g1.has_edge(0, 2));
         assert!(!g1.has_edge(0, 1));
-    }
-
-    #[test]
-    fn dirty_list_reports_touched_nodes_once() {
-        let mut net = echo_net();
-        let mut d = vec![99]; // stale contents are cleared, not appended to
-        net.take_dirty_into(&mut d);
-        assert_eq!(d.len(), 3, "everyone dirty at construction");
-        net.take_dirty_into(&mut d);
-        assert!(d.is_empty());
-        net.tick_node(1);
-        net.tick_node(1);
-        net.take_dirty_into(&mut d);
-        assert_eq!(d, vec![1]);
-        net.deliver_one(1, 0);
-        net.take_dirty_into(&mut d);
-        assert_eq!(d, vec![0]);
-        net.check_invariants();
     }
 
     /// The slot-addressed path is the same delivery as `deliver_one`.

@@ -47,9 +47,8 @@ use crate::trace::Digest;
 /// A stage of one [`crate::Runner`] round, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Re-evaluate the dirty nodes' enabled predicates into the tick index.
-    Refresh,
-    /// Enumerate the obligations in canonical order and key each one.
+    /// Find the obligations in one ascending pass over nodes and channel
+    /// slots, in canonical order, and key each one.
     Enumerate,
     /// Sort the obligations' sort words into daemon execution order (the
     /// word sort and its tie pass).
@@ -129,8 +128,7 @@ pub trait Observer<A: Automaton> {
     }
 
     /// Called at driver-defined phase boundaries — a fault burst, a
-    /// topology-churn event ([`crate::Session::churn`] or a planned
-    /// [`crate::SessionBuilder::churn_at`] firing), or a
+    /// topology-churn event ([`crate::Session::churn`]), or a
     /// [`crate::Session::phase`] announcement — with the post-event
     /// network and a rendered label.
     fn on_phase(&mut self, _net: &Network<A>, _label: &str, _round: u64) {}
@@ -395,7 +393,6 @@ mod tests {
         let _ = s.run_until(2, &mut ());
         let round = [
             None,
-            Some(Stage::Refresh),
             Some(Stage::Enumerate),
             Some(Stage::Sort),
             Some(Stage::Execute),

@@ -1,5 +1,5 @@
-//! The round engine: the simulator's one round loop (event-driven
-//! obligation derivation, daemon keying, one 64-bit word sort with its tie
+//! The round engine: the simulator's one round loop (one ascending pass
+//! that finds and keys the obligations, one 64-bit word sort with its tie
 //! pass, slot-addressed execution) and its step primitives, which mark
 //! each round's stages on the observer. Run loops (stop conditions, horizons,
 //! quiescence) live in [`crate::Session`].
@@ -20,18 +20,18 @@ use crate::scheduler::{Action, KeySource, Scheduler};
 /// round's obligations), so information travels at most one hop per round,
 /// matching the standard asynchronous round definition.
 ///
-/// **Event-driven engine**: obligations are *derived*, not *discovered*.
-/// The tick set is an incremental index maintained from the network's
-/// dirty-node list (only nodes whose state changed get their
-/// [`Automaton::enabled`] predicate re-evaluated), and delivery obligations
-/// are read off the flat fabric's channel occupancy index. Both indices are
-/// ordered bitsets, so a round of `k` obligations costs
-/// `O(k log k + (n + #slots) / 4096)`: one sort of one `u64` word per
-/// obligation and a linear tie pass, plus two bitset walks, never an
-/// `O(n + #channels)` rescan. Each delivery executes by the channel slot it was enumerated
-/// from. At steady state the whole loop (derive → key → sort → execute →
-/// route) reuses its buffers and touches no ordered tree: zero heap
-/// allocations per round, pinned by `tests/zero_alloc.rs`.
+/// **One ascending pass**: a round's obligations are found by walking every
+/// node id (a tick where the node is alive and its [`Automaton::enabled`]
+/// predicate holds) and then every channel slot (one delivery per queued
+/// message). The paper's protocol ticks every live node and keeps a
+/// message on every live channel each round, so the pass costs no more
+/// than keying what it finds: a round of `k` obligations costs
+/// `O(n + #slots + k log k)`, the pass plus one sort of one `u64` word per
+/// obligation and a linear tie pass. Each delivery executes by the channel
+/// slot it was enumerated from. At steady state the whole loop (enumerate
+/// → key → sort → execute → route) reuses its buffers and touches no
+/// ordered tree: zero heap allocations per round, pinned by
+/// `tests/zero_alloc.rs`.
 ///
 /// # Example
 ///
@@ -99,10 +99,9 @@ impl<A: Automaton> Runner<A> {
     }
 
     /// Mutable network access (fault injection and topology churn between
-    /// rounds). All engine-relevant bookkeeping — channel occupancy, node
-    /// liveness, dirty flags — lives inside [`Network`] and is maintained
-    /// by its methods, so arbitrary inter-round mutation through this
-    /// handle keeps the event indices consistent.
+    /// rounds). The engine keeps no index of its own: each round reads node
+    /// liveness, enabled predicates and channel contents afresh, so any
+    /// inter-round mutation through this handle is seen by the next round.
     pub fn network_mut(&mut self) -> &mut Network<A> {
         &mut self.net
     }
@@ -112,7 +111,7 @@ impl<A: Automaton> Runner<A> {
         self.round
     }
 
-    /// Execute one full round on the event-driven engine.
+    /// Execute one full round.
     pub fn step_round(&mut self) {
         let _ = self.step_round_observed(&mut ());
     }
@@ -129,8 +128,6 @@ impl<A: Automaton> Runner<A> {
     /// record-replay witness — with no other change to the round.
     pub fn step_round_observed<O: Observer<A>>(&mut self, obs: &mut O) -> Stop {
         obs.on_round_start();
-        self.queue.refresh(&mut self.net);
-        obs.on_stage_end(Stage::Refresh);
         self.queue.enumerate(self.round, &mut self.keys, &self.net);
         obs.on_stage_end(Stage::Enumerate);
         self.queue.sort();
@@ -296,57 +293,6 @@ mod tests {
             (vals, s.network().metrics.total_sent)
         };
         assert_eq!(run(7), run(7));
-    }
-
-    /// One round with obligations discovered by a full scan of every node
-    /// and channel instead of the incremental indices: the oracle the
-    /// event-driven derivation is checked against.
-    fn step_round_by_full_scan<A: Automaton>(r: &mut Runner<A>) {
-        r.queue.refresh(&mut r.net); // keep the indices warm for later steps
-        for (_, ob) in crate::events::schedule_rescan(r.round, &mut r.keys, &r.net) {
-            Runner::execute_one(&mut r.net, ob);
-        }
-        r.round += 1;
-        r.net.metrics.rounds = r.round;
-    }
-
-    /// The indexed engine and the full-scan oracle must produce the exact
-    /// same execution for every daemon — same per-round values, same
-    /// message counts.
-    #[test]
-    fn event_engine_matches_rescan_engine() {
-        for sched in [
-            Scheduler::Synchronous,
-            Scheduler::RandomAsync { seed: 11 },
-            Scheduler::Adversarial { seed: 11 },
-        ] {
-            let trace = |rescan: bool| {
-                let mut r = Runner::new(min_net(9), sched);
-                let mut samples = Vec::new();
-                for _ in 0..25 {
-                    if rescan {
-                        step_round_by_full_scan(&mut r);
-                    } else {
-                        r.step_round();
-                    }
-                    samples.push((
-                        r.network()
-                            .nodes()
-                            .iter()
-                            .map(|a| a.value)
-                            .collect::<Vec<_>>(),
-                        r.network().in_flight(),
-                        r.network().metrics.total_sent,
-                    ));
-                }
-                samples
-            };
-            assert_eq!(
-                trace(false),
-                trace(true),
-                "engines diverged under {sched:?}"
-            );
-        }
     }
 
     /// A tick whose `enabled()` guard is falsified *mid-round* (by a

@@ -1,8 +1,7 @@
 //! [`Session`]: the one composable driver surface.
 //!
 //! A session bundles everything a run needs — network, scheduler, round
-//! horizon, an optional planned churn timeline, and a stack of
-//! [`Observer`]s — behind one fluent builder and one `run()`/`step()`
+//! horizon and a stack of [`Observer`]s — behind one fluent builder and one `run()`/`step()`
 //! surface. Every driver in the workspace is a thin layer over a
 //! `Session`: the scenario engine, which the experiment harness and every
 //! `ssmdst` subcommand run through. Protocol-specific machinery plugs in
@@ -88,7 +87,6 @@ pub struct SessionBuilder<A: Automaton> {
     net: Network<A>,
     sched: Scheduler,
     horizon: u64,
-    plan: Vec<(u64, ChurnEvent)>,
 }
 
 impl<A: Automaton> SessionBuilder<A> {
@@ -125,28 +123,13 @@ impl<A: Automaton> SessionBuilder<A> {
         self
     }
 
-    /// Schedule a topology-churn event to apply once `at_round` rounds
-    /// have completed — i.e. before the `(at_round + 1)`-th round
-    /// executes, so `churn_at(0, …)` applies before any round runs and a
-    /// node crashed by `churn_at(r, …)` participates in exactly `r`
-    /// rounds. Events whose round has already passed apply before the
-    /// next round. Observers see each application via
-    /// [`Observer::on_phase`] with the event's rendered label.
-    pub fn churn_at(mut self, at_round: u64, ev: ChurnEvent) -> Self {
-        self.plan.push((at_round, ev));
-        self
-    }
-
     /// Finish with an observer stack attached (a single observer, or a
     /// nested tuple of them).
-    pub fn observe<O: Observer<A>>(mut self, obs: O) -> Session<A, O> {
-        self.plan.sort_by_key(|&(at, _)| at);
+    pub fn observe<O: Observer<A>>(self, obs: O) -> Session<A, O> {
         Session {
             runner: Runner::new(self.net, self.sched),
             obs,
             horizon: self.horizon,
-            plan: self.plan,
-            next_planned: 0,
         }
     }
 
@@ -156,8 +139,8 @@ impl<A: Automaton> SessionBuilder<A> {
     }
 }
 
-/// A configured simulation run: network + scheduler + horizon + planned
-/// churn + observers, with one `run()`/`step()` surface.
+/// A configured simulation run: network + scheduler + horizon +
+/// observers, with one `run()`/`step()` surface.
 ///
 /// Construct via [`Session::from_network`] over a pre-built network
 /// ([`Network::from_graph`], or a protocol crate's `build_network`).
@@ -166,8 +149,6 @@ pub struct Session<A: Automaton, O: Observer<A> = ()> {
     runner: Runner<A>,
     obs: O,
     horizon: u64,
-    plan: Vec<(u64, ChurnEvent)>,
-    next_planned: usize,
 }
 
 impl<A: Automaton> Session<A, ()> {
@@ -183,7 +164,6 @@ impl<A: Automaton> Session<A, ()> {
             net,
             sched: Scheduler::Synchronous,
             horizon: Self::DEFAULT_HORIZON,
-            plan: Vec::new(),
         }
     }
 }
@@ -233,10 +213,9 @@ impl<A: Automaton, O: Observer<A>> Session<A, O> {
         (self.runner, self.obs)
     }
 
-    /// Execute one round through the observer stack (planned churn due at
-    /// this round applies first). Returns the observers' stop verdict.
+    /// Execute one round through the observer stack. Returns the
+    /// observers' stop verdict.
     pub fn step(&mut self) -> Stop {
-        self.apply_due_plan();
         self.runner.step_round_observed(&mut self.obs)
     }
 
@@ -254,7 +233,6 @@ impl<A: Automaton, O: Observer<A>> Session<A, O> {
     pub fn run_until<S: Observer<A>>(&mut self, max_rounds: u64, stop: &mut S) -> RunOutcome {
         let start = self.runner.round();
         while self.runner.round() - start < max_rounds {
-            self.apply_due_plan();
             let verdict = self
                 .runner
                 .step_round_observed(&mut (&mut self.obs, &mut *stop));
@@ -316,19 +294,6 @@ impl<A: Automaton, O: Observer<A>> Session<A, O> {
     pub fn phase(&mut self, label: &str) {
         let round = self.runner.round();
         self.obs.on_phase(self.runner.network(), label, round);
-    }
-
-    /// Apply every planned churn event whose round has arrived.
-    fn apply_due_plan(&mut self) {
-        while self.next_planned < self.plan.len()
-            && self.plan[self.next_planned].0 <= self.runner.round()
-        {
-            let (at, ev) = &self.plan[self.next_planned];
-            let _ = apply_churn(self.runner.network_mut(), ev);
-            let label = ev.to_string();
-            self.obs.on_phase(self.runner.network(), &label, *at);
-            self.next_planned += 1;
-        }
     }
 }
 
@@ -481,16 +446,16 @@ mod tests {
         assert_eq!(session.round(), 4);
     }
 
-    /// Planned churn applies at its round, notifies observers, and the
-    /// run re-converges around it.
+    /// Churn applied between rounds takes effect before the next round,
+    /// notifies observers, and the run re-converges around it.
     #[test]
     fn planned_churn_applies_at_round_and_notifies() {
-        let mut session = builder(6)
-            .churn_at(1, ChurnEvent::RemoveEdge(2, 3))
-            .observe(PhaseLabels::default());
-        // Run a few rounds past the event. The cut lands before round 1's
-        // deliveries, so value 97 never crosses to the left side.
-        let _ = session.run_until(10, &mut ());
+        let mut session = builder(6).observe(PhaseLabels::default());
+        // The cut lands before round 1's deliveries, so value 97 never
+        // crosses to the left side.
+        let _ = session.run_until(1, &mut ());
+        let _ = session.churn(&ChurnEvent::RemoveEdge(2, 3));
+        let _ = session.run_until(9, &mut ());
         assert_eq!(session.observer().0, [("-edge(2,3)".to_string(), 1, 1)]);
         // The cut partitions the path: the left side keeps its own min.
         let _ = session.run_until(50, &mut ());
@@ -512,10 +477,10 @@ mod tests {
     /// topology.
     #[test]
     fn on_phase_hook_sees_explicit_churn_topology() {
-        let mut session = builder(6)
-            .churn_at(2, ChurnEvent::RemoveEdge(2, 3))
-            .observe(PhaseLabels::default());
-        let _ = session.run_until(5, &mut ());
+        let mut session = builder(6).observe(PhaseLabels::default());
+        let _ = session.run_until(2, &mut ());
+        let _ = session.churn(&ChurnEvent::RemoveEdge(2, 3));
+        let _ = session.run_until(3, &mut ());
         let _ = session.churn(&ChurnEvent::InsertEdge(2, 3));
         let (obs, net) = session.observer_and_network();
         assert_eq!(obs.0.len(), 2);

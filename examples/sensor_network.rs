@@ -2,8 +2,8 @@
 //! geometric radio graph, where a low-degree spanning tree means less
 //! congestion and fewer collision hot-spots at any single sensor. Includes
 //! a mid-run transient fault — half the sensors reboot into garbage state —
-//! and a planned mid-run churn event scheduled straight on the session
-//! builder (a sensor dies at a fixed round).
+//! and a mid-run churn event applied through the session (a sensor dies
+//! at a fixed round).
 //!
 //! ```text
 //! cargo run --release --example sensor_network
@@ -36,15 +36,16 @@ fn main() {
         g.degree(hub)
     );
 
-    // A sensor at the field's edge browns out at round 200 — declared on
-    // the builder, applied by the session, announced to observers.
+    // A sensor at the field's edge browns out at round 200 — applied by
+    // the session, announced to observers.
     let casualty = g.nodes().min_by_key(|&v| g.degree(v)).unwrap();
     let quiet = quiet_window(g.n());
     let mut session = Session::from_network(build_network(&g, Config::for_n(g.n())))
         .scheduler(Scheduler::RandomAsync { seed: 7 })
         .horizon(400_000)
-        .churn_at(200, ChurnEvent::CrashNode(casualty))
         .build();
+    let _ = session.run_until(200, &mut ());
+    let _ = session.churn(&ChurnEvent::CrashNode(casualty));
     let out = session.run_to_quiescence(quiet, oracle::projection);
     assert!(out.converged());
     println!(

@@ -3,9 +3,9 @@
 //!
 //! Not a benchmark — a guard that the scale path *works*: sparse-G(n,p)
 //! generation via skip sampling, fabric construction over ~10⁵ directed
-//! slots, sparse-activity rounds whose obligation discovery must not scan
-//! the world (it walks the ordered bitset indices, not every node and
-//! channel), full-gossip rounds, churn at scale, and the MDST protocol
+//! slots, sparse-activity rounds (each round's ascending pass still visits
+//! every node and every slot, and must find the one live token among
+//! them), full-gossip rounds, churn at scale, and the MDST protocol
 //! automaton itself taking its first steps. Perf at this size is measured
 //! by the S1–S3 experiment family (`experiments -- s1 s2 s3`).
 
@@ -26,7 +26,8 @@ impl Message for Token {
 }
 
 /// One sentinel circulates a token; everyone else is disabled. The regime
-/// where obligation *discovery* dominates obligation *execution*.
+/// where finding the obligations costs more than executing them: a round
+/// has two obligations but walks every node and slot.
 struct Sentinel {
     first_neighbor: Option<u32>,
     active: bool,
@@ -54,10 +55,9 @@ fn sparse_activity_rounds_at_ten_thousand_nodes() {
         active: v == 0,
     });
     let mut r = Runner::new(net, Scheduler::Synchronous);
-    // 500 rounds with exactly 2 obligations each: only feasible in debug
-    // if discovery is index-driven, not an O(n + #channels) rescan. The
-    // bitset indices walk at most one summary word per 4096 keys, and stop
-    // at their largest member (here node 0 and one of its slots).
+    // 500 rounds with exactly 2 obligations each, found by a pass over
+    // 10⁴ nodes and ~10⁵ slots per round: the disabled nodes and the empty
+    // channels must yield no obligation, and the token must keep moving.
     for _ in 0..500 {
         r.step_round();
     }

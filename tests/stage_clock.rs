@@ -1,7 +1,7 @@
 //! Round-stage clock: where a round's time goes.
 //!
 //! `Runner::step_round_observed` tells its observer where each stage of a
-//! round ends (refresh, enumerate + key, sort, execute, round end) through
+//! round ends (enumerate + key, sort, execute, round end) through
 //! the `on_round_start` and `on_stage_end` hooks. Contract R2 (`clippy.toml`)
 //! keeps wall-clock reads out of library code, so the `Instant`-backed
 //! observer lives here.
@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 /// Wall time per stage, summed over every clocked round.
 struct WallClock {
     last: Instant,
-    spent: [Duration; 5],
+    spent: [Duration; 4],
     rounds: u64,
 }
 
@@ -40,7 +40,7 @@ impl WallClock {
     fn new() -> Self {
         WallClock {
             last: Instant::now(),
-            spent: [Duration::ZERO; 5],
+            spent: [Duration::ZERO; 4],
             rounds: 0,
         }
     }
@@ -127,7 +127,6 @@ fn stage_split_of_mdst_recovery() {
         total.as_nanos() as f64 / clock.rounds as f64
     );
     for stage in [
-        Stage::Refresh,
         Stage::Enumerate,
         Stage::Sort,
         Stage::Execute,

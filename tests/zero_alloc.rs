@@ -6,8 +6,8 @@
 //! allocations**. This binary installs a counting allocator (the
 //! `vendor/alloc-counter` shim) and meters the loop directly, so any
 //! future regression (a stray `Vec::new` per round, a `BTreeMap` sneaking
-//! back onto the path, the dirty-list drain reverting to handing out fresh
-//! vectors) fails loudly instead of silently taxing every experiment.
+//! back onto the path, an enumeration pass that collects into a fresh
+//! vector) fails loudly instead of silently taxing every experiment.
 //!
 //! Scope: the guarantee is about the *fabric*. The messages themselves are
 //! `Copy` here; a protocol whose messages own heap data (e.g. a path
@@ -54,7 +54,7 @@ impl Message for Beat {
 
 /// Gossips a counter to every neighbor each round — the obligation-dense
 /// regime (every node ticks, every channel carries traffic), which
-/// exercises the full tick → send → deliver → dirty-mark cycle.
+/// exercises the full tick → send → deliver cycle.
 #[derive(Debug)]
 struct Gossip {
     neighbors: Vec<u32>,
@@ -79,7 +79,7 @@ impl Automaton for Gossip {
 #[derive(Default)]
 struct CountingClock {
     starts: u64,
-    ends: [u64; 5],
+    ends: [u64; 4],
 }
 
 impl<A: Automaton> Observer<A> for CountingClock {
@@ -207,7 +207,7 @@ fn steady_state_round_loop_is_allocation_free() {
         });
         assert_eq!(
             (clock.starts, clock.ends),
-            (150, [150; 5]),
+            (150, [150; 4]),
             "every stage boundary of every round reached the clock"
         );
 
